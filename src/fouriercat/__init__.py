@@ -34,13 +34,10 @@ from .encoding import (
     cat_qudit,
     code_basis,
     covariant_encode,
-    deformed_encode,
-    encode,
     gram_fourier_spectrum,
     gram_matrix,
     make_constellation,
     min_euclidean_distance,
-    orthonormal_group_basis,
 )
 from .gates import (
     LogicalAction,

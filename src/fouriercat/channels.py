@@ -19,11 +19,8 @@ from .fock import (
     annihilate,
     coherent_amplitudes,
     hermitian_inv_sqrt,
-    mode_destroy,
     passive_gaussian_unitary,
 )
-
-PLUS_I = np.array([1.0, 1.0j]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -54,14 +51,15 @@ class QecMatrix:
     extras: dict = field(default_factory=dict)
 
 
-def lambda_matrix(group):
-    """Gram matrix of the C^2 family {g |+_i>}, computed exactly."""
-    vecs = np.array([e.matrix @ PLUS_I for e in group.elements])
+def lambda_matrix(group, phi=np.pi / 2):
+    """Gram matrix of the C^2 family {g (1, e^{i phi}) / sqrt 2}, computed exactly."""
+    v = np.array([1.0, np.exp(1j * phi)]) / np.sqrt(2.0)
+    vecs = np.array([e.matrix @ v for e in group.elements])
     return vecs.conj() @ vecs.T
 
 
 def loss_gram_matrices(lam, alpha, gamma):
-    """(Gamma, Gamma_t, Gamma_r) for the constellation (alpha, i alpha).
+    """(Gamma, Gamma_t, Gamma_r) for the constellation (alpha, alpha e^{i phi}).
 
     All three are entrywise exponentials of the 2-vector Gram matrix; at
     gamma = 0, Gamma_t reduces to Gamma and Gamma_r to the all-ones matrix.
@@ -77,21 +75,16 @@ def loss_gram_matrices(lam, alpha, gamma):
     return gram, gram_t, gram_r
 
 
-def _sqrt_psd(a):
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
-def qec_matrix_analytic(group, fourier, alpha, gamma, floor=1e-12):
+def qec_matrix_analytic(group, fourier, alpha, gamma, floor=1e-12, phi=np.pi / 2):
     """QEC matrix from the closed-form Gram contraction.
 
     M[kp, lq] = sum_{g,h} [F G^-1/2]_{k0,g} [G^-1/2 F^dag]_{h,l0}
                 [G_r^1/2]_{gp} [G_r^1/2]_{qh} [G_t]_{gh}.
     """
-    lam = lambda_matrix(group)
+    lam = lambda_matrix(group, phi)
     gram, gram_t, gram_r = loss_gram_matrices(lam, alpha, gamma)
     inv_sqrt = hermitian_inv_sqrt(gram, floor=floor).inv_sqrt
-    sr = _sqrt_psd(gram_r)
+    sr = hermitian_inv_sqrt(gram_r, pseudo=True).sqrt
     label = fourier.defining_label
     rows = [fourier.row(label, k, 0) for k in (0, 1)]
     a = (fourier.matrix @ inv_sqrt)[rows]  # a[k, g]
@@ -144,8 +137,14 @@ def qec_matrix_fock(code, gamma, env_floor=1e-13):
     config = code.config
     d = config.dim_per_mode
     n = code.constellation.group.order
-    bs = _beamsplitter(FockConfig(2, config.cutoff), gamma).matrix
-    b4 = bs.reshape(d, d, d, d)  # (out_sys, out_env, in_sys, in_env)
+    pair = FockConfig(2, config.cutoff)
+    bs = _beamsplitter(pair, gamma)
+    # Vacuum-ancilla slice b[out_sys, out_env, n]: the beamsplitter's image of |n>|0>.
+    inputs = np.zeros((d, d, d), dtype=complex)  # inputs[n] = |n>|0>
+    inputs[np.arange(d), np.arange(d), 0] = 1.0
+    b = np.stack(
+        [bs.apply(FockState(pair, vac.reshape(-1))).tensor() for vac in inputs], axis=-1
+    )
 
     # Environment basis from the reflected constellation.
     r = np.sqrt(gamma)
@@ -171,8 +170,8 @@ def qec_matrix_fock(code, gamma, env_floor=1e-13):
     for j, state in enumerate(code.basis_states):
         amp = state.tensor()
         # Attach both vacuum ancillas, then mix each mode with its ancilla.
-        s1 = np.einsum("PCa,ab->PbC", b4[:, :, :, 0], amp)  # (n1', n2, m1')
-        s2 = np.einsum("QDb,Pbc->PQcD", b4[:, :, :, 0], s1)  # (n1',n2',m1',m2')
+        s1 = np.einsum("PCa,ab->PbC", b, amp)  # (n1', n2, m1')
+        s2 = np.einsum("QDb,Pbc->PQcD", b, s1)  # (n1',n2',m1',m2')
         # Project the environment pair onto each |p>_r.
         kraus_images[j] = np.einsum("pcd,PQcd->pPQ", env_tensors.conj(), s2)
 
@@ -234,33 +233,28 @@ def lindblad_kernel_check(code, deformed=False):
     else:
         basis = code
         sign = 1.0
-    config = basis.config
-    a1 = mode_destroy(config, 0).matrix
-    a2 = mode_destroy(config, 1).matrix
-    eye = np.eye(config.dim)
-    a1sq, a2sq = a1 @ a1, a2 @ a2
-    ops = {
-        "L1": a1sq @ a1sq - sign * alpha**4 * eye,
-        "L2": a2sq @ a2sq - sign * alpha**4 * eye,
-        "L12": a1sq @ a2sq + sign * alpha**4 * eye,
-    }
-    scales = {"L1": alpha**4, "L2": alpha**4, "L12": alpha**4}
-    if not deformed:
-        ops["L0"] = a1sq + a2sq
-        scales["L0"] = alpha**2
+
+    def lower2(state, mode):
+        return annihilate(annihilate(state, mode), mode)
+
     residuals = {}
-    for name, op in ops.items():
-        residuals[name] = max(
-            float(np.linalg.norm(op @ s.amplitudes)) / scales[name]
-            for s in basis.basis_states
-        )
-    d = config.dim_per_mode
-    n1 = np.repeat(np.arange(d), d)
-    n2 = np.tile(np.arange(d), d)
-    odd_mask = ((n1 + n2) % 2 == 1).astype(float)
+    for s in basis.basis_states:
+        a1sq, a2sq = lower2(s, 0), lower2(s, 1)
+        shift = sign * alpha**4 * s.amplitudes
+        images = {  # name: (L|s>, normalization)
+            "L1": (lower2(a1sq, 0).amplitudes - shift, alpha**4),
+            "L2": (lower2(a2sq, 1).amplitudes - shift, alpha**4),
+            "L12": (lower2(a1sq, 1).amplitudes + shift, alpha**4),
+        }
+        if not deformed:
+            images["L0"] = (a1sq.amplitudes + a2sq.amplitudes, alpha**2)
+        for name, (img, scale) in images.items():
+            res = float(np.linalg.norm(img)) / scale
+            residuals[name] = max(residuals.get(name, 0.0), res)
+    d = basis.config.dim_per_mode
+    odd = np.add.outer(np.arange(d), np.arange(d)) % 2 == 1
     parity_residual = max(
-        float(np.linalg.norm(odd_mask * s.amplitudes - s.amplitudes))
-        for s in basis.basis_states
+        float(np.linalg.norm(s.tensor()[~odd])) for s in basis.basis_states
     )
     return residuals, parity_residual
 
@@ -273,47 +267,41 @@ class SweepRecord:
     flags: list = field(default_factory=list)
 
 
-def _petz_infidelity(group, fourier, alpha, gamma, floor=1e-12):
-    lam = lambda_matrix(group)
+def _petz_infidelity(group, fourier, alpha, gamma, phi, floor=1e-12):
+    lam = lambda_matrix(group, phi)
     gram = loss_gram_matrices(lam, alpha, gamma)[0]
     cond = float(np.linalg.cond(gram))
     w = np.linalg.eigvalsh(gram)
     if float(np.min(w)) <= floor * float(np.max(w)):
         return None, cond
-    qec = qec_matrix_analytic(group, fourier, alpha, gamma, floor=floor)
+    qec = qec_matrix_analytic(group, fourier, alpha, gamma, floor=floor, phi=phi)
     return 1.0 - petz_entanglement_fidelity(qec), cond
 
 
-def sweep_alpha(group, fourier, gamma, alpha_grid):
-    """Petz infidelity across an alpha grid at fixed loss, analytic route.
+def _sweep(group, fourier, points, phi):
+    """One record per (value, alpha, gamma) point, analytic route.
 
-    Ill-conditioned grid points are flagged and carry NaN infidelity rather
-    than being dropped.
+    Ill-conditioned points are flagged and carry NaN infidelity rather than
+    being dropped.
     """
     records = []
-    for alpha in alpha_grid:
-        inf, cond = _petz_infidelity(group, fourier, float(alpha), gamma)
+    for value, alpha, gamma in points:
+        inf, cond = _petz_infidelity(group, fourier, alpha, gamma, phi)
         if inf is None:
-            records.append(
-                SweepRecord(float(alpha), float("nan"), cond, ["ill-conditioned"])
-            )
+            records.append(SweepRecord(value, float("nan"), cond, ["ill-conditioned"]))
         else:
-            records.append(SweepRecord(float(alpha), inf, cond))
+            records.append(SweepRecord(value, inf, cond))
     return records
 
 
-def sweep_gamma(group, fourier, alpha, gamma_grid):
-    """Petz infidelity across a loss grid at fixed alpha, analytic route."""
-    records = []
-    for gamma in gamma_grid:
-        inf, cond = _petz_infidelity(group, fourier, alpha, float(gamma))
-        if inf is None:
-            records.append(
-                SweepRecord(float(gamma), float("nan"), cond, ["ill-conditioned"])
-            )
-        else:
-            records.append(SweepRecord(float(gamma), inf, cond))
-    return records
+def sweep_alpha(group, fourier, gamma, alpha_grid, phi=np.pi / 2):
+    """Petz infidelity across an alpha grid at fixed loss."""
+    return _sweep(group, fourier, [(float(a), float(a), gamma) for a in alpha_grid], phi)
+
+
+def sweep_gamma(group, fourier, alpha, gamma_grid, phi=np.pi / 2):
+    """Petz infidelity across a loss grid at fixed alpha."""
+    return _sweep(group, fourier, [(float(g), alpha, float(g)) for g in gamma_grid], phi)
 
 
 def loglog_slope(records, lo, hi):

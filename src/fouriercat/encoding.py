@@ -15,7 +15,6 @@ import numpy as np
 from .fock import (
     DEFAULT_CUTOFF,
     FockConfig,
-    FockOperator,
     FockState,
     coherent_product,
     hermitian_inv_sqrt,
@@ -46,7 +45,6 @@ class CodeBasis:
     constellation: Constellation
     fourier: object
     basis_states: list
-    projector: FockOperator
 
     @property
     def config(self):
@@ -110,16 +108,6 @@ def analytic_gram(group, alpha_vec):
     return np.exp(cross - 0.5 * (sq[:, None] + sq[None, :]))
 
 
-def orthonormal_group_basis(constellation, gram=None):
-    """The orthonormal states |g> = sum_h [Gamma^(-1/2)]_{h,g} |h alpha>."""
-    if gram is None:
-        gram = gram_matrix(constellation)
-    inv_sqrt = hermitian_inv_sqrt(gram, floor=GRAM_FLOOR).inv_sqrt
-    amps = np.array([s.amplitudes for s in constellation.states])
-    basis = inv_sqrt.T @ amps  # row g = sum_h inv_sqrt[h, g] amps[h]
-    return [FockState(constellation.config, row) for row in basis]
-
-
 def _encoding_coefficients(constellation, fourier):
     """Column (lambda, l, m) of Gamma^(-1/2) F^dag, for all four (l, m)."""
     gram = gram_matrix(constellation)
@@ -133,18 +121,8 @@ def _encoding_coefficients(constellation, fourier):
     return cols
 
 
-def encode(constellation, fourier, l, m):
-    """The quantum Fourier code state for logical l and multiplicity m."""
-    if l not in (0, 1) or m not in (0, 1):
-        raise ValueError("l and m must be 0 or 1")
-    cols = _encoding_coefficients(constellation, fourier)
-    amps = np.array([s.amplitudes for s in constellation.states])
-    state = FockState(constellation.config, cols[(l, m)] @ amps)
-    return state.normalized()
-
-
 def code_basis(constellation, fourier):
-    """All four encoded basis states plus the code projector."""
+    """All four encoded basis states, ordered (0,0), (0,1), (1,0), (1,1)."""
     cols = _encoding_coefficients(constellation, fourier)
     amps = np.array([s.amplitudes for s in constellation.states])
     states = []
@@ -153,20 +131,7 @@ def code_basis(constellation, fourier):
             states.append(
                 FockState(constellation.config, cols[(l, m)] @ amps).normalized()
             )
-    proj = np.zeros((constellation.config.dim,) * 2, dtype=complex)
-    for s in states:
-        proj += np.outer(s.amplitudes, s.amplitudes.conj())
-    return CodeBasis(
-        constellation=constellation,
-        fourier=fourier,
-        basis_states=states,
-        projector=FockOperator(constellation.config, proj),
-    )
-
-
-def deformed_encode(constellation, u, fourier, l, m):
-    """The encoding built on the deformed constellation {|g U alpha>}."""
-    return encode(deform_constellation(constellation, u), fourier, l, m)
+    return CodeBasis(constellation=constellation, fourier=fourier, basis_states=states)
 
 
 def covariant_encode(constellation, fourier, l, omega):

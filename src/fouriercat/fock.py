@@ -1,19 +1,21 @@
 """Truncated multimode Fock-space numerics.
 
 States are dense complex vectors over the number basis, row-major in mode
-order; operators are dense matrices on the same basis.  Every constructor
-that builds a physical state from coherent amplitudes audits the truncated
-Poisson tail so that silent truncation errors cannot creep into downstream
-fidelity computations.
+order.  Operators are maps on the same amplitudes viewed as a tensor with
+one axis per mode; only the general (non-monomial) passive unitary stores a
+matrix over the full space.  Every constructor that builds a physical state
+from coherent amplitudes audits the truncated Poisson tail so that silent
+truncation errors cannot creep into downstream fidelity computations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import expm, logm
+from scipy.linalg import logm
 
 DEFAULT_CUTOFF = 25
 TAIL_TOL = 1e-12
@@ -65,19 +67,19 @@ class FockState:
 
 @dataclass
 class FockOperator:
+    """A linear map on the ``(d,) * modes`` amplitude tensor of a state."""
+
     config: FockConfig
-    matrix: np.ndarray
+    act: Callable[[np.ndarray], np.ndarray]
 
     def apply(self, state):
-        return FockState(state.config, self.matrix @ state.amplitudes)
+        return FockState(state.config, self.act(state.tensor()).reshape(-1))
 
     def __matmul__(self, other):
         if isinstance(other, FockOperator):
-            return FockOperator(self.config, self.matrix @ other.matrix)
+            outer, inner = self.act, other.act
+            return FockOperator(self.config, lambda t: outer(inner(t)))
         return NotImplemented
-
-    def dagger(self):
-        return FockOperator(self.config, self.matrix.conj().T)
 
 
 def infidelity(a, b):
@@ -91,24 +93,6 @@ def destroy_matrix(cutoff):
     for n in range(1, d):
         m[n - 1, n] = np.sqrt(n)
     return m
-
-
-def lift(single, mode, config):
-    """Embed a single-mode matrix into the full multimode space."""
-    d = config.dim_per_mode
-    out = np.array([[1.0 + 0j]])
-    for k in range(config.modes):
-        out = np.kron(out, single if k == mode else np.eye(d))
-    return out
-
-
-def mode_destroy(config, mode):
-    return FockOperator(config, lift(destroy_matrix(config.cutoff), mode, config))
-
-
-def mode_number(config, mode):
-    d = destroy_matrix(config.cutoff)
-    return FockOperator(config, lift(d.conj().T @ d, mode, config))
 
 
 def coherent_amplitudes(alpha, cutoff, tail_tol=TAIL_TOL):
@@ -189,19 +173,21 @@ def _monomial_unitary(perm, phases, config):
     pi(U)|n_1..n_m> = prod_k phases_k^{n_k} |n with mode k sent to perm[k]>;
     number-preserving per mode, so truncation introduces no error at all.
     """
-    d = config.dim_per_mode
-    grids = np.indices((d,) * config.modes)
-    phase = np.ones((d,) * config.modes, dtype=complex)
-    for k in range(config.modes):
-        phase = phase * phases[k] ** grids[k]
-    src = np.ravel_multi_index(grids, (d,) * config.modes).ravel()
-    tgt_coords = [None] * config.modes
-    for k in range(config.modes):
-        tgt_coords[perm[k]] = grids[k]
-    tgt = np.ravel_multi_index(tgt_coords, (d,) * config.modes).ravel()
-    mat = np.zeros((config.dim, config.dim), dtype=complex)
-    mat[tgt, src] = phase.ravel()
-    return FockOperator(config, mat)
+    n = np.arange(config.dim_per_mode)
+    phase = reduce(np.multiply.outer, [p**n for p in phases])
+    axes = np.argsort(perm)  # output axis perm[k] is input axis k
+    return FockOperator(config, lambda t: np.transpose(phase * t, axes))
+
+
+def _mode_term(config, j, k):
+    """a_j^dag a_k over the full space, as a Kronecker product of mode factors."""
+    a = destroy_matrix(config.cutoff)
+    factors = [np.eye(config.dim_per_mode)] * config.modes
+    if j == k:
+        factors[j] = a.conj().T @ a
+    else:
+        factors[j], factors[k] = a.conj().T, a
+    return reduce(np.kron, factors)
 
 
 def passive_gaussian_unitary(u, config):
@@ -223,25 +209,24 @@ def passive_gaussian_unitary(u, config):
         return _monomial_unitary(*monomial, config)
     h = -1j * logm(u)
     h = (h + h.conj().T) / 2
-    a_ops = [mode_destroy(config, k).matrix for k in range(config.modes)]
     ham = np.zeros((config.dim, config.dim), dtype=complex)
     for j in range(config.modes):
         for k in range(config.modes):
             if abs(h[j, k]) > 0:
-                ham += h[j, k] * (a_ops[j].conj().T @ a_ops[k])
+                ham += h[j, k] * _mode_term(config, j, k)
     vals, vecs = np.linalg.eigh((ham + ham.conj().T) / 2)
     mat = (vecs * np.exp(1j * vals)) @ vecs.conj().T
-    return FockOperator(config, mat)
+    return FockOperator(config, lambda t: (mat @ t.reshape(-1)).reshape(t.shape))
 
 
 def number_diagonal_operator(f: Callable, config):
     """Diagonal unitary with entries f(n_1, ..., n_modes), |f| = 1 pointwise."""
     d = config.dim_per_mode
     grids = np.meshgrid(*[np.arange(d)] * config.modes, indexing="ij")
-    values = np.vectorize(f)(*grids).astype(complex).reshape(-1)
+    values = np.vectorize(f)(*grids).astype(complex)
     if np.max(np.abs(np.abs(values) - 1.0)) > 1e-12:
         raise ValueError("diagonal entries must be unimodular")
-    return FockOperator(config, np.diag(values))
+    return FockOperator(config, lambda t: values * t)
 
 
 def annihilate(state, mode):

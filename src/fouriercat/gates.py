@@ -14,11 +14,9 @@ from scipy.linalg import expm
 
 from . import encoding
 from .fock import (
-    FockOperator,
     FockState,
     annihilate,
     infidelity,
-    mode_destroy,
     number_diagonal_operator,
     passive_gaussian_unitary,
 )
@@ -55,7 +53,6 @@ class ZenoGate:
 @dataclass
 class Mod4Measurement:
     outcome_table: dict
-    projectors: dict
 
 
 # Cells of the photon-number-mod-4 outcome table for each Z_L Y_M eigenstate.
@@ -115,19 +112,12 @@ def cz_gate_check(code):
     ever materialized.
     """
     d = code.config.dim_per_mode
-    tensors = [s.tensor() for s in code.basis_states]
+    tensors = np.array([s.tensor() for s in code.basis_states])
     parity = (-1.0) ** np.outer(np.arange(d), np.arange(d))  # (n2, n4)
-    mat = np.zeros((16, 16), dtype=complex)
     # C[i', i, n2] = sum_n1 conj(b_i'[n1,n2]) b_i[n1,n2]
-    c = np.einsum("iab,jab->ijb", np.conj(tensors), np.array(tensors))
-    for i1p in range(4):
-        for i1 in range(4):
-            for i2p in range(4):
-                for i2 in range(4):
-                    mat[i1p * 4 + i2p, i1 * 4 + i2] = np.einsum(
-                        "a,ab,b->", c[i1p, i1], parity, c[i2p, i2]
-                    )
-    return mat
+    c = np.einsum("iab,jab->ijb", tensors.conj(), tensors)
+    # row (i1', i2'), column (i1, i2)
+    return np.einsum("ija,ab,klb->ikjl", c, parity, c).reshape(16, 16)
 
 
 def cz_target():
@@ -141,50 +131,35 @@ def cz_target():
     return out
 
 
-def hadamard_deformation_check(code):
-    """Residual of the code-deformation identity for the balanced beamsplitter.
-
-    pi(H) applied to an encoded state must equal the deformed-code encoding
-    of H|l> (x) H|m>, and applying pi(H) twice must return to the original
-    code.  Returns the max infidelity over all (l, m) and both checks.
-    """
-    return deformation_residual(code, HADAMARD)
+def _encoded_residual(op, code, target, u):
+    """Max infidelity of op E(|l>|m>) vs E_target(U|l> (x) U|m>)."""
+    worst = 0.0
+    for l in (0, 1):
+        for m in (0, 1):
+            lhs = op.apply(code.state(l, m)).normalized()
+            amps = np.zeros(code.config.dim, dtype=complex)
+            for lp in (0, 1):
+                for mp in (0, 1):
+                    amps += u[lp, l] * u[mp, m] * target.state(lp, mp).amplitudes
+            rhs = FockState(code.config, amps).normalized()
+            worst = max(worst, infidelity(lhs, rhs))
+    return worst
 
 
 def deformation_residual(code, u):
     """Max infidelity of pi(U) E(|l>|m>) vs E_U(U|l> (x) U|m>)."""
-    constellation = code.constellation
-    pi_u = passive_gaussian_unitary(u, code.config)
-    deformed = encoding.deform_constellation(constellation, u)
+    deformed = encoding.deform_constellation(code.constellation, u)
     deformed_basis = encoding.code_basis(deformed, code.fourier)
-    worst = 0.0
-    for l in (0, 1):
-        for m in (0, 1):
-            lhs = pi_u.apply(code.state(l, m))
-            amps = np.zeros(code.config.dim, dtype=complex)
-            for lp in (0, 1):
-                for mp in (0, 1):
-                    amps += u[lp, l] * u[mp, m] * deformed_basis.state(lp, mp).amplitudes
-            rhs = FockState(code.config, amps).normalized()
-            worst = max(worst, infidelity(lhs.normalized(), rhs))
-    return worst
+    return _encoded_residual(
+        passive_gaussian_unitary(u, code.config), code, deformed_basis, u
+    )
 
 
 def double_deformation_residual(code, u):
     """Max infidelity of pi(U)^2 E(|l>|m>) vs E(U^2|l> (x) U^2|m>)."""
+    u = np.asarray(u)
     pi_u = passive_gaussian_unitary(u, code.config)
-    u2 = np.asarray(u) @ np.asarray(u)
-    worst = 0.0
-    for l in (0, 1):
-        for m in (0, 1):
-            lhs = pi_u.apply(pi_u.apply(code.state(l, m))).normalized()
-            amps = np.zeros(code.config.dim, dtype=complex)
-            for lp in (0, 1):
-                for mp in (0, 1):
-                    amps += u2[lp, l] * u2[mp, m] * code.state(lp, mp).amplitudes
-            rhs = FockState(code.config, amps).normalized()
-            worst = max(worst, infidelity(lhs, rhs))
-    return worst
+    return _encoded_residual(pi_u @ pi_u, code, code, u @ u)
 
 
 def composite_hadamard_operator(code):
@@ -209,24 +184,18 @@ def zeno_projected_hamiltonian(code, theta=0.0):
 
     Returns (ZenoGate, residual vs 2 alpha^2 Z (x) Z, max a1^2 eigen residual).
     """
-    a1 = mode_destroy(code.config, 0).matrix
-    drive = FockOperator(code.config, a1 @ a1 + (a1 @ a1).conj().T)
-    mat = np.array(
-        [
-            [t.overlap(drive.apply(s)) for s in code.basis_states]
-            for t in code.basis_states
-        ]
-    )
-    mat = (mat + mat.conj().T) / 2
+    images = [annihilate(annihilate(s, 0), 0) for s in code.basis_states]
+    # <t|a1^2|s> plus <t|a1^dag2|s> = conj <s|a1^2|t>
+    lower = np.array([[t.overlap(img) for img in images] for t in code.basis_states])
+    mat = lower + lower.conj().T
     alpha = code.alpha
     target = 2 * alpha**2 * np.kron(Z2, Z2)
     residual = float(np.linalg.norm(mat - target))
     eig_res = 0.0
     for l in (0, 1):
         for m in (0, 1):
-            s = code.state(l, m)
-            img = a1 @ a1 @ s.amplitudes
-            want = (-1.0) ** (l + m) * alpha**2 * s.amplitudes
+            want = (-1.0) ** (l + m) * alpha**2 * code.state(l, m).amplitudes
+            img = images[2 * l + m].amplitudes
             eig_res = max(eig_res, float(np.linalg.norm(img - want)))
     return ZenoGate(theta=theta, projected_hamiltonian=mat), residual, eig_res
 
@@ -254,32 +223,23 @@ def zy_eigenstates(code):
     return out
 
 
-def mod4_projectors(config):
-    """The 16 diagonal projectors onto photon-number residues mod 4."""
-    d = config.dim_per_mode
-    n1 = np.repeat(np.arange(d) % 4, d)
-    n2 = np.tile(np.arange(d) % 4, d)
-    projectors = {}
-    for r1 in range(4):
-        for r2 in range(4):
-            mask = ((n1 == r1) & (n2 == r2)).astype(complex)
-            projectors[(r1, r2)] = FockOperator(config, np.diag(mask))
-    return projectors
-
-
 def mod4_measurement(code):
     table = {}
     for label, cells in TABLE_CELLS.items():
         for cell in cells:
             table[cell] = label
-    return Mod4Measurement(outcome_table=table, projectors=mod4_projectors(code.config))
+    return Mod4Measurement(outcome_table=table)
 
 
 def outcome_distribution(measurement, state):
-    """Probability of each (n1 mod 4, n2 mod 4) outcome for a state."""
+    """Probability of each of the 16 (n1 mod 4, n2 mod 4) outcomes for a state.
+
+    Every residue pair is reported, including those outside the measurement's
+    outcome table.
+    """
+    prob = np.abs(state.tensor()) ** 2
     return {
-        cell: float(np.real(np.vdot(state.amplitudes, p.matrix @ state.amplitudes)))
-        for cell, p in measurement.projectors.items()
+        (r1, r2): float(np.sum(prob[r1::4, r2::4])) for r1 in range(4) for r2 in range(4)
     }
 
 

@@ -36,11 +36,19 @@ def test_lossless_fidelity_is_one(d8, d8_fourier):
         assert abs(fc.petz_entanglement_fidelity(qec) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("alpha", [1.0, ALPHA_STAR, 1.5])
-@pytest.mark.parametrize("gamma", [0.005, 0.05])
-def test_analytic_matches_fock(d8, d8_fourier, alpha, gamma):
-    code = fc.code_basis(fc.make_constellation(d8, alpha, np.pi / 2), d8_fourier)
-    analytic = fc.qec_matrix_analytic(d8, d8_fourier, alpha, gamma)
+CROSSCHECK_POINTS = [
+    pytest.param("d8", alpha, gamma, np.pi / 2, id=f"{gamma}-{alpha}")
+    for gamma in (0.005, 0.05)
+    for alpha in (1.0, ALPHA_STAR, 1.5)
+] + [pytest.param(name, 1.25, 0.01, 1.0, id=f"{name}-phi1.0") for name in ("d8", "q8")]
+
+
+@pytest.mark.parametrize("name, alpha, gamma, phi", CROSSCHECK_POINTS)
+def test_analytic_matches_fock(name, alpha, gamma, phi):
+    group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
+    fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
+    code = fc.code_basis(fc.make_constellation(group, alpha, phi), fourier)
+    analytic = fc.qec_matrix_analytic(group, fourier, alpha, gamma, phi=phi)
     fock = fc.qec_matrix_fock(code, gamma)
     assert np.max(np.abs(analytic.entries - fock.entries)) < 1e-8
     f_a = fc.petz_entanglement_fidelity(analytic)

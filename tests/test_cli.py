@@ -132,5 +132,43 @@ def test_gates_demo(capsys):
     assert "Zeno" in out
 
 
-def test_gates_demo_rejects_cyclic_group():
-    assert run(["gates-demo", "--group", "z8"]) == 2
+@pytest.mark.parametrize("command", ["verify", "sweep-alpha", "sweep-gamma", "gates-demo"])
+def test_gates_demo_rejects_cyclic_group(command, tmp_path, capsys):
+    # no cyclic group has the 2-dimensional irrep the code needs
+    assert run([command, "--group", "z8", "--out", str(tmp_path / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert "d8 or q8" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_gamma_without_slope_window(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert run(
+        ["sweep-gamma", "--grid", "2e-2:1e-1:5", "--format", "json", "--out", str(out)]
+    ) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert len(payload["records"]) == 5
+    assert payload["summary"]["loglog_slope"] is None
+    assert "no log-log slope" in capsys.readouterr().out
+
+
+def test_sweeps_honour_phi(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert run(
+        [
+            "sweep-gamma",
+            "--phi", "1.0",
+            "--alpha", "1.25",
+            "--grid", "1e-2:1e-2:1",
+            "--format", "json",
+            "--out", str(out),
+        ]
+    ) == 0
+    got = json.loads(out.read_text(encoding="utf-8"))["records"][0]["infidelity"]
+    group = cli.resolve_group("d8")
+    fourier = cli.build_fourier_transform(group, cli.irrep_table(group))
+    want = cli.sweep_gamma(group, fourier, 1.25, [1e-2], phi=1.0)[0].infidelity
+    at_star = cli.sweep_gamma(group, fourier, 1.25, [1e-2])[0].infidelity
+    assert got == want
+    assert abs(got - at_star) > 1e-5

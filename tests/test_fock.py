@@ -1,5 +1,8 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from scipy.linalg import expm, logm
 
 from fouriercat.fock import (
     FockConfig,
@@ -9,15 +12,26 @@ from fouriercat.fock import (
     coherent_amplitudes,
     coherent_product,
     coherent_state,
+    destroy_matrix,
     hermitian_inv_sqrt,
     infidelity,
-    mode_destroy,
-    mode_number,
     number_diagonal_operator,
     passive_gaussian_unitary,
 )
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
+
+
+def random_state(cfg, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
+    return FockState(cfg, amps / np.linalg.norm(amps))
+
+
+def dense_mode_op(single, mode, cfg):
+    """Dense reference: a single-mode matrix on one mode of a small space."""
+    eye = np.eye(cfg.dim_per_mode)
+    return reduce(np.kron, [single if k == mode else eye for k in range(cfg.modes)])
 
 
 def test_coherent_state_normalized():
@@ -93,9 +107,14 @@ def test_monomial_unitary_is_exact_swap():
 def test_monomial_unitary_phases():
     cfg = FockConfig(2, 7)
     op = passive_gaussian_unitary(np.diag([1.0, -1.0]), cfg)
-    diag = np.diag(op.matrix).reshape(8, 8)
-    n2 = np.arange(8)
-    assert np.linalg.norm(diag - (-1.0) ** n2[None, :]) < 1e-15
+    state = random_state(cfg, 1)
+    want = dense_mode_op(np.diag((-1.0) ** np.arange(8)), 1, cfg) @ state.amplitudes
+    assert np.linalg.norm(op.apply(state).amplitudes - want) < 1e-15
+    # a phased swap: |n1, n2> -> i^n1 |n2, n1>
+    phased_swap = passive_gaussian_unitary(np.array([[0.0, 1.0], [1j, 0.0]]), cfg)
+    got = phased_swap.apply(state).tensor()
+    want = (1j ** np.arange(8))[None, :] * state.tensor().T
+    assert np.linalg.norm(got - want) < 1e-15
 
 
 def test_passive_unitary_rejects_nonunitary():
@@ -106,16 +125,31 @@ def test_passive_unitary_rejects_nonunitary():
 def test_number_diagonal_operator_unimodular_check():
     cfg = FockConfig(2, 5)
     op = number_diagonal_operator(lambda n1, n2: (-1.0) ** (n1 * n2), cfg)
-    assert np.linalg.norm(op.matrix @ op.matrix.conj().T - np.eye(cfg.dim)) < 1e-14
+    n = np.arange(6)
+    dense = np.diag(((-1.0) ** np.outer(n, n)).ravel())
+    state = random_state(cfg, 2)
+    image = op.apply(state)
+    assert np.linalg.norm(image.amplitudes - dense @ state.amplitudes) < 1e-15
+    assert abs(image.norm() - 1.0) < 1e-14
+    assert np.linalg.norm(op.apply(image).amplitudes - state.amplitudes) < 1e-15
     with pytest.raises(ValueError):
         number_diagonal_operator(lambda n1, n2: float(n1 + 1), cfg)
 
 
 def test_mode_operators_commute_across_modes():
     cfg = FockConfig(2, 6)
-    a1 = mode_destroy(cfg, 0).matrix
-    n2 = mode_number(cfg, 1).matrix
-    assert np.linalg.norm(a1 @ n2 - n2 @ a1) < 1e-14
+    state = random_state(cfg, 3)
+    a = destroy_matrix(cfg.cutoff)
+    a1_dense, a2_dense = dense_mode_op(a, 0, cfg), dense_mode_op(a, 1, cfg)
+    a1a2 = annihilate(annihilate(state, 1), 0).amplitudes
+    a2a1 = annihilate(annihilate(state, 0), 1).amplitudes
+    assert np.linalg.norm(a1a2 - a2a1) < 1e-14
+    assert np.linalg.norm(a1a2 - a1_dense @ a2_dense @ state.amplitudes) < 1e-14
+    # a_1 commutes with a mode-2 phase e^{i n2}
+    phase2 = number_diagonal_operator(lambda n1, n2: np.exp(1j * n2), cfg)
+    lhs = annihilate(phase2.apply(state), 0).amplitudes
+    rhs = phase2.apply(annihilate(state, 0)).amplitudes
+    assert np.linalg.norm(lhs - rhs) < 1e-14
 
 
 def test_hermitian_inv_sqrt_round_trip():
@@ -137,7 +171,23 @@ def test_hermitian_inv_sqrt_singular():
 
 
 def test_operator_composition_and_dagger():
-    cfg = FockConfig(1, 7)
-    a = mode_destroy(cfg, 0)
-    n = a.dagger() @ a
-    assert np.linalg.norm(n.matrix - np.diag(np.arange(8.0))) < 1e-14
+    cfg = FockConfig(2, 7)
+    state = random_state(cfg, 4)
+    # <psi|a^dag a|psi> = ||a psi||^2 is the mean photon number of the mode
+    n = np.arange(8.0)
+    for mode, counts in ((0, n[:, None]), (1, n[None, :])):
+        mean = np.sum(counts * np.abs(state.tensor()) ** 2)
+        assert abs(annihilate(state, mode).norm() ** 2 - mean) < 1e-14
+    # composition applies the right factor first, as the dense product does;
+    # the two factors do not commute
+    kerr = number_diagonal_operator(lambda n1, n2: 1j ** (int(n2) ** 2 % 4), cfg)
+    u = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+    mix = passive_gaussian_unitary(u, cfg)
+    kerr_dense = dense_mode_op(np.diag(1j ** (np.arange(8) ** 2 % 4)), 1, cfg)
+    a = [dense_mode_op(destroy_matrix(cfg.cutoff), k, cfg) for k in (0, 1)]
+    h = -1j * logm(u)
+    ham = sum(h[j, k] * a[j].conj().T @ a[k] for j in (0, 1) for k in (0, 1))
+    mix_dense = expm(1j * ham)
+    got = (kerr @ mix).apply(state).amplitudes
+    assert np.linalg.norm(got - kerr_dense @ mix_dense @ state.amplitudes) < 1e-12
+    assert np.linalg.norm(got - mix_dense @ kerr_dense @ state.amplitudes) > 1e-2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,22 @@ def test_cz_gate(star_code):
     assert np.linalg.norm(got - fc.cz_target()) < 1e-12
 
 
+def test_cz_contraction_matches_entrywise_sum(d8, d8_fourier):
+    # entry by entry: sum_{n2,n4} C[i1',i1,n2] (-1)^(n2 n4) C[i2',i2,n4]
+    code = fc.code_basis(fc.make_constellation(d8, 1.0, np.pi / 2), d8_fourier)
+    tensors = np.array([s.tensor() for s in code.basis_states])
+    c = np.einsum("iab,jab->ijb", tensors.conj(), tensors)
+    n = np.arange(code.config.dim_per_mode)
+    parity = (-1.0) ** np.outer(n, n)
+    want = np.zeros((16, 16), dtype=complex)
+    for i1p in range(4):
+        for i1 in range(4):
+            for i2p in range(4):
+                for i2 in range(4):
+                    want[i1p * 4 + i2p, i1 * 4 + i2] = c[i1p, i1] @ parity @ c[i2p, i2]
+    assert np.max(np.abs(fc.cz_gate_check(code) - want)) < 1e-14
+
+
 @pytest.mark.parametrize("alpha", [1.0, ALPHA_STAR, 1.5])
 @pytest.mark.parametrize(
     "u", [HADAMARD, PAULI_X, PAULI_Z, PAULI_X @ PAULI_Z], ids=["H", "X", "Z", "XZ"]
@@ -153,3 +171,26 @@ def test_readout_survives_single_loss(star_code):
 
 def test_zy_expansion_closed_form(star_code):
     assert zy_expansion_residual(star_code) < 1e-9
+
+
+def test_cutoff_60_checks_stay_small(d8, d8_fourier):
+    # dim = 61^2 = 3721, where one dense operator would take 221 MB
+    tracemalloc.start()
+    try:
+        code = fc.code_basis(
+            fc.make_constellation(d8, ALPHA_STAR, np.pi / 2, cutoff=60), d8_fourier
+        )
+        fc.s_gate_check(code)
+        snap_gate_check(code)
+        fc.cz_gate_check(code)
+        fc.zeno_projected_hamiltonian(code)
+        fc.lindblad_kernel_check(code)
+        fc.lindblad_kernel_check(code, deformed=True)
+        fc.mod4_verification(code)
+        swap = fc.logical_action(passive_gaussian_unitary(X2.real, code.config), code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
+    dist, _ = fc.phase_aligned_distance(swap.matrix, np.kron(X2, IDENTITY2))
+    assert dist < 1e-12
