@@ -55,7 +55,6 @@ from .gates import (
     zy_eigenstates,
 )
 from .channels import (
-    LossChannel,
     QecMatrix,
     kl_first_order_check,
     lambda_matrix,

@@ -17,29 +17,11 @@ from .fock import (
     FockConfig,
     FockState,
     annihilate,
-    coherent_amplitudes,
+    coherent_product,
     hermitian_inv_sqrt,
     passive_gaussian_unitary,
 )
-
-
-@dataclass(frozen=True)
-class LossChannel:
-    """Pure loss of probability gamma; transmissivity t = sqrt(1 - gamma)."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
-
-    @property
-    def t(self):
-        return np.sqrt(1.0 - self.gamma)
-
-    @property
-    def r(self):
-        return np.sqrt(self.gamma)
+from .groups import HADAMARD
 
 
 @dataclass
@@ -149,16 +131,7 @@ def qec_matrix_fock(code, gamma, env_floor=1e-13):
     # Environment basis from the reflected constellation.
     r = np.sqrt(gamma)
     env_points = code.constellation.points * r
-    env_amps = np.array(
-        [
-            np.kron(
-                coherent_amplitudes(p[0], config.cutoff),
-                coherent_amplitudes(p[1], config.cutoff),
-            )
-            for p in env_points
-        ]
-    )
-    env_amps /= np.linalg.norm(env_amps, axis=1)[:, None]
+    env_amps = np.array([coherent_product(p, config.cutoff).amplitudes for p in env_points])
     env_gram = env_amps.conj() @ env_amps.T
     env_inv_sqrt = hermitian_inv_sqrt(
         (env_gram + env_gram.conj().T) / 2, floor=env_floor, pseudo=True
@@ -223,8 +196,6 @@ def lindblad_kernel_check(code, deformed=False):
     With ``deformed`` set, the beamsplitter-deformed code and the primed
     operators (signs of the alpha^4 offsets flipped) are used instead.
     """
-    from .groups import HADAMARD
-
     alpha = code.alpha
     if deformed:
         constellation = encoding.deform_constellation(code.constellation, HADAMARD)

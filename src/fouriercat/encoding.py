@@ -16,6 +16,7 @@ from .fock import (
     DEFAULT_CUTOFF,
     FockConfig,
     FockState,
+    coherent_amplitudes,
     coherent_product,
     hermitian_inv_sqrt,
 )
@@ -225,15 +226,13 @@ def cat_qudit(n, d, alpha, cutoff=None):
     delta = np.clip(delta.real, 0.0, None)
     m = n // d
     codewords = []
-    from .fock import coherent_amplitudes, FockState as _FS
-
     rotated = np.array([coherent_amplitudes(w**p * alpha, cutoff) for p in range(n)])
     for k in range(d):
         if delta[(k * m) % n] < 1e-12:
             raise ValueError("codeword numerically null")
         weights = w ** (-k * np.arange(n) * m)
         vec = weights @ rotated / np.sqrt(n * delta[(k * m) % n])
-        codewords.append(_FS(FockConfig(1, cutoff), vec).normalized())
+        codewords.append(FockState(FockConfig(1, cutoff), vec).normalized())
     return CatQuditCode(n=n, d=d, alpha=alpha, delta=delta, codewords=codewords)
 
 

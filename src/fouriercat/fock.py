@@ -2,8 +2,9 @@
 
 States are dense complex vectors over the number basis, row-major in mode
 order.  Operators are maps on the same amplitudes viewed as a tensor with
-one axis per mode; only the general (non-monomial) passive unitary stores a
-matrix over the full space.  Every constructor that builds a physical state
+one axis per mode; none is stored as a matrix over the full space.  The
+general (non-monomial) two-mode passive unitary holds one small block per
+total-photon sector.  Every constructor that builds a physical state
 from coherent amplitudes audits the truncated Poisson tail so that silent
 truncation errors cannot creep into downstream fidelity computations.
 """
@@ -85,14 +86,6 @@ class FockOperator:
 def infidelity(a, b):
     """1 - |<a|b>| for normalized states; global-phase insensitive."""
     return 1.0 - abs(a.overlap(b))
-
-
-def destroy_matrix(cutoff):
-    d = cutoff + 1
-    m = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        m[n - 1, n] = np.sqrt(n)
-    return m
 
 
 def coherent_amplitudes(alpha, cutoff, tail_tol=TAIL_TOL):
@@ -179,25 +172,43 @@ def _monomial_unitary(perm, phases, config):
     return FockOperator(config, lambda t: np.transpose(phase * t, axes))
 
 
-def _mode_term(config, j, k):
-    """a_j^dag a_k over the full space, as a Kronecker product of mode factors."""
-    a = destroy_matrix(config.cutoff)
-    factors = [np.eye(config.dim_per_mode)] * config.modes
-    if j == k:
-        factors[j] = a.conj().T @ a
-    else:
-        factors[j], factors[k] = a.conj().T, a
-    return reduce(np.kron, factors)
+def _sector_unitary(h, config):
+    """exp(i sum_jk h_jk a_j^dag a_k) on two truncated modes, sector by sector.
+
+    The Hamiltonian conserves N = n_1 + n_2, so it never couples two
+    sectors.  Sector N holds |k, N - k> for max(0, N - cutoff) <= k <=
+    min(N, cutoff); there it is tridiagonal, with diagonal h_00 k +
+    h_11 (N - k) and <k+1|H|k> = h_01 sqrt((k + 1)(N - k)).
+    """
+    c = config.cutoff
+    sectors = []
+    for total in range(2 * c + 1):
+        k = np.arange(max(0, total - c), min(total, c) + 1)
+        block = np.diag(h[0, 0] * k + h[1, 1] * (total - k))
+        i = np.arange(len(k) - 1)
+        block[i + 1, i] = h[0, 1] * np.sqrt((k[:-1] + 1) * (total - k[:-1]))
+        block[i, i + 1] = block[i + 1, i].conj()
+        vals, vecs = np.linalg.eigh(block)
+        sectors.append((k, total - k, (vecs * np.exp(1j * vals)) @ vecs.conj().T))
+
+    def act(t):
+        out = np.empty(t.shape, dtype=complex)
+        for k1, k2, u in sectors:
+            out[k1, k2] = u @ t[k1, k2]
+        return out
+
+    return FockOperator(config, act)
 
 
 def passive_gaussian_unitary(u, config):
-    """Second quantization of a U(d) mode rotation: pi(U)|alpha> = |U alpha>.
+    """Second quantization of a U(m) mode rotation: pi(U)|alpha> = |U alpha>.
 
-    Generalized permutation matrices are lifted exactly; any other unitary is
-    built by exponentiating the quadratic Hamiltonian sum_jk h_jk a_j^dag a_k
-    with h the principal logarithm of U.  That route is number-preserving but
-    only exact on total-number sectors that fit entirely under the per-mode
-    cutoff, so the corner sectors carry a small truncation error.
+    Generalized permutation matrices are lifted exactly on any number of
+    modes.  Any other unitary must act on two modes; it is built by
+    exponentiating the quadratic Hamiltonian sum_jk h_jk a_j^dag a_k, with h
+    the principal logarithm of U, one total-number sector at a time.  That
+    route is exact on sectors that fit entirely under the per-mode cutoff;
+    the corner sectors N > cutoff carry a small truncation error.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (config.modes, config.modes):
@@ -207,16 +218,10 @@ def passive_gaussian_unitary(u, config):
     monomial = _monomial_structure(u)
     if monomial is not None:
         return _monomial_unitary(*monomial, config)
+    if config.modes != 2:
+        raise ValueError("a non-monomial mode transformation needs exactly two modes")
     h = -1j * logm(u)
-    h = (h + h.conj().T) / 2
-    ham = np.zeros((config.dim, config.dim), dtype=complex)
-    for j in range(config.modes):
-        for k in range(config.modes):
-            if abs(h[j, k]) > 0:
-                ham += h[j, k] * _mode_term(config, j, k)
-    vals, vecs = np.linalg.eigh((ham + ham.conj().T) / 2)
-    mat = (vecs * np.exp(1j * vals)) @ vecs.conj().T
-    return FockOperator(config, lambda t: (mat @ t.reshape(-1)).reshape(t.shape))
+    return _sector_unitary((h + h.conj().T) / 2, config)
 
 
 def number_diagonal_operator(f: Callable, config):

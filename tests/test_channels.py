@@ -107,6 +107,17 @@ def test_sweep_alpha_argmin(d8, d8_fourier):
     assert records[0].infidelity > 2 * best.infidelity
 
 
+def test_sweep_flags_ill_conditioned_point(d8, d8_fourier):
+    # at alpha = 0.02 the eight constellation states nearly coincide
+    records = fc.sweep_alpha(d8, d8_fourier, 0.01, [0.02, 1.25])
+    bad, good = records
+    assert bad.flags == ["ill-conditioned"]
+    assert np.isnan(bad.infidelity)
+    assert bad.condition_number > 1e12
+    assert good.flags == [] and np.isfinite(good.infidelity)
+    assert argmin_record(records) is good
+
+
 def test_sweep_gamma_slope(d8, d8_fourier):
     grid = np.logspace(-3, -1, 20)
     records = fc.sweep_gamma(d8, d8_fourier, ALPHA_STAR, grid)

@@ -12,12 +12,12 @@ from fouriercat.fock import (
     coherent_amplitudes,
     coherent_product,
     coherent_state,
-    destroy_matrix,
     hermitian_inv_sqrt,
     infidelity,
     number_diagonal_operator,
     passive_gaussian_unitary,
 )
+from fouriercat.groups import HADAMARD
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
 
@@ -26,6 +26,10 @@ def random_state(cfg, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
     return FockState(cfg, amps / np.linalg.norm(amps))
+
+
+def destroy(cutoff):
+    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
 
 
 def dense_mode_op(single, mode, cfg):
@@ -117,6 +121,50 @@ def test_monomial_unitary_phases():
     assert np.linalg.norm(got - want) < 1e-15
 
 
+def dense_passive_unitary(u, cfg):
+    """expm(i sum_jk h_jk a_j^dag a_k) from kron-built truncated ladder matrices."""
+    a = [dense_mode_op(destroy(cfg.cutoff), k, cfg) for k in (0, 1)]
+    h = -1j * logm(u)
+    ham = sum(h[j, k] * a[j].conj().T @ a[k] for j in (0, 1) for k in (0, 1))
+    return expm(1j * ham)
+
+
+LOSS_T, LOSS_R = np.sqrt(0.99), np.sqrt(0.01)
+# an SU(2) rotation times a global phase, so the two diagonal phases differ
+COMPLEX_U2 = np.exp(0.2j) * np.array(
+    [
+        [np.exp(0.3j) * np.cos(0.7), -np.exp(-0.4j) * np.sin(0.7)],
+        [np.exp(0.4j) * np.sin(0.7), np.exp(-0.3j) * np.cos(0.7)],
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        pytest.param(HADAMARD, id="hadamard"),
+        pytest.param(np.array([[LOSS_T, -LOSS_R], [LOSS_R, LOSS_T]]), id="loss-gamma0.01"),
+        pytest.param(COMPLEX_U2, id="complex-u2"),
+    ],
+)
+def test_sector_unitary_matches_dense_reference(u):
+    # a random state fills every sector, the corners N > cutoff included
+    cfg = FockConfig(2, 7)
+    state = random_state(cfg, 5)
+    got = passive_gaussian_unitary(u, cfg).apply(state).amplitudes
+    want = dense_passive_unitary(u, cfg) @ state.amplitudes
+    assert np.linalg.norm(got - want) < 1e-12
+
+
+def test_non_monomial_unitary_needs_two_modes():
+    u = np.eye(3, dtype=complex)
+    u[:2, :2] = HADAMARD
+    with pytest.raises(ValueError, match="two modes"):
+        passive_gaussian_unitary(u, FockConfig(3, 3))
+    # a monomial one is still lifted on any mode count
+    passive_gaussian_unitary(np.roll(np.eye(3), 1, axis=0), FockConfig(3, 3))
+
+
 def test_passive_unitary_rejects_nonunitary():
     with pytest.raises(ValueError, match="unitary"):
         passive_gaussian_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]), FockConfig(2, 5))
@@ -139,7 +187,7 @@ def test_number_diagonal_operator_unimodular_check():
 def test_mode_operators_commute_across_modes():
     cfg = FockConfig(2, 6)
     state = random_state(cfg, 3)
-    a = destroy_matrix(cfg.cutoff)
+    a = destroy(cfg.cutoff)
     a1_dense, a2_dense = dense_mode_op(a, 0, cfg), dense_mode_op(a, 1, cfg)
     a1a2 = annihilate(annihilate(state, 1), 0).amplitudes
     a2a1 = annihilate(annihilate(state, 0), 1).amplitudes
@@ -184,10 +232,7 @@ def test_operator_composition_and_dagger():
     u = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
     mix = passive_gaussian_unitary(u, cfg)
     kerr_dense = dense_mode_op(np.diag(1j ** (np.arange(8) ** 2 % 4)), 1, cfg)
-    a = [dense_mode_op(destroy_matrix(cfg.cutoff), k, cfg) for k in (0, 1)]
-    h = -1j * logm(u)
-    ham = sum(h[j, k] * a[j].conj().T @ a[k] for j in (0, 1) for k in (0, 1))
-    mix_dense = expm(1j * ham)
+    mix_dense = dense_passive_unitary(u, cfg)
     got = (kerr @ mix).apply(state).amplitudes
     assert np.linalg.norm(got - kerr_dense @ mix_dense @ state.amplitudes) < 1e-12
     assert np.linalg.norm(got - mix_dense @ kerr_dense @ state.amplitudes) > 1e-2

@@ -187,6 +187,8 @@ def test_cutoff_60_checks_stay_small(d8, d8_fourier):
         fc.lindblad_kernel_check(code)
         fc.lindblad_kernel_check(code, deformed=True)
         fc.mod4_verification(code)
+        composite_hadamard_check(code)
+        deformation_residual(code, HADAMARD)
         swap = fc.logical_action(passive_gaussian_unitary(X2.real, code.config), code)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
