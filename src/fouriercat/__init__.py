@@ -45,7 +45,6 @@ from .gates import (
     cz_gate_check,
     cz_target,
     logical_action,
-    mod4_measurement,
     mod4_verification,
     phase_aligned_distance,
     s_gate_check,

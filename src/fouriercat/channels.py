@@ -3,7 +3,9 @@
 Two routes compute the QEC matrix of the code under loss: an analytic
 contraction of closed-form Gram matrices (exact, truncation-free, used for
 parameter sweeps) and a brute-force Fock-space simulation of the
-beamsplitter dilation (the cross-validation oracle).
+beamsplitter dilation (the cross-validation oracle).  The oracle applies the
+truncated beamsplitter once and projects each mode's reflected part onto
+single-mode coherent states, so it costs O(d^3) in the per-mode dimension d.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .fock import (
     FockConfig,
     FockState,
     annihilate,
-    coherent_product,
+    coherent_state,
     hermitian_inv_sqrt,
     passive_gaussian_unitary,
 )
@@ -80,8 +82,10 @@ def qec_matrix_analytic(group, fourier, alpha, gamma, floor=1e-12, phi=np.pi / 2
 def petz_entanglement_fidelity(qec):
     """Entanglement fidelity of the Petz recovery: ||tr_L M^1/2||_hs^2 / d^2.
 
-    The partial trace is over the logical index; eigenvalues of M that are
-    negative beyond tolerance raise, tiny negatives are clipped to zero.
+    The partial trace is over the logical index.  Eigenvalues of M that are
+    negative beyond tolerance raise; those at or below 1e-13 times the
+    largest are roundoff in M's null space and are set to zero, since their
+    square roots (~1e-8 for a 1e-16 eigenvalue) would enter the fidelity.
     """
     m = qec.entries
     if np.linalg.norm(m - m.conj().T) > 1e-8:
@@ -90,7 +94,8 @@ def petz_entanglement_fidelity(qec):
     wmax = float(np.max(w))
     if wmax > 0 and float(np.min(w)) < -1e-8 * wmax:
         raise ValueError("QEC matrix is not positive semidefinite")
-    sqrt_m = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    w = np.where(w > 1e-13 * max(wmax, 0.0), w, 0.0)
+    sqrt_m = (v * np.sqrt(w)) @ v.conj().T
     d = qec.d
     n_env = m.shape[0] // d
     blocks = sqrt_m.reshape(d, n_env, d, n_env)
@@ -111,46 +116,51 @@ def qec_matrix_fock(code, gamma, env_floor=1e-13):
 
     Each mode is mixed with a vacuum ancilla at transmissivity sqrt(1-gamma);
     the two reflected modes are projected onto the orthonormalized family
-    of reflected constellation states.  Near gamma = 0 that family is
-    rank-deficient, so the orthonormalization uses a pseudo-inverse with a
-    relative eigenvalue floor.  Kraus completeness on the code subspace is
-    recorded in ``extras``.
+    of reflected constellation states.
+
+    The beamsplitter conserves the total photon number, so the image of
+    |n, 0> lies in sector n alone, and one application to sum_n |n, 0>
+    gives every image: B[P, C] = <P, C|BS|P + C, 0>.  Each reflected state
+    is a product e_q1 (x) e_q2 of normalized single-mode coherent states, so
+    projecting both mixed modes onto it factorizes per mode:
+    <e_q1, e_q2|(BS (x) BS)|psi, 0, 0> = Y_q1 psi Y_q2^T with
+    Y_qm[P, a] = conj(e_qm[a - P]) B[P, a - P] for a >= P, two d x d matmuls
+    per point.  The orthonormalizing mix over q comes last.  Near gamma = 0
+    the reflected family is rank-deficient, so that mix is a pseudo-inverse
+    with a relative eigenvalue floor.  ``extras`` holds the Kraus images
+    (basis state, environment label, n1, n2), their completeness on the
+    code subspace and how many environment eigenvalues the pseudo-inverse
+    kept (``env_rank``, out of the group order).
     """
     config = code.config
     d = config.dim_per_mode
     n = code.constellation.group.order
     pair = FockConfig(2, config.cutoff)
-    bs = _beamsplitter(pair, gamma)
-    # Vacuum-ancilla slice b[out_sys, out_env, n]: the beamsplitter's image of |n>|0>.
-    inputs = np.zeros((d, d, d), dtype=complex)  # inputs[n] = |n>|0>
-    inputs[np.arange(d), np.arange(d), 0] = 1.0
-    b = np.stack(
-        [bs.apply(FockState(pair, vac.reshape(-1))).tensor() for vac in inputs], axis=-1
+    ancilla = np.zeros((d, d), dtype=complex)
+    ancilla[:, 0] = 1.0  # sum_n |n>|0>
+    b = _beamsplitter(pair, gamma).apply(FockState(pair, ancilla.reshape(-1))).tensor()
+    shift = np.arange(d)[None, :] - np.arange(d)[:, None]  # shift[P, a] = a - P
+    shift = np.where(shift >= 0, shift, 0)
+    b_shift = np.triu(np.take_along_axis(b, shift, axis=1))  # B[P, a - P]
+
+    # Per-mode reflected constellation states e[q, m] and their Gram matrix.
+    env = np.array(
+        [[coherent_state(a, config.cutoff).amplitudes for a in p]
+         for p in code.constellation.points * np.sqrt(gamma)]
+    )
+    env_gram = np.prod(np.einsum("qma,rma->mqr", env.conj(), env), axis=0)
+    roots = hermitian_inv_sqrt(
+        (env_gram + env_gram.conj().T) / 2, floor=env_floor, pseudo=True
     )
 
-    # Environment basis from the reflected constellation.
-    r = np.sqrt(gamma)
-    env_points = code.constellation.points * r
-    env_amps = np.array([coherent_product(p, config.cutoff).amplitudes for p in env_points])
-    env_gram = env_amps.conj() @ env_amps.T
-    env_inv_sqrt = hermitian_inv_sqrt(
-        (env_gram + env_gram.conj().T) / 2, floor=env_floor, pseudo=True
-    ).inv_sqrt
-    env_basis = env_inv_sqrt.T @ env_amps  # row p: |p>_r
-    env_tensors = env_basis.reshape(n, d, d)
+    y = env.conj()[..., shift] * b_shift  # y[q, m, P, a]
+    amps = np.array([s.tensor() for s in code.basis_states])
+    raw = y[None, :, 0] @ amps[:, None] @ y[None, :, 1].swapaxes(-1, -2)
+    flat = roots.inv_sqrt.conj().T @ raw.reshape(len(amps), n, d * d)
+    kraus_images = flat.reshape(len(amps), n, d, d)
 
-    kraus_images = np.zeros((len(code.basis_states), n, d, d), dtype=complex)
-    for j, state in enumerate(code.basis_states):
-        amp = state.tensor()
-        # Attach both vacuum ancillas, then mix each mode with its ancilla.
-        s1 = np.einsum("PCa,ab->PbC", b, amp)  # (n1', n2, m1')
-        s2 = np.einsum("QDb,Pbc->PQcD", b, s1)  # (n1',n2',m1',m2')
-        # Project the environment pair onto each |p>_r.
-        kraus_images[j] = np.einsum("pcd,PQcd->pPQ", env_tensors.conj(), s2)
-
-    flat = kraus_images.reshape(len(code.basis_states), n, d * d)
-    overlaps = np.einsum("ipx,jqx->ipjq", flat.conj(), flat)
-
+    rows = flat.reshape(-1, d * d)
+    overlaps = (rows.conj() @ rows.T).reshape(len(amps), n, len(amps), n)
     completeness = np.einsum("ipjp->ij", overlaps)
     completeness_residual = float(np.linalg.norm(completeness - np.eye(4)))
 
@@ -163,6 +173,7 @@ def qec_matrix_fock(code, gamma, env_floor=1e-13):
         extras={
             "completeness_residual": completeness_residual,
             "kraus_images": kraus_images,
+            "env_rank": roots.rank,
         },
     )
 

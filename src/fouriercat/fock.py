@@ -255,6 +255,7 @@ def annihilate(state, mode):
 class MatrixRoots(NamedTuple):
     inv_sqrt: np.ndarray
     sqrt: np.ndarray
+    rank: int  # eigenvalues kept by the inverse square root
 
 
 def hermitian_inv_sqrt(a, floor=1e-12, pseudo=False):
@@ -263,7 +264,7 @@ def hermitian_inv_sqrt(a, floor=1e-12, pseudo=False):
     Eigenvalues below ``floor`` times the largest one are rejected unless
     ``pseudo`` is set, in which case they are dropped (pseudo-inverse) —
     used for rank-deficient Gram matrices of nearly coincident states.
-    Returns both A^(-1/2) and A^(1/2).
+    Returns both A^(-1/2) and A^(1/2), and how many eigenvalues were kept.
     """
     a = np.asarray(a, dtype=complex)
     if np.linalg.norm(a - a.conj().T) > 1e-10:
@@ -279,4 +280,4 @@ def hermitian_inv_sqrt(a, floor=1e-12, pseudo=False):
     sqrt_w = np.sqrt(np.clip(w, 0.0, None))
     inv_sqrt = (v * inv_w) @ v.conj().T
     sqrt = (v * sqrt_w) @ v.conj().T
-    return MatrixRoots(inv_sqrt=inv_sqrt, sqrt=sqrt)
+    return MatrixRoots(inv_sqrt=inv_sqrt, sqrt=sqrt, rank=int(np.count_nonzero(keep)))

@@ -50,11 +50,6 @@ class ZenoGate:
         return expm(1j * self.theta * self.projected_hamiltonian / (2 * alpha**2))
 
 
-@dataclass
-class Mod4Measurement:
-    outcome_table: dict
-
-
 # Cells of the photon-number-mod-4 outcome table for each Z_L Y_M eigenstate.
 TABLE_CELLS = {
     "0-i": {(1, 0), (3, 2)},
@@ -223,19 +218,10 @@ def zy_eigenstates(code):
     return out
 
 
-def mod4_measurement(code):
-    table = {}
-    for label, cells in TABLE_CELLS.items():
-        for cell in cells:
-            table[cell] = label
-    return Mod4Measurement(outcome_table=table)
-
-
-def outcome_distribution(measurement, state):
+def outcome_distribution(state):
     """Probability of each of the 16 (n1 mod 4, n2 mod 4) outcomes for a state.
 
-    Every residue pair is reported, including those outside the measurement's
-    outcome table.
+    Every residue pair is reported, including those outside ``TABLE_CELLS``.
     """
     prob = np.abs(state.tensor()) ** 2
     return {
@@ -259,16 +245,15 @@ def mod4_verification(code):
     For each Z_L Y_M eigenstate returns (mass outside its table cells,
     mass on wrong-Y_M cells after a_1, same after a_2).
     """
-    meas = mod4_measurement(code)
     report = {}
     for label, state in zy_eigenstates(code).items():
-        dist = outcome_distribution(meas, state)
+        dist = outcome_distribution(state)
         outside = sum(p for cell, p in dist.items() if cell not in TABLE_CELLS[label])
         y_tag = label[1:]
         wrong = []
         for mode in (0, 1):
             lost = annihilate(state, mode).normalized()
-            dist_l = outcome_distribution(meas, lost)
+            dist_l = outcome_distribution(lost)
             wrong.append(
                 sum(p for cell, p in dist_l.items() if y_readout(*cell) != y_tag)
             )

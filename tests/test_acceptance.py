@@ -16,7 +16,6 @@ from fouriercat.gates import (
     TABLE_CELLS,
     composite_hadamard_check,
     deformation_residual,
-    mod4_measurement,
     outcome_distribution,
     snap_gate_check,
 )
@@ -132,18 +131,17 @@ def test_criterion_4_gate_suite(acceptance_report, star_code):
 
 
 def test_criterion_5_measurement(acceptance_report, star_code):
-    meas = mod4_measurement(star_code)
     worst_outside = 0.0
     worst_flip = 0.0
     for label, state in fc.zy_eigenstates(star_code).items():
-        dist = outcome_distribution(meas, state)
+        dist = outcome_distribution(state)
         worst_outside = max(
             worst_outside,
             sum(p for cell, p in dist.items() if cell not in TABLE_CELLS[label]),
         )
         for mode in (0, 1):
             lost = annihilate(state, mode).normalized()
-            dist_l = outcome_distribution(meas, lost)
+            dist_l = outcome_distribution(lost)
             worst_flip = max(
                 worst_flip,
                 sum(

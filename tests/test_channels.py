@@ -7,6 +7,13 @@ from fouriercat.channels import (
     loglog_slope,
     loss_gram_matrices,
 )
+from fouriercat.fock import (
+    FockConfig,
+    FockState,
+    coherent_product,
+    hermitian_inv_sqrt,
+    passive_gaussian_unitary,
+)
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
 
@@ -55,6 +62,73 @@ def test_analytic_matches_fock(name, alpha, gamma, phi):
     f_f = fc.petz_entanglement_fidelity(fock)
     assert abs(f_a - f_f) < 1e-9
     assert fock.extras["completeness_residual"] < 1e-8
+
+
+def reference_kraus_images(code, gamma, env_floor=1e-13):
+    """Kraus images by the direct d^5 route: one beamsplitter application per
+    input photon number, then four-index contractions with the two-mode
+    environment basis.  Returns the images and the pseudo-inverse's gain
+    ||G^-1/2|| on the environment Gram matrix G."""
+    config = code.config
+    d = config.dim_per_mode
+    n = code.constellation.group.order
+    pair = FockConfig(2, config.cutoff)
+    t, r = np.sqrt(1.0 - gamma), np.sqrt(gamma)
+    bs = passive_gaussian_unitary(np.array([[t, -r], [r, t]]), pair)
+    inputs = np.zeros((d, d, d), dtype=complex)  # inputs[n] = |n>|0>
+    inputs[np.arange(d), np.arange(d), 0] = 1.0
+    b = np.stack(
+        [bs.apply(FockState(pair, vac.reshape(-1))).tensor() for vac in inputs], axis=-1
+    )
+    env_amps = np.array(
+        [coherent_product(p, config.cutoff).amplitudes for p in code.constellation.points * r]
+    )
+    env_gram = env_amps.conj() @ env_amps.T
+    env_inv_sqrt = hermitian_inv_sqrt(
+        (env_gram + env_gram.conj().T) / 2, floor=env_floor, pseudo=True
+    ).inv_sqrt
+    env_tensors = (env_inv_sqrt.T @ env_amps).reshape(n, d, d)
+    images = []
+    for state in code.basis_states:
+        s1 = np.einsum("PCa,ab->PbC", b, state.tensor())  # (n1', n2, m1')
+        s2 = np.einsum("QDb,Pbc->PQcD", b, s1)  # (n1', n2', m1', m2')
+        images.append(np.einsum("pcd,PQcd->pPQ", env_tensors.conj(), s2))
+    return np.array(images), np.linalg.norm(env_inv_sqrt, 2)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1e-2, 5e-2])
+@pytest.mark.parametrize("phi", [np.pi / 2, 1.0], ids=["phi-pi/2", "phi1.0"])
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_kraus_images_match_direct_reference(name, phi, gamma):
+    group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
+    fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
+    # cutoff 10 holds coherent amplitude 0.6 within the 1e-12 tail audit
+    code = fc.code_basis(fc.make_constellation(group, 0.6, phi, cutoff=10), fourier)
+    images = fc.qec_matrix_fock(code, gamma).extras["kraus_images"]
+    reference, gain = reference_kraus_images(code, gamma)
+    assert images.shape == reference.shape == (4, 8, 11, 11)
+    # The orthonormalizing pseudo-inverse multiplies roundoff by its gain,
+    # about 7e4 at gamma = 1e-3 where the reflected states nearly coincide;
+    # both routes agree to 1e-12 beyond that amplified machine precision.
+    assert np.max(np.abs(images - reference)) < 1e-12 + 1e-14 * gain
+
+
+def test_env_rank_counts_kept_environment_states(star_code):
+    assert fc.qec_matrix_fock(star_code, 1e-2).extras["env_rank"] == 8
+    # at gamma = 1e-10 the reflected constellation collapses towards vacuum
+    collapsed = fc.qec_matrix_fock(star_code, 1e-10)
+    assert collapsed.extras["env_rank"] < 8
+
+
+@pytest.mark.parametrize("bump", [1e-16, 1e-15, 1e-14])
+def test_petz_fidelity_ignores_null_space_roundoff(d8, d8_fourier, bump):
+    qec = fc.qec_matrix_analytic(d8, d8_fourier, ALPHA_STAR, 0.01)
+    w, v = np.linalg.eigh(qec.entries)
+    null = v[:, w < 1e-12 * w.max()]
+    assert null.shape[1] == 8  # rank 8 of 16
+    bumped = fc.QecMatrix(entries=qec.entries + bump * null @ null.conj().T)
+    shift = fc.petz_entanglement_fidelity(bumped) - fc.petz_entanglement_fidelity(qec)
+    assert abs(shift) < 1e-12
 
 
 def test_fidelity_frozen_value(d8, d8_fourier):

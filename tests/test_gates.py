@@ -15,7 +15,6 @@ from fouriercat.gates import (
     composite_hadamard_check,
     deformation_residual,
     double_deformation_residual,
-    mod4_measurement,
     outcome_distribution,
     shshs_identity_residual,
     snap_gate_check,
@@ -138,9 +137,8 @@ def test_zeno_needs_special_alpha(d8, d8_fourier):
 
 
 def test_zy_eigenstate_cells(star_code):
-    meas = mod4_measurement(star_code)
     for label, state in fc.zy_eigenstates(star_code).items():
-        dist = outcome_distribution(meas, state)
+        dist = outcome_distribution(state)
         outside = sum(
             p for cell, p in dist.items() if cell not in TABLE_CELLS[label]
         )
@@ -158,11 +156,10 @@ def test_y_readout_covers_all_outcomes():
 
 
 def test_readout_survives_single_loss(star_code):
-    meas = mod4_measurement(star_code)
     for label, state in fc.zy_eigenstates(star_code).items():
         for mode in (0, 1):
             lost = annihilate(state, mode).normalized()
-            dist = outcome_distribution(meas, lost)
+            dist = outcome_distribution(lost)
             wrong = sum(
                 p for cell, p in dist.items() if fc.y_readout(*cell) != label[1:]
             )
@@ -190,9 +187,12 @@ def test_cutoff_60_checks_stay_small(d8, d8_fourier):
         composite_hadamard_check(code)
         deformation_residual(code, HADAMARD)
         swap = fc.logical_action(passive_gaussian_unitary(X2.real, code.config), code)
+        loss = fc.qec_matrix_fock(code, 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
     dist, _ = fc.phase_aligned_distance(swap.matrix, np.kron(X2, IDENTITY2))
     assert dist < 1e-12
+    analytic = fc.qec_matrix_analytic(d8, d8_fourier, ALPHA_STAR, 0.01)
+    assert np.max(np.abs(loss.entries - analytic.entries)) < 1e-10
