@@ -16,7 +16,6 @@ from .groups import (
 )
 from .fock import (
     FockConfig,
-    FockOperator,
     FockState,
     annihilate,
     cat_state,

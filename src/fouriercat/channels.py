@@ -16,11 +16,11 @@ import numpy as np
 
 from . import encoding
 from .fock import (
-    FockConfig,
     FockState,
     annihilate,
     coherent_state,
     hermitian_inv_sqrt,
+    overlap_matrix,
     passive_gaussian_unitary,
 )
 from .groups import HADAMARD
@@ -38,7 +38,7 @@ class QecMatrix:
 def lambda_matrix(group, phi=np.pi / 2):
     """Gram matrix of the C^2 family {g (1, e^{i phi}) / sqrt 2}, computed exactly."""
     v = np.array([1.0, np.exp(1j * phi)]) / np.sqrt(2.0)
-    vecs = np.array([e.matrix @ v for e in group.elements])
+    vecs = group.matrices() @ v
     return vecs.conj() @ vecs.T
 
 
@@ -111,7 +111,7 @@ def _beamsplitter(config, gamma):
     return passive_gaussian_unitary(u, config)
 
 
-def qec_matrix_fock(code, gamma, env_floor=1e-13):
+def qec_matrix_fock(code, gamma, env_floor=1e-15):
     """Brute-force QEC matrix: beamsplitter dilation plus constellation basis.
 
     Each mode is mixed with a vacuum ancilla at transmissivity sqrt(1-gamma);
@@ -127,18 +127,20 @@ def qec_matrix_fock(code, gamma, env_floor=1e-13):
     Y_qm[P, a] = conj(e_qm[a - P]) B[P, a - P] for a >= P, two d x d matmuls
     per point.  The orthonormalizing mix over q comes last.  Near gamma = 0
     the reflected family is rank-deficient, so that mix is a pseudo-inverse
-    with a relative eigenvalue floor.  ``extras`` holds the Kraus images
-    (basis state, environment label, n1, n2), their completeness on the
-    code subspace and how many environment eigenvalues the pseudo-inverse
-    kept (``env_rank``, out of the group order).
+    with a relative eigenvalue floor.  Dropping an eigenvalue lambda loses
+    entries of order sqrt(lambda), keeping it amplifies roundoff by
+    1 / sqrt(lambda), so the floor sits a few machine epsilons above zero.
+    ``extras`` holds the Kraus images (basis state, environment label, n1,
+    n2), their completeness on the code subspace and how many environment
+    eigenvalues the pseudo-inverse kept (``env_rank``, out of the group
+    order).
     """
     config = code.config
     d = config.dim_per_mode
     n = code.constellation.group.order
-    pair = FockConfig(2, config.cutoff)
     ancilla = np.zeros((d, d), dtype=complex)
     ancilla[:, 0] = 1.0  # sum_n |n>|0>
-    b = _beamsplitter(pair, gamma).apply(FockState(pair, ancilla.reshape(-1))).tensor()
+    b = _beamsplitter(config, gamma)(ancilla)
     shift = np.arange(d)[None, :] - np.arange(d)[:, None]  # shift[P, a] = a - P
     shift = np.where(shift >= 0, shift, 0)
     b_shift = np.triu(np.take_along_axis(b, shift, axis=1))  # B[P, a - P]
@@ -154,13 +156,10 @@ def qec_matrix_fock(code, gamma, env_floor=1e-13):
     )
 
     y = env.conj()[..., shift] * b_shift  # y[q, m, P, a]
-    amps = np.array([s.tensor() for s in code.basis_states])
-    raw = y[None, :, 0] @ amps[:, None] @ y[None, :, 1].swapaxes(-1, -2)
-    flat = roots.inv_sqrt.conj().T @ raw.reshape(len(amps), n, d * d)
-    kraus_images = flat.reshape(len(amps), n, d, d)
-
-    rows = flat.reshape(-1, d * d)
-    overlaps = (rows.conj() @ rows.T).reshape(len(amps), n, len(amps), n)
+    raw = y[None, :, 0] @ code.amplitudes[:, None] @ y[None, :, 1].swapaxes(-1, -2)
+    kraus_images = np.einsum("qr,iqab->irab", roots.inv_sqrt.conj(), raw)
+    images = kraus_images.reshape(4 * n, d, d)
+    overlaps = overlap_matrix(images, images).reshape(4, n, 4, n)
     completeness = np.einsum("ipjp->ij", overlaps)
     completeness_residual = float(np.linalg.norm(completeness - np.eye(4)))
 
@@ -235,9 +234,7 @@ def lindblad_kernel_check(code, deformed=False):
             residuals[name] = max(residuals.get(name, 0.0), res)
     d = basis.config.dim_per_mode
     odd = np.add.outer(np.arange(d), np.arange(d)) % 2 == 1
-    parity_residual = max(
-        float(np.linalg.norm(s.tensor()[~odd])) for s in basis.basis_states
-    )
+    parity_residual = max(float(np.linalg.norm(a[~odd])) for a in basis.amplitudes)
     return residuals, parity_residual
 
 

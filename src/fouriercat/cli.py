@@ -28,7 +28,7 @@ from .encoding import (
     gram_matrix,
     make_constellation,
 )
-from .fock import passive_gaussian_unitary
+from .fock import overlap_matrix, passive_gaussian_unitary
 from .gates import (
     IDENTITY2,
     S2,
@@ -97,12 +97,19 @@ def load_config(args):
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(data)
     for key in ("group", "alpha", "phi", "gamma", "cutoff", "format", "out", "grid"):
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    cfg["alpha"] = float(cfg["alpha"])
-    cfg["phi"] = float(cfg["phi"])
-    cfg["gamma"] = float(cfg["gamma"])
+    for key in ("alpha", "phi", "gamma", "cutoff"):
+        try:
+            val = float(cfg[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from exc
+        if not math.isfinite(val):
+            raise ConfigError(f"{key} must be finite")
+        cfg[key] = val
+    if not cfg["cutoff"].is_integer():
+        raise ConfigError("cutoff must be an integer")
     cfg["cutoff"] = int(cfg["cutoff"])
     if cfg["alpha"] <= 0:
         raise ConfigError("alpha must be positive")
@@ -121,12 +128,11 @@ def parse_linear_grid(spec):
         start, stop, step = (float(p) for p in spec.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError("grid values must be finite")
     if step <= 0 or stop < start:
         raise ConfigError("grid requires stop >= start and step > 0")
-    count = int(round((stop - start) / step)) + 1
-    if count < 1:
-        raise ConfigError("empty grid")
-    return np.linspace(start, stop, count)
+    return np.linspace(start, stop, int(round((stop - start) / step)) + 1)
 
 
 def parse_log_grid(spec):
@@ -137,6 +143,8 @@ def parse_log_grid(spec):
         count = int(parts[2])
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"bad grid spec {spec!r}") from exc
+    if not all(map(math.isfinite, (start, stop))):
+        raise ConfigError("grid values must be finite")
     if start <= 0 or stop < start or count < 1:
         raise ConfigError("log grid requires 0 < start <= stop and count >= 1")
     return np.logspace(math.log10(start), math.log10(stop), count)
@@ -224,23 +232,19 @@ def cmd_verify(cfg):
         return 1
 
     code = code_basis(constellation, fourier)
-    basis = np.array([s.amplitudes for s in code.basis_states])
+    basis = code.amplitudes
     checks.record(
         "basis_orthonormality",
-        float(np.linalg.norm(basis.conj() @ basis.T - np.eye(4))),
+        float(np.linalg.norm(overlap_matrix(basis, basis) - np.eye(4))),
         1e-10,
     )
 
     worst_cov = 0.0
-    for i in range(group.order):
-        op = passive_gaussian_unitary(group.matrix(i), code.config)
-        images = np.array([op.apply(s).amplitudes for s in code.basis_states])
-        overlaps = images.conj() @ basis.T
+    for g in group.matrices():
+        images = passive_gaussian_unitary(g, code.config)(basis)
         # the physical action must not leak outside the code subspace
-        worst_cov = max(
-            worst_cov,
-            float(np.linalg.norm(images - overlaps.conj() @ basis)),
-        )
+        inside = np.tensordot(overlap_matrix(basis, images).T, basis, axes=1)
+        worst_cov = max(worst_cov, float(np.linalg.norm(images - inside)))
     checks.record("group_covariance", worst_cov, 1e-9)
 
     at_star = abs(cfg["alpha"] - ALPHA_STAR) < 1e-9 and abs(
@@ -299,6 +303,8 @@ def cmd_sweep_alpha(cfg):
     fourier = build_fourier_transform(group, irrep_table(group))
     spec = cfg["grid"] if cfg["grid"] is not None else "0.9:1.6:0.01"
     grid = parse_linear_grid(spec)
+    if grid[0] <= 0:
+        raise ConfigError("alpha grid must start above 0")
     records = sweep_alpha(group, fourier, cfg["gamma"], grid, phi=cfg["phi"])
     rows = [
         (r.value, r.infidelity, r.condition_number, list(r.flags)) for r in records
@@ -322,6 +328,8 @@ def cmd_sweep_gamma(cfg):
     fourier = build_fourier_transform(group, irrep_table(group))
     spec = cfg["grid"] if cfg["grid"] is not None else "1e-3:1e-1:20"
     grid = parse_log_grid(spec)
+    if grid[-1] >= 1.0:
+        raise ConfigError("gamma grid must end below 1")
     records = sweep_gamma(group, fourier, cfg["alpha"], grid, phi=cfg["phi"])
     rows = [(r.value, r.infidelity) for r in records]
     try:

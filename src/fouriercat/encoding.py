@@ -19,6 +19,7 @@ from .fock import (
     coherent_amplitudes,
     coherent_product,
     hermitian_inv_sqrt,
+    overlap_matrix,
 )
 
 GRAM_FLOOR = 1e-12
@@ -30,13 +31,13 @@ class Constellation:
 
     group: object
     alpha_vec: np.ndarray
-    states: list
+    amplitudes: np.ndarray  # (|G|, d, d): the state |g alpha> for each g
     config: FockConfig
 
     @property
     def points(self):
         """The C^2 amplitude vectors g @ alpha_vec, in group order."""
-        return np.array([e.matrix @ self.alpha_vec for e in self.group.elements])
+        return self.group.matrices() @ self.alpha_vec
 
 
 @dataclass
@@ -45,33 +46,39 @@ class CodeBasis:
 
     constellation: Constellation
     fourier: object
-    basis_states: list
+    amplitudes: np.ndarray  # (4, d, d), basis state (l, m) at index 2 l + m
 
     @property
     def config(self):
         return self.constellation.config
 
     @property
+    def basis_states(self):
+        return [FockState(self.config, a) for a in self.amplitudes]
+
+    @property
     def alpha(self):
         return float(np.abs(self.constellation.alpha_vec[0]))
 
     def state(self, l, m):
-        return self.basis_states[2 * l + m]
+        return FockState(self.config, self.amplitudes[2 * l + m])
+
+
+def _min_distance(points):
+    """Smallest pairwise distance between rows of ``points`` (inf if < 2)."""
+    i, j = np.triu_indices(len(points), 1)
+    return float(np.min(np.linalg.norm(points[i] - points[j], axis=1), initial=np.inf))
 
 
 def constellation_from_vector(group, alpha_vec, cutoff=DEFAULT_CUTOFF):
     alpha_vec = np.asarray(alpha_vec, dtype=complex)
-    points = [e.matrix @ alpha_vec for e in group.elements]
-    scale = max(1.0, float(np.linalg.norm(alpha_vec)))
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if np.linalg.norm(points[i] - points[j]) <= 1e-9 * scale:
-                raise ValueError("degenerate constellation")
-    states = [coherent_product(p, cutoff) for p in points]
+    points = group.matrices() @ alpha_vec
+    if _min_distance(points) <= 1e-9 * max(1.0, float(np.linalg.norm(alpha_vec))):
+        raise ValueError("degenerate constellation")
     return Constellation(
         group=group,
         alpha_vec=alpha_vec,
-        states=states,
+        amplitudes=np.array([coherent_product(p, cutoff).amplitudes for p in points]),
         config=FockConfig(2, cutoff),
     )
 
@@ -96,43 +103,31 @@ def deform_constellation(constellation, u):
 
 def gram_matrix(constellation):
     """Fock-space Gram matrix of the constellation states (Hermitized)."""
-    amps = np.array([s.amplitudes for s in constellation.states])
-    g = amps.conj() @ amps.T
+    g = overlap_matrix(constellation.amplitudes, constellation.amplitudes)
     return (g + g.conj().T) / 2
 
 
 def analytic_gram(group, alpha_vec):
     """Exact coherent-state overlaps <g alpha|h alpha>, truncation-free."""
-    pts = np.array([e.matrix @ np.asarray(alpha_vec, dtype=complex) for e in group.elements])
+    pts = group.matrices() @ np.asarray(alpha_vec, dtype=complex)
     sq = np.sum(np.abs(pts) ** 2, axis=1)
     cross = pts.conj() @ pts.T
     return np.exp(cross - 0.5 * (sq[:, None] + sq[None, :]))
 
 
-def _encoding_coefficients(constellation, fourier):
-    """Column (lambda, l, m) of Gamma^(-1/2) F^dag, for all four (l, m)."""
-    gram = gram_matrix(constellation)
-    inv_sqrt = hermitian_inv_sqrt(gram, floor=GRAM_FLOOR).inv_sqrt
-    coeff = inv_sqrt @ fourier.matrix.conj().T
-    label = fourier.defining_label
-    cols = {}
-    for l in (0, 1):
-        for m in (0, 1):
-            cols[(l, m)] = coeff[:, fourier.row(label, l, m)]
-    return cols
-
-
 def code_basis(constellation, fourier):
-    """All four encoded basis states, ordered (0,0), (0,1), (1,0), (1,1)."""
-    cols = _encoding_coefficients(constellation, fourier)
-    amps = np.array([s.amplitudes for s in constellation.states])
-    states = []
-    for l in (0, 1):
-        for m in (0, 1):
-            states.append(
-                FockState(constellation.config, cols[(l, m)] @ amps).normalized()
-            )
-    return CodeBasis(constellation=constellation, fourier=fourier, basis_states=states)
+    """All four encoded basis states, ordered (0,0), (0,1), (1,0), (1,1).
+
+    State (l, m) has coefficients column (lambda, l, m) of Gamma^(-1/2) F^dag
+    on the constellation states.
+    """
+    inv_sqrt = hermitian_inv_sqrt(gram_matrix(constellation), floor=GRAM_FLOOR).inv_sqrt
+    label = fourier.defining_label
+    rows = [fourier.row(label, l, m) for l in (0, 1) for m in (0, 1)]
+    coeff = (inv_sqrt @ fourier.matrix.conj().T)[:, rows]
+    amps = np.tensordot(coeff.T, constellation.amplitudes, axes=1)
+    amps /= np.linalg.norm(amps, axis=(1, 2), keepdims=True)
+    return CodeBasis(constellation=constellation, fourier=fourier, amplitudes=amps)
 
 
 def covariant_encode(constellation, fourier, l, omega):
@@ -149,8 +144,7 @@ def covariant_encode(constellation, fourier, l, omega):
     for m in (0, 1):
         row = fourier.matrix[fourier.row(label, l, m)]
         coeff += omega[m] * row.conj()
-    amps = np.array([s.amplitudes for s in constellation.states])
-    vec = coeff @ amps
+    vec = np.tensordot(coeff, constellation.amplitudes, axes=1)
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         raise ValueError("covariant encoding projected to the zero vector")
@@ -180,12 +174,7 @@ def min_euclidean_distance(constellation):
     pts = constellation.points
     if len(pts) < 2:
         raise ValueError("constellation has fewer than two points")
-    dists = [
-        np.linalg.norm(pts[i] - pts[j])
-        for i in range(len(pts))
-        for j in range(i + 1, len(pts))
-    ]
-    return float(min(dists))
+    return _min_distance(pts)
 
 
 @dataclass

@@ -1,19 +1,22 @@
 """Truncated multimode Fock-space numerics.
 
-States are dense complex vectors over the number basis, row-major in mode
-order.  Operators are maps on the same amplitudes viewed as a tensor with
-one axis per mode; none is stored as a matrix over the full space.  The
-general (non-monomial) two-mode passive unitary holds one small block per
-total-photon sector.  Every constructor that builds a physical state
-from coherent amplitudes audits the truncated Poisson tail so that silent
-truncation errors cannot creep into downstream fidelity computations.
+A state's amplitudes are stored as a complex tensor of shape ``(d,) * modes``
+with one axis per mode, d = cutoff + 1.  Operators are plain functions on
+such tensors: they map an array whose last ``modes`` axes are the modes to
+an array of the same shape, and any leading axes are a batch, so a stack of
+states is mapped in one call.  No operator is stored as a matrix over the
+full space; the general (non-monomial) two-mode passive unitary holds one
+small block per total-photon sector.  Every constructor that builds a
+physical state from coherent amplitudes audits the truncated Poisson tail
+so that silent truncation errors cannot creep into downstream fidelity
+computations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import logm
@@ -44,8 +47,14 @@ class FockConfig:
 
 @dataclass
 class FockState:
+    """A state's amplitudes as a ``(d,) * modes`` tensor, one axis per mode."""
+
     config: FockConfig
     amplitudes: np.ndarray
+
+    def __post_init__(self):
+        shape = (self.config.dim_per_mode,) * self.config.modes
+        self.amplitudes = np.reshape(self.amplitudes, shape)
 
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
@@ -60,27 +69,10 @@ class FockState:
             raise ValueError("cannot normalize a zero state")
         return FockState(self.config, self.amplitudes / n)
 
-    def tensor(self):
-        """Amplitudes reshaped to one axis per mode."""
-        d = self.config.dim_per_mode
-        return self.amplitudes.reshape((d,) * self.config.modes)
 
-
-@dataclass
-class FockOperator:
-    """A linear map on the ``(d,) * modes`` amplitude tensor of a state."""
-
-    config: FockConfig
-    act: Callable[[np.ndarray], np.ndarray]
-
-    def apply(self, state):
-        return FockState(state.config, self.act(state.tensor()).reshape(-1))
-
-    def __matmul__(self, other):
-        if isinstance(other, FockOperator):
-            outer, inner = self.act, other.act
-            return FockOperator(self.config, lambda t: outer(inner(t)))
-        return NotImplemented
+def overlap_matrix(bras, kets):
+    """<bras[i]|kets[j]> for two stacks of amplitude tensors (stacked on axis 0)."""
+    return np.conj(bras).reshape(len(bras), -1) @ np.reshape(kets, (len(kets), -1)).T
 
 
 def infidelity(a, b):
@@ -112,11 +104,8 @@ def coherent_state(alpha, cutoff=DEFAULT_CUTOFF, tail_tol=TAIL_TOL):
 
 def coherent_product(alphas, cutoff=DEFAULT_CUTOFF, tail_tol=TAIL_TOL):
     """Multimode coherent product state |alpha_1, ..., alpha_k>."""
-    alphas = list(alphas)
-    amps = np.array([1.0 + 0j])
-    for a in alphas:
-        amps = np.kron(amps, coherent_amplitudes(a, cutoff, tail_tol))
-    state = FockState(FockConfig(len(alphas), cutoff), amps)
+    factors = [coherent_amplitudes(a, cutoff, tail_tol) for a in alphas]
+    state = FockState(FockConfig(len(factors), cutoff), reduce(np.multiply.outer, factors))
     return state.normalized()
 
 
@@ -168,8 +157,8 @@ def _monomial_unitary(perm, phases, config):
     """
     n = np.arange(config.dim_per_mode)
     phase = reduce(np.multiply.outer, [p**n for p in phases])
-    axes = np.argsort(perm)  # output axis perm[k] is input axis k
-    return FockOperator(config, lambda t: np.transpose(phase * t, axes))
+    m = config.modes  # mode axes are the last m; input axis k goes to perm[k]
+    return lambda t: np.moveaxis(phase * t, range(-m, 0), [p - m for p in perm])
 
 
 def _sector_unitary(h, config):
@@ -192,21 +181,22 @@ def _sector_unitary(h, config):
         sectors.append((k, total - k, (vecs * np.exp(1j * vals)) @ vecs.conj().T))
 
     def act(t):
-        out = np.empty(t.shape, dtype=complex)
+        out = np.empty(np.shape(t), dtype=complex)
         for k1, k2, u in sectors:
-            out[k1, k2] = u @ t[k1, k2]
+            out[..., k1, k2] = t[..., k1, k2] @ u.T
         return out
 
-    return FockOperator(config, act)
+    return act
 
 
 def passive_gaussian_unitary(u, config):
     """Second quantization of a U(m) mode rotation: pi(U)|alpha> = |U alpha>.
 
-    Generalized permutation matrices are lifted exactly on any number of
-    modes.  Any other unitary must act on two modes; it is built by
-    exponentiating the quadratic Hamiltonian sum_jk h_jk a_j^dag a_k, with h
-    the principal logarithm of U, one total-number sector at a time.  That
+    Returns pi(U) as a function on amplitude tensors (see the module
+    docstring).  Generalized permutation matrices are lifted exactly on any
+    number of modes.  Any other unitary must act on two modes; it is built
+    by exponentiating the quadratic Hamiltonian sum_jk h_jk a_j^dag a_k, with
+    h the principal logarithm of U, one total-number sector at a time.  That
     route is exact on sectors that fit entirely under the per-mode cutoff;
     the corner sectors N > cutoff carry a small truncation error.
     """
@@ -224,32 +214,26 @@ def passive_gaussian_unitary(u, config):
     return _sector_unitary((h + h.conj().T) / 2, config)
 
 
-def number_diagonal_operator(f: Callable, config):
-    """Diagonal unitary with entries f(n_1, ..., n_modes), |f| = 1 pointwise."""
-    d = config.dim_per_mode
-    grids = np.meshgrid(*[np.arange(d)] * config.modes, indexing="ij")
-    values = np.vectorize(f)(*grids).astype(complex)
+def number_diagonal_operator(phases, config):
+    """Diagonal unitary multiplying |n_1, ..., n_modes> by phases[n_1, ..., n_modes].
+
+    ``phases`` broadcasts to ``(d,) * modes``, so a 1-d profile acts on the
+    last mode; every entry must be unimodular.
+    """
+    values = np.broadcast_to(phases, (config.dim_per_mode,) * config.modes)
     if np.max(np.abs(np.abs(values) - 1.0)) > 1e-12:
         raise ValueError("diagonal entries must be unimodular")
-    return FockOperator(config, lambda t: values * t)
+    return lambda t: values * t
 
 
 def annihilate(state, mode):
     """Apply the annihilation operator on one mode; result is unnormalized."""
     if not 0 <= mode < state.config.modes:
         raise ValueError("invalid mode index")
-    d = state.config.dim_per_mode
-    t = state.tensor()
-    n = np.arange(1, d)
+    t = np.moveaxis(state.amplitudes, mode, -1)  # the mode's axis last
     out = np.zeros_like(t)
-    sl_lo = [slice(None)] * state.config.modes
-    sl_hi = [slice(None)] * state.config.modes
-    sl_lo[mode] = slice(0, d - 1)
-    sl_hi[mode] = slice(1, d)
-    shape = [1] * state.config.modes
-    shape[mode] = d - 1
-    out[tuple(sl_lo)] = np.sqrt(n).reshape(shape) * t[tuple(sl_hi)]
-    return FockState(state.config, out.reshape(-1))
+    out[..., :-1] = np.sqrt(np.arange(1, t.shape[-1])) * t[..., 1:]
+    return FockState(state.config, np.moveaxis(out, -1, mode))
 
 
 class MatrixRoots(NamedTuple):

@@ -18,6 +18,7 @@ from .fock import (
     annihilate,
     infidelity,
     number_diagonal_operator,
+    overlap_matrix,
     passive_gaussian_unitary,
 )
 from .groups import HADAMARD
@@ -75,23 +76,18 @@ def logical_action(physical_op, code, target_code=None):
     largest norm of any image component outside the target code subspace.
     """
     target = code if target_code is None else target_code
-    images = [physical_op.apply(s) for s in code.basis_states]
-    mat = np.array(
-        [[t.overlap(img) for img in images] for t in target.basis_states]
-    )
-    leak = 0.0
-    for j, img in enumerate(images):
-        residual = img.amplitudes - sum(
-            mat[i, j] * target.basis_states[i].amplitudes for i in range(4)
-        )
-        leak = max(leak, float(np.linalg.norm(residual)))
+    images = physical_op(code.amplitudes)
+    mat = overlap_matrix(target.amplitudes, images)
+    residual = images - np.tensordot(mat.T, target.amplitudes, axes=1)
+    leak = max(float(np.linalg.norm(r)) for r in residual)
     _, phase = phase_aligned_distance(mat, np.eye(4, dtype=complex))
     return LogicalAction(matrix=mat, leakage=leak, global_phase=phase)
 
 
 def self_kerr_s_gate(config):
     """The self-Kerr diagonal i^{n2^2} on the second mode."""
-    return number_diagonal_operator(lambda n1, n2: 1j ** (int(n2) ** 2 % 4), config)
+    n = np.arange(config.dim_per_mode)
+    return number_diagonal_operator(1j ** (n**2 % 4), config)
 
 
 def s_gate_check(code):
@@ -107,10 +103,10 @@ def cz_gate_check(code):
     ever materialized.
     """
     d = code.config.dim_per_mode
-    tensors = np.array([s.tensor() for s in code.basis_states])
+    basis = code.amplitudes
     parity = (-1.0) ** np.outer(np.arange(d), np.arange(d))  # (n2, n4)
     # C[i', i, n2] = sum_n1 conj(b_i'[n1,n2]) b_i[n1,n2]
-    c = np.einsum("iab,jab->ijb", tensors.conj(), tensors)
+    c = np.einsum("iab,jab->ijb", basis.conj(), basis)
     # row (i1', i2'), column (i1, i2)
     return np.einsum("ija,ab,klb->ikjl", c, parity, c).reshape(16, 16)
 
@@ -128,17 +124,13 @@ def cz_target():
 
 def _encoded_residual(op, code, target, u):
     """Max infidelity of op E(|l>|m>) vs E_target(U|l> (x) U|m>)."""
-    worst = 0.0
-    for l in (0, 1):
-        for m in (0, 1):
-            lhs = op.apply(code.state(l, m)).normalized()
-            amps = np.zeros(code.config.dim, dtype=complex)
-            for lp in (0, 1):
-                for mp in (0, 1):
-                    amps += u[lp, l] * u[mp, m] * target.state(lp, mp).amplitudes
-            rhs = FockState(code.config, amps).normalized()
-            worst = max(worst, infidelity(lhs, rhs))
-    return worst
+    # column (l, m) of U (x) U holds the coefficients u[l', l] u[m', m]
+    rhs = np.tensordot(np.kron(u, u).T, target.amplitudes, axes=1)
+    cfg = code.config
+    return max(
+        infidelity(FockState(cfg, a).normalized(), FockState(cfg, b).normalized())
+        for a, b in zip(op(code.amplitudes), rhs)
+    )
 
 
 def deformation_residual(code, u):
@@ -154,14 +146,14 @@ def double_deformation_residual(code, u):
     """Max infidelity of pi(U)^2 E(|l>|m>) vs E(U^2|l> (x) U^2|m>)."""
     u = np.asarray(u)
     pi_u = passive_gaussian_unitary(u, code.config)
-    return _encoded_residual(pi_u @ pi_u, code, code, u @ u)
+    return _encoded_residual(lambda t: pi_u(pi_u(t)), code, code, u @ u)
 
 
 def composite_hadamard_operator(code):
     """i^{n2^2} pi(H) i^{n2^2} pi(H) i^{n2^2}: logical Hadamard on L only."""
     s_op = self_kerr_s_gate(code.config)
     pi_h = passive_gaussian_unitary(HADAMARD, code.config)
-    return s_op @ pi_h @ s_op @ pi_h @ s_op
+    return lambda t: s_op(pi_h(s_op(pi_h(s_op(t)))))
 
 
 def composite_hadamard_check(code):
@@ -179,30 +171,24 @@ def zeno_projected_hamiltonian(code, theta=0.0):
 
     Returns (ZenoGate, residual vs 2 alpha^2 Z (x) Z, max a1^2 eigen residual).
     """
-    images = [annihilate(annihilate(s, 0), 0) for s in code.basis_states]
+    images = np.array([annihilate(annihilate(s, 0), 0).amplitudes for s in code.basis_states])
     # <t|a1^2|s> plus <t|a1^dag2|s> = conj <s|a1^2|t>
-    lower = np.array([[t.overlap(img) for img in images] for t in code.basis_states])
+    lower = overlap_matrix(code.amplitudes, images)
     mat = lower + lower.conj().T
     alpha = code.alpha
     target = 2 * alpha**2 * np.kron(Z2, Z2)
     residual = float(np.linalg.norm(mat - target))
-    eig_res = 0.0
-    for l in (0, 1):
-        for m in (0, 1):
-            want = (-1.0) ** (l + m) * alpha**2 * code.state(l, m).amplitudes
-            img = images[2 * l + m].amplitudes
-            eig_res = max(eig_res, float(np.linalg.norm(img - want)))
+    signs = np.array([1.0, -1.0, -1.0, 1.0])  # a1^2 |l, m> = (-1)^(l+m) alpha^2 |l, m>
+    eigen = images - alpha**2 * signs[:, None, None] * code.amplitudes
+    eig_res = max(float(np.linalg.norm(r)) for r in eigen)
     return ZenoGate(theta=theta, projected_hamiltonian=mat), residual, eig_res
 
 
 def snap_gate_check(code):
     """Logical actions of the mode-2 SNAP phase profiles for S_L and T_L."""
-    s_op = number_diagonal_operator(
-        lambda n1, n2: np.exp(1j * np.pi / 2 * (int(n2) ** 2 % 4)), code.config
-    )
-    t_op = number_diagonal_operator(
-        lambda n1, n2: np.exp(1j * np.pi / 4 * (int(n2) ** 4 % 8)), code.config
-    )
+    n = np.arange(code.config.dim_per_mode)
+    s_op = number_diagonal_operator(np.exp(1j * np.pi / 2 * (n**2 % 4)), code.config)
+    t_op = number_diagonal_operator(np.exp(1j * np.pi / 4 * (n**4 % 8)), code.config)
     return logical_action(s_op, code), logical_action(t_op, code)
 
 
@@ -211,9 +197,7 @@ def zy_eigenstates(code):
     out = {}
     for l in (0, 1):
         for sign, tag in ((1.0j, "+i"), (-1.0j, "-i")):
-            amps = (
-                code.state(l, 0).amplitudes + sign * code.state(l, 1).amplitudes
-            ) / np.sqrt(2.0)
+            amps = (code.amplitudes[2 * l] + sign * code.amplitudes[2 * l + 1]) / np.sqrt(2.0)
             out[f"{l}{tag}"] = FockState(code.config, amps).normalized()
     return out
 
@@ -223,7 +207,7 @@ def outcome_distribution(state):
 
     Every residue pair is reported, including those outside ``TABLE_CELLS``.
     """
-    prob = np.abs(state.tensor()) ** 2
+    prob = np.abs(state.amplitudes) ** 2
     return {
         (r1, r2): float(np.sum(prob[r1::4, r2::4])) for r1 in range(4) for r2 in range(4)
     }
@@ -294,7 +278,6 @@ def zy_expansion_residual(code):
                     pred[2 * p + 1, 2 * q] = coeff
                 else:
                     pred[2 * q, 2 * p + 1] = coeff
-        pred = pred.reshape(-1)
         actual = state.amplitudes
         scale = np.vdot(pred, actual) / np.vdot(pred, pred)
         worst = max(worst, float(np.max(np.abs(actual - scale * pred))))

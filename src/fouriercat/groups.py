@@ -1,8 +1,8 @@
 """Finite matrix subgroups of U(2) and their Fourier analysis.
 
-Groups are stored as ordered lists of 2x2 unitaries with precomputed
-Cayley and inverse tables.  Element equality is decided at a fixed
-Frobenius tolerance, and the ordering produced by the breadth-first
+Groups are stored as an ordered (|G|, 2, 2) array of unitaries with
+precomputed Cayley and inverse tables.  Element equality is decided at a
+fixed Frobenius tolerance, and the ordering produced by the breadth-first
 closure is deterministic, so element indices are stable across runs.
 """
 
@@ -41,27 +41,29 @@ class GroupElement:
 class FiniteMatrixGroup:
     """An ordered finite subgroup of U(2) with multiplication tables."""
 
-    elements: list
+    _matrices: np.ndarray  # (|G|, 2, 2), in element order; read via matrices()
     cayley: np.ndarray
     inverse: np.ndarray
     identity_index: int = 0
 
     @property
     def order(self):
-        return len(self.elements)
+        return len(self._matrices)
+
+    @property
+    def elements(self):
+        return [GroupElement(matrix=m, index=i) for i, m in enumerate(self._matrices)]
 
     def matrix(self, i):
-        return self.elements[i].matrix
+        return self._matrices[i]
 
     def matrices(self):
-        return np.array([e.matrix for e in self.elements])
+        return self._matrices
 
     def find(self, u, tol=MATCH_TOL):
         """Index of the element matching ``u`` exactly, or -1."""
-        for e in self.elements:
-            if np.linalg.norm(e.matrix - u) <= tol:
-                return e.index
-        return -1
+        hits = np.flatnonzero(np.linalg.norm(self._matrices - u, axis=(1, 2)) <= tol)
+        return int(hits[0]) if hits.size else -1
 
     def is_abelian(self):
         return np.array_equal(self.cayley, self.cayley.T)
@@ -127,21 +129,16 @@ def generate_group(generators, max_order=64):
                     nxt.append(len(mats) - 1)
         frontier = nxt
 
-    n = len(mats)
-    cayley = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            prod = mats[i] @ mats[j]
-            k = next(
-                (t for t in range(n) if np.linalg.norm(prod - mats[t]) <= MATCH_TOL),
-                -1,
-            )
-            if k < 0:
-                raise ValueError("group too large or not finite")
-            cayley[i, j] = k
-    inverse = np.array([int(np.where(cayley[i] == 0)[0][0]) for i in range(n)])
-    elements = [GroupElement(matrix=m, index=i) for i, m in enumerate(mats)]
-    return FiniteMatrixGroup(elements=elements, cayley=cayley, inverse=inverse)
+    mats = np.array(mats)
+    cayley = np.empty((len(mats), len(mats)), dtype=int)
+    for i, a in enumerate(mats):
+        # one row at a time: the comparison holds |G|^2 norms, not |G|^3
+        match = np.linalg.norm((a @ mats)[:, None] - mats, axis=(2, 3)) <= MATCH_TOL
+        if not np.all(match.any(axis=1)):
+            raise ValueError("group too large or not finite")
+        cayley[i] = np.argmax(match, axis=1)  # the first matching element
+    inverse = np.argmax(cayley == 0, axis=1)
+    return FiniteMatrixGroup(_matrices=mats, cayley=cayley, inverse=inverse)
 
 
 def pauli_group():
@@ -217,17 +214,15 @@ def irrep_table(group):
             k = group.cayley[k, gen]
         w = np.exp(2j * np.pi / n)
         for k in range(n):
-            mats = np.array([[[w ** (k * power[i])]] for i in range(n)])
+            mats = (w ** (k * power))[:, None, None]
             irreps.append(Irrep(label=f"chi{k}", dim=1, matrices=mats))
     elif n == 8:
-        exps = [_pauli_like_exponents(group.matrix(i)) for i in range(n)]
+        exps = [_pauli_like_exponents(m) for m in group.matrices()]
         if any(e is None for e in exps):
             raise ValueError("irrep table not available")
         for s in (0, 1):
             for t in (0, 1):
-                mats = np.array(
-                    [[[complex((-1.0) ** (s * a + t * b))]] for (a, b) in exps]
-                )
+                mats = (-1.0 + 0j) ** (np.array(exps) @ [s, t])[:, None, None]
                 irreps.append(Irrep(label=f"chi{s}{t}", dim=1, matrices=mats))
         irreps.append(Irrep(label="lambda", dim=2, matrices=group.matrices()))
     else:
@@ -242,15 +237,11 @@ def irrep_table(group):
 
 def _validate_irrep(group, irrep, tol=1e-10):
     mats = irrep.matrices
-    for i in range(group.order):
-        if np.linalg.norm(mats[i].conj().T @ mats[i] - np.eye(irrep.dim)) > tol:
-            raise ValueError("irrep table not available")
-        for j in range(group.order):
-            k = group.cayley[i, j]
-            if np.linalg.norm(mats[i] @ mats[j] - mats[k]) > tol:
-                raise ValueError("irrep table not available")
-    char_sum = sum(abs(np.trace(m)) ** 2 for m in mats)
-    if abs(char_sum - group.order) > 1e-8:
+    gram = mats.conj().swapaxes(1, 2) @ mats
+    unitarity = np.linalg.norm(gram - np.eye(irrep.dim), axis=(1, 2))
+    homomorphism = np.linalg.norm(mats[:, None] @ mats - mats[group.cayley], axis=(2, 3))
+    char_sum = np.sum(np.abs(np.trace(mats, axis1=1, axis2=2)) ** 2)
+    if max(unitarity.max(), homomorphism.max()) > tol or abs(char_sum - group.order) > 1e-8:
         raise ValueError("irrep table not available")
 
 
@@ -283,17 +274,14 @@ def regular_representation(group, g, side="left"):
 
     Left action sends |h> to |gh>; right action sends |h> to |h g^-1>.
     """
-    n = group.order
-    mat = np.zeros((n, n))
     if side == "left":
-        for h in range(n):
-            mat[group.cayley[g, h], h] = 1.0
+        image = group.cayley[g]  # image[h] = gh
     elif side == "right":
-        ginv = group.inverse[g]
-        for h in range(n):
-            mat[group.cayley[h, ginv], h] = 1.0
+        image = group.cayley[:, group.inverse[g]]  # image[h] = h g^-1
     else:
         raise ValueError(f"unknown side {side!r}")
+    mat = np.zeros((group.order, group.order))
+    mat[image, np.arange(group.order)] = 1.0
     return mat
 
 
@@ -346,9 +334,9 @@ def normalizer_membership(group, u, tol=MATCH_TOL):
     u = np.asarray(u, dtype=complex)
     if not _is_unitary(u, tol=1e-10):
         raise ValueError("normalizer test requires a unitary matrix")
-    for e in group.elements:
-        v = u @ e.matrix @ u.conj().T
-        if not any(_phase_match(v, f.matrix, tol) for f in group.elements):
+    for g in group.matrices():
+        v = u @ g @ u.conj().T
+        if not any(_phase_match(v, f, tol) for f in group.matrices()):
             return False
     return True
 

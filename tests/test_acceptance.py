@@ -69,14 +69,14 @@ def test_criterion_2_encoding_identities(acceptance_report, star_code, d8):
         )
         for (l, m), (first, second) in targets.items()
     )
-    basis = np.array([s.amplitudes for s in star_code.basis_states])
+    basis = np.array([s.amplitudes.ravel() for s in star_code.basis_states])
     gram_dev = float(np.linalg.norm(basis.conj() @ basis.T - np.eye(4)))
     from fouriercat.fock import passive_gaussian_unitary
 
     cov = 0.0
     for i in range(d8.order):
         op = passive_gaussian_unitary(d8.matrix(i), star_code.config)
-        images = np.array([op.apply(s).amplitudes for s in star_code.basis_states])
+        images = np.array([op(s.amplitudes).ravel() for s in star_code.basis_states])
         overlaps = images.conj() @ basis.T
         cov = max(cov, float(np.linalg.norm(images - overlaps.conj() @ basis)))
     ok = worst_prod <= 1e-9 and gram_dev <= 1e-10 and cov <= 1e-9

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fouriercat as fc
 from fouriercat.channels import (
@@ -9,7 +11,6 @@ from fouriercat.channels import (
 )
 from fouriercat.fock import (
     FockConfig,
-    FockState,
     coherent_product,
     hermitian_inv_sqrt,
     passive_gaussian_unitary,
@@ -50,8 +51,7 @@ CROSSCHECK_POINTS = [
 ] + [pytest.param(name, 1.25, 0.01, 1.0, id=f"{name}-phi1.0") for name in ("d8", "q8")]
 
 
-@pytest.mark.parametrize("name, alpha, gamma, phi", CROSSCHECK_POINTS)
-def test_analytic_matches_fock(name, alpha, gamma, phi):
+def check_analytic_matches_fock(name, alpha, gamma, phi):
     group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
     fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
     code = fc.code_basis(fc.make_constellation(group, alpha, phi), fourier)
@@ -62,6 +62,23 @@ def test_analytic_matches_fock(name, alpha, gamma, phi):
     f_f = fc.petz_entanglement_fidelity(fock)
     assert abs(f_a - f_f) < 1e-9
     assert fock.extras["completeness_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("name, alpha, gamma, phi", CROSSCHECK_POINTS)
+def test_analytic_matches_fock(name, alpha, gamma, phi):
+    check_analytic_matches_fock(name, alpha, gamma, phi)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(
+    name=st.sampled_from(["d8", "q8"]),
+    alpha=st.floats(1.0, 1.6),
+    gamma=st.floats(np.log10(1e-3), np.log10(5e-2)).map(lambda x: 10.0**x),
+    phi=st.floats(0.5, np.pi - 0.5),
+)
+def test_analytic_matches_fock_property(name, alpha, gamma, phi):
+    # the pinned cases of test_analytic_matches_fock, anywhere in the box
+    check_analytic_matches_fock(name, alpha, gamma, phi)
 
 
 def reference_kraus_images(code, gamma, env_floor=1e-13):
@@ -77,11 +94,12 @@ def reference_kraus_images(code, gamma, env_floor=1e-13):
     bs = passive_gaussian_unitary(np.array([[t, -r], [r, t]]), pair)
     inputs = np.zeros((d, d, d), dtype=complex)  # inputs[n] = |n>|0>
     inputs[np.arange(d), np.arange(d), 0] = 1.0
-    b = np.stack(
-        [bs.apply(FockState(pair, vac.reshape(-1))).tensor() for vac in inputs], axis=-1
-    )
+    b = np.stack([bs(vac) for vac in inputs], axis=-1)
     env_amps = np.array(
-        [coherent_product(p, config.cutoff).amplitudes for p in code.constellation.points * r]
+        [
+            coherent_product(p, config.cutoff).amplitudes.ravel()
+            for p in code.constellation.points * r
+        ]
     )
     env_gram = env_amps.conj() @ env_amps.T
     env_inv_sqrt = hermitian_inv_sqrt(
@@ -90,7 +108,7 @@ def reference_kraus_images(code, gamma, env_floor=1e-13):
     env_tensors = (env_inv_sqrt.T @ env_amps).reshape(n, d, d)
     images = []
     for state in code.basis_states:
-        s1 = np.einsum("PCa,ab->PbC", b, state.tensor())  # (n1', n2, m1')
+        s1 = np.einsum("PCa,ab->PbC", b, state.amplitudes)  # (n1', n2, m1')
         s2 = np.einsum("QDb,Pbc->PQcD", b, s1)  # (n1', n2', m1', m2')
         images.append(np.einsum("pcd,PQcd->pPQ", env_tensors.conj(), s2))
     return np.array(images), np.linalg.norm(env_inv_sqrt, 2)
@@ -104,7 +122,10 @@ def test_kraus_images_match_direct_reference(name, phi, gamma):
     fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
     # cutoff 10 holds coherent amplitude 0.6 within the 1e-12 tail audit
     code = fc.code_basis(fc.make_constellation(group, 0.6, phi, cutoff=10), fourier)
-    images = fc.qec_matrix_fock(code, gamma).extras["kraus_images"]
+    # both routes at one floor, which keeps 7 of 8 environment states at
+    # gamma = 1e-3; the library's lower default keeps 8 and is cross-checked
+    # against the analytic route in test_analytic_matches_fock_property
+    images = fc.qec_matrix_fock(code, gamma, env_floor=1e-13).extras["kraus_images"]
     reference, gain = reference_kraus_images(code, gamma)
     assert images.shape == reference.shape == (4, 8, 11, 11)
     # The orthonormalizing pseudo-inverse multiplies roundoff by its gain,

@@ -172,3 +172,37 @@ def test_sweeps_honour_phi(tmp_path):
     at_star = cli.sweep_gamma(group, fourier, 1.25, [1e-2])[0].infidelity
     assert got == want
     assert abs(got - at_star) > 1e-5
+
+
+BIG_INT = "1" + "0" * 400  # a JSON integer beyond float range
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        pytest.param(["verify", "--alpha", "nan"], None, id="alpha-nan"),
+        pytest.param(["verify", "--alpha", "inf"], None, id="alpha-inf"),
+        pytest.param(["verify", "--phi", "nan"], None, id="phi-nan"),
+        pytest.param(["sweep-alpha", "--grid", "nan:1:0.1"], None, id="grid-nan"),
+        pytest.param(["sweep-alpha", "--grid", "1:inf:0.1"], None, id="grid-inf"),
+        pytest.param(["sweep-alpha", "--grid", "0:0.2:0.1"], None, id="alpha-grid-0"),
+        pytest.param(["sweep-gamma", "--grid", "1e-3:2:5"], None, id="gamma-grid-2"),
+        pytest.param(["verify"], '{"alpha": "abc"}', id="config-alpha-text"),
+        pytest.param(["verify"], '{"alpha": null}', id="config-alpha-null"),
+        pytest.param(["verify"], '{"phi": NaN}', id="config-phi-nan"),
+        pytest.param(["verify"], '{"cutoff": Infinity}', id="config-cutoff-inf"),
+        pytest.param(["verify"], f'{{"cutoff": {BIG_INT}}}', id="config-cutoff-huge"),
+        pytest.param(["verify"], '{"cutoff": 7.9}', id="config-cutoff-fraction"),
+    ],
+)
+def test_bad_number_is_config_error(args, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        args = args + ["--config", str(path)]
+    target = tmp_path / "x.csv"
+    assert run(args + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert captured.out == ""
+    assert not target.exists()

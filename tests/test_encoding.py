@@ -23,13 +23,13 @@ def _product_cat(first, second, cutoff):
 
 
 def test_basis_orthonormality_special_alpha(star_code):
-    basis = np.array([s.amplitudes for s in star_code.basis_states])
+    basis = np.array([s.amplitudes.ravel() for s in star_code.basis_states])
     assert np.linalg.norm(basis.conj() @ basis.T - np.eye(4)) < 1e-12
 
 
 def test_basis_orthonormality_generic_alpha(d8, d8_fourier):
     code = fc.code_basis(fc.make_constellation(d8, 1.0, np.pi / 2), d8_fourier)
-    basis = np.array([s.amplitudes for s in code.basis_states])
+    basis = np.array([s.amplitudes.ravel() for s in code.basis_states])
     assert np.linalg.norm(basis.conj() @ basis.T - np.eye(4)) < 1e-12
 
 
@@ -51,10 +51,10 @@ def test_product_cat_form_special_alpha(star_code):
 
 
 def test_group_covariance(star_code, d8):
-    basis = np.array([s.amplitudes for s in star_code.basis_states])
+    basis = np.array([s.amplitudes.ravel() for s in star_code.basis_states])
     for i in range(d8.order):
         op = passive_gaussian_unitary(d8.matrix(i), star_code.config)
-        images = np.array([op.apply(s).amplitudes for s in star_code.basis_states])
+        images = np.array([op(s.amplitudes).ravel() for s in star_code.basis_states])
         overlaps = images.conj() @ basis.T
         leak = np.linalg.norm(images - overlaps.conj() @ basis)
         assert leak < 1e-9

@@ -35,7 +35,7 @@ def test_swap_is_logical_x(star_code):
 
 def test_mode2_parity_is_logical_z(star_code):
     op = number_diagonal_operator(
-        lambda n1, n2: (-1.0) ** n2, star_code.config
+        (-1.0) ** np.arange(star_code.config.dim_per_mode), star_code.config
     )
     action = fc.logical_action(op, star_code)
     dist, _ = fc.phase_aligned_distance(action.matrix, np.kron(Z2, IDENTITY2))
@@ -82,7 +82,7 @@ def test_cz_gate(star_code):
 def test_cz_contraction_matches_entrywise_sum(d8, d8_fourier):
     # entry by entry: sum_{n2,n4} C[i1',i1,n2] (-1)^(n2 n4) C[i2',i2,n4]
     code = fc.code_basis(fc.make_constellation(d8, 1.0, np.pi / 2), d8_fourier)
-    tensors = np.array([s.tensor() for s in code.basis_states])
+    tensors = np.array([s.amplitudes for s in code.basis_states])
     c = np.einsum("iab,jab->ijb", tensors.conj(), tensors)
     n = np.arange(code.config.dim_per_mode)
     parity = (-1.0) ** np.outer(n, n)

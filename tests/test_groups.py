@@ -147,3 +147,24 @@ def test_normalizer_membership(d8):
 
 def test_find_rejects_foreign_matrix(d8):
     assert d8.find(PHASE_T) == -1
+
+
+def test_validate_irrep_rejects_broken_tables(d8):
+    from fouriercat.groups import Irrep, _validate_irrep
+
+    defining = fc.irrep_table(d8)[-1]
+    _validate_irrep(d8, defining)
+    swapped = defining.matrices.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]  # unitary, but no longer a homomorphism
+    scaled = 1.5 * defining.matrices  # a homomorphism only up to scale
+    for mats in (swapped, scaled):
+        with pytest.raises(ValueError, match="not available"):
+            _validate_irrep(d8, Irrep(label="broken", dim=2, matrices=mats))
+
+
+def test_cayley_table_at_default_max_order():
+    # breadth-first closure labels g^k as k, so the table is addition mod 64
+    z64 = fc.cyclic_group(64)
+    k = np.arange(64)
+    assert np.array_equal(z64.cayley, np.add.outer(k, k) % 64)
+    assert np.array_equal(z64.inverse, -k % 64)
