@@ -131,9 +131,9 @@ def qec_matrix_fock(code, gamma, env_floor=1e-15):
     entries of order sqrt(lambda), keeping it amplifies roundoff by
     1 / sqrt(lambda), so the floor sits a few machine epsilons above zero.
     ``extras`` holds the Kraus images (basis state, environment label, n1,
-    n2), their completeness on the code subspace and how many environment
-    eigenvalues the pseudo-inverse kept (``env_rank``, out of the group
-    order).
+    n2), their completeness on the code subspace, how many environment
+    eigenvalues the pseudo-inverse kept (``env_rank``, of the group order)
+    and its roundoff gain ||G^-1/2||_2 (``env_gain``).
     """
     config = code.config
     d = config.dim_per_mode
@@ -173,6 +173,7 @@ def qec_matrix_fock(code, gamma, env_floor=1e-15):
             "completeness_residual": completeness_residual,
             "kraus_images": kraus_images,
             "env_rank": roots.rank,
+            "env_gain": float(np.linalg.norm(roots.inv_sqrt, 2)),
         },
     )
 

@@ -19,7 +19,6 @@ from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import logm
 
 DEFAULT_CUTOFF = 25
 TAIL_TOL = 1e-12
@@ -140,7 +139,7 @@ def _monomial_structure(u, tol=1e-12):
         j = int(np.argmax(np.abs(col)))
         if abs(abs(col[j]) - 1.0) > tol:
             return None
-        if np.linalg.norm(col) ** 2 - abs(col[j]) ** 2 > tol**2:
+        if np.linalg.norm(np.delete(col, j)) > tol:
             return None
         perm[k] = j
         phases[k] = col[j]
@@ -195,10 +194,14 @@ def passive_gaussian_unitary(u, config):
     Returns pi(U) as a function on amplitude tensors (see the module
     docstring).  Generalized permutation matrices are lifted exactly on any
     number of modes.  Any other unitary must act on two modes; it is built
-    by exponentiating the quadratic Hamiltonian sum_jk h_jk a_j^dag a_k, with
-    h the principal logarithm of U, one total-number sector at a time.  That
-    route is exact on sectors that fit entirely under the per-mode cutoff;
-    the corner sectors N > cutoff carry a small truncation error.
+    by exponentiating the quadratic Hamiltonian sum_jk h_jk a_j^dag a_k one
+    total-number sector at a time.  That route is exact on sectors that fit
+    under the per-mode cutoff; the corner sectors N > cutoff carry a small
+    truncation error and depend on h itself, not only on U.  Such a U is
+    normal with distinct eigenvalues w, so the QR of its eigenvectors is an
+    orthonormal eigenbasis Q, and h = Q diag(angle(w)) Q^dag: the principal
+    logarithm, with angle(w) in [-pi, pi] as the sign of the computed
+    imaginary part of w decides (an eigenvalue -1 - 1e-17i gives -pi).
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (config.modes, config.modes):
@@ -210,8 +213,9 @@ def passive_gaussian_unitary(u, config):
         return _monomial_unitary(*monomial, config)
     if config.modes != 2:
         raise ValueError("a non-monomial mode transformation needs exactly two modes")
-    h = -1j * logm(u)
-    return _sector_unitary((h + h.conj().T) / 2, config)
+    vals, vecs = np.linalg.eig(u)
+    q, _ = np.linalg.qr(vecs)
+    return _sector_unitary((q * np.angle(vals)) @ q.conj().T, config)
 
 
 def number_diagonal_operator(phases, config):

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import encoding
 from .fock import (
@@ -36,7 +35,6 @@ class LogicalAction:
 
     matrix: np.ndarray
     leakage: float
-    global_phase: float
 
 
 @dataclass
@@ -47,8 +45,9 @@ class ZenoGate:
     projected_hamiltonian: np.ndarray
 
     def logical_unitary(self, alpha):
-        """exp(i theta H_proj / (2 alpha^2)) on the code basis."""
-        return expm(1j * self.theta * self.projected_hamiltonian / (2 * alpha**2))
+        """exp(i theta H_proj / (2 alpha^2)) on the code basis, by eigh of H_proj."""
+        vals, vecs = np.linalg.eigh(self.projected_hamiltonian)
+        return (vecs * np.exp(1j * self.theta * vals / (2 * alpha**2))) @ vecs.conj().T
 
 
 # Cells of the photon-number-mod-4 outcome table for each Z_L Y_M eigenstate.
@@ -80,8 +79,7 @@ def logical_action(physical_op, code, target_code=None):
     mat = overlap_matrix(target.amplitudes, images)
     residual = images - np.tensordot(mat.T, target.amplitudes, axes=1)
     leak = max(float(np.linalg.norm(r)) for r in residual)
-    _, phase = phase_aligned_distance(mat, np.eye(4, dtype=complex))
-    return LogicalAction(matrix=mat, leakage=leak, global_phase=phase)
+    return LogicalAction(matrix=mat, leakage=leak)
 
 
 def self_kerr_s_gate(config):

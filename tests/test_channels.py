@@ -134,6 +134,18 @@ def test_kraus_images_match_direct_reference(name, phi, gamma):
     assert np.max(np.abs(images - reference)) < 1e-12 + 1e-14 * gain
 
 
+@pytest.mark.parametrize("gamma", [1e-3, 1e-2, 5e-2])
+@pytest.mark.parametrize("phi", [np.pi / 2, 1.0], ids=["phi-pi/2", "phi1.0"])
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_env_gain_matches_direct_reference(name, phi, gamma):
+    group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
+    fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
+    code = fc.code_basis(fc.make_constellation(group, 0.6, phi, cutoff=10), fourier)
+    gain = fc.qec_matrix_fock(code, gamma, env_floor=1e-13).extras["env_gain"]
+    _, reference = reference_kraus_images(code, gamma)
+    assert abs(gain - reference) < 1e-4 * reference
+
+
 def test_env_rank_counts_kept_environment_states(star_code):
     assert fc.qec_matrix_fock(star_code, 1e-2).extras["env_rank"] == 8
     # at gamma = 1e-10 the reflected constellation collapses towards vacuum

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,3 +210,22 @@ def test_bad_number_is_config_error(args, config, tmp_path, capsys):
     assert "configuration error" in captured.err
     assert captured.out == ""
     assert not target.exists()
+
+
+def test_runtime_does_not_import_scipy():
+    # a fresh interpreter, so no other test's imports leak into sys.modules
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import sys, contextlib, io\n"
+        "from fouriercat import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['verify']), cli.main(['gates-demo'])]\n"
+        "print(codes, sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0] []"

@@ -130,6 +130,18 @@ def dense_passive_unitary(u, cfg):
 
 
 LOSS_T, LOSS_R = np.sqrt(0.99), np.sqrt(0.01)
+# gamma = 1e-20: r = 1e-10 sits just above the monomial tolerance, and the
+# eigenvalues 1 +- 1e-10 i nearly coincide
+TINY_T, TINY_R = np.sqrt(1.0 - 1e-20), 1e-10
+# Hermitian, eigenvalues +-1; np.linalg.eig returns the -1 with a negative
+# imaginary part of order 1e-17, so its angle rounds to exactly -pi, the
+# edge of the principal branch
+BRANCH_EDGE = np.array(
+    [
+        [-np.sqrt(3) / 2, 0.5 * np.exp(-0.25j * np.pi)],
+        [0.5 * np.exp(0.25j * np.pi), np.sqrt(3) / 2],
+    ]
+)
 # an SU(2) rotation times a global phase, so the two diagonal phases differ
 COMPLEX_U2 = np.exp(0.2j) * np.array(
     [
@@ -145,6 +157,8 @@ COMPLEX_U2 = np.exp(0.2j) * np.array(
         pytest.param(HADAMARD, id="hadamard"),
         pytest.param(np.array([[LOSS_T, -LOSS_R], [LOSS_R, LOSS_T]]), id="loss-gamma0.01"),
         pytest.param(COMPLEX_U2, id="complex-u2"),
+        pytest.param(np.array([[TINY_T, -TINY_R], [TINY_R, TINY_T]]), id="loss-gamma1e-20"),
+        pytest.param(BRANCH_EDGE, id="branch-edge"),
     ],
 )
 def test_sector_unitary_matches_dense_reference(u):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import fouriercat as fc
 from fouriercat.fock import annihilate, number_diagonal_operator, passive_gaussian_unitary
@@ -134,6 +135,23 @@ def test_zeno_needs_special_alpha(d8, d8_fourier):
     code = fc.code_basis(fc.make_constellation(d8, 1.0, np.pi / 2), d8_fourier)
     _, residual, _ = fc.zeno_projected_hamiltonian(code)
     assert residual > 1e-3
+
+
+@pytest.mark.parametrize(
+    "name, phi", [("d8", 1.0), ("q8", np.pi / 2)], ids=["d8-phi1.0", "q8-phi-pi/2"]
+)
+def test_zeno_unitary_matches_expm(name, phi):
+    # at alpha 1.0 these codes have a non-diagonal projected Hamiltonian (for
+    # d8 at phi = pi/2 it stays diagonal, only its scale is off)
+    group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
+    fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
+    alpha, theta = 1.0, 0.7
+    code = fc.code_basis(fc.make_constellation(group, alpha, phi), fourier)
+    gate, _, _ = fc.zeno_projected_hamiltonian(code, theta=theta)
+    ham = gate.projected_hamiltonian
+    assert np.linalg.norm(ham - np.diag(np.diag(ham))) > 0.5
+    want = expm(1j * theta * ham / (2 * alpha**2))
+    assert np.linalg.norm(gate.logical_unitary(alpha) - want) < 1e-12
 
 
 def test_zy_eigenstate_cells(star_code):
