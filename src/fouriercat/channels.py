@@ -3,9 +3,10 @@
 Two routes compute the QEC matrix of the code under loss: an analytic
 contraction of closed-form Gram matrices (exact, truncation-free, used for
 parameter sweeps) and a brute-force Fock-space simulation of the
-beamsplitter dilation (the cross-validation oracle).  The oracle applies the
-truncated beamsplitter once and projects each mode's reflected part onto
-single-mode coherent states, so it costs O(d^3) in the per-mode dimension d.
+beamsplitter dilation (the cross-validation oracle).  The oracle takes the
+beamsplitter's images of |n, 0> in closed form (exact: those sectors lie
+under the cutoff) and projects each mode's reflected part onto single-mode
+coherent states, so it costs O(d^3) in the per-mode dimension d.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from . import encoding
 from .fock import (
     FockState,
     annihilate,
-    coherent_state,
+    coherent_amplitudes,
     hermitian_inv_sqrt,
     overlap_matrix,
-    passive_gaussian_unitary,
 )
 from .groups import HADAMARD
 
@@ -104,11 +104,20 @@ def petz_entanglement_fidelity(qec):
     return min(fid, 1.0) if fid <= 1.0 + 1e-9 else fid
 
 
-def _beamsplitter(config, gamma):
-    t = np.sqrt(1.0 - gamma)
-    r = np.sqrt(gamma)
-    u = np.array([[t, -r], [r, t]])
-    return passive_gaussian_unitary(u, config)
+def _loss_amplitudes(d, gamma):
+    """Loss beamsplitter images b[P, a] = <P, a - P|BS|a, 0>, and a - P.
+
+    b[P, a] = sqrt(binom(a, P)) t^P r^(a - P) for BS = pi([[t, -r], [r, t]]),
+    t = sqrt(1 - gamma), r = sqrt(gamma): P of the a photons are transmitted
+    and a - P reflected.  Below the diagonal (a < P) b is zero and a - P is
+    clamped to 0.
+    """
+    t, r = np.sqrt(1.0 - gamma), np.sqrt(gamma)
+    n = np.arange(d)
+    reflected = np.maximum(n[None, :] - n[:, None], 0)  # a - P, clamped to 0
+    logfact = np.cumsum(np.log(np.maximum(n, 1)))  # log(n!)
+    binom = np.exp((logfact[None, :] - logfact[:, None] - logfact[reflected]) / 2)
+    return np.triu(binom * t ** n[:, None] * r**reflected), reflected
 
 
 def qec_matrix_fock(code, gamma, env_floor=1e-15):
@@ -118,9 +127,12 @@ def qec_matrix_fock(code, gamma, env_floor=1e-15):
     the two reflected modes are projected onto the orthonormalized family
     of reflected constellation states.
 
-    The beamsplitter conserves the total photon number, so the image of
-    |n, 0> lies in sector n alone, and one application to sum_n |n, 0>
-    gives every image: B[P, C] = <P, C|BS|P + C, 0>.  Each reflected state
+    The beamsplitter conserves the total photon number, so it maps |a, 0>
+    into sector a alone: sum_P B[P, a - P] |P, a - P> with the closed form
+    B[P, C] = sqrt(binom(P + C, P)) t^P r^C (see ``_loss_amplitudes``).
+    The inputs |a, 0>, a <= cutoff, lie in sectors that the per-mode cutoff
+    does not truncate, so B is exact and no sector is exponentiated; the
+    corner sectors N > cutoff never receive amplitude.  Each reflected state
     is a product e_q1 (x) e_q2 of normalized single-mode coherent states, so
     projecting both mixed modes onto it factorizes per mode:
     <e_q1, e_q2|(BS (x) BS)|psi, 0, 0> = Y_q1 psi Y_q2^T with
@@ -135,21 +147,16 @@ def qec_matrix_fock(code, gamma, env_floor=1e-15):
     eigenvalues the pseudo-inverse kept (``env_rank``, of the group order)
     and its roundoff gain ||G^-1/2||_2 (``env_gain``).
     """
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("gamma must lie in [0, 1)")
     config = code.config
     d = config.dim_per_mode
     n = code.constellation.group.order
-    ancilla = np.zeros((d, d), dtype=complex)
-    ancilla[:, 0] = 1.0  # sum_n |n>|0>
-    b = _beamsplitter(config, gamma)(ancilla)
-    shift = np.arange(d)[None, :] - np.arange(d)[:, None]  # shift[P, a] = a - P
-    shift = np.where(shift >= 0, shift, 0)
-    b_shift = np.triu(np.take_along_axis(b, shift, axis=1))  # B[P, a - P]
+    b_shift, shift = _loss_amplitudes(d, gamma)
 
     # Per-mode reflected constellation states e[q, m] and their Gram matrix.
-    env = np.array(
-        [[coherent_state(a, config.cutoff).amplitudes for a in p]
-         for p in code.constellation.points * np.sqrt(gamma)]
-    )
+    env = coherent_amplitudes(code.constellation.points * np.sqrt(gamma), config.cutoff)
+    env /= np.linalg.norm(env, axis=-1, keepdims=True)
     env_gram = np.prod(np.einsum("qma,rma->mqr", env.conj(), env), axis=0)
     roots = hermitian_inv_sqrt(
         (env_gram + env_gram.conj().T) / 2, floor=env_floor, pseudo=True

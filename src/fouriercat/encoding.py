@@ -17,7 +17,6 @@ from .fock import (
     FockConfig,
     FockState,
     coherent_amplitudes,
-    coherent_product,
     hermitian_inv_sqrt,
     overlap_matrix,
 )
@@ -75,10 +74,12 @@ def constellation_from_vector(group, alpha_vec, cutoff=DEFAULT_CUTOFF):
     points = group.matrices() @ alpha_vec
     if _min_distance(points) <= 1e-9 * max(1.0, float(np.linalg.norm(alpha_vec))):
         raise ValueError("degenerate constellation")
+    factors = coherent_amplitudes(points, cutoff)  # (|G|, 2, d), one per mode
+    factors /= np.linalg.norm(factors, axis=-1, keepdims=True)
     return Constellation(
         group=group,
         alpha_vec=alpha_vec,
-        amplitudes=np.array([coherent_product(p, cutoff).amplitudes for p in points]),
+        amplitudes=factors[:, 0, :, None] * factors[:, 1, None, :],
         config=FockConfig(2, cutoff),
     )
 
@@ -215,7 +216,7 @@ def cat_qudit(n, d, alpha, cutoff=None):
     delta = np.clip(delta.real, 0.0, None)
     m = n // d
     codewords = []
-    rotated = np.array([coherent_amplitudes(w**p * alpha, cutoff) for p in range(n)])
+    rotated = coherent_amplitudes(w**ls * alpha, cutoff)
     for k in range(d):
         if delta[(k * m) % n] < 1e-12:
             raise ValueError("codeword numerically null")

@@ -80,17 +80,19 @@ def infidelity(a, b):
 
 
 def coherent_amplitudes(alpha, cutoff, tail_tol=TAIL_TOL):
-    """Truncated coherent amplitudes, with an explicit tail-mass audit."""
+    """Truncated coherent amplitudes, shape alpha.shape + (d,), each tail audited."""
+    alpha = np.asarray(alpha)[..., None]
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("coherent amplitude must be finite")
     n = np.arange(cutoff + 1)
-    logfact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff + 1))]))
-    with np.errstate(divide="ignore"):
-        logmag = n * np.log(np.abs(alpha)) if alpha != 0 else np.where(n == 0, 0.0, -np.inf)
-    amps = np.exp(-abs(alpha) ** 2 / 2 + logmag - logfact / 2) * np.exp(
-        1j * n * np.angle(alpha)
-    )
-    tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
-    if tail > tail_tol:
-        raise ValueError(f"cutoff too small for |alpha| = {abs(alpha):.4g}")
+    logfact = np.cumsum(np.log(np.maximum(n, 1)))
+    mag = np.abs(alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logmag = np.where(n == 0, 0.0, n * np.log(mag)) - logfact / 2 - mag**2 / 2
+    amps = np.exp(logmag + 1j * n * np.angle(alpha))
+    bad = ~(1.0 - np.sum(np.abs(amps) ** 2, axis=-1) <= tail_tol)
+    if np.any(bad):
+        raise ValueError(f"cutoff too small for |alpha| = {np.max(mag[..., 0][bad]):.4g}")
     return amps
 
 
@@ -103,7 +105,7 @@ def coherent_state(alpha, cutoff=DEFAULT_CUTOFF, tail_tol=TAIL_TOL):
 
 def coherent_product(alphas, cutoff=DEFAULT_CUTOFF, tail_tol=TAIL_TOL):
     """Multimode coherent product state |alpha_1, ..., alpha_k>."""
-    factors = [coherent_amplitudes(a, cutoff, tail_tol) for a in alphas]
+    factors = coherent_amplitudes(alphas, cutoff, tail_tol)
     state = FockState(FockConfig(len(factors), cutoff), reduce(np.multiply.outer, factors))
     return state.normalized()
 
@@ -118,8 +120,7 @@ def cat_state(alpha, parity, cutoff=DEFAULT_CUTOFF):
         raise ValueError("parity must be 0 or 1")
     if alpha == 0 and parity == 1:
         raise ValueError("odd cat state is undefined at alpha = 0")
-    plus = coherent_amplitudes(alpha, cutoff)
-    minus = coherent_amplitudes(-alpha, cutoff)
+    plus, minus = coherent_amplitudes([alpha, -alpha], cutoff)
     amps = plus + (-1.0) ** parity * minus
     state = FockState(FockConfig(1, cutoff), amps)
     return state.normalized()

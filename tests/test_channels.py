@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import fouriercat as fc
 from fouriercat.channels import (
+    _loss_amplitudes,
     argmin_record,
     loglog_slope,
     loss_gram_matrices,
@@ -144,6 +145,44 @@ def test_env_gain_matches_direct_reference(name, phi, gamma):
     gain = fc.qec_matrix_fock(code, gamma, env_floor=1e-13).extras["env_gain"]
     _, reference = reference_kraus_images(code, gamma)
     assert abs(gain - reference) < 1e-4 * reference
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-20, 1e-3, 0.3, 0.999])
+@pytest.mark.parametrize("cutoff", [7, 25])
+def test_closed_form_loss_amplitudes_match_sector_lift(cutoff, gamma):
+    # the lifted beamsplitter applied to sum_n |n, 0>, gathered as B[P, a - P]
+    d = cutoff + 1
+    t, r = np.sqrt(1.0 - gamma), np.sqrt(gamma)
+    bs = passive_gaussian_unitary(np.array([[t, -r], [r, t]]), FockConfig(2, cutoff))
+    inputs = np.zeros((d, d), dtype=complex)
+    inputs[:, 0] = 1.0
+    lifted = bs(inputs)
+    b, reflected = _loss_amplitudes(d, gamma)
+    p, a = np.indices((d, d))
+    assert np.array_equal(reflected, np.where(a >= p, a - p, 0))
+    want = np.where(a >= p, lifted[p, reflected], 0.0)
+    assert np.max(np.abs(b - want)) < 1e-13
+
+
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_fock_route_needs_no_sector_lift(name, monkeypatch):
+    def no_lift(*args):
+        raise AssertionError("qec_matrix_fock lifted a beamsplitter")
+
+    monkeypatch.setattr(fc.fock, "_sector_unitary", no_lift)
+    group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
+    fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
+    code = fc.code_basis(fc.make_constellation(group, 1.25, 1.0), fourier)
+    qec = fc.qec_matrix_fock(code, 0.01)
+    assert qec.extras["completeness_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("gamma", [-0.1, 1.0, 1.5, np.nan])
+def test_both_qec_routes_reject_gamma_outside_unit_interval(star_code, d8, d8_fourier, gamma):
+    with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\)"):
+        fc.qec_matrix_fock(star_code, gamma)
+    with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\)"):
+        fc.qec_matrix_analytic(d8, d8_fourier, ALPHA_STAR, gamma)
 
 
 def test_env_rank_counts_kept_environment_states(star_code):

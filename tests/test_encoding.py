@@ -8,7 +8,7 @@ from fouriercat.encoding import (
     cyclic_gram,
     deform_constellation,
 )
-from fouriercat.fock import cat_state, infidelity, passive_gaussian_unitary
+from fouriercat.fock import cat_state, coherent_product, infidelity, passive_gaussian_unitary
 from fouriercat.groups import PAULI_X
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
@@ -121,6 +121,15 @@ def test_degenerate_constellation_raises(d8):
         fc.make_constellation(d8, 1.0, 0.0)
     with pytest.raises(ValueError, match="positive"):
         fc.make_constellation(d8, -1.0, np.pi / 2)
+
+
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_constellation_amplitudes_match_coherent_products(name):
+    group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
+    constellation = fc.make_constellation(group, 1.3, 1.0, cutoff=30)
+    want = np.array([coherent_product(p, 30).amplitudes for p in constellation.points])
+    assert constellation.amplitudes.shape == want.shape == (8, 31, 31)
+    assert np.max(np.abs(constellation.amplitudes - want)) < 1e-15
 
 
 def test_deform_constellation_points(star_constellation):

@@ -56,6 +56,30 @@ def test_cutoff_too_small_raises():
         coherent_amplitudes(4.0, 10)
 
 
+def test_batched_coherent_amplitudes_match_scalar_calls():
+    alphas = np.array([[0.0, 0.7], [1.3 + 0.4j, -0.2j], [1e-200, -2.1]])
+    batch = coherent_amplitudes(alphas, 30)
+    assert coherent_amplitudes(0.7, 30).shape == (31,)
+    assert batch.shape == (3, 2, 31)
+    loop = np.array([[coherent_amplitudes(a, 30) for a in row] for row in alphas])
+    assert np.max(np.abs(batch - loop)) < 1e-15
+    # each state's tail is audited on its own: one starved member raises
+    with pytest.raises(ValueError, match="cutoff too small for \\|alpha\\| = 4"):
+        coherent_amplitudes([0.5, 4.0, -3.0], 10)
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, complex(0.3, np.nan)], ids=["nan", "inf", "nan-imag"]
+)
+def test_coherent_amplitudes_reject_non_finite(bad):
+    # a NaN tail mass compares false against any tolerance, so it must not
+    # reach the audit
+    with pytest.raises(ValueError, match="finite"):
+        coherent_amplitudes(bad, 20)
+    with pytest.raises(ValueError, match="finite"):
+        coherent_amplitudes([0.5, bad, 1.0], 20)
+
+
 def test_coherent_is_destroy_eigenstate():
     cfg = FockConfig(1, 40)
     alpha = 1.1
