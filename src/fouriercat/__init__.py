@@ -17,7 +17,7 @@ from .groups import (
 from .fock import (
     FockConfig,
     FockState,
-    annihilate,
+    annihilation_operator,
     cat_state,
     coherent_product,
     coherent_state,

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import encoding
 from .fock import (
-    FockState,
-    annihilate,
+    annihilation_operator,
     coherent_amplitudes,
     hermitian_inv_sqrt,
     overlap_matrix,
@@ -164,7 +163,8 @@ def qec_matrix_fock(code, gamma, env_floor=1e-15):
 
     y = env.conj()[..., shift] * b_shift  # y[q, m, P, a]
     raw = y[None, :, 0] @ code.amplitudes[:, None] @ y[None, :, 1].swapaxes(-1, -2)
-    kraus_images = np.einsum("qr,iqab->irab", roots.inv_sqrt.conj(), raw)
+    # kraus[i, r] = sum_q conj(inv_sqrt[q, r]) raw[i, q], one matmul per basis state
+    kraus_images = (roots.inv_sqrt.conj().T @ raw.reshape(4, n, d * d)).reshape(4, n, d, d)
     images = kraus_images.reshape(4 * n, d, d)
     overlaps = overlap_matrix(images, images).reshape(4, n, 4, n)
     completeness = np.einsum("ipjp->ij", overlaps)
@@ -192,18 +192,12 @@ def kl_first_order_check(code, psi_m):
     the two logical states and their images under a_1 and a_2, normalized.
     """
     c, s = psi_m
-    states = []
-    for l in (0, 1):
-        amps = c * code.state(l, 0).amplitudes + s * code.state(l, 1).amplitudes
-        states.append(FockState(code.config, amps).normalized())
-    for mode in (0, 1):
-        for l in (0, 1):
-            states.append(annihilate(states[l], mode).normalized())
-    worst = 0.0
-    for i in range(6):
-        for j in range(i + 1, 6):
-            worst = max(worst, abs(states[i].overlap(states[j])))
-    return worst
+    logical = c * code.amplitudes[0::2] + s * code.amplitudes[1::2]  # l = 0, 1
+    lost = [annihilation_operator(mode, code.config)(logical) for mode in (0, 1)]
+    states = np.concatenate([logical] + lost).reshape(6, -1)
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    overlaps = np.abs(states.conj() @ states.T)
+    return float(np.max(overlaps[np.triu_indices(6, 1)]))
 
 
 def lindblad_kernel_check(code, deformed=False):
@@ -223,23 +217,21 @@ def lindblad_kernel_check(code, deformed=False):
         basis = code
         sign = 1.0
 
-    def lower2(state, mode):
-        return annihilate(annihilate(state, mode), mode)
-
-    residuals = {}
-    for s in basis.basis_states:
-        a1sq, a2sq = lower2(s, 0), lower2(s, 1)
-        shift = sign * alpha**4 * s.amplitudes
-        images = {  # name: (L|s>, normalization)
-            "L1": (lower2(a1sq, 0).amplitudes - shift, alpha**4),
-            "L2": (lower2(a2sq, 1).amplitudes - shift, alpha**4),
-            "L12": (lower2(a1sq, 1).amplitudes + shift, alpha**4),
-        }
-        if not deformed:
-            images["L0"] = (a1sq.amplitudes + a2sq.amplitudes, alpha**2)
-        for name, (img, scale) in images.items():
-            res = float(np.linalg.norm(img)) / scale
-            residuals[name] = max(residuals.get(name, 0.0), res)
+    a1, a2 = (annihilation_operator(mode, basis.config) for mode in (0, 1))
+    amps = basis.amplitudes
+    a1sq, a2sq = a1(a1(amps)), a2(a2(amps))
+    shift = sign * alpha**4 * amps
+    images = {  # name: (L on each basis state, normalization)
+        "L1": (a1(a1(a1sq)) - shift, alpha**4),
+        "L2": (a2(a2(a2sq)) - shift, alpha**4),
+        "L12": (a2(a2(a1sq)) + shift, alpha**4),
+    }
+    if not deformed:
+        images["L0"] = (a1sq + a2sq, alpha**2)
+    residuals = {
+        name: max(float(np.linalg.norm(r)) for r in img) / scale
+        for name, (img, scale) in images.items()
+    }
     d = basis.config.dim_per_mode
     odd = np.add.outer(np.arange(d), np.arange(d)) % 2 == 1
     parity_residual = max(float(np.linalg.norm(a[~odd])) for a in basis.amplitudes)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -400,7 +401,9 @@ def cmd_gates_demo(cfg):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="fouriercat",
         description="Two-mode Fourier cat code verification and sweeps",

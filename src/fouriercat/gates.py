@@ -14,7 +14,7 @@ import numpy as np
 from . import encoding
 from .fock import (
     FockState,
-    annihilate,
+    annihilation_operator,
     infidelity,
     number_diagonal_operator,
     overlap_matrix,
@@ -169,7 +169,8 @@ def zeno_projected_hamiltonian(code, theta=0.0):
 
     Returns (ZenoGate, residual vs 2 alpha^2 Z (x) Z, max a1^2 eigen residual).
     """
-    images = np.array([annihilate(annihilate(s, 0), 0).amplitudes for s in code.basis_states])
+    a1 = annihilation_operator(0, code.config)
+    images = a1(a1(code.amplitudes))
     # <t|a1^2|s> plus <t|a1^dag2|s> = conj <s|a1^2|t>
     lower = overlap_matrix(code.amplitudes, images)
     mat = lower + lower.conj().T
@@ -227,18 +228,17 @@ def mod4_verification(code):
     For each Z_L Y_M eigenstate returns (mass outside its table cells,
     mass on wrong-Y_M cells after a_1, same after a_2).
     """
+    states = zy_eigenstates(code)
+    stack = np.array([state.amplitudes for state in states.values()])
+    lost = [annihilation_operator(mode, code.config)(stack) for mode in (0, 1)]
     report = {}
-    for label, state in zy_eigenstates(code).items():
+    for i, (label, state) in enumerate(states.items()):
         dist = outcome_distribution(state)
         outside = sum(p for cell, p in dist.items() if cell not in TABLE_CELLS[label])
-        y_tag = label[1:]
         wrong = []
-        for mode in (0, 1):
-            lost = annihilate(state, mode).normalized()
-            dist_l = outcome_distribution(lost)
-            wrong.append(
-                sum(p for cell, p in dist_l.items() if y_readout(*cell) != y_tag)
-            )
+        for images in lost:
+            dist_l = outcome_distribution(FockState(code.config, images[i]).normalized())
+            wrong.append(sum(p for cell, p in dist_l.items() if y_readout(*cell) != label[1:]))
         report[label] = (outside, wrong[0], wrong[1])
     return report
 
@@ -252,30 +252,23 @@ def zy_expansion_residual(code):
     """
     alpha = code.alpha
     d = code.config.dim_per_mode
-    ps = np.arange((d - 1) // 2 + 1)
-    qs = np.arange(d // 2 + (d % 2))
+    odd = 2 * np.arange(d // 2) + 1  # 2p + 1 < d
+    even = 2 * np.arange((d + 1) // 2)  # 2q < d
     logfact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1.0, d))]))
+    f = np.exp(
+        np.add.outer(odd, even) * np.log(alpha)
+        - alpha**2
+        - 0.5 * np.add.outer(logfact[odd], logfact[even])
+    )
     worst = 0.0
     for label, state in zy_eigenstates(code).items():
-        l = int(label[0])
         sign = -1.0 if label.endswith("+i") else 1.0
+        coeff = ((-1.0) ** (even // 2) + sign * (-1.0) ** (odd // 2)[:, None]) * f  # [p, q]
         pred = np.zeros((d, d), dtype=complex)
-        for p in ps:
-            if 2 * p + 1 >= d:
-                continue
-            for q in qs:
-                if 2 * q >= d:
-                    continue
-                f = np.exp(
-                    (2 * p + 2 * q + 1) * np.log(alpha)
-                    - alpha**2
-                    - 0.5 * (logfact[2 * p + 1] + logfact[2 * q])
-                )
-                coeff = ((-1.0) ** q + sign * (-1.0) ** p) * f
-                if l == 0:
-                    pred[2 * p + 1, 2 * q] = coeff
-                else:
-                    pred[2 * q, 2 * p + 1] = coeff
+        if label[0] == "0":
+            pred[np.ix_(odd, even)] = coeff
+        else:
+            pred[np.ix_(even, odd)] = coeff.T
         actual = state.amplitudes
         scale = np.vdot(pred, actual) / np.vdot(pred, pred)
         worst = max(worst, float(np.max(np.abs(actual - scale * pred))))

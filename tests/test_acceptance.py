@@ -8,7 +8,7 @@ import numpy as np
 
 import fouriercat as fc
 from fouriercat.channels import argmin_record, loglog_slope
-from fouriercat.fock import annihilate, infidelity, FockConfig, FockState
+from fouriercat.fock import annihilation_operator, infidelity, FockConfig, FockState
 from fouriercat.gates import (
     IDENTITY2,
     S2,
@@ -140,7 +140,8 @@ def test_criterion_5_measurement(acceptance_report, star_code):
             sum(p for cell, p in dist.items() if cell not in TABLE_CELLS[label]),
         )
         for mode in (0, 1):
-            lost = annihilate(state, mode).normalized()
+            lower = annihilation_operator(mode, state.config)
+            lost = FockState(state.config, lower(state.amplitudes)).normalized()
             dist_l = outcome_distribution(lost)
             worst_flip = max(
                 worst_flip,

@@ -212,9 +212,20 @@ def test_bad_number_is_config_error(args, config, tmp_path, capsys):
     assert not target.exists()
 
 
+def run_fresh(script):
+    """stdout of ``script`` run in a fresh interpreter with ``src`` on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_runtime_does_not_import_scipy():
     # a fresh interpreter, so no other test's imports leak into sys.modules
-    src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         "import sys, contextlib, io\n"
         "from fouriercat import cli\n"
@@ -222,10 +233,42 @@ def test_runtime_does_not_import_scipy():
         "    codes = [cli.main(['verify']), cli.main(['gates-demo'])]\n"
         "print(codes, sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
     )
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    assert run_fresh(script) == "[0, 0] []"
+
+
+def test_verify_then_gates_demo_lift_hadamard_once():
+    # a fresh interpreter, so the passive-unitary memo starts empty
+    script = (
+        "import contextlib, io\n"
+        "from fouriercat import cli, fock\n"
+        "lift, lifts = fock._sector_unitary, []\n"
+        "fock._sector_unitary = lambda h, config: lifts.append(h) or lift(h, config)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['verify']), cli.main(['gates-demo'])]\n"
+        "print(codes, len(lifts))\n"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[0, 0] []"
+    assert run_fresh(script) == "[0, 0] 1"
+
+
+def outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda cfg: seen.append(cfg) or 0)
+    assert run(["verify", "--cutoff", "20"]) == 0
+    assert run(["verify", "--group", "q8"]) == 0
+    assert [(c["cutoff"], c["group"]) for c in seen] == [(20, "d8"), (25, "q8")]
+    assert cli.build_parser() is cli.build_parser()
+    # help and argparse's exit-2 errors read as from a freshly built parser
+    fresh = cli.build_parser.__wrapped__()
+    for argv in (["--help"], ["verify", "--help"], ["verify", "--cutoff", "x"], ["bogus"]):
+        assert outcome(cli.main, argv, capsys) == outcome(fresh.parse_args, argv, capsys)
+    assert outcome(cli.main, ["verify", "--cutoff", "x"], capsys)[0] == 2
+    monkeypatch.undo()
+    assert run(["verify", "--group", "z4"]) == 2

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
+from fouriercat import fock
 from fouriercat.fock import (
     FockConfig,
     FockState,
-    annihilate,
+    annihilation_operator,
     cat_state,
     coherent_amplitudes,
     coherent_product,
@@ -84,7 +85,7 @@ def test_coherent_is_destroy_eigenstate():
     cfg = FockConfig(1, 40)
     alpha = 1.1
     state = coherent_state(alpha, 40)
-    image = annihilate(state, 0)
+    image = FockState(cfg, annihilation_operator(0, cfg)(state.amplitudes))
     assert infidelity(image.normalized(), state) < 1e-12
     assert abs(image.norm() - abs(alpha)) < 1e-10
     assert cfg.dim == 41
@@ -197,15 +198,69 @@ def test_sector_unitary_matches_dense_reference(u):
 def test_non_monomial_unitary_needs_two_modes():
     u = np.eye(3, dtype=complex)
     u[:2, :2] = HADAMARD
-    with pytest.raises(ValueError, match="two modes"):
-        passive_gaussian_unitary(u, FockConfig(3, 3))
+    for _ in range(2):  # the memo caches no failed lift
+        with pytest.raises(ValueError, match="two modes"):
+            passive_gaussian_unitary(u, FockConfig(3, 3))
     # a monomial one is still lifted on any mode count
     passive_gaussian_unitary(np.roll(np.eye(3), 1, axis=0), FockConfig(3, 3))
 
 
 def test_passive_unitary_rejects_nonunitary():
-    with pytest.raises(ValueError, match="unitary"):
-        passive_gaussian_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]), FockConfig(2, 5))
+    for _ in range(2):  # U is validated on every call, ahead of the memo
+        with pytest.raises(ValueError, match="unitary"):
+            passive_gaussian_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]), FockConfig(2, 5))
+
+
+def test_passive_lift_is_memoized(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+    rng = np.random.default_rng(8)
+    cfg = FockConfig(2, 6)
+    batch = rng.normal(size=(3, 7, 7)) + 1j * rng.normal(size=(3, 7, 7))
+    for u, sectors in ((COMPLEX_U2, 2 * cfg.cutoff + 1), (np.array([[0.0, 1.0], [1j, 0.0]]), 0)):
+        fock._lift.cache_clear()
+        passive_gaussian_unitary(u, cfg)(batch)
+        assert len(calls) == sectors  # one eigh per sector block
+        warm = passive_gaussian_unitary(u, cfg)(batch)
+        assert len(calls) == sectors  # the second lift runs no eigh
+        assert fock._lift.cache_info().hits == 1
+        fock._lift.cache_clear()
+        cold = passive_gaussian_unitary(u, cfg)(batch)
+        assert np.array_equal(cold, warm)
+        calls.clear()
+
+
+def test_passive_lift_memo_misses_on_any_key_change():
+    cfg = FockConfig(2, 7)
+    state = random_state(cfg, 9)
+    nudged = HADAMARD.astype(complex)
+    nudged[0, 1] = np.nextafter(nudged[0, 1].real, 1.0)  # one ulp
+    fock._lift.cache_clear()
+    passive_gaussian_unitary(HADAMARD, cfg)
+    for u, c in ((nudged, cfg), (HADAMARD, FockConfig(2, 6))):
+        misses = fock._lift.cache_info().misses
+        vec = state.amplitudes[: c.dim_per_mode, : c.dim_per_mode].ravel()
+        got = passive_gaussian_unitary(u, c)(vec.reshape((c.dim_per_mode,) * 2)).ravel()
+        assert fock._lift.cache_info().misses == misses + 1
+        assert np.linalg.norm(got - dense_passive_unitary(u, c) @ vec) < 1e-12
+    # the same diagonal phases on a third mode
+    cfg3 = FockConfig(3, 7)
+    passive_gaussian_unitary(np.diag([1j, -1.0]), cfg)
+    misses = fock._lift.cache_info().misses
+    got = passive_gaussian_unitary(np.diag([1j, -1.0, 1.0]), cfg3)(np.ones((8, 8, 8)))
+    assert fock._lift.cache_info().misses == misses + 1
+    n = np.arange(8)
+    assert np.array_equal(got, np.multiply.outer(np.multiply.outer(1j**n, (-1.0) ** n), n**0))
+
+
+def test_passive_lift_memo_stays_bounded():
+    cfg = FockConfig(2, 3)
+    maxsize = fock._lift.cache_info().maxsize
+    for theta in np.linspace(0.1, 1.4, maxsize + 5):
+        c, s = np.cos(theta), np.sin(theta)
+        passive_gaussian_unitary(np.array([[c, -s], [s, c]]), cfg)
+    assert fock._lift.cache_info().currsize <= maxsize
 
 
 def test_number_diagonal_operator_unimodular_check():
@@ -227,14 +282,15 @@ def test_mode_operators_commute_across_modes():
     state = random_state(cfg, 3)
     a = destroy(cfg.cutoff)
     a1_dense, a2_dense = dense_mode_op(a, 0, cfg), dense_mode_op(a, 1, cfg)
-    a1a2 = annihilate(annihilate(state, 1), 0).amplitudes.ravel()
-    a2a1 = annihilate(annihilate(state, 0), 1).amplitudes.ravel()
+    a1, a2 = annihilation_operator(0, cfg), annihilation_operator(1, cfg)
+    a1a2 = a1(a2(state.amplitudes)).ravel()
+    a2a1 = a2(a1(state.amplitudes)).ravel()
     assert np.linalg.norm(a1a2 - a2a1) < 1e-14
     assert np.linalg.norm(a1a2 - a1_dense @ a2_dense @ state.amplitudes.ravel()) < 1e-14
     # a_1 commutes with a mode-2 phase e^{i n2}
     phase2 = number_diagonal_operator(np.exp(1j * np.arange(cfg.dim_per_mode)), cfg)
-    lhs = annihilate(FockState(cfg, phase2(state.amplitudes)), 0).amplitudes
-    rhs = phase2(annihilate(state, 0).amplitudes)
+    lhs = a1(phase2(state.amplitudes))
+    rhs = phase2(a1(state.amplitudes))
     assert np.linalg.norm(lhs - rhs) < 1e-14
 
 
@@ -263,7 +319,8 @@ def test_operator_composition_and_dagger():
     n = np.arange(8.0)
     for mode, counts in ((0, n[:, None]), (1, n[None, :])):
         mean = np.sum(counts * np.abs(state.amplitudes) ** 2)
-        assert abs(annihilate(state, mode).norm() ** 2 - mean) < 1e-14
+        image = annihilation_operator(mode, cfg)(state.amplitudes)
+        assert abs(np.linalg.norm(image) ** 2 - mean) < 1e-14
     # composition applies the right factor first, as the dense product does;
     # the two factors do not commute
     kerr = number_diagonal_operator(1j ** (np.arange(8) ** 2 % 4), cfg)
@@ -285,6 +342,9 @@ def test_operators_map_a_batch_as_each_member():
         (passive_gaussian_unitary(cyclic, cfg3), cfg3, True),
         (number_diagonal_operator(np.exp(0.7j * np.outer(n, n**2)), cfg2), cfg2, True),
         (passive_gaussian_unitary(COMPLEX_U2, cfg2), cfg2, False),
+        (annihilation_operator(0, cfg2), cfg2, True),
+        (annihilation_operator(1, cfg2), cfg2, True),
+        (annihilation_operator(1, cfg3), cfg3, True),
     ]
     for op, cfg, exact in cases:
         shape = (4,) + (cfg.dim_per_mode,) * cfg.modes
@@ -298,3 +358,5 @@ def test_operators_map_a_batch_as_each_member():
             assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(batch))
     with pytest.raises(ValueError):
         FockState(cfg2, np.zeros(cfg2.dim + 1))
+    with pytest.raises(ValueError, match="mode index"):
+        annihilation_operator(2, cfg2)

@@ -5,7 +5,12 @@ import pytest
 from scipy.linalg import expm
 
 import fouriercat as fc
-from fouriercat.fock import annihilate, number_diagonal_operator, passive_gaussian_unitary
+from fouriercat.fock import (
+    FockState,
+    annihilation_operator,
+    number_diagonal_operator,
+    passive_gaussian_unitary,
+)
 from fouriercat.gates import (
     IDENTITY2,
     S2,
@@ -176,7 +181,8 @@ def test_y_readout_covers_all_outcomes():
 def test_readout_survives_single_loss(star_code):
     for label, state in fc.zy_eigenstates(star_code).items():
         for mode in (0, 1):
-            lost = annihilate(state, mode).normalized()
+            lower = annihilation_operator(mode, state.config)
+            lost = FockState(state.config, lower(state.amplitudes)).normalized()
             dist = outcome_distribution(lost)
             wrong = sum(
                 p for cell, p in dist.items() if fc.y_readout(*cell) != label[1:]
@@ -184,8 +190,40 @@ def test_readout_survives_single_loss(star_code):
             assert wrong < 1e-12
 
 
-def test_zy_expansion_closed_form(star_code):
+def zy_expansion_loop_reference(code):
+    """The scalar double loop ``zy_expansion_residual`` replaced."""
+    alpha = code.alpha
+    d = code.config.dim_per_mode
+    logfact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1.0, d))]))
+    worst = 0.0
+    for label, state in fc.zy_eigenstates(code).items():
+        sign = -1.0 if label.endswith("+i") else 1.0
+        pred = np.zeros((d, d), dtype=complex)
+        for p in range((d - 1) // 2 + 1):
+            for q in range(d // 2 + (d % 2)):
+                if 2 * p + 1 >= d or 2 * q >= d:
+                    continue
+                f = np.exp(
+                    (2 * p + 2 * q + 1) * np.log(alpha)
+                    - alpha**2
+                    - 0.5 * (logfact[2 * p + 1] + logfact[2 * q])
+                )
+                coeff = ((-1.0) ** q + sign * (-1.0) ** p) * f
+                if label[0] == "0":
+                    pred[2 * p + 1, 2 * q] = coeff
+                else:
+                    pred[2 * q, 2 * p + 1] = coeff
+        scale = np.vdot(pred, state.amplitudes) / np.vdot(pred, pred)
+        worst = max(worst, float(np.max(np.abs(state.amplitudes - scale * pred))))
+    return worst
+
+
+def test_zy_expansion_closed_form(star_code, d8, d8_fourier):
     assert zy_expansion_residual(star_code) < 1e-9
+    # odd and even d, at and away from the special point
+    generic = fc.code_basis(fc.make_constellation(d8, 1.1, 1.0, cutoff=20), d8_fourier)
+    for code in (star_code, generic):
+        assert abs(zy_expansion_residual(code) - zy_expansion_loop_reference(code)) < 1e-15
 
 
 def test_cutoff_60_checks_stay_small(d8, d8_fourier):
