@@ -101,23 +101,18 @@ def cz_gate_check(code):
     ever materialized.
     """
     d = code.config.dim_per_mode
-    basis = code.amplitudes
     parity = (-1.0) ** np.outer(np.arange(d), np.arange(d))  # (n2, n4)
-    # C[i', i, n2] = sum_n1 conj(b_i'[n1,n2]) b_i[n1,n2]
-    c = np.einsum("iab,jab->ijb", basis.conj(), basis)
-    # row (i1', i2'), column (i1, i2)
-    return np.einsum("ija,ab,klb->ikjl", c, parity, c).reshape(16, 16)
+    # C[i', i, n2] = sum_n1 conj(b_i'[n1,n2]) b_i[n1,n2], rows (i', i)
+    c = np.einsum("iab,jab->ijb", code.amplitudes.conj(), code.amplitudes).reshape(16, d)
+    # (i1', i1, i2', i2) -> row (i1', i2'), column (i1, i2)
+    pairs = ((c @ parity) @ c.T).reshape(4, 4, 4, 4)
+    return pairs.transpose(0, 2, 1, 3).reshape(16, 16)
 
 
 def cz_target():
-    out = np.zeros((16, 16), dtype=complex)
-    for l1 in (0, 1):
-        for m1 in (0, 1):
-            for l2 in (0, 1):
-                for m2 in (0, 1):
-                    i = (2 * l1 + m1) * 4 + (2 * l2 + m2)
-                    out[i, i] = (-1.0) ** (l1 * l2)
-    return out
+    """diag((-1)^{l1 l2}) over the basis (l1, m1, l2, m2), row-major."""
+    logical = np.arange(4) // 2  # l of basis state 2 l + m
+    return np.diag((-1.0 + 0j) ** np.outer(logical, logical).ravel())
 
 
 def _encoded_residual(op, code, target, u):
@@ -201,15 +196,22 @@ def zy_eigenstates(code):
     return out
 
 
+def _mod4_masses(prob):
+    """(..., 4, 4) masses on the (n1 mod 4, n2 mod 4) residues of a (..., d, d) stack."""
+    d = prob.shape[-1]
+    q = -(-d // 4)
+    padded = np.zeros(prob.shape[:-2] + (4 * q, 4 * q))
+    padded[..., :d, :d] = prob  # zero-padded, so each residue gets its own axis
+    return padded.reshape(prob.shape[:-2] + (q, 4, q, 4)).sum(axis=(-4, -2))
+
+
 def outcome_distribution(state):
     """Probability of each of the 16 (n1 mod 4, n2 mod 4) outcomes for a state.
 
     Every residue pair is reported, including those outside ``TABLE_CELLS``.
     """
-    prob = np.abs(state.amplitudes) ** 2
-    return {
-        (r1, r2): float(np.sum(prob[r1::4, r2::4])) for r1 in range(4) for r2 in range(4)
-    }
+    masses = _mod4_masses(np.abs(state.amplitudes) ** 2)
+    return {(r1, r2): float(masses[r1, r2]) for r1 in range(4) for r2 in range(4)}
 
 
 def y_readout(r1, r2):
@@ -222,6 +224,14 @@ def y_readout(r1, r2):
     return "-i" if (r1 + r2) % 4 < 2 else "+i"
 
 
+# TABLE_CELLS as (r1, r2) masks, and the Y_M label y_readout gives each cell
+_CELLS = {
+    label: np.isin(np.arange(16).reshape(4, 4), [4 * r1 + r2 for r1, r2 in cells])
+    for label, cells in TABLE_CELLS.items()
+}
+_READOUT = np.vectorize(y_readout)(*np.indices((4, 4)))
+
+
 def mod4_verification(code):
     """Outcome-mass report for each eigenstate, before and after one loss.
 
@@ -231,15 +241,13 @@ def mod4_verification(code):
     states = zy_eigenstates(code)
     stack = np.array([state.amplitudes for state in states.values()])
     lost = [annihilation_operator(mode, code.config)(stack) for mode in (0, 1)]
+    masses = _mod4_masses(np.abs([stack] + lost) ** 2)  # (before/a_1/a_2, state, r1, r2)
+    masses[1:] /= masses[1:].sum(axis=(-2, -1), keepdims=True)  # the lost states, normalized
     report = {}
-    for i, (label, state) in enumerate(states.items()):
-        dist = outcome_distribution(state)
-        outside = sum(p for cell, p in dist.items() if cell not in TABLE_CELLS[label])
-        wrong = []
-        for images in lost:
-            dist_l = outcome_distribution(FockState(code.config, images[i]).normalized())
-            wrong.append(sum(p for cell, p in dist_l.items() if y_readout(*cell) != label[1:]))
-        report[label] = (outside, wrong[0], wrong[1])
+    for i, label in enumerate(states):
+        outside = masses[0, i][~_CELLS[label]].sum()
+        wrong = masses[1:, i][:, _READOUT != label[1:]].sum(axis=-1)
+        report[label] = (float(outside), float(wrong[0]), float(wrong[1]))
     return report
 
 

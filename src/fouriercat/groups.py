@@ -292,36 +292,23 @@ def verify_block_diagonalization(fourier, group, irreps):
     F R(g) F^dag the direct sum of I x conj(rho(g)).  The conjugate on the
     right-hand blocks is forced by the inverse in the right action; for
     groups whose irrep matrices are real (such as <X, Z>) it is invisible.
+    Column h of L(g) is |gh> and of R(g) is |h g^-1>, so F L(g) is F with its
+    columns picked by the Cayley table, and all g are checked in one product.
     """
-    ordered = fourier.irreps
     f = fourier.matrix
-    worst = 0.0
-    for g in range(group.order):
-        left = f @ regular_representation(group, g, "left") @ f.conj().T
-        right = f @ regular_representation(group, g, "right") @ f.conj().T
-        lblocks = []
-        rblocks = []
-        for irrep in ordered:
-            rho = irrep.matrices[g]
-            lblocks.append(np.kron(rho, np.eye(irrep.dim)))
-            rblocks.append(np.kron(np.eye(irrep.dim), rho.conj()))
-        worst = max(
-            worst,
-            np.linalg.norm(left - _block_diag(lblocks)),
-            np.linalg.norm(right - _block_diag(rblocks)),
-        )
-    return worst
-
-
-def _block_diag(blocks):
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=complex)
+    n = group.order
+    images = np.stack([group.cayley, group.cayley[:, group.inverse].T])  # (side, g, h)
+    got = f[:, images].transpose(1, 2, 0, 3) @ f.conj().T
+    want = np.zeros((2, n, n, n), dtype=complex)
     k = 0
-    for b in blocks:
-        d = b.shape[0]
-        out[k : k + d, k : k + d] = b
-        k += d
-    return out
+    for irrep in fourier.irreps:
+        rho, eye, m = irrep.matrices, np.eye(irrep.dim), irrep.dim**2
+        # kron(rho(g), I) and kron(I, conj(rho(g))) for every g at once
+        left = np.einsum("gab,cd->gacbd", rho, eye)
+        right = np.einsum("ab,gcd->gacbd", eye, rho.conj())
+        want[:, :, k : k + m, k : k + m] = np.reshape([left, right], (2, n, m, m))
+        k += m
+    return float(np.max(np.linalg.norm(got - want, axis=(2, 3))))
 
 
 def normalizer_membership(group, u, tol=MATCH_TOL):

@@ -187,12 +187,41 @@ COMPLEX_U2 = np.exp(0.2j) * np.array(
     ],
 )
 def test_sector_unitary_matches_dense_reference(u):
-    # a random state fills every sector, the corners N > cutoff included
+    # a random state fills every sector, the corners N > cutoff included;
+    # cutoffs 1-3 are the edge cases of the packed rows (one or two sectors
+    # of length 1 and 0)
+    for cutoff in (1, 2, 3, 7):
+        cfg = FockConfig(2, cutoff)
+        state = random_state(cfg, 5)
+        got = passive_gaussian_unitary(u, cfg)(state.amplitudes).ravel()
+        want = dense_passive_unitary(u, cfg) @ state.amplitudes.ravel()
+        assert np.linalg.norm(got - want) < 1e-12
+
+
+def test_sector_unitary_keeps_a_corner_sector_exactly():
+    # all amplitude in N = cutoff + 2, which shares its packed row with N = 1
     cfg = FockConfig(2, 7)
-    state = random_state(cfg, 5)
-    got = passive_gaussian_unitary(u, cfg)(state.amplitudes).ravel()
-    want = dense_passive_unitary(u, cfg) @ state.amplitudes.ravel()
-    assert np.linalg.norm(got - want) < 1e-12
+    n = np.add.outer(np.arange(8), np.arange(8))
+    rng = np.random.default_rng(11)
+    amps = np.where(n == cfg.cutoff + 2, rng.normal(size=(8, 8)) + 1j, 0.0)
+    got = passive_gaussian_unitary(COMPLEX_U2, cfg)(amps)
+    assert np.count_nonzero(got[n != cfg.cutoff + 2]) == 0
+    assert abs(np.linalg.norm(got) - np.linalg.norm(amps)) < 1e-13
+    want = dense_passive_unitary(COMPLEX_U2, cfg) @ amps.ravel()
+    assert np.linalg.norm(got.ravel() - want) < 1e-12
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["single", "stack", "grid"])
+def test_sector_unitary_maps_any_leading_batch(lead):
+    cfg = FockConfig(2, 5)
+    rng = np.random.default_rng(12)
+    shape = lead + (6, 6)
+    batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = passive_gaussian_unitary(HADAMARD, cfg)(batch)
+    assert got.shape == shape
+    dense = dense_passive_unitary(HADAMARD, cfg)
+    want = (batch.reshape(-1, 36) @ dense.T).reshape(shape)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_non_monomial_unitary_needs_two_modes():
@@ -214,16 +243,16 @@ def test_passive_unitary_rejects_nonunitary():
 def test_passive_lift_is_memoized(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     rng = np.random.default_rng(8)
     cfg = FockConfig(2, 6)
     batch = rng.normal(size=(3, 7, 7)) + 1j * rng.normal(size=(3, 7, 7))
-    for u, sectors in ((COMPLEX_U2, 2 * cfg.cutoff + 1), (np.array([[0.0, 1.0], [1j, 0.0]]), 0)):
+    for u, solves in ((COMPLEX_U2, [(7, 7, 7)]), (np.array([[0.0, 1.0], [1j, 0.0]]), [])):
         fock._lift.cache_clear()
         passive_gaussian_unitary(u, cfg)(batch)
-        assert len(calls) == sectors  # one eigh per sector block
+        assert calls == solves  # all sectors in one batched eigh, packed (d, d, d)
         warm = passive_gaussian_unitary(u, cfg)(batch)
-        assert len(calls) == sectors  # the second lift runs no eigh
+        assert calls == solves  # the second lift runs no eigh
         assert fock._lift.cache_info().hits == 1
         fock._lift.cache_clear()
         cold = passive_gaussian_unitary(u, cfg)(batch)

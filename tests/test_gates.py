@@ -18,6 +18,7 @@ from fouriercat.gates import (
     TABLE_CELLS,
     X2,
     Z2,
+    _mod4_masses,
     composite_hadamard_check,
     deformation_residual,
     double_deformation_residual,
@@ -188,6 +189,18 @@ def test_readout_survives_single_loss(star_code):
                 p for cell, p in dist.items() if fc.y_readout(*cell) != label[1:]
             )
             assert wrong < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [7, 8, 9, 10], ids=lambda c: f"d-mod-4-{(c + 1) % 4}")
+def test_mod4_masses_match_strided_sums(cutoff):
+    d = cutoff + 1
+    prob = np.random.default_rng(cutoff).random((2, 3, d, d))
+    got = _mod4_masses(prob)
+    assert got.shape == (2, 3, 4, 4)
+    for r1 in range(4):
+        for r2 in range(4):
+            want = prob[..., r1::4, r2::4].sum(axis=(-2, -1))
+            assert np.max(np.abs(got[..., r1, r2] - want)) < 1e-14
 
 
 def zy_expansion_loop_reference(code):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import fouriercat as fc
 from fouriercat.groups import (
@@ -8,6 +9,7 @@ from fouriercat.groups import (
     PAULI_Z,
     PHASE_S,
     PHASE_T,
+    GroupFourierTransform,
 )
 
 
@@ -128,6 +130,38 @@ def test_block_diagonalization(maker):
     irreps = fc.irrep_table(group)
     fourier = fc.build_fourier_transform(group, irreps)
     assert fc.verify_block_diagonalization(fourier, group, irreps) < 1e-12
+
+
+def block_diagonalization_loop_reference(fourier, group):
+    """The per-element loop ``verify_block_diagonalization`` replaced."""
+    f = fourier.matrix
+    worst = 0.0
+    for g in range(group.order):
+        left = f @ fc.regular_representation(group, g, "left") @ f.conj().T
+        right = f @ fc.regular_representation(group, g, "right") @ f.conj().T
+        lblocks = [np.kron(r.matrices[g], np.eye(r.dim)) for r in fourier.irreps]
+        rblocks = [np.kron(np.eye(r.dim), r.matrices[g].conj()) for r in fourier.irreps]
+        worst = max(
+            worst,
+            np.linalg.norm(left - block_diag(*lblocks)),
+            np.linalg.norm(right - block_diag(*rblocks)),
+        )
+    return worst
+
+
+@pytest.mark.parametrize("maker", [fc.pauli_group, fc.quaternion_group])
+def test_block_diagonalization_matches_loop_reference(maker):
+    group = maker()
+    irreps = fc.irrep_table(group)
+    fourier = fc.build_fourier_transform(group, irreps)
+    got = fc.verify_block_diagonalization(fourier, group, irreps)
+    assert abs(got - block_diagonalization_loop_reference(fourier, group)) < 1e-15
+    # two swapped rows mislabel two irrep components, which breaks the blocks
+    swapped = fourier.matrix[[1, 0] + list(range(2, group.order))]
+    broken = GroupFourierTransform(swapped, fourier.row_index, fourier.irreps)
+    got = fc.verify_block_diagonalization(broken, group, irreps)
+    assert got > 1e-1
+    assert abs(got - block_diagonalization_loop_reference(broken, group)) < 1e-15 * got
 
 
 def test_regular_representation_permutes(d8):
