@@ -20,7 +20,6 @@ from .fock import (
     annihilation_operator,
     coherent_amplitudes,
     hermitian_inv_sqrt,
-    overlap_matrix,
 )
 from .groups import HADAMARD
 
@@ -63,6 +62,7 @@ def qec_matrix_analytic(group, fourier, alpha, gamma, floor=1e-12, phi=np.pi / 2
 
     M[kp, lq] = sum_{g,h} [F G^-1/2]_{k0,g} [G^-1/2 F^dag]_{h,l0}
                 [G_r^1/2]_{gp} [G_r^1/2]_{qh} [G_t]_{gh}.
+    As G_r^1/2 is Hermitian, M = U G_t U^dag, U[kp, g] = [F G^-1/2]_{k0,g} [G_r^1/2]_{gp}.
     """
     lam = lambda_matrix(group, phi)
     gram, gram_t, gram_r = loss_gram_matrices(lam, alpha, gamma)
@@ -71,9 +71,8 @@ def qec_matrix_analytic(group, fourier, alpha, gamma, floor=1e-12, phi=np.pi / 2
     label = fourier.defining_label
     rows = [fourier.row(label, k, 0) for k in (0, 1)]
     a = (fourier.matrix @ inv_sqrt)[rows]  # a[k, g]
-    m = np.einsum("kg,lh,gp,qh,gh->kplq", a, a.conj(), sr, sr, gram_t, optimize=True)
-    n = group.order
-    entries = m.reshape(2 * n, 2 * n)
+    u = (a[:, None, :] * sr.T).reshape(2 * group.order, group.order)
+    entries = u @ gram_t @ u.conj().T
     entries = (entries + entries.conj().T) / 2
     return QecMatrix(entries=entries)
 
@@ -87,11 +86,12 @@ def petz_entanglement_fidelity(qec):
     square roots (~1e-8 for a 1e-16 eigenvalue) would enter the fidelity.
     """
     m = qec.entries
-    if np.linalg.norm(m - m.conj().T) > 1e-8:
+    mh = m.conj().T
+    if np.linalg.norm(m - mh) > 1e-8:
         raise ValueError("QEC matrix is not Hermitian")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    wmax = float(np.max(w))
-    if wmax > 0 and float(np.min(w)) < -1e-8 * wmax:
+    w, v = np.linalg.eigh((m + mh) / 2)  # w ascending
+    wmax = float(w[-1])
+    if wmax > 0 and w[0] < -1e-8 * wmax:
         raise ValueError("QEC matrix is not positive semidefinite")
     w = np.where(w > 1e-13 * max(wmax, 0.0), w, 0.0)
     sqrt_m = (v * np.sqrt(w)) @ v.conj().T
@@ -135,16 +135,19 @@ def qec_matrix_fock(code, gamma, env_floor=1e-15):
     is a product e_q1 (x) e_q2 of normalized single-mode coherent states, so
     projecting both mixed modes onto it factorizes per mode:
     <e_q1, e_q2|(BS (x) BS)|psi, 0, 0> = Y_q1 psi Y_q2^T with
-    Y_qm[P, a] = conj(e_qm[a - P]) B[P, a - P] for a >= P, two d x d matmuls
-    per point.  The orthonormalizing mix over q comes last.  Near gamma = 0
-    the reflected family is rank-deficient, so that mix is a pseudo-inverse
-    with a relative eigenvalue floor.  Dropping an eigenvalue lambda loses
-    entries of order sqrt(lambda), keeping it amplifies roundoff by
-    1 / sqrt(lambda), so the floor sits a few machine epsilons above zero.
-    ``extras`` holds the Kraus images (basis state, environment label, n1,
-    n2), their completeness on the code subspace, how many environment
-    eigenvalues the pseudo-inverse kept (``env_rank``, of the group order)
-    and its roundoff gain ||G^-1/2||_2 (``env_gain``).
+    Y_qm[P, a] = conj(e_qm[a - P]) B[P, a - P] for a >= P: one GEMM of all
+    basis states against every Y_q2, then per state a |G|-batched one.  The
+    orthonormalizing mix over q comes last.  Near gamma = 0 the reflected
+    family is rank-deficient, so that mix is a pseudo-inverse with a relative
+    eigenvalue floor.  Dropping an eigenvalue lambda loses entries of order
+    sqrt(lambda), keeping it amplifies roundoff by 1 / sqrt(lambda), so the
+    floor sits a few machine epsilons above zero.  Of the Kraus images' Gram
+    matrix only the logical pair's block (M) and the 4 x 4 blocks summed over
+    environment labels (completeness) are formed.  ``extras`` holds the Kraus
+    images (basis state, environment label, n1, n2), their completeness on
+    the code subspace, how many environment eigenvalues the pseudo-inverse
+    kept (``env_rank``, of the group order) and its roundoff gain
+    ||G^-1/2||_2 (``env_gain``).
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
@@ -157,30 +160,33 @@ def qec_matrix_fock(code, gamma, env_floor=1e-15):
     env = coherent_amplitudes(code.constellation.points * np.sqrt(gamma), config.cutoff)
     env /= np.linalg.norm(env, axis=-1, keepdims=True)
     env_gram = np.prod(np.einsum("qma,rma->mqr", env.conj(), env), axis=0)
-    roots = hermitian_inv_sqrt(
-        (env_gram + env_gram.conj().T) / 2, floor=env_floor, pseudo=True
-    )
+    roots = hermitian_inv_sqrt(env_gram, floor=env_floor, pseudo=True)
 
-    y = env.conj()[..., shift] * b_shift  # y[q, m, P, a]
-    raw = y[None, :, 0] @ code.amplitudes[:, None] @ y[None, :, 1].swapaxes(-1, -2)
-    # kraus[i, r] = sum_q conj(inv_sqrt[q, r]) raw[i, q], one matmul per basis state
-    kraus_images = (roots.inv_sqrt.conj().T @ raw.reshape(4, n, d * d)).reshape(4, n, d, d)
-    images = kraus_images.reshape(4 * n, d, d)
-    overlaps = overlap_matrix(images, images).reshape(4, n, 4, n)
-    completeness = np.einsum("ipjp->ij", overlaps)
+    y1, y2 = (np.take(e, shift, axis=-1) * b_shift for e in env.conj().transpose(1, 0, 2))
+    right = code.amplitudes.reshape(4 * d, d) @ y2.reshape(n * d, d).T  # [(i, a), (q, c)]
+    # Per state i, buf holds raw[q] = Y_q1 psi_i Y_q2^T, and the images sum_q conj(inv_sqrt[q, r])
+    # raw[q] overwrite i's rows of right: a working set this small keeps BLAS in cache.
+    kraus, buf = right.reshape(4, n, d * d), np.empty((n, d * d), dtype=complex)
+    for i in range(4):
+        np.matmul(y1, right.reshape(4, d, n, d)[i].swapaxes(0, 1), out=buf.reshape(n, d, d))
+        np.matmul(roots.inv_sqrt.conj().T, buf, out=kraus[i])
+    completeness = np.empty((4, 4), dtype=complex)
+    m = np.empty((2, 2, n, n), dtype=complex)  # m[k, l, p, q] on the |k, 0> logical pair
+    for i in range(4):
+        bra = np.conj(kraus[i], out=buf)
+        completeness[i] = bra.reshape(-1) @ kraus.reshape(4, -1).T
+        if i % 2 == 0:  # basis state 2k + 0
+            m[i // 2] = bra @ kraus[0::2].swapaxes(-1, -2)
     completeness_residual = float(np.linalg.norm(completeness - np.eye(4)))
-
-    # Restrict to the |k, 0> logical pair (basis index 2k + 0).
-    idx = [0, 2]
-    m = overlaps[np.ix_(idx, range(n), idx, range(n))].reshape(2 * n, 2 * n)
+    m = m.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
     m = (m + m.conj().T) / 2
     return QecMatrix(
         entries=m,
         extras={
             "completeness_residual": completeness_residual,
-            "kraus_images": kraus_images,
+            "kraus_images": kraus.reshape(4, n, d, d),
             "env_rank": roots.rank,
-            "env_gain": float(np.linalg.norm(roots.inv_sqrt, 2)),
+            "env_gain": roots.gain,
         },
     )
 

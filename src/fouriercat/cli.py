@@ -55,6 +55,7 @@ from .groups import (
 )
 
 ALPHA_STAR = math.sqrt(math.pi / 2)
+MAX_GRID_POINTS = 10**6
 
 DEFAULTS = {
     "group": "d8",
@@ -133,7 +134,10 @@ def parse_linear_grid(spec):
         raise ConfigError("grid values must be finite")
     if step <= 0 or stop < start:
         raise ConfigError("grid requires stop >= start and step > 0")
-    return np.linspace(start, stop, int(round((stop - start) / step)) + 1)
+    steps = (stop - start) / step  # inf when step is tiny against the span
+    if not steps < MAX_GRID_POINTS:
+        raise ConfigError(f"grid has over {MAX_GRID_POINTS} points")
+    return np.linspace(start, stop, int(round(steps)) + 1)
 
 
 def parse_log_grid(spec):
@@ -148,6 +152,8 @@ def parse_log_grid(spec):
         raise ConfigError("grid values must be finite")
     if start <= 0 or stop < start or count < 1:
         raise ConfigError("log grid requires 0 < start <= stop and count >= 1")
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"grid has over {MAX_GRID_POINTS} points")
     return np.logspace(math.log10(start), math.log10(stop), count)
 
 
@@ -409,21 +415,25 @@ def build_parser():
         description="Two-mode Fourier cat code verification and sweeps",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "sweep-alpha", "sweep-gamma", "gates-demo"):
-        p = sub.add_parser(name)
-        p.add_argument("--group", help="d8 or q8")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--phi", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--cutoff", type=int)
-        p.add_argument(
-            "--grid",
-            help="start:stop:step (sweep-alpha) or start:stop:count log-spaced "
-            "(sweep-gamma)",
-        )
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--out")
-        p.add_argument("--config", help="JSON config file; flags override it")
+    # Each subcommand takes only the options its handler reads; others exit 2.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--group", help="d8 or q8")
+    shared.add_argument("--phi", type=float)
+    shared.add_argument("--config", help="JSON config file; flags override it")
+    code = argparse.ArgumentParser(add_help=False, parents=[shared])
+    code.add_argument("--alpha", type=float)
+    code.add_argument("--cutoff", type=int)
+    sweep = argparse.ArgumentParser(add_help=False, parents=[shared])
+    sweep.add_argument("--format", choices=("csv", "json"))
+    sweep.add_argument("--out")
+    sub.add_parser("verify", parents=[code])
+    alpha = sub.add_parser("sweep-alpha", parents=[sweep])
+    alpha.add_argument("--gamma", type=float)
+    alpha.add_argument("--grid", help="start:stop:step, both ends included")
+    gamma = sub.add_parser("sweep-gamma", parents=[sweep])
+    gamma.add_argument("--alpha", type=float)
+    gamma.add_argument("--grid", help="start:stop:count, log-spaced, both ends included")
+    sub.add_parser("gates-demo", parents=[code])
     return parser
 
 

@@ -265,6 +265,7 @@ class MatrixRoots(NamedTuple):
     inv_sqrt: np.ndarray
     sqrt: np.ndarray
     rank: int  # eigenvalues kept by the inverse square root
+    gain: float  # ||A^(-1/2)||_2, from the smallest kept eigenvalue
 
 
 def hermitian_inv_sqrt(a, floor=1e-12, pseudo=False):
@@ -273,20 +274,20 @@ def hermitian_inv_sqrt(a, floor=1e-12, pseudo=False):
     Eigenvalues below ``floor`` times the largest one are rejected unless
     ``pseudo`` is set, in which case they are dropped (pseudo-inverse) —
     used for rank-deficient Gram matrices of nearly coincident states.
-    Returns both A^(-1/2) and A^(1/2), and how many eigenvalues were kept.
+    Returns A^(-1/2), A^(1/2), how many eigenvalues were kept and ||A^(-1/2)||_2.
     """
     a = np.asarray(a, dtype=complex)
-    if np.linalg.norm(a - a.conj().T) > 1e-10:
+    ah = a.conj().T
+    if np.linalg.norm(a - ah) > 1e-10:
         raise ValueError("matrix is not Hermitian")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    wmax = float(np.max(w))
-    if wmax <= 0:
+    w, v = np.linalg.eigh((a + ah) / 2)  # w ascending, so the kept ones are a suffix
+    if not w[-1] > 0:
         raise ValueError("Gram matrix numerically singular")
-    keep = w > floor * wmax
-    if not pseudo and not np.all(keep):
+    first = len(w) - int(np.count_nonzero(w > floor * w[-1]))  # smallest kept one
+    if first and not pseudo:
         raise ValueError("Gram matrix numerically singular")
-    inv_w = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    sqrt_w = np.sqrt(np.clip(w, 0.0, None))
+    inv_w = np.zeros_like(w)
+    inv_w[first:] = 1.0 / np.sqrt(w[first:])
     inv_sqrt = (v * inv_w) @ v.conj().T
-    sqrt = (v * sqrt_w) @ v.conj().T
-    return MatrixRoots(inv_sqrt=inv_sqrt, sqrt=sqrt, rank=int(np.count_nonzero(keep)))
+    sqrt = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    return MatrixRoots(inv_sqrt, sqrt, rank=len(w) - first, gain=float(inv_w[first]))

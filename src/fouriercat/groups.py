@@ -102,41 +102,41 @@ def generate_group(generators, max_order=64):
     """Close a set of 2x2 unitaries into a finite group by breadth-first search.
 
     The identity always gets index 0; new elements are appended in the order
-    they are first reached, which makes the labeling reproducible.
+    they are first reached, which makes the labeling reproducible.  Each level
+    is one batched matmul; a product is new if its first match within
+    ``MATCH_TOL``, known or from this level, is itself.
 
     Raises:
         ValueError: if a generator is not unitary, or the closure exceeds
             ``max_order`` ("group too large or not finite").
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
-    for g in gens:
-        if not _is_unitary(g):
-            raise ValueError("generator is not unitary")
+    if not all(_is_unitary(g) for g in gens):
+        raise ValueError("generator is not unitary")
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
 
-    mats = [np.eye(2, dtype=complex)]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for g in gens:
-                prod = mats[i] @ g
-                if not any(np.linalg.norm(prod - m) <= MATCH_TOL for m in mats):
-                    if len(mats) >= max_order:
-                        raise ValueError("group too large or not finite")
-                    mats.append(prod)
-                    nxt.append(len(mats) - 1)
-        frontier = nxt
-
-    mats = np.array(mats)
-    cayley = np.empty((len(mats), len(mats)), dtype=int)
-    for i, a in enumerate(mats):
-        # one row at a time: the comparison holds |G|^2 norms, not |G|^3
-        match = np.linalg.norm((a @ mats)[:, None] - mats, axis=(2, 3)) <= MATCH_TOL
-        if not np.all(match.any(axis=1)):
+    gens = np.reshape(gens, (-1, 2, 2))
+    mats = np.eye(2, dtype=complex)[None]
+    frontier = mats
+    while len(frontier) and len(gens):
+        prods = (frontier[:, None] @ gens).reshape(-1, 2, 2)
+        pool = np.concatenate([mats, prods])
+        match = np.linalg.norm(prods[:, None] - pool, axis=(2, 3)) <= MATCH_TOL
+        frontier = prods[np.argmax(match, axis=1) == len(mats) + np.arange(len(prods))]
+        if len(mats) + len(frontier) > max_order:
             raise ValueError("group too large or not finite")
-        cayley[i] = np.argmax(match, axis=1)  # the first matching element
+        mats = np.concatenate([mats, frontier])
+
+    n = len(mats)
+    cayley = np.empty((n, n), dtype=int)
+    rows = max(1, 64 // n)  # at most max(|G|, 64) |G| 2x2 differences at once
+    for i in range(0, n, rows):
+        prods = mats[i : i + rows, None] @ mats  # rows i.. of the product table
+        match = np.linalg.norm(prods[:, :, None] - mats, axis=(3, 4)) <= MATCH_TOL
+        if not np.all(match.any(axis=2)):
+            raise ValueError("group too large or not finite")
+        cayley[i : i + rows] = np.argmax(match, axis=2)  # the first matching element
     inverse = np.argmax(cayley == 0, axis=1)
     return FiniteMatrixGroup(_matrices=mats, cayley=cayley, inverse=inverse)
 
@@ -166,26 +166,15 @@ def _element_order(group, i):
 
 
 def _pauli_like_exponents(m):
-    """Write a 2x2 unitary as phase * X^a Z^b and return (a, b), or None."""
-    if abs(m[0, 1]) > 0.5:  # off-diagonal: involves X
-        a = 1
-        if abs(m[0, 1] - m[1, 0]) <= 1e-6:
-            b = 0
-        elif abs(m[0, 1] + m[1, 0]) <= 1e-6:
-            b = 1
-        else:
-            return None
-        if abs(m[0, 0]) > 1e-6 or abs(m[1, 1]) > 1e-6:
-            return None
-    else:
-        a = 0
-        if abs(m[0, 0] - m[1, 1]) <= 1e-6:
-            b = 0
-        elif abs(m[0, 0] + m[1, 1]) <= 1e-6:
-            b = 1
-        else:
-            return None
-    return a, b
+    """Exponents (a, b) with m[g] = phase * X^a Z^b for every g, shape (|G|, 2), or None."""
+    a = np.abs(m[:, 0, 1]) > 0.5  # off-diagonal: involves X
+    p = np.where(a, m[:, 0, 1], m[:, 0, 0])  # the two entries that carry the phase
+    q = np.where(a, m[:, 1, 0], m[:, 1, 1])
+    same, flipped = np.abs(p - q) <= 1e-6, np.abs(p + q) <= 1e-6
+    stray = np.where(a, np.maximum(np.abs(m[:, 0, 0]), np.abs(m[:, 1, 1])), 0.0)
+    if not np.all((same | flipped) & (stray <= 1e-6)):
+        return None
+    return np.stack([a, ~same], axis=1).astype(int)
 
 
 def irrep_table(group):
@@ -201,10 +190,7 @@ def irrep_table(group):
     irreps = []
     if group.is_abelian():
         # Find a generator of the full cyclic group.
-        gen = next(
-            (i for i in range(n) if _element_order(group, i) == n),
-            None,
-        )
+        gen = next((i for i in range(n) if _element_order(group, i) == n), None)
         if gen is None:
             raise ValueError("irrep table not available")
         power = np.zeros(n, dtype=int)
@@ -217,31 +203,34 @@ def irrep_table(group):
             mats = (w ** (k * power))[:, None, None]
             irreps.append(Irrep(label=f"chi{k}", dim=1, matrices=mats))
     elif n == 8:
-        exps = [_pauli_like_exponents(m) for m in group.matrices()]
-        if any(e is None for e in exps):
+        exps = _pauli_like_exponents(group.matrices())
+        if exps is None:
             raise ValueError("irrep table not available")
-        for s in (0, 1):
-            for t in (0, 1):
-                mats = (-1.0 + 0j) ** (np.array(exps) @ [s, t])[:, None, None]
-                irreps.append(Irrep(label=f"chi{s}{t}", dim=1, matrices=mats))
+        signs = (-1.0 + 0j) ** (exps @ [[0, 0, 1, 1], [0, 1, 0, 1]])  # column 2s + t: chi_st
+        for k, label in enumerate(("chi00", "chi01", "chi10", "chi11")):
+            irreps.append(Irrep(label=label, dim=1, matrices=signs[:, k, None, None]))
         irreps.append(Irrep(label="lambda", dim=2, matrices=group.matrices()))
     else:
         raise ValueError("irrep table not available")
 
-    for irrep in irreps:
-        _validate_irrep(group, irrep)
+    for dim in {r.dim for r in irreps}:  # all irreps of one dimension in one pass
+        stack = np.array([r.matrices for r in irreps if r.dim == dim])
+        _validate_irrep(group, Irrep(label=f"dim {dim}", dim=dim, matrices=stack))
     if sum(r.dim**2 for r in irreps) != n:
         raise ValueError("irrep table not available")
     return irreps
 
 
 def _validate_irrep(group, irrep, tol=1e-10):
+    """Raise unless ``irrep.matrices``, (|G|, dim, dim) or a stack of such, are irreps."""
     mats = irrep.matrices
-    gram = mats.conj().swapaxes(1, 2) @ mats
-    unitarity = np.linalg.norm(gram - np.eye(irrep.dim), axis=(1, 2))
-    homomorphism = np.linalg.norm(mats[:, None] @ mats - mats[group.cayley], axis=(2, 3))
-    char_sum = np.sum(np.abs(np.trace(mats, axis1=1, axis2=2)) ** 2)
-    if max(unitarity.max(), homomorphism.max()) > tol or abs(char_sum - group.order) > 1e-8:
+    gram = mats.conj().swapaxes(-1, -2) @ mats
+    unitarity = np.linalg.norm(gram - np.eye(irrep.dim), axis=(-2, -1))
+    products = mats[..., :, None, :, :] @ mats[..., None, :, :, :]  # rho(g) rho(h)
+    homomorphism = np.linalg.norm(products - mats[..., group.cayley, :, :], axis=(-2, -1))
+    char_sum = np.sum(np.abs(np.trace(mats, axis1=-2, axis2=-1)) ** 2, axis=-1)
+    char_sum_bad = np.any(np.abs(char_sum - group.order) > 1e-8)
+    if max(unitarity.max(), homomorphism.max()) > tol or char_sum_bad:
         raise ValueError("irrep table not available")
 
 
@@ -257,15 +246,9 @@ def build_fourier_transform(group, irreps):
     if sum(r.dim**2 for r in irreps) != n:
         raise ValueError("incomplete irrep set: dimension mismatch")
     ordered = [r for r in irreps if r.dim == 1] + [r for r in irreps if r.dim > 1]
-    rows = []
-    row_index = []
-    for irrep in ordered:
-        scale = np.sqrt(irrep.dim / n)
-        for l in range(irrep.dim):
-            for m in range(irrep.dim):
-                rows.append(scale * irrep.matrices[:, l, m])
-                row_index.append((irrep.label, l, m))
-    matrix = np.array(rows)
+    # the rows of irrep r are the columns of its (|G|, dim^2) table, (l, m) row-major
+    matrix = np.concatenate([(np.sqrt(r.dim / n) * r.matrices).reshape(n, -1).T for r in ordered])
+    row_index = [(r.label, l, m) for r in ordered for l in range(r.dim) for m in range(r.dim)]
     return GroupFourierTransform(matrix=matrix, row_index=row_index, irreps=ordered)
 
 

@@ -287,3 +287,86 @@ def test_qec_matrix_hermitian(d8, d8_fourier):
     assert np.linalg.norm(m - m.conj().T) < 1e-12
     w = np.linalg.eigvalsh(m)
     assert w.min() > -1e-10
+
+
+def make_group(name):
+    group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
+    return group, fc.build_fourier_transform(group, fc.irrep_table(group))
+
+
+def qec_matrix_analytic_einsum_reference(group, fourier, alpha, gamma, phi):
+    """The five-operand einsum that ``qec_matrix_analytic`` replaced."""
+    lam = fc.lambda_matrix(group, phi)
+    gram, gram_t, gram_r = loss_gram_matrices(lam, alpha, gamma)
+    inv_sqrt = hermitian_inv_sqrt(gram).inv_sqrt
+    sr = hermitian_inv_sqrt(gram_r, pseudo=True).sqrt
+    label = fourier.defining_label
+    a = (fourier.matrix @ inv_sqrt)[[fourier.row(label, k, 0) for k in (0, 1)]]
+    m = np.einsum("kg,lh,gp,qh,gh->kplq", a, a.conj(), sr, sr, gram_t, optimize=True)
+    m = m.reshape(2 * group.order, 2 * group.order)
+    return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.3])
+@pytest.mark.parametrize("phi", [np.pi / 2, 1.0], ids=["phi-pi/2", "phi1.0"])
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_analytic_matches_einsum_reference(name, phi, gamma):
+    group, fourier = make_group(name)
+    for alpha in (1.25, ALPHA_STAR):
+        got = fc.qec_matrix_analytic(group, fourier, alpha, gamma, phi=phi).entries
+        want = qec_matrix_analytic_einsum_reference(group, fourier, alpha, gamma, phi)
+        assert np.max(np.abs(got - want)) < 1e-14
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1e-2, 0.3])
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_fock_blocks_match_full_gram_of_kraus_images(name, gamma):
+    group, fourier = make_group(name)
+    code = fc.code_basis(fc.make_constellation(group, 1.25, 1.0), fourier)
+    qec = fc.qec_matrix_fock(code, gamma)
+    images = qec.extras["kraus_images"]
+    n, d = group.order, code.config.dim_per_mode
+    assert images.shape == (4, n, d, d)
+    flat = images.reshape(4 * n, d * d)
+    gram = (flat.conj() @ flat.T).reshape(4, n, 4, n)
+    completeness = np.einsum("ipjp->ij", gram)
+    residual = np.linalg.norm(completeness - np.eye(4))
+    assert abs(qec.extras["completeness_residual"] - residual) < 1e-14
+    m = gram[np.ix_([0, 2], range(n), [0, 2], range(n))].reshape(2 * n, 2 * n)
+    assert np.max(np.abs(qec.entries - (m + m.conj().T) / 2)) < 1e-14
+
+
+@pytest.mark.parametrize("gamma", [1e-10, 1e-3, 1e-2, 0.3])
+def test_env_gain_is_the_spectral_norm_of_the_pseudo_inverse(star_code, gamma, monkeypatch):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(hermitian_inv_sqrt(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(fc.channels, "hermitian_inv_sqrt", spy)
+    gain = fc.qec_matrix_fock(star_code, gamma).extras["env_gain"]
+    (roots,) = seen
+    want = np.linalg.norm(roots.inv_sqrt, 2)
+    assert abs(gain - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_loss_routes_search_no_einsum_path_and_run_no_svd(name, monkeypatch):
+    # einsum(optimize=True) plans its contraction in Python on every call and
+    # norm(x, 2) runs an SVD; neither belongs in a loss-crossval point
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-call overhead crept back into a loss route")
+
+    monkeypatch.setattr(np, "einsum_path", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setitem(np.einsum.__wrapped__.__globals__, "einsum_path", forbidden)
+    monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, "svd", forbidden)
+    group, fourier = make_group(name)
+    code = fc.code_basis(fc.make_constellation(group, 1.25, 1.0), fourier)
+    analytic = fc.qec_matrix_analytic(group, fourier, 1.25, 0.01, phi=1.0)
+    fock = fc.qec_matrix_fock(code, 0.01)
+    f_a = fc.petz_entanglement_fidelity(analytic)
+    assert abs(f_a - fc.petz_entanglement_fidelity(fock)) < 1e-9
+    with pytest.raises(AssertionError, match="crept back"):
+        np.linalg.norm(np.eye(2), 2)  # the guard is live

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -136,10 +137,15 @@ def test_gates_demo(capsys):
     assert "Zeno" in out
 
 
+def out_option(command, path):
+    """``--out path`` for the commands that write a file; the others reject it."""
+    return ["--out", str(path)] if command.startswith("sweep-") else []
+
+
 @pytest.mark.parametrize("command", ["verify", "sweep-alpha", "sweep-gamma", "gates-demo"])
 def test_gates_demo_rejects_cyclic_group(command, tmp_path, capsys):
     # no cyclic group has the 2-dimensional irrep the code needs
-    assert run([command, "--group", "z8", "--out", str(tmp_path / "x.csv")]) == 2
+    assert run([command, "--group", "z8"] + out_option(command, tmp_path / "x.csv")) == 2
     captured = capsys.readouterr()
     assert "d8 or q8" in captured.err
     assert captured.out == ""
@@ -191,6 +197,10 @@ BIG_INT = "1" + "0" * 400  # a JSON integer beyond float range
         pytest.param(["sweep-alpha", "--grid", "1:inf:0.1"], None, id="grid-inf"),
         pytest.param(["sweep-alpha", "--grid", "0:0.2:0.1"], None, id="alpha-grid-0"),
         pytest.param(["sweep-gamma", "--grid", "1e-3:2:5"], None, id="gamma-grid-2"),
+        # point counts that once overflowed int() or exhausted memory
+        pytest.param(["sweep-alpha", "--grid", "0.9:1.6:1e-320"], None, id="grid-step-subnormal"),
+        pytest.param(["sweep-alpha", "--grid", "0.9:1.6:1e-15"], None, id="grid-step-tiny"),
+        pytest.param(["sweep-gamma", "--grid", "1e-3:1e-2:100000000000"], None, id="grid-count-huge"),
         pytest.param(["verify"], '{"alpha": "abc"}', id="config-alpha-text"),
         pytest.param(["verify"], '{"alpha": null}', id="config-alpha-null"),
         pytest.param(["verify"], '{"phi": NaN}', id="config-phi-nan"),
@@ -205,11 +215,74 @@ def test_bad_number_is_config_error(args, config, tmp_path, capsys):
         path.write_text(config)
         args = args + ["--config", str(path)]
     target = tmp_path / "x.csv"
-    assert run(args + ["--out", str(target)]) == 2
+    assert run(args + out_option(args[0], target)) == 2
     captured = capsys.readouterr()
     assert "configuration error" in captured.err
     assert captured.out == ""
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--format", "json"],
+        ["verify", "--out", "x.json"],
+        ["verify", "--grid", "1:2:3"],
+        ["verify", "--gamma", "0.5"],
+        ["gates-demo", "--gamma", "0.9"],
+        ["gates-demo", "--out", "x.csv"],
+        ["sweep-alpha", "--alpha", "3"],
+        ["sweep-gamma", "--gamma", "0.3"],
+        ["sweep-alpha", "--cutoff", "30"],
+        ["sweep-gamma", "--cutoff", "30"],
+    ],
+    ids=" ".join,
+)
+def test_option_the_command_does_not_read_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+# The options each subcommand's handler reads, besides --config.
+OPTIONS = {
+    "verify": {"group", "alpha", "phi", "cutoff"},
+    "sweep-alpha": {"group", "phi", "gamma", "grid", "format", "out"},
+    "sweep-gamma": {"group", "alpha", "phi", "grid", "format", "out"},
+    "gates-demo": {"group", "alpha", "phi", "cutoff"},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep-alpha", "sweep-gamma", "gates-demo"])
+def test_help_lists_only_the_options_the_command_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--([a-z]+)", capsys.readouterr().out)) - {"help", "config"}
+    assert listed == OPTIONS[command]
+
+
+class RecordingConfig(dict):
+    """A config that records which keys its reader looked up."""
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep-alpha", "sweep-gamma", "gates-demo"])
+def test_each_command_declares_the_options_its_handler_reads(command, tmp_path, capsys):
+    grids = {"sweep-alpha": "1.2:1.3:0.1", "sweep-gamma": "1e-3:1e-2:2"}
+    cfg = RecordingConfig(cli.DEFAULTS, grid=grids.get(command), out=str(tmp_path / "x.csv"))
+    cfg.read = set()
+    handler = getattr(cli, "cmd_" + command.replace("-", "_"))
+    assert handler(cfg) == 0
+    assert cfg.read == OPTIONS[command]
 
 
 def run_fresh(script):

@@ -341,6 +341,17 @@ def test_hermitian_inv_sqrt_singular():
     assert np.isfinite(roots.inv_sqrt).all()
 
 
+@pytest.mark.parametrize("dropped", [0, 2])
+def test_hermitian_inv_sqrt_gain_is_the_spectral_norm(dropped):
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    w = np.array([1e-20] * dropped + list(np.logspace(-6, 0, 6 - dropped)))
+    roots = hermitian_inv_sqrt((q * w) @ q.conj().T, floor=1e-15, pseudo=True)
+    assert roots.rank == 6 - dropped
+    want = np.linalg.norm(roots.inv_sqrt, 2)
+    assert abs(roots.gain - want) <= 1e-12 * want
+
+
 def test_operator_composition_and_dagger():
     cfg = FockConfig(2, 7)
     state = random_state(cfg, 4)

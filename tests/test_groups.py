@@ -202,3 +202,143 @@ def test_cayley_table_at_default_max_order():
     k = np.arange(64)
     assert np.array_equal(z64.cayley, np.add.outer(k, k) % 64)
     assert np.array_equal(z64.inverse, -k % 64)
+
+
+def generate_group_loop_reference(generators, max_order=64):
+    """The per-product breadth-first closure ``generate_group`` replaced."""
+    from fouriercat.groups import MATCH_TOL
+
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    mats = [np.eye(2, dtype=complex)]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for g in gens:
+                prod = mats[i] @ g
+                if not any(np.linalg.norm(prod - m) <= MATCH_TOL for m in mats):
+                    if len(mats) >= max_order:
+                        raise ValueError("group too large or not finite")
+                    mats.append(prod)
+                    nxt.append(len(mats) - 1)
+        frontier = nxt
+
+    mats = np.array(mats)
+    cayley = np.empty((len(mats), len(mats)), dtype=int)
+    for i, a in enumerate(mats):
+        match = np.linalg.norm((a @ mats)[:, None] - mats, axis=(2, 3)) <= MATCH_TOL
+        if not np.all(match.any(axis=1)):
+            raise ValueError("group too large or not finite")
+        cayley[i] = np.argmax(match, axis=1)
+    inverse = np.argmax(cayley == 0, axis=1)
+    return mats, cayley, inverse
+
+
+def z_n(n):
+    return np.diag([1.0, np.exp(2j * np.pi / n)]).astype(complex)
+
+
+IRRATIONAL = np.diag([np.exp(1j * 1.0), np.exp(-1j * 1.0)]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "gens, max_order",
+    [
+        pytest.param([PAULI_X, PAULI_Z], 64, id="d8"),
+        pytest.param([1j * PAULI_X, 1j * PAULI_Z], 64, id="q8"),
+        pytest.param([z_n(3)], 3, id="z3"),
+        pytest.param([z_n(12)], 12, id="z12"),
+        pytest.param([z_n(64)], 64, id="z64"),
+        pytest.param([PAULI_X, PHASE_S], 64, id="x-s-order-32"),
+        pytest.param([], 64, id="trivial"),
+    ],
+)
+def test_generate_group_matches_loop_reference(gens, max_order):
+    group = fc.generate_group(gens, max_order=max_order)
+    mats, cayley, inverse = generate_group_loop_reference(gens, max_order)
+    # bit-identical: same elements in the same order, same tables
+    assert group.matrices().shape == mats.shape
+    assert group.matrices().tobytes() == mats.tobytes()
+    assert np.array_equal(group.cayley, cayley)
+    assert np.array_equal(group.inverse, inverse)
+    if not gens:
+        assert group.order == 1 and group.cayley.tolist() == [[0]]
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [pytest.param([PAULI_X, PHASE_T], id="x-t-order-128"), pytest.param([IRRATIONAL], id="irrational")],
+)
+def test_generate_group_too_large_like_loop_reference(gens):
+    for closure in (fc.generate_group, generate_group_loop_reference):
+        with pytest.raises(ValueError, match="too large"):
+            closure(gens, max_order=64)
+
+
+def test_cayley_table_memory_stays_quadratic():
+    import tracemalloc
+
+    # one row of Z_64 products against all elements holds 64^2 2x2 complex
+    # differences (0.26 MB); all rows at once would hold 64^3 (16.8 MB)
+    tracemalloc.start()
+    try:
+        fc.cyclic_group(64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def pauli_like_exponents_loop_reference(m):
+    """The per-element exponent reader that ``irrep_table`` replaced."""
+    if abs(m[0, 1]) > 0.5:
+        a = 1
+        if abs(m[0, 1] - m[1, 0]) <= 1e-6:
+            b = 0
+        elif abs(m[0, 1] + m[1, 0]) <= 1e-6:
+            b = 1
+        else:
+            return None
+        if abs(m[0, 0]) > 1e-6 or abs(m[1, 1]) > 1e-6:
+            return None
+    else:
+        a = 0
+        if abs(m[0, 0] - m[1, 1]) <= 1e-6:
+            b = 0
+        elif abs(m[0, 0] + m[1, 1]) <= 1e-6:
+            b = 1
+        else:
+            return None
+    return a, b
+
+
+@pytest.mark.parametrize("maker", [fc.pauli_group, fc.quaternion_group])
+def test_characters_match_loop_reference(maker):
+    group = maker()
+    exps = np.array([pauli_like_exponents_loop_reference(m) for m in group.matrices()])
+    for irrep in fc.irrep_table(group)[:4]:
+        s, t = int(irrep.label[3]), int(irrep.label[4])
+        want = (-1.0 + 0j) ** (exps @ [s, t])[:, None, None]
+        assert irrep.matrices.tobytes() == want.tobytes()
+
+
+def test_rotated_pauli_group_has_no_irrep_table():
+    # conjugating <X, Z> by a generic unitary leaves an order-8 group whose
+    # elements are no longer phases times X^a Z^b
+    c, s = np.cos(0.3), np.sin(0.3)
+    v = np.array([[c, -s], [s, c]], dtype=complex)
+    group = fc.generate_group([v @ PAULI_X @ v.T, v @ PAULI_Z @ v.T])
+    assert group.order == 8
+    assert any(pauli_like_exponents_loop_reference(m) is None for m in group.matrices())
+    with pytest.raises(ValueError, match="not available"):
+        fc.irrep_table(group)
+
+
+def test_validate_irrep_rejects_a_stack_with_one_broken_irrep(d8):
+    from fouriercat.groups import Irrep, _validate_irrep
+
+    chars = np.array([r.matrices for r in fc.irrep_table(d8) if r.dim == 1])
+    _validate_irrep(d8, Irrep(label="stack", dim=1, matrices=chars))
+    chars[2, 5] *= -1.0  # one wrong sign in one character
+    with pytest.raises(ValueError, match="not available"):
+        _validate_irrep(d8, Irrep(label="stack", dim=1, matrices=chars))
