@@ -235,12 +235,12 @@ def lindblad_kernel_check(code, deformed=False):
     if not deformed:
         images["L0"] = (a1sq + a2sq, alpha**2)
     residuals = {
-        name: max(float(np.linalg.norm(r)) for r in img) / scale
+        name: float(np.max(np.linalg.norm(img, axis=(-2, -1)))) / scale
         for name, (img, scale) in images.items()
     }
     d = basis.config.dim_per_mode
     odd = np.add.outer(np.arange(d), np.arange(d)) % 2 == 1
-    parity_residual = max(float(np.linalg.norm(a[~odd])) for a in basis.amplitudes)
+    parity_residual = float(np.max(np.linalg.norm(amps[:, ~odd], axis=-1)))
     return residuals, parity_residual
 
 

@@ -38,6 +38,7 @@ from .gates import (
     composite_hadamard_check,
     cz_gate_check,
     cz_target,
+    group_covariance,
     logical_action,
     mod4_verification,
     phase_aligned_distance,
@@ -84,7 +85,12 @@ def resolve_group(name):
 
 
 def load_config(args):
-    """Merge defaults, an optional JSON config file and CLI flags."""
+    """Merge defaults, an optional JSON config file and CLI flags.
+
+    A config file may set only the options the command declares (its
+    parsed namespace holds one attribute per declared option); any other
+    key is a configuration error.
+    """
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         try:
@@ -97,6 +103,9 @@ def load_config(args):
         unknown = set(data) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        unread = set(data) - set(vars(args))
+        if unread:
+            raise ConfigError(f"config keys {args.command} does not read: {sorted(unread)}")
         cfg.update(data)
     for key in ("group", "alpha", "phi", "gamma", "cutoff", "format", "out", "grid"):
         val = getattr(args, key, None)
@@ -246,13 +255,8 @@ def cmd_verify(cfg):
         1e-10,
     )
 
-    worst_cov = 0.0
-    for g in group.matrices():
-        images = passive_gaussian_unitary(g, code.config)(basis)
-        # the physical action must not leak outside the code subspace
-        inside = np.tensordot(overlap_matrix(basis, images).T, basis, axes=1)
-        worst_cov = max(worst_cov, float(np.linalg.norm(images - inside)))
-    checks.record("group_covariance", worst_cov, 1e-9)
+    # the physical action of the group must not leak outside the code subspace
+    checks.record("group_covariance", group_covariance(code), 1e-9)
 
     at_star = abs(cfg["alpha"] - ALPHA_STAR) < 1e-9 and abs(
         cfg["phi"] - math.pi / 2

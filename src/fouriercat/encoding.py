@@ -4,6 +4,19 @@ The two-mode code is built from the orbit of a coherent amplitude vector
 under a finite subgroup of U(2).  The encoded basis states are obtained by
 applying the inverse group Fourier transform to the Gram-orthonormalized
 constellation states.
+
+A code depends only on (group, alpha vector, cutoff), so it is built once
+per process.  ``constellation_from_vector`` (and through it
+``make_constellation`` and ``deform_constellation``) is memoized on the
+group object, the bytes of the complex alpha vector and the cutoff;
+``code_basis`` on its constellation and Fourier transform objects.  Each
+memo keeps its 8 latest results.  One cutoff-25 code with its D8 or Q8
+constellation retains about 0.14 MB, one at cutoff 60 about 0.72 MB, so
+the two memos hold at most 1.8 MB at cutoff 25 and 9.6 MB at cutoff 60.
+Constellations and code bases compare and hash by identity and their
+arrays are read-only, so a memo hit never returns changed contents.  A
+construction that raises (degenerate constellation, starved cutoff,
+singular Gram matrix) is not memoized and raises again on every call.
 """
 
 from __future__ import annotations
@@ -20,11 +33,14 @@ from .fock import (
     hermitian_inv_sqrt,
     overlap_matrix,
 )
+from .groups import memoized
 
 GRAM_FLOOR = 1e-12
+# Results kept by the constellation and code-basis memos.
+CODE_MEMO_SIZE = 8
 
 
-@dataclass
+@dataclass(eq=False)
 class Constellation:
     """The orbit {|g alpha>} of a two-mode coherent state under the group."""
 
@@ -39,7 +55,7 @@ class Constellation:
         return self.group.matrices() @ self.alpha_vec
 
 
-@dataclass
+@dataclass(eq=False)
 class CodeBasis:
     """The four encoded basis states, ordered (0,0), (0,1), (1,0), (1,1)."""
 
@@ -70,17 +86,26 @@ def _min_distance(points):
 
 
 def constellation_from_vector(group, alpha_vec, cutoff=DEFAULT_CUTOFF):
+    """The orbit of |alpha_vec> under the group, memoized (see the module docstring)."""
     alpha_vec = np.asarray(alpha_vec, dtype=complex)
+    if alpha_vec.shape != (2,):
+        raise ValueError("alpha vector must have two entries")
+    return _constellation(group, alpha_vec.tobytes(), cutoff)
+
+
+@memoized(CODE_MEMO_SIZE)
+def _constellation(group, alpha_bytes, cutoff):
+    """The constellation of the alpha vector whose complex128 bytes are ``alpha_bytes``."""
+    alpha_vec = np.frombuffer(alpha_bytes, dtype=complex)  # read-only
     points = group.matrices() @ alpha_vec
     if _min_distance(points) <= 1e-9 * max(1.0, float(np.linalg.norm(alpha_vec))):
         raise ValueError("degenerate constellation")
     factors = coherent_amplitudes(points, cutoff)  # (|G|, 2, d), one per mode
     factors /= np.linalg.norm(factors, axis=-1, keepdims=True)
+    amplitudes = factors[:, 0, :, None] * factors[:, 1, None, :]
+    amplitudes.flags.writeable = False
     return Constellation(
-        group=group,
-        alpha_vec=alpha_vec,
-        amplitudes=factors[:, 0, :, None] * factors[:, 1, None, :],
-        config=FockConfig(2, cutoff),
+        group=group, alpha_vec=alpha_vec, amplitudes=amplitudes, config=FockConfig(2, cutoff)
     )
 
 
@@ -116,11 +141,13 @@ def analytic_gram(group, alpha_vec):
     return np.exp(cross - 0.5 * (sq[:, None] + sq[None, :]))
 
 
+@memoized(CODE_MEMO_SIZE)
 def code_basis(constellation, fourier):
     """All four encoded basis states, ordered (0,0), (0,1), (1,0), (1,1).
 
     State (l, m) has coefficients column (lambda, l, m) of Gamma^(-1/2) F^dag
-    on the constellation states.
+    on the constellation states.  Memoized on the two argument objects; the
+    amplitudes are read-only.
     """
     inv_sqrt = hermitian_inv_sqrt(gram_matrix(constellation), floor=GRAM_FLOOR).inv_sqrt
     label = fourier.defining_label
@@ -128,6 +155,7 @@ def code_basis(constellation, fourier):
     coeff = (inv_sqrt @ fourier.matrix.conj().T)[:, rows]
     amps = np.tensordot(coeff.T, constellation.amplitudes, axes=1)
     amps /= np.linalg.norm(amps, axis=(1, 2), keepdims=True)
+    amps.flags.writeable = False
     return CodeBasis(constellation=constellation, fourier=fourier, amplitudes=amps)
 
 

@@ -4,11 +4,23 @@ Groups are stored as an ordered (|G|, 2, 2) array of unitaries with
 precomputed Cayley and inverse tables.  Element equality is decided at a
 fixed Frobenius tolerance, and the ordering produced by the breadth-first
 closure is deterministic, so element indices are stable across runs.
+
+The construction layer is built once per process.  ``pauli_group()`` and
+``quaternion_group()`` each return one shared instance; ``irrep_table`` is
+memoized on the group object and ``build_fourier_transform`` on the group
+and irrep tuple objects, each keeping its 16 latest results.  None of this
+depends on the Fock cutoff: D8 and Q8 with their tables retain 18 kB in
+all, and 16 cyclic groups of order 64 would retain 3.2 MB.  Groups, irreps
+and Fourier transforms compare and hash by identity, and every array a
+constructor here returns is read-only, so a memo hit can never hand out
+contents that a caller has changed.  A call that raises is not memoized:
+its validation runs again on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -20,6 +32,32 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 PHASE_S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 PHASE_T = np.array([[1.0, 0.0], [0.0, np.exp(1j * np.pi / 4)]], dtype=complex)
+
+
+# Results kept by the irrep-table and Fourier-transform memos.
+GROUP_MEMO_SIZE = 16
+
+
+def memoized(maxsize):
+    """Memoize a builder on its arguments, keeping the ``maxsize`` latest results.
+
+    The result is a plain function (so tracers that wrap module functions
+    still see each call) whose ``__wrapped__`` is the uncached builder.
+    Arguments are keyed by hash and equality, which is identity for the
+    groups, irreps, constellations and Fourier transforms of this package.
+    """
+
+    def decorate(build):
+        cached = lru_cache(maxsize=maxsize)(build)
+
+        @wraps(build)
+        def memo(*args, **kwargs):
+            return cached(*args, **kwargs)
+
+        memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+        return memo
+
+    return decorate
 
 
 def _is_unitary(u, tol=1e-12):
@@ -37,9 +75,9 @@ class GroupElement:
     index: int
 
 
-@dataclass
+@dataclass(eq=False)
 class FiniteMatrixGroup:
-    """An ordered finite subgroup of U(2) with multiplication tables."""
+    """An ordered finite subgroup of U(2) with multiplication tables (read-only)."""
 
     _matrices: np.ndarray  # (|G|, 2, 2), in element order; read via matrices()
     cayley: np.ndarray
@@ -69,7 +107,7 @@ class FiniteMatrixGroup:
         return np.array_equal(self.cayley, self.cayley.T)
 
 
-@dataclass
+@dataclass(eq=False)
 class Irrep:
     """An irreducible representation, one matrix per group element."""
 
@@ -78,13 +116,13 @@ class Irrep:
     matrices: np.ndarray  # shape (|G|, dim, dim)
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupFourierTransform:
     """The |G| x |G| Fourier unitary with its (irrep, l, m) row labels."""
 
     matrix: np.ndarray
-    row_index: list  # list of (label, l, m)
-    irreps: list = field(default_factory=list)
+    row_index: tuple  # (label, l, m) of each row
+    irreps: tuple = ()
 
     def row(self, label, l, m):
         return self.row_index.index((label, l, m))
@@ -138,16 +176,20 @@ def generate_group(generators, max_order=64):
             raise ValueError("group too large or not finite")
         cayley[i : i + rows] = np.argmax(match, axis=2)  # the first matching element
     inverse = np.argmax(cayley == 0, axis=1)
+    for table in (mats, cayley, inverse):
+        table.flags.writeable = False
     return FiniteMatrixGroup(_matrices=mats, cayley=cayley, inverse=inverse)
 
 
+@memoized(1)
 def pauli_group():
-    """The real Pauli group <X, Z> of order 8."""
+    """The real Pauli group <X, Z> of order 8: one shared instance per process."""
     return generate_group([PAULI_X, PAULI_Z])
 
 
+@memoized(1)
 def quaternion_group():
-    """The quaternion group Q8 = <iX, iZ>."""
+    """The quaternion group Q8 = <iX, iZ>: one shared instance per process."""
     return generate_group([1j * PAULI_X, 1j * PAULI_Z])
 
 
@@ -177,14 +219,15 @@ def _pauli_like_exponents(m):
     return np.stack([a, ~same], axis=1).astype(int)
 
 
+@memoized(GROUP_MEMO_SIZE)
 def irrep_table(group):
-    """The complete list of irreps for a supported group.
+    """The complete tuple of irreps for a supported group.
 
     Supported: the order-8 Pauli-like groups D8 = <X,Z> and Q8 = <iX,iZ>
     (four characters plus the 2-dimensional defining representation) and
     cyclic groups Z_N (N characters).  The tables are validated against the
     homomorphism, unitarity and irreducibility invariants before being
-    returned.
+    returned.  Memoized on the group object; the matrices are read-only.
     """
     n = group.order
     irreps = []
@@ -218,7 +261,9 @@ def irrep_table(group):
         _validate_irrep(group, Irrep(label=f"dim {dim}", dim=dim, matrices=stack))
     if sum(r.dim**2 for r in irreps) != n:
         raise ValueError("irrep table not available")
-    return irreps
+    for r in irreps:
+        r.matrices.flags.writeable = False
+    return tuple(irreps)
 
 
 def _validate_irrep(group, irrep, tol=1e-10):
@@ -234,21 +279,25 @@ def _validate_irrep(group, irrep, tol=1e-10):
         raise ValueError("irrep table not available")
 
 
+@memoized(GROUP_MEMO_SIZE)
 def build_fourier_transform(group, irreps):
-    """The group Fourier transform F_G over the given irrep table.
+    """The group Fourier transform F_G over the given irrep tuple.
 
     Rows are ordered with the one-dimensional irreps first (in table order),
     then the higher-dimensional ones, with (l, m) row-major inside each
     irrep.  Entry convention: F[(rho,l,m), g] = sqrt(d_rho/|G|) rho(g)[l,m],
-    which makes F unitary by Schur orthogonality.
+    which makes F unitary by Schur orthogonality.  Memoized on the group
+    and the irrep tuple (hashable, as ``irrep_table`` returns it); the
+    matrix is read-only.
     """
     n = group.order
     if sum(r.dim**2 for r in irreps) != n:
         raise ValueError("incomplete irrep set: dimension mismatch")
-    ordered = [r for r in irreps if r.dim == 1] + [r for r in irreps if r.dim > 1]
+    ordered = tuple(r for r in irreps if r.dim == 1) + tuple(r for r in irreps if r.dim > 1)
     # the rows of irrep r are the columns of its (|G|, dim^2) table, (l, m) row-major
     matrix = np.concatenate([(np.sqrt(r.dim / n) * r.matrices).reshape(n, -1).T for r in ordered])
-    row_index = [(r.label, l, m) for r in ordered for l in range(r.dim) for m in range(r.dim)]
+    matrix.flags.writeable = False
+    row_index = tuple((r.label, l, m) for r in ordered for l in range(r.dim) for m in range(r.dim))
     return GroupFourierTransform(matrix=matrix, row_index=row_index, irreps=ordered)
 
 

@@ -10,12 +10,15 @@ from fouriercat.channels import (
     loglog_slope,
     loss_gram_matrices,
 )
+from fouriercat.encoding import deform_constellation
 from fouriercat.fock import (
     FockConfig,
+    annihilation_operator,
     coherent_product,
     hermitian_inv_sqrt,
     passive_gaussian_unitary,
 )
+from fouriercat.groups import HADAMARD
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
 
@@ -370,3 +373,48 @@ def test_loss_routes_search_no_einsum_path_and_run_no_svd(name, monkeypatch):
     assert abs(f_a - fc.petz_entanglement_fidelity(fock)) < 1e-9
     with pytest.raises(AssertionError, match="crept back"):
         np.linalg.norm(np.eye(2), 2)  # the guard is live
+
+
+def lindblad_kernel_loop_reference(code, deformed=False):
+    """The per-state residual norms that ``lindblad_kernel_check`` replaced."""
+    alpha = code.alpha
+    if deformed:
+        basis = fc.code_basis(deform_constellation(code.constellation, HADAMARD), code.fourier)
+        sign = -1.0
+    else:
+        basis, sign = code, 1.0
+    a1, a2 = (annihilation_operator(mode, basis.config) for mode in (0, 1))
+    amps = basis.amplitudes
+    a1sq, a2sq = a1(a1(amps)), a2(a2(amps))
+    shift = sign * alpha**4 * amps
+    images = {
+        "L1": (a1(a1(a1sq)) - shift, alpha**4),
+        "L2": (a2(a2(a2sq)) - shift, alpha**4),
+        "L12": (a2(a2(a1sq)) + shift, alpha**4),
+    }
+    if not deformed:
+        images["L0"] = (a1sq + a2sq, alpha**2)
+    residuals = {
+        name: max(float(np.linalg.norm(r)) for r in img) / scale
+        for name, (img, scale) in images.items()
+    }
+    d = basis.config.dim_per_mode
+    odd = np.add.outer(np.arange(d), np.arange(d)) % 2 == 1
+    parity = max(float(np.linalg.norm(a[~odd])) for a in basis.amplitudes)
+    return residuals, parity
+
+
+@pytest.mark.parametrize("deformed", [False, True])
+@pytest.mark.parametrize("cutoff", [20, 25])
+@pytest.mark.parametrize("phi", [np.pi / 2, 1.0])
+@pytest.mark.parametrize("alpha", [ALPHA_STAR, 1.3])
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_lindblad_kernels_match_loop_reference(name, alpha, phi, cutoff, deformed):
+    group, fourier = make_group(name)
+    code = fc.code_basis(fc.make_constellation(group, alpha, phi, cutoff), fourier)
+    got, parity = fc.lindblad_kernel_check(code, deformed=deformed)
+    want, want_parity = lindblad_kernel_loop_reference(code, deformed)
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert abs(got[key] - value) <= 1e-15 * max(1.0, value)
+    assert abs(parity - want_parity) <= 1e-15

@@ -345,3 +345,54 @@ def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
     assert outcome(cli.main, ["verify", "--cutoff", "x"], capsys)[0] == 2
     monkeypatch.undo()
     assert run(["verify", "--group", "z4"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("verify", {"out": "cfgout.json", "format": "json", "gamma": 0.5, "grid": "1:2:3"}),
+        ("gates-demo", {"gamma": 0.9}),
+        ("sweep-alpha", {"alpha": 3.0}),
+        ("sweep-gamma", {"gamma": 0.3}),
+        ("sweep-alpha", {"cutoff": 30}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else ",".join(v),
+)
+def test_config_key_the_command_does_not_read_exits_2(command, keys, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(json.dumps(keys))
+    assert run([command, "--config", "f.json"]) == 2
+    captured = capsys.readouterr()
+    assert f"config keys {command} does not read: {sorted(keys)}" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep-alpha", "sweep-gamma", "gates-demo"])
+def test_config_file_may_set_every_option_the_command_reads(command, tmp_path, capsys):
+    values = {"group": "d8", "alpha": cli.ALPHA_STAR, "phi": float(np.pi / 2), "cutoff": 25,
+              "gamma": 0.01, "format": "json", "out": str(tmp_path / "x.json"),
+              "grid": {"sweep-alpha": "1.2:1.3:0.1", "sweep-gamma": "1e-3:1e-2:2"}.get(command)}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({key: values[key] for key in OPTIONS[command]}))
+    assert run([command, "--config", str(path)]) == 0
+    assert (tmp_path / "x.json").exists() == command.startswith("sweep-")
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+
+def test_default_reports_are_unchanged():
+    # the default reports of verify and gates-demo, as the code printed them
+    # before any construction was memoized, each from a fresh process; the
+    # roundoff-level residuals depend on the numpy and BLAS build they were
+    # recorded with
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(golden) == 4
+    for argv, want in golden.items():
+        script = f"import sys; from fouriercat import cli; sys.exit(cli.main({argv.split()!r}))"
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert (done.returncode, done.stdout) == (want["exit_code"], want["stdout"]), argv

@@ -1,15 +1,20 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import fouriercat as fc
+from fouriercat import encoding
 from fouriercat.encoding import (
+    CODE_MEMO_SIZE,
     analytic_gram,
     cyclic_fourier,
     cyclic_gram,
     deform_constellation,
 )
 from fouriercat.fock import cat_state, coherent_product, infidelity, passive_gaussian_unitary
-from fouriercat.groups import PAULI_X
+from fouriercat.groups import HADAMARD, PAULI_X
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
 
@@ -159,3 +164,87 @@ def test_cyclic_gram_diagonalized_by_dft(n, alpha):
 def test_cat_qudit_rejects_bad_divisor():
     with pytest.raises(ValueError, match="divide"):
         fc.cat_qudit(4, 3, 1.0)
+
+
+def code_arrays(code):
+    """Every array a code basis and its constellation hold."""
+    return [code.amplitudes, code.constellation.amplitudes, code.constellation.alpha_vec]
+
+
+def test_code_memos_share_one_read_only_build(d8, d8_fourier):
+    constellation = fc.make_constellation(d8, 1.3, 1.0, cutoff=20)
+    code = fc.code_basis(constellation, d8_fourier)
+    assert fc.make_constellation(d8, 1.3, 1.0, cutoff=20) is constellation
+    assert encoding.constellation_from_vector(d8, constellation.alpha_vec, 20) is constellation
+    assert fc.code_basis(constellation, d8_fourier) is code
+    deformed = deform_constellation(constellation, HADAMARD)
+    assert deform_constellation(constellation, HADAMARD) is deformed
+    assert fc.code_basis(deformed, d8_fourier) is fc.code_basis(deformed, d8_fourier)
+    for array in code_arrays(code) + code_arrays(fc.code_basis(deformed, d8_fourier)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        code.state(0, 0).amplitudes[0, 0] = 0
+
+
+@pytest.mark.parametrize("cutoff", [20, 25])
+@pytest.mark.parametrize("phi", [np.pi / 2, 1.0])
+@pytest.mark.parametrize("alpha", [ALPHA_STAR, 1.3])
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_code_memos_match_an_uncached_build(name, alpha, phi, cutoff):
+    maker = fc.pauli_group if name == "d8" else fc.quaternion_group
+    group = maker()
+    fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
+    code = fc.code_basis(fc.make_constellation(group, alpha, phi, cutoff), fourier)
+    deformed = fc.code_basis(deform_constellation(code.constellation, HADAMARD), fourier)
+    # the whole chain again, every step through its uncached builder
+    fresh_group = maker.__wrapped__()
+    fresh_fourier = fc.build_fourier_transform.__wrapped__(
+        fresh_group, fc.irrep_table.__wrapped__(fresh_group)
+    )
+    vec = np.array([alpha, alpha * np.exp(1j * phi)])
+    for got, vec in ((code, vec), (deformed, HADAMARD @ vec)):
+        constellation = encoding._constellation.__wrapped__(fresh_group, vec.tobytes(), cutoff)
+        want = fc.code_basis.__wrapped__(constellation, fresh_fourier)
+        assert want is not got and want.config == got.config
+        for a, b in zip(code_arrays(got), code_arrays(want), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.0, 0.0, 25), "degenerate"),  # X fixes (alpha, alpha)
+        ((ALPHA_STAR, np.pi / 2, 5), "cutoff too small"),
+    ],
+)
+def test_failing_constructions_raise_on_every_call(d8, args, message):
+    sizes = encoding._constellation.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            fc.make_constellation(d8, *args)
+    assert encoding._constellation.cache_info().currsize == sizes
+    with pytest.raises(ValueError, match="two entries"):
+        encoding.constellation_from_vector(d8, [1.0, 1.0j, 0.0])
+
+
+def test_code_memo_retention_is_bounded(d8, d8_fourier):
+    # per code at cutoff 60: a (8, 61, 61) constellation and a (4, 61, 61) basis
+    per_code = (8 + 4) * 61**2 * 16
+    encoding._constellation.cache_clear()
+    fc.code_basis.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(3 * CODE_MEMO_SIZE):
+            fc.code_basis(fc.make_constellation(d8, 1.0 + 0.01 * k, np.pi / 2, 60), d8_fourier)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert fc.code_basis.cache_info().currsize == CODE_MEMO_SIZE
+    assert encoding._constellation.cache_info().currsize == CODE_MEMO_SIZE
+    # the bound the encoding docstring states: 9.6 MB at cutoff 60
+    assert CODE_MEMO_SIZE * per_code <= retained < 9.6e6, f"retained {retained / 1e6:.2f} MB"

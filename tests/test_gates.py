@@ -5,10 +5,13 @@ import pytest
 from scipy.linalg import expm
 
 import fouriercat as fc
+from fouriercat.encoding import deform_constellation
 from fouriercat.fock import (
     FockState,
     annihilation_operator,
+    infidelity,
     number_diagonal_operator,
+    overlap_matrix,
     passive_gaussian_unitary,
 )
 from fouriercat.gates import (
@@ -22,6 +25,7 @@ from fouriercat.gates import (
     composite_hadamard_check,
     deformation_residual,
     double_deformation_residual,
+    group_covariance,
     outcome_distribution,
     shshs_identity_residual,
     snap_gate_check,
@@ -265,3 +269,66 @@ def test_cutoff_60_checks_stay_small(d8, d8_fourier):
     assert dist < 1e-12
     analytic = fc.qec_matrix_analytic(d8, d8_fourier, ALPHA_STAR, 0.01)
     assert np.max(np.abs(loss.entries - analytic.entries)) < 1e-10
+
+
+def group_covariance_loop_reference(code):
+    """The per-element covariance loop that ``group_covariance`` replaced."""
+    basis = code.amplitudes
+    worst = 0.0
+    for g in code.constellation.group.matrices():
+        images = passive_gaussian_unitary(g, code.config)(basis)
+        inside = np.tensordot(overlap_matrix(basis, images).T, basis, axes=1)
+        worst = max(worst, float(np.linalg.norm(images - inside)))
+    return worst
+
+
+def leakage_loop_reference(op, code):
+    """The per-state residual norms that ``logical_action`` replaced."""
+    images = op(code.amplitudes)
+    residual = images - np.tensordot(overlap_matrix(code.amplitudes, images).T, code.amplitudes, axes=1)
+    return max(float(np.linalg.norm(r)) for r in residual)
+
+
+def encoded_residual_loop_reference(op, code, target, u):
+    """The per-state infidelities that ``gates._encoded_residual`` replaced."""
+    rhs = np.tensordot(np.kron(u, u).T, target.amplitudes, axes=1)
+    cfg = code.config
+    return max(
+        infidelity(FockState(cfg, a).normalized(), FockState(cfg, b).normalized())
+        for a, b in zip(op(code.amplitudes), rhs)
+    )
+
+
+def zeno_eigen_loop_reference(code):
+    """The per-state a1^2 eigen residuals that ``zeno_projected_hamiltonian`` replaced."""
+    a1 = annihilation_operator(0, code.config)
+    signs = np.array([1.0, -1.0, -1.0, 1.0])
+    eigen = a1(a1(code.amplitudes)) - code.alpha**2 * signs[:, None, None] * code.amplitudes
+    return max(float(np.linalg.norm(r)) for r in eigen)
+
+
+def agree(got, want):
+    """Equal to 1e-15, relative for values above one."""
+    return abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("cutoff", [20, 25])
+@pytest.mark.parametrize("phi", [np.pi / 2, 1.0])
+@pytest.mark.parametrize("alpha", [ALPHA_STAR, 1.3])
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_stacked_residuals_match_loop_references(name, alpha, phi, cutoff):
+    group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
+    fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
+    code = fc.code_basis(fc.make_constellation(group, alpha, phi, cutoff), fourier)
+    assert agree(group_covariance(code), group_covariance_loop_reference(code))
+    s_op = fc.gates.self_kerr_s_gate(code.config)
+    assert agree(fc.s_gate_check(code).leakage, leakage_loop_reference(s_op, code))
+    h_op = fc.gates.composite_hadamard_operator(code)
+    assert agree(composite_hadamard_check(code).leakage, leakage_loop_reference(h_op, code))
+    assert agree(fc.zeno_projected_hamiltonian(code)[2], zeno_eigen_loop_reference(code))
+    pi_h = passive_gaussian_unitary(HADAMARD, code.config)
+    deformed = fc.code_basis(deform_constellation(code.constellation, HADAMARD), fourier)
+    want = encoded_residual_loop_reference(pi_h, code, deformed, HADAMARD)
+    assert agree(deformation_residual(code, HADAMARD), want)
+    want = encoded_residual_loop_reference(lambda t: pi_h(pi_h(t)), code, code, HADAMARD @ HADAMARD)
+    assert agree(double_deformation_residual(code, HADAMARD), want)

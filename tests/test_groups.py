@@ -342,3 +342,52 @@ def test_validate_irrep_rejects_a_stack_with_one_broken_irrep(d8):
     chars[2, 5] *= -1.0  # one wrong sign in one character
     with pytest.raises(ValueError, match="not available"):
         _validate_irrep(d8, Irrep(label="stack", dim=1, matrices=chars))
+
+
+def group_arrays(group, irreps, fourier):
+    """Every array the group, its irreps and its Fourier transform hold."""
+    return [group.matrices(), group.cayley, group.inverse, fourier.matrix] + [
+        r.matrices for r in irreps + fourier.irreps
+    ]
+
+
+@pytest.mark.parametrize("maker", [fc.pauli_group, fc.quaternion_group])
+def test_group_memos_share_one_read_only_build(maker):
+    group = maker()
+    irreps = fc.irrep_table(group)
+    fourier = fc.build_fourier_transform(group, irreps)
+    assert maker() is group
+    assert fc.irrep_table(group) is irreps
+    assert fc.build_fourier_transform(group, irreps) is fourier
+    assert isinstance(irreps, tuple) and isinstance(fourier.row_index, tuple)
+    for array in group_arrays(group, irreps, fourier):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
+
+
+@pytest.mark.parametrize("maker", [fc.pauli_group, fc.quaternion_group])
+def test_group_memos_match_an_uncached_build(maker):
+    group = maker()
+    irreps = fc.irrep_table(group)
+    fourier = fc.build_fourier_transform(group, irreps)
+    fresh = maker.__wrapped__()
+    fresh_irreps = fc.irrep_table.__wrapped__(fresh)
+    fresh_fourier = fc.build_fourier_transform.__wrapped__(fresh, fresh_irreps)
+    assert fresh is not group and fresh_fourier is not fourier
+    for got, want in zip(group_arrays(group, irreps, fourier),
+                         group_arrays(fresh, fresh_irreps, fresh_fourier), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert [(r.label, r.dim) for r in irreps] == [(r.label, r.dim) for r in fresh_irreps]
+    assert fourier.row_index == fresh_fourier.row_index
+
+
+def test_failing_irrep_table_is_not_memoized():
+    klein = fc.generate_group(
+        [np.diag([1.0, -1.0]).astype(complex), np.diag([-1.0, 1.0]).astype(complex)]
+    )
+    size = fc.irrep_table.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not available"):
+            fc.irrep_table(klein)
+    assert fc.irrep_table.cache_info().currsize == size
