@@ -223,14 +223,14 @@ def lindblad_kernel_check(code, deformed=False):
         basis = code
         sign = 1.0
 
-    a1, a2 = (annihilation_operator(mode, basis.config) for mode in (0, 1))
-    amps = basis.amplitudes
-    a1sq, a2sq = a1(a1(amps)), a2(a2(amps))
+    config, amps = basis.config, basis.amplitudes
+    a2sq_op = annihilation_operator(1, config, 2)
+    a1sq, a2sq = annihilation_operator(0, config, 2)(amps), a2sq_op(amps)
     shift = sign * alpha**4 * amps
     images = {  # name: (L on each basis state, normalization)
-        "L1": (a1(a1(a1sq)) - shift, alpha**4),
-        "L2": (a2(a2(a2sq)) - shift, alpha**4),
-        "L12": (a2(a2(a1sq)) + shift, alpha**4),
+        "L1": (annihilation_operator(0, config, 4)(amps) - shift, alpha**4),
+        "L2": (annihilation_operator(1, config, 4)(amps) - shift, alpha**4),
+        "L12": (a2sq_op(a1sq) + shift, alpha**4),
     }
     if not deformed:
         images["L0"] = (a1sq + a2sq, alpha**2)

@@ -58,6 +58,13 @@ from .groups import (
 ALPHA_STAR = math.sqrt(math.pi / 2)
 MAX_GRID_POINTS = 10**6
 
+# logical targets on the basis (l, m), acting on L only
+_X_TARGET = np.kron(X2, IDENTITY2)
+_S_TARGET = np.kron(S2, IDENTITY2)
+_T_TARGET = np.kron(T2, IDENTITY2)
+_H_TARGET = np.kron(HADAMARD, IDENTITY2)
+_CZ_TARGET = cz_target()
+
 DEFAULTS = {
     "group": "d8",
     "alpha": ALPHA_STAR,
@@ -270,18 +277,18 @@ def cmd_verify(cfg):
     sa = s_gate_check(code)
     checks.record(
         "self_kerr_s_gate",
-        phase_aligned_distance(sa.matrix, np.kron(S2, IDENTITY2))[0],
+        phase_aligned_distance(sa.matrix, _S_TARGET)[0],
         1e-8,
     )
     checks.record(
         "cz_gate",
-        float(np.linalg.norm(cz_gate_check(code) - cz_target())),
+        float(np.linalg.norm(cz_gate_check(code) - _CZ_TARGET)),
         1e-8,
     )
     ha = composite_hadamard_check(code)
     checks.record(
         "composite_hadamard",
-        phase_aligned_distance(ha.matrix, np.kron(HADAMARD, IDENTITY2))[0],
+        phase_aligned_distance(ha.matrix, _H_TARGET)[0],
         1e-7,
     )
     if at_star:
@@ -359,6 +366,39 @@ def cmd_sweep_gamma(cfg):
     return 0
 
 
+def _format_parts(values, signed):
+    """Fixed-point cells of one real array, aligned as numpy aligns them.
+
+    Each value is rounded to 3 decimals with trailing zeros dropped ("1.",
+    "0.5", "-0."); integer parts are right-aligned and fraction parts padded
+    to the widest of the array.  Returns (integer part, fraction, padding).
+    """
+    cells = [(f"{x:+.3f}" if signed else f"{x:.3f}").rstrip("0").split(".") for x in values]
+    left = max(len(whole) for whole, _ in cells)
+    right = max(len(frac) for _, frac in cells)
+    return [(whole.rjust(left), frac, " " * (right - len(frac))) for whole, frac in cells]
+
+
+def _format_matrix(matrix):
+    """``str(matrix)`` as numpy prints it under ``printoptions(precision=3,
+    suppress=True, linewidth=120)``.
+
+    Exact for a complex matrix of up to 4 columns whose entries are below
+    1e8 in modulus, where numpy would switch to exponents.  The real part is
+    signed only when negative, the imaginary part always, with its padding
+    after the ``j``; cells are joined by one space.
+    """
+    rows, cols = matrix.shape
+    real = _format_parts(matrix.real.ravel().tolist(), signed=False)
+    imag = _format_parts(matrix.imag.ravel().tolist(), signed=True)
+    cells = [
+        f"{rw}.{rf}{rp}{iw}.{if_}j{ip}"
+        for (rw, rf, rp), (iw, if_, ip) in zip(real, imag)
+    ]
+    lines = [" ".join(cells[r * cols:(r + 1) * cols]) for r in range(rows)]
+    return "[[" + "]\n [".join(lines) + "]]"
+
+
 def cmd_gates_demo(cfg):
     group = resolve_group(cfg["group"])
     fourier = build_fourier_transform(group, irrep_table(group))
@@ -372,24 +412,20 @@ def cmd_gates_demo(cfg):
         ok = dist <= tol and action.leakage <= max(tol, 1e-7)
         status = "pass" if ok else "FAIL"
         print(f"[{status}] {name}: distance {dist:.3e}, leakage {action.leakage:.3e}")
-        with np.printoptions(precision=3, suppress=True, linewidth=120):
-            print(np.round(action.matrix, 6))
+        print(_format_matrix(np.round(action.matrix, 6)))
         if not ok:
             failures.append(name)
 
     swap = passive_gaussian_unitary(X2, code.config)
-    report("beamsplitter swap (logical X)", logical_action(swap, code),
-           np.kron(X2, IDENTITY2), 1e-9)
-    report("self-Kerr i^(n2^2) (logical S)", s_gate_check(code),
-           np.kron(S2, IDENTITY2), 1e-8)
+    report("beamsplitter swap (logical X)", logical_action(swap, code), _X_TARGET, 1e-9)
+    report("self-Kerr i^(n2^2) (logical S)", s_gate_check(code), _S_TARGET, 1e-8)
     snap_s, snap_t = snap_gate_check(code)
-    report("SNAP quadratic phase (logical S)", snap_s, np.kron(S2, IDENTITY2), 1e-8)
-    report("SNAP quartic phase (logical T)", snap_t, np.kron(T2, IDENTITY2), 1e-8)
-    report("composite Hadamard", composite_hadamard_check(code),
-           np.kron(HADAMARD, IDENTITY2), 1e-7)
+    report("SNAP quadratic phase (logical S)", snap_s, _S_TARGET, 1e-8)
+    report("SNAP quartic phase (logical T)", snap_t, _T_TARGET, 1e-8)
+    report("composite Hadamard", composite_hadamard_check(code), _H_TARGET, 1e-7)
 
     cz = cz_gate_check(code)
-    cz_dist = float(np.linalg.norm(cz - cz_target()))
+    cz_dist = float(np.linalg.norm(cz - _CZ_TARGET))
     ok = cz_dist <= 1e-8
     print(f"[{'pass' if ok else 'FAIL'}] two-copy CZ: distance {cz_dist:.3e}")
     if not ok:

@@ -15,6 +15,7 @@ errors cannot creep into downstream fidelity computations.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -251,14 +252,33 @@ def number_diagonal_operator(phases, config):
     return lambda t: values * t
 
 
-def annihilation_operator(mode, config):
-    """The annihilation operator of one mode, as a function on amplitude tensors."""
+def annihilation_operator(mode, config, power=1):
+    """a^power of one mode, as a function on amplitude tensors.
+
+    out[n] = sqrt((n + power)! / n!) t[n + power], written by one
+    slice-and-multiply into a zeroed output, so the top ``power`` levels of
+    the mode are exactly zero.  The coefficients are the square roots of
+    exact integer products, so power 1 multiplies by sqrt(1..d-1) and
+    power k agrees with k single steps to rounding.
+    """
     if not 0 <= mode < config.modes:
         raise ValueError("invalid mode index")
-    # out[n] = sqrt(n + 1) t[n + 1]; the roll wraps t[0] onto the top level, where root is 0
-    root = np.append(np.sqrt(np.arange(1, config.dim_per_mode)), 0.0)
-    root = root.reshape((-1,) + (1,) * (config.modes - 1 - mode))  # along the mode's axis
-    return lambda t: root * np.roll(t, -1, axis=mode - config.modes)
+    if not isinstance(power, numbers.Integral) or power < 1:
+        raise ValueError("power must be an integer >= 1")
+    keep = max(config.dim_per_mode - power, 0)
+    product = np.prod(np.arange(1.0, keep + 1)[:, None] + np.arange(power), axis=1)
+    after = (slice(None),) * (config.modes - 1 - mode)  # the axes of the later modes
+    root = np.sqrt(product).reshape((-1,) + (1,) * len(after))  # along the mode's axis
+    low = (Ellipsis, slice(0, keep)) + after
+    high = (Ellipsis, slice(power, None)) + after
+
+    def act(t):
+        t = np.asarray(t)
+        out = np.zeros(t.shape, dtype=np.result_type(root, t))
+        np.multiply(root, t[high], out=out[low])
+        return out
+
+    return act
 
 
 class MatrixRoots(NamedTuple):

@@ -206,14 +206,21 @@ def snap_gate_check(code):
     return logical_action(s_op, code), logical_action(t_op, code)
 
 
+# The Z_L Y_M eigenstates (|l, 0> + y |l, 1>) / sqrt(2), in this order
+_ZY_LABELS = ("0+i", "0-i", "1+i", "1-i")
+
+
+def _zy_stack(code):
+    """The four Z_L Y_M eigenstates as one (4, d, d) stack, in ``_ZY_LABELS`` order."""
+    amps = code.amplitudes
+    stack = amps[[0, 0, 2, 2]] + np.array([1j, -1j, 1j, -1j])[:, None, None] * amps[[1, 1, 3, 3]]
+    stack /= np.linalg.norm(stack, axis=(-2, -1))[:, None, None]
+    return stack
+
+
 def zy_eigenstates(code):
     """The four Z_L Y_M eigenstates built from the encoded basis."""
-    out = {}
-    for l in (0, 1):
-        for sign, tag in ((1.0j, "+i"), (-1.0j, "-i")):
-            amps = (code.amplitudes[2 * l] + sign * code.amplitudes[2 * l + 1]) / np.sqrt(2.0)
-            out[f"{l}{tag}"] = FockState(code.config, amps).normalized()
-    return out
+    return {label: FockState(code.config, amps) for label, amps in zip(_ZY_LABELS, _zy_stack(code))}
 
 
 def _mod4_masses(prob):
@@ -244,12 +251,16 @@ def y_readout(r1, r2):
     return "-i" if (r1 + r2) % 4 < 2 else "+i"
 
 
-# TABLE_CELLS as (r1, r2) masks, and the Y_M label y_readout gives each cell
-_CELLS = {
-    label: np.isin(np.arange(16).reshape(4, 4), [4 * r1 + r2 for r1, r2 in cells])
-    for label, cells in TABLE_CELLS.items()
-}
-_READOUT = np.vectorize(y_readout)(*np.indices((4, 4)))
+# per eigenstate in _ZY_LABELS order, (r1, r2) masks of the cells outside
+# its table cells and of the cells y_readout does not give its Y_M label
+_OUTSIDE = np.array([
+    [[(r1, r2) not in TABLE_CELLS[label] for r2 in range(4)] for r1 in range(4)]
+    for label in _ZY_LABELS
+])
+_WRONG = np.array([
+    [[y_readout(r1, r2) != label[1:] for r2 in range(4)] for r1 in range(4)]
+    for label in _ZY_LABELS
+])
 
 
 def mod4_verification(code):
@@ -258,17 +269,20 @@ def mod4_verification(code):
     For each Z_L Y_M eigenstate returns (mass outside its table cells,
     mass on wrong-Y_M cells after a_1, same after a_2).
     """
-    states = zy_eigenstates(code)
-    stack = np.array([state.amplitudes for state in states.values()])
-    lost = [annihilation_operator(mode, code.config)(stack) for mode in (0, 1)]
-    masses = _mod4_masses(np.abs([stack] + lost) ** 2)  # (before/a_1/a_2, state, r1, r2)
+    stack = _zy_stack(code)
+    prob = np.empty((3,) + stack.shape)  # before, after a_1, after a_2
+    np.abs(stack, out=prob[0])
+    for out, mode in zip(prob[1:], (0, 1)):
+        np.abs(annihilation_operator(mode, code.config)(stack), out=out)
+    prob **= 2
+    masses = _mod4_masses(prob)  # (before/a_1/a_2, state, r1, r2)
     masses[1:] /= masses[1:].sum(axis=(-2, -1), keepdims=True)  # the lost states, normalized
-    report = {}
-    for i, label in enumerate(states):
-        outside = masses[0, i][~_CELLS[label]].sum()
-        wrong = masses[1:, i][:, _READOUT != label[1:]].sum(axis=-1)
-        report[label] = (float(outside), float(wrong[0]), float(wrong[1]))
-    return report
+    outside = (masses[0] * _OUTSIDE).sum(axis=(-2, -1))
+    wrong = (masses[1:] * _WRONG).sum(axis=(-2, -1))
+    return {
+        label: (out, lost1, lost2)
+        for label, out, lost1, lost2 in zip(_ZY_LABELS, outside.tolist(), *wrong.tolist())
+    }
 
 
 def zy_expansion_residual(code):
@@ -288,16 +302,11 @@ def zy_expansion_residual(code):
         - alpha**2
         - 0.5 * np.add.outer(logfact[odd], logfact[even])
     )
-    worst = 0.0
-    for label, state in zy_eigenstates(code).items():
-        sign = -1.0 if label.endswith("+i") else 1.0
-        coeff = ((-1.0) ** (even // 2) + sign * (-1.0) ** (odd // 2)[:, None]) * f  # [p, q]
-        pred = np.zeros((d, d), dtype=complex)
-        if label[0] == "0":
-            pred[np.ix_(odd, even)] = coeff
-        else:
-            pred[np.ix_(even, odd)] = coeff.T
-        actual = state.amplitudes
-        scale = np.vdot(pred, actual) / np.vdot(pred, pred)
-        worst = max(worst, float(np.max(np.abs(actual - scale * pred))))
-    return worst
+    sign = np.array([-1.0, 1.0, -1.0, 1.0])[:, None, None]  # -1 for the +i states
+    coeff = ((-1.0) ** (even // 2) + sign * (-1.0) ** (odd // 2)[:, None]) * f  # [state, p, q]
+    pred = np.zeros((4, d, d), dtype=complex)
+    pred[:2, odd[:, None], even] = coeff[:2]  # l = 0 on |2p+1>|2q>
+    pred[2:, even[:, None], odd] = coeff[2:].swapaxes(1, 2)  # l = 1, modes swapped
+    actual = _zy_stack(code)
+    scale = np.einsum("sab,sab->s", pred.conj(), actual) / np.einsum("sab,sab->s", pred.conj(), pred)
+    return float(np.max(np.abs(actual - scale[:, None, None] * pred)))

@@ -376,7 +376,11 @@ def test_loss_routes_search_no_einsum_path_and_run_no_svd(name, monkeypatch):
 
 
 def lindblad_kernel_loop_reference(code, deformed=False):
-    """The per-state residual norms that ``lindblad_kernel_check`` replaced."""
+    """The per-state residual norms that ``lindblad_kernel_check`` replaced.
+
+    Every power of a is applied as single steps (a^4 as four), against the
+    fused powers the check applies.
+    """
     alpha = code.alpha
     if deformed:
         basis = fc.code_basis(deform_constellation(code.constellation, HADAMARD), code.fourier)

@@ -384,15 +384,41 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
 def test_default_reports_are_unchanged():
     # the default reports of verify and gates-demo, as the code printed them
-    # before any construction was memoized, each from a fresh process; the
-    # roundoff-level residuals depend on the numpy and BLAS build they were
-    # recorded with
+    # before any construction was memoized, plus three off-default gates-demo
+    # points whose matrices print 0.707 and 0.854 entries and a real part with
+    # no negative entry, as numpy's array printer wrote them; each runs in a
+    # fresh process, and the roundoff-level residuals depend on the numpy and
+    # BLAS build they were recorded with
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert len(golden) == 4
+    assert len(golden) == 7
     for argv, want in golden.items():
         script = f"import sys; from fouriercat import cli; sys.exit(cli.main({argv.split()!r}))"
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=300)
         assert (done.returncode, done.stdout) == (want["exit_code"], want["stdout"]), argv
+
+
+def test_matrix_printer_matches_numpy():
+    # gates-demo prints np.round(matrix, 6) directly; numpy's printer is the reference
+    rng = np.random.default_rng(14)
+    edges = np.array([0.0, -0.0, -1e-17, 1e-17, 5e-4, -5e-4, 0.9995, -0.9995, 4.9999e-4,
+                      1.5e-3, 0.5, -0.5, 0.707107, 1.0, -1.0, 999.9995, -1e3, 1e3])
+    for k in range(10_000):
+        kind = k % 5
+        if kind == 0:  # signed zeros, roundoff-size and halfway entries
+            parts = rng.choice(edges, (2, 4, 4))
+        elif kind == 1:  # entries up to 1e3 in modulus
+            parts = rng.normal(size=(2, 4, 4)) * 10.0 ** rng.integers(-4, 3)
+        elif kind == 2:  # all-integer matrices
+            parts = rng.integers(-12, 12, (2, 4, 4)).astype(float)
+        elif kind == 3:  # no negative real part, which drops the real part's pad
+            parts = np.abs(rng.normal(size=(2, 4, 4)))
+            parts[1] *= rng.choice([-1.0, 1.0], (4, 4))
+        else:  # few decimals, so fraction widths differ between the parts
+            parts = np.round(rng.normal(size=(2, 4, 4)), rng.integers(0, 4))
+        matrix = np.round(parts[0] + 1j * parts[1], 6)
+        with np.printoptions(precision=3, suppress=True, linewidth=120):
+            want = str(matrix)
+        assert cli._format_matrix(matrix) == want, repr(matrix)

@@ -400,3 +400,53 @@ def test_operators_map_a_batch_as_each_member():
         FockState(cfg2, np.zeros(cfg2.dim + 1))
     with pytest.raises(ValueError, match="mode index"):
         annihilation_operator(2, cfg2)
+
+
+def roll_lower(t, mode, cfg):
+    """One step of a on ``mode`` by a cyclic shift, as the operator once did it."""
+    d = cfg.dim_per_mode
+    root = np.append(np.sqrt(np.arange(1, d)), 0.0).reshape((-1,) + (1,) * (cfg.modes - 1 - mode))
+    return root * np.roll(t, -1, axis=mode - cfg.modes)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 7])
+@pytest.mark.parametrize("modes", [1, 2])
+def test_ladder_step_is_bit_identical_to_the_roll(modes, cutoff):
+    rng = np.random.default_rng(10 * modes + cutoff)
+    cfg = FockConfig(modes, cutoff)
+    shape = (3, 2) + (cfg.dim_per_mode,) * modes
+    batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for mode in range(modes):
+        got = annihilation_operator(mode, cfg)(batch)
+        want = roll_lower(batch, mode, cfg)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # equal everywhere and the same bits below the top level, where the
+        # roll multiplies a wrapped amplitude by 0 and its zero may carry a sign
+        assert np.array_equal(got, want)
+        below = np.moveaxis(got, mode - modes, 0)[:-1]
+        assert below.tobytes() == np.moveaxis(want, mode - modes, 0)[:-1].tobytes()
+
+
+@pytest.mark.parametrize("power", [2, 4])
+@pytest.mark.parametrize("cfg", [FockConfig(1, 7), FockConfig(2, 7), FockConfig(2, 3), FockConfig(3, 5)],
+                         ids=lambda c: f"{c.modes}x{c.cutoff}")
+def test_ladder_power_is_the_composed_steps(cfg, power):
+    rng = np.random.default_rng(power)
+    shape = (2,) + (cfg.dim_per_mode,) * cfg.modes
+    batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for mode in range(cfg.modes):
+        step = annihilation_operator(mode, cfg)
+        got = annihilation_operator(mode, cfg, power)(batch)
+        want = reduce(lambda t, _: step(t), range(power), batch)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        top = np.moveaxis(got, mode - cfg.modes, 0)[max(cfg.dim_per_mode - power, 0):]
+        assert top.size and not np.any(top)
+
+
+def test_ladder_power_must_be_a_positive_integer():
+    cfg = FockConfig(2, 4)
+    for power in (0, -1, 1.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match="power"):
+            annihilation_operator(0, cfg, power)
+    # a power past the cutoff annihilates every state
+    assert not np.any(annihilation_operator(1, cfg, 6)(np.ones((5, 5))))

@@ -207,13 +207,37 @@ def test_mod4_masses_match_strided_sums(cutoff):
             assert np.max(np.abs(got[..., r1, r2] - want)) < 1e-14
 
 
+def zy_eigenstates_loop_reference(code):
+    """The Z_L Y_M eigenstates one at a time, each normalized on its own."""
+    out = {}
+    for l in (0, 1):
+        for sign, tag in ((1.0j, "+i"), (-1.0j, "-i")):
+            amps = (code.amplitudes[2 * l] + sign * code.amplitudes[2 * l + 1]) / np.sqrt(2.0)
+            out[f"{l}{tag}"] = FockState(code.config, amps).normalized()
+    return out
+
+
+def mod4_verification_loop_reference(code):
+    """The per-eigenstate outcome-mass loop that ``mod4_verification`` replaced."""
+    report = {}
+    for label, state in zy_eigenstates_loop_reference(code).items():
+        masses = [_mod4_masses(np.abs(state.amplitudes) ** 2)]
+        for mode in (0, 1):
+            lost = np.abs(annihilation_operator(mode, code.config)(state.amplitudes)) ** 2
+            masses.append(_mod4_masses(lost) / lost.sum())
+        outside = sum(masses[0][c] for c in np.ndindex(4, 4) if c not in TABLE_CELLS[label])
+        wrong = [sum(m[c] for c in np.ndindex(4, 4) if fc.y_readout(*c) != label[1:]) for m in masses[1:]]
+        report[label] = (float(outside), float(wrong[0]), float(wrong[1]))
+    return report
+
+
 def zy_expansion_loop_reference(code):
     """The scalar double loop ``zy_expansion_residual`` replaced."""
     alpha = code.alpha
     d = code.config.dim_per_mode
     logfact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1.0, d))]))
     worst = 0.0
-    for label, state in fc.zy_eigenstates(code).items():
+    for label, state in zy_eigenstates_loop_reference(code).items():
         sign = -1.0 if label.endswith("+i") else 1.0
         pred = np.zeros((d, d), dtype=complex)
         for p in range((d - 1) // 2 + 1):
@@ -332,3 +356,10 @@ def test_stacked_residuals_match_loop_references(name, alpha, phi, cutoff):
     assert agree(deformation_residual(code, HADAMARD), want)
     want = encoded_residual_loop_reference(lambda t: pi_h(pi_h(t)), code, code, HADAMARD @ HADAMARD)
     assert agree(double_deformation_residual(code, HADAMARD), want)
+    states, want = fc.zy_eigenstates(code), zy_eigenstates_loop_reference(code)
+    assert list(states) == list(want)
+    assert all(np.max(np.abs(states[k].amplitudes - want[k].amplitudes)) <= 1e-15 for k in want)
+    report, want = fc.mod4_verification(code), mod4_verification_loop_reference(code)
+    assert list(report) == list(want)
+    assert all(agree(got, ref) for k in want for got, ref in zip(report[k], want[k], strict=True))
+    assert agree(zy_expansion_residual(code), zy_expansion_loop_reference(code))
