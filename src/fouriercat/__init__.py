@@ -16,13 +16,13 @@ from .groups import (
 )
 from .fock import (
     FockConfig,
-    FockState,
     annihilation_operator,
     cat_state,
     coherent_product,
     coherent_state,
     hermitian_inv_sqrt,
     infidelity,
+    normalize,
     number_diagonal_operator,
     passive_gaussian_unitary,
 )
@@ -39,6 +39,7 @@ from .encoding import (
     min_euclidean_distance,
 )
 from .gates import (
+    ZY_LABELS,
     LogicalAction,
     composite_hadamard_check,
     cz_gate_check,

@@ -242,19 +242,9 @@ def cmd_verify(cfg):
         1e-12,
     )
 
-    try:
-        constellation = make_constellation(
-            group, cfg["alpha"], cfg["phi"], cfg["cutoff"]
-        )
-    except ValueError as exc:
-        if "degenerate" in str(exc):
-            raise ConfigError(str(exc)) from exc
-        # truncation starvation is a verification failure, not a bad config
-        checks.error("constellation_tail_mass", str(exc))
-        _finish_verify(checks)
-        return 1
-
-    code = code_basis(constellation, fourier)
+    code = _build_code(cfg, group, fourier, checks)
+    if code is None:
+        return _finish_verify(checks)
     basis = code.amplitudes
     checks.record(
         "basis_orthonormality",
@@ -270,7 +260,7 @@ def cmd_verify(cfg):
     ) < 1e-9
     if at_star:
         _, _, _, scalar_dev = gram_fourier_spectrum(
-            gram_matrix(constellation), fourier
+            gram_matrix(code.constellation), fourier
         )
         checks.record("gram_fourier_scalar_block", scalar_dev, 1e-9)
 
@@ -306,6 +296,26 @@ def cmd_verify(cfg):
         )
 
     return _finish_verify(checks)
+
+
+def _build_code(cfg, group, fourier, checks):
+    """The code of ``cfg``, or None after recording a starved cutoff on ``checks``.
+
+    A degenerate constellation or a numerically singular Gram matrix is a
+    configuration error; a cutoff too small for the constellation's
+    coherent states is a verification failure, ``constellation_tail_mass``.
+    """
+    try:
+        constellation = make_constellation(group, cfg["alpha"], cfg["phi"], cfg["cutoff"])
+    except ValueError as exc:
+        if "degenerate" in str(exc):
+            raise ConfigError(str(exc)) from exc
+        checks.error("constellation_tail_mass", str(exc))
+        return None
+    try:
+        return code_basis(constellation, fourier)
+    except ValueError as exc:  # the Gram matrix of nearly coincident states
+        raise ConfigError(str(exc)) from exc
 
 
 def _finish_verify(checks):
@@ -402,9 +412,10 @@ def _format_matrix(matrix):
 def cmd_gates_demo(cfg):
     group = resolve_group(cfg["group"])
     fourier = build_fourier_transform(group, irrep_table(group))
-    code = code_basis(
-        make_constellation(group, cfg["alpha"], cfg["phi"], cfg["cutoff"]), fourier
-    )
+    checks = CheckList()
+    code = _build_code(cfg, group, fourier, checks)
+    if code is None:
+        return _finish_verify(checks)
     failures = []
 
     def report(name, action, target, tol):

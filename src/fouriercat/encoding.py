@@ -22,15 +22,16 @@ singular Gram matrix) is not memoized and raises again on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .fock import (
     DEFAULT_CUTOFF,
     FockConfig,
-    FockState,
     coherent_amplitudes,
     hermitian_inv_sqrt,
+    normalize,
     overlap_matrix,
 )
 from .groups import memoized
@@ -69,14 +70,12 @@ class CodeBasis:
 
     @property
     def basis_states(self):
-        return [FockState(self.config, a) for a in self.amplitudes]
+        """The rows of ``amplitudes`` as records with an ``amplitudes`` attribute."""
+        return [SimpleNamespace(amplitudes=row) for row in self.amplitudes]
 
     @property
     def alpha(self):
         return float(np.abs(self.constellation.alpha_vec[0]))
-
-    def state(self, l, m):
-        return FockState(self.config, self.amplitudes[2 * l + m])
 
 
 def _min_distance(points):
@@ -163,7 +162,7 @@ def covariant_encode(constellation, fourier, l, omega):
     """Single-qubit covariant encoding: F^dag applied directly to |g alpha>.
 
     The multiplicity slot of the Fourier row is contracted with the
-    normalized 2-vector ``omega``.
+    normalized 2-vector ``omega``.  Returns the normalized (d, d) state.
     """
     omega = np.asarray(omega, dtype=complex)
     if abs(np.linalg.norm(omega) - 1.0) > 1e-10:
@@ -177,7 +176,7 @@ def covariant_encode(constellation, fourier, l, omega):
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         raise ValueError("covariant encoding projected to the zero vector")
-    return FockState(constellation.config, vec / norm)
+    return vec / norm
 
 
 def gram_fourier_spectrum(gram, fourier):
@@ -214,7 +213,7 @@ class CatQuditCode:
     d: int
     alpha: float
     delta: np.ndarray
-    codewords: list
+    codewords: np.ndarray  # (d, cutoff + 1), codeword k in row k
 
     @property
     def m(self):
@@ -242,15 +241,11 @@ def cat_qudit(n, d, alpha, cutoff=None):
     if np.max(np.abs(delta.imag)) > 1e-10 or np.min(delta.real) < -1e-12:
         raise ValueError("cyclic Gram spectrum is not real nonnegative")
     delta = np.clip(delta.real, 0.0, None)
-    m = n // d
-    codewords = []
-    rotated = coherent_amplitudes(w**ls * alpha, cutoff)
-    for k in range(d):
-        if delta[(k * m) % n] < 1e-12:
-            raise ValueError("codeword numerically null")
-        weights = w ** (-k * np.arange(n) * m)
-        vec = weights @ rotated / np.sqrt(n * delta[(k * m) % n])
-        codewords.append(FockState(FockConfig(1, cutoff), vec).normalized())
+    km = np.arange(d) * (n // d)  # the Fourier index k M of codeword k, below N
+    if np.min(delta[km]) < 1e-12:
+        raise ValueError("codeword numerically null")
+    weights = w ** -np.outer(km, ls) / np.sqrt(n * delta[km])[:, None]
+    codewords = normalize(weights @ coherent_amplitudes(w**ls * alpha, cutoff), axes=-1)
     return CatQuditCode(n=n, d=d, alpha=alpha, delta=delta, codewords=codewords)
 
 

@@ -1,16 +1,16 @@
 """Truncated multimode Fock-space numerics.
 
-A state's amplitudes are stored as a complex tensor of shape ``(d,) * modes``
-with one axis per mode, d = cutoff + 1.  Operators are plain functions on
-such tensors: they map an array whose last ``modes`` axes are the modes to
-an array of the same shape, and any leading axes are a batch, so a stack of
-states is mapped in one call.  No operator is stored as a matrix over the
-full space; the general (non-monomial) two-mode passive unitary holds its
-total-photon sectors packed two to a row of one (d, d, d) stack, and a memo
-of the 32 latest lifts, keyed on the bytes of U and the config, lifts each
-U once.  Every constructor that builds a physical state from coherent
-amplitudes audits the truncated Poisson tail so that silent truncation
-errors cannot creep into downstream fidelity computations.
+A state is its amplitude array: a plain complex tensor of shape ``(d,) *
+modes`` with one axis per mode, d = cutoff + 1.  Operators are plain
+functions on such tensors: they map an array whose last ``modes`` axes are
+the modes to an array of the same shape, and any leading axes are a batch,
+so a stack of states is mapped in one call.  No operator is stored as a
+matrix over the full space; the general (non-monomial) two-mode passive
+unitary holds its total-photon sectors packed two to a row of one (d, d, d)
+stack, and a memo of the 32 latest lifts, keyed on the bytes of U and the
+config, lifts each U once.  Every constructor that builds a physical state
+from coherent amplitudes audits the truncated Poisson tail so that silent
+truncation errors cannot creep into downstream fidelity computations.
 """
 
 from __future__ import annotations
@@ -46,39 +46,36 @@ class FockConfig:
         return self.dim_per_mode**self.modes
 
 
-@dataclass
-class FockState:
-    """A state's amplitudes as a ``(d,) * modes`` tensor, one axis per mode."""
-
-    config: FockConfig
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.config.dim_per_mode,) * self.config.modes
-        self.amplitudes = np.reshape(self.amplitudes, shape)
-
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other):
-        """<self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def normalized(self):
-        n = self.norm()
-        if n < 1e-300:
-            raise ValueError("cannot normalize a zero state")
-        return FockState(self.config, self.amplitudes / n)
-
-
 def overlap_matrix(bras, kets):
     """<bras[i]|kets[j]> for two stacks of amplitude tensors (stacked on axis 0)."""
     return np.conj(bras).reshape(len(bras), -1) @ np.reshape(kets, (len(kets), -1)).T
 
 
-def infidelity(a, b):
-    """1 - |<a|b>| for normalized states; global-phase insensitive."""
-    return 1.0 - abs(a.overlap(b))
+def normalize(t, axes=None):
+    """t divided by its norm over ``axes`` (all axes when None, else an axis or two).
+
+    The norms are kept as size-one axes, so a stack of states normalizes
+    state by state; a zero state raises.
+    """
+    norm = np.linalg.norm(t, axis=axes, keepdims=True)
+    if norm.min() < 1e-300:
+        raise ValueError("cannot normalize a zero state")
+    return t * (1.0 / norm)
+
+
+def infidelity(a, b, axes=None):
+    """1 - |<a|b>| of the normalized states, as min_p ||a - e^{ip} b||^2 / 2.
+
+    Both arguments are normalized over ``axes`` (see ``normalize``) and the
+    global phase is aligned before the difference is taken, so the value
+    does not cancel: states an angle eps apart give eps^2 / 2 even where
+    1 - |<a|b>| rounds to 0.  Returns a float, or one per state of a stack.
+    """
+    a, b = normalize(a, axes), normalize(b, axes)
+    overlap = np.sum(b.conj() * a, axis=axes, keepdims=True)  # <b|a>
+    size = np.abs(overlap)
+    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
+    return np.sum(np.abs(a - phase * b) ** 2, axis=axes) / 2
 
 
 def coherent_amplitudes(alpha, cutoff, tail_tol=TAIL_TOL):
@@ -100,16 +97,13 @@ def coherent_amplitudes(alpha, cutoff, tail_tol=TAIL_TOL):
 
 def coherent_state(alpha, cutoff=DEFAULT_CUTOFF, tail_tol=TAIL_TOL):
     """Single-mode coherent state |alpha>, renormalized after truncation."""
-    amps = coherent_amplitudes(alpha, cutoff, tail_tol)
-    state = FockState(FockConfig(1, cutoff), amps)
-    return state.normalized()
+    return normalize(coherent_amplitudes(alpha, cutoff, tail_tol))
 
 
 def coherent_product(alphas, cutoff=DEFAULT_CUTOFF, tail_tol=TAIL_TOL):
     """Multimode coherent product state |alpha_1, ..., alpha_k>."""
     factors = coherent_amplitudes(alphas, cutoff, tail_tol)
-    state = FockState(FockConfig(len(factors), cutoff), reduce(np.multiply.outer, factors))
-    return state.normalized()
+    return normalize(reduce(np.multiply.outer, factors))
 
 
 def cat_state(alpha, parity, cutoff=DEFAULT_CUTOFF):
@@ -123,9 +117,7 @@ def cat_state(alpha, parity, cutoff=DEFAULT_CUTOFF):
     if alpha == 0 and parity == 1:
         raise ValueError("odd cat state is undefined at alpha = 0")
     plus, minus = coherent_amplitudes([alpha, -alpha], cutoff)
-    amps = plus + (-1.0) ** parity * minus
-    state = FockState(FockConfig(1, cutoff), amps)
-    return state.normalized()
+    return normalize(plus + (-1.0) ** parity * minus)
 
 
 def _monomial_structure(u, tol=1e-12):

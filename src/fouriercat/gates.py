@@ -13,8 +13,8 @@ import numpy as np
 
 from . import encoding
 from .fock import (
-    FockState,
     annihilation_operator,
+    infidelity,
     number_diagonal_operator,
     overlap_matrix,
     passive_gaussian_unitary,
@@ -139,11 +139,8 @@ def cz_target():
 def _encoded_residual(op, code, target, u):
     """Max infidelity of op E(|l>|m>) vs E_target(U|l> (x) U|m>)."""
     # column (l, m) of U (x) U holds the coefficients u[l', l] u[m', m]
-    rhs = np.tensordot(np.kron(u, u).T, target.amplitudes, axes=1).reshape(4, -1)
-    lhs = op(code.amplitudes).reshape(4, -1)
-    overlaps = np.abs(np.einsum("ij,ij->i", lhs.conj(), rhs))  # <lhs_i|rhs_i>
-    norms = np.linalg.norm(lhs, axis=-1) * np.linalg.norm(rhs, axis=-1)
-    return float(np.max(1.0 - overlaps / norms))
+    rhs = np.tensordot(np.kron(u, u).T, target.amplitudes, axes=1)
+    return float(np.max(infidelity(op(code.amplitudes), rhs, axes=(-2, -1))))
 
 
 def deformation_residual(code, u):
@@ -207,20 +204,15 @@ def snap_gate_check(code):
 
 
 # The Z_L Y_M eigenstates (|l, 0> + y |l, 1>) / sqrt(2), in this order
-_ZY_LABELS = ("0+i", "0-i", "1+i", "1-i")
+ZY_LABELS = ("0+i", "0-i", "1+i", "1-i")
 
 
-def _zy_stack(code):
-    """The four Z_L Y_M eigenstates as one (4, d, d) stack, in ``_ZY_LABELS`` order."""
+def zy_eigenstates(code):
+    """The four Z_L Y_M eigenstates as one normalized (4, d, d) stack, in ``ZY_LABELS`` order."""
     amps = code.amplitudes
     stack = amps[[0, 0, 2, 2]] + np.array([1j, -1j, 1j, -1j])[:, None, None] * amps[[1, 1, 3, 3]]
     stack /= np.linalg.norm(stack, axis=(-2, -1))[:, None, None]
     return stack
-
-
-def zy_eigenstates(code):
-    """The four Z_L Y_M eigenstates built from the encoded basis."""
-    return {label: FockState(code.config, amps) for label, amps in zip(_ZY_LABELS, _zy_stack(code))}
 
 
 def _mod4_masses(prob):
@@ -232,12 +224,12 @@ def _mod4_masses(prob):
     return padded.reshape(prob.shape[:-2] + (q, 4, q, 4)).sum(axis=(-4, -2))
 
 
-def outcome_distribution(state):
-    """Probability of each of the 16 (n1 mod 4, n2 mod 4) outcomes for a state.
+def outcome_distribution(amplitudes):
+    """Probability of each of the 16 (n1 mod 4, n2 mod 4) outcomes for a (d, d) state.
 
     Every residue pair is reported, including those outside ``TABLE_CELLS``.
     """
-    masses = _mod4_masses(np.abs(state.amplitudes) ** 2)
+    masses = _mod4_masses(np.abs(amplitudes) ** 2)
     return {(r1, r2): float(masses[r1, r2]) for r1 in range(4) for r2 in range(4)}
 
 
@@ -251,15 +243,15 @@ def y_readout(r1, r2):
     return "-i" if (r1 + r2) % 4 < 2 else "+i"
 
 
-# per eigenstate in _ZY_LABELS order, (r1, r2) masks of the cells outside
+# per eigenstate in ZY_LABELS order, (r1, r2) masks of the cells outside
 # its table cells and of the cells y_readout does not give its Y_M label
 _OUTSIDE = np.array([
     [[(r1, r2) not in TABLE_CELLS[label] for r2 in range(4)] for r1 in range(4)]
-    for label in _ZY_LABELS
+    for label in ZY_LABELS
 ])
 _WRONG = np.array([
     [[y_readout(r1, r2) != label[1:] for r2 in range(4)] for r1 in range(4)]
-    for label in _ZY_LABELS
+    for label in ZY_LABELS
 ])
 
 
@@ -269,7 +261,7 @@ def mod4_verification(code):
     For each Z_L Y_M eigenstate returns (mass outside its table cells,
     mass on wrong-Y_M cells after a_1, same after a_2).
     """
-    stack = _zy_stack(code)
+    stack = zy_eigenstates(code)
     prob = np.empty((3,) + stack.shape)  # before, after a_1, after a_2
     np.abs(stack, out=prob[0])
     for out, mode in zip(prob[1:], (0, 1)):
@@ -281,7 +273,7 @@ def mod4_verification(code):
     wrong = (masses[1:] * _WRONG).sum(axis=(-2, -1))
     return {
         label: (out, lost1, lost2)
-        for label, out, lost1, lost2 in zip(_ZY_LABELS, outside.tolist(), *wrong.tolist())
+        for label, out, lost1, lost2 in zip(ZY_LABELS, outside.tolist(), *wrong.tolist())
     }
 
 
@@ -307,6 +299,6 @@ def zy_expansion_residual(code):
     pred = np.zeros((4, d, d), dtype=complex)
     pred[:2, odd[:, None], even] = coeff[:2]  # l = 0 on |2p+1>|2q>
     pred[2:, even[:, None], odd] = coeff[2:].swapaxes(1, 2)  # l = 1, modes swapped
-    actual = _zy_stack(code)
+    actual = zy_eigenstates(code)
     scale = np.einsum("sab,sab->s", pred.conj(), actual) / np.einsum("sab,sab->s", pred.conj(), pred)
     return float(np.max(np.abs(actual - scale[:, None, None] * pred)))

@@ -101,7 +101,7 @@ def reference_kraus_images(code, gamma, env_floor=1e-13):
     b = np.stack([bs(vac) for vac in inputs], axis=-1)
     env_amps = np.array(
         [
-            coherent_product(p, config.cutoff).amplitudes.ravel()
+            coherent_product(p, config.cutoff).ravel()
             for p in code.constellation.points * r
         ]
     )

@@ -23,15 +23,26 @@ def test_verify_default_passes(capsys):
 
 
 def test_verify_starved_cutoff_fails(capsys):
-    assert run(["verify", "--cutoff", "5"]) == 1
-    out = capsys.readouterr().out
-    assert "constellation_tail_mass" in out
-    assert "FAILED" in out
+    # gates-demo builds its code through the same step as verify
+    for command in ("verify", "gates-demo"):
+        for cutoff in ("5", "3"):
+            assert run([command, "--cutoff", cutoff]) == 1
+            out = capsys.readouterr().out
+            assert "[FAIL] constellation_tail_mass" in out
+            assert 'FAILED ["constellation_tail_mass"]' in out
 
 
 def test_verify_degenerate_phi_is_config_error(capsys):
-    assert run(["verify", "--phi", "0"]) == 2
-    assert "degenerate" in capsys.readouterr().err
+    for command in ("verify", "gates-demo"):
+        assert run([command, "--phi", "0"]) == 2
+        assert "degenerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "gates-demo"])
+def test_singular_gram_is_config_error(command, capsys):
+    # at alpha 0.001 the eight coherent states nearly coincide
+    assert run([command, "--alpha", "0.001"]) == 2
+    assert "Gram matrix numerically singular" in capsys.readouterr().err
 
 
 def test_unknown_group_is_config_error():

@@ -7,9 +7,9 @@ from scipy.linalg import expm
 import fouriercat as fc
 from fouriercat.encoding import deform_constellation
 from fouriercat.fock import (
-    FockState,
     annihilation_operator,
     infidelity,
+    normalize,
     number_diagonal_operator,
     overlap_matrix,
     passive_gaussian_unitary,
@@ -165,7 +165,7 @@ def test_zeno_unitary_matches_expm(name, phi):
 
 
 def test_zy_eigenstate_cells(star_code):
-    for label, state in fc.zy_eigenstates(star_code).items():
+    for label, state in zip(fc.ZY_LABELS, fc.zy_eigenstates(star_code)):
         dist = outcome_distribution(state)
         outside = sum(
             p for cell, p in dist.items() if cell not in TABLE_CELLS[label]
@@ -184,10 +184,10 @@ def test_y_readout_covers_all_outcomes():
 
 
 def test_readout_survives_single_loss(star_code):
-    for label, state in fc.zy_eigenstates(star_code).items():
+    for label, state in zip(fc.ZY_LABELS, fc.zy_eigenstates(star_code)):
         for mode in (0, 1):
-            lower = annihilation_operator(mode, state.config)
-            lost = FockState(state.config, lower(state.amplitudes)).normalized()
+            lower = annihilation_operator(mode, star_code.config)
+            lost = normalize(lower(state))
             dist = outcome_distribution(lost)
             wrong = sum(
                 p for cell, p in dist.items() if fc.y_readout(*cell) != label[1:]
@@ -213,7 +213,7 @@ def zy_eigenstates_loop_reference(code):
     for l in (0, 1):
         for sign, tag in ((1.0j, "+i"), (-1.0j, "-i")):
             amps = (code.amplitudes[2 * l] + sign * code.amplitudes[2 * l + 1]) / np.sqrt(2.0)
-            out[f"{l}{tag}"] = FockState(code.config, amps).normalized()
+            out[f"{l}{tag}"] = normalize(amps)
     return out
 
 
@@ -221,9 +221,9 @@ def mod4_verification_loop_reference(code):
     """The per-eigenstate outcome-mass loop that ``mod4_verification`` replaced."""
     report = {}
     for label, state in zy_eigenstates_loop_reference(code).items():
-        masses = [_mod4_masses(np.abs(state.amplitudes) ** 2)]
+        masses = [_mod4_masses(np.abs(state) ** 2)]
         for mode in (0, 1):
-            lost = np.abs(annihilation_operator(mode, code.config)(state.amplitudes)) ** 2
+            lost = np.abs(annihilation_operator(mode, code.config)(state)) ** 2
             masses.append(_mod4_masses(lost) / lost.sum())
         outside = sum(masses[0][c] for c in np.ndindex(4, 4) if c not in TABLE_CELLS[label])
         wrong = [sum(m[c] for c in np.ndindex(4, 4) if fc.y_readout(*c) != label[1:]) for m in masses[1:]]
@@ -254,8 +254,8 @@ def zy_expansion_loop_reference(code):
                     pred[2 * p + 1, 2 * q] = coeff
                 else:
                     pred[2 * q, 2 * p + 1] = coeff
-        scale = np.vdot(pred, state.amplitudes) / np.vdot(pred, pred)
-        worst = max(worst, float(np.max(np.abs(state.amplitudes - scale * pred))))
+        scale = np.vdot(pred, state) / np.vdot(pred, pred)
+        worst = max(worst, float(np.max(np.abs(state - scale * pred))))
     return worst
 
 
@@ -316,11 +316,7 @@ def leakage_loop_reference(op, code):
 def encoded_residual_loop_reference(op, code, target, u):
     """The per-state infidelities that ``gates._encoded_residual`` replaced."""
     rhs = np.tensordot(np.kron(u, u).T, target.amplitudes, axes=1)
-    cfg = code.config
-    return max(
-        infidelity(FockState(cfg, a).normalized(), FockState(cfg, b).normalized())
-        for a, b in zip(op(code.amplitudes), rhs)
-    )
+    return max(infidelity(a, b) for a, b in zip(op(code.amplitudes), rhs))
 
 
 def zeno_eigen_loop_reference(code):
@@ -357,8 +353,8 @@ def test_stacked_residuals_match_loop_references(name, alpha, phi, cutoff):
     want = encoded_residual_loop_reference(lambda t: pi_h(pi_h(t)), code, code, HADAMARD @ HADAMARD)
     assert agree(double_deformation_residual(code, HADAMARD), want)
     states, want = fc.zy_eigenstates(code), zy_eigenstates_loop_reference(code)
-    assert list(states) == list(want)
-    assert all(np.max(np.abs(states[k].amplitudes - want[k].amplitudes)) <= 1e-15 for k in want)
+    assert fc.ZY_LABELS == tuple(want)
+    assert all(np.max(np.abs(state - want[k])) <= 1e-15 for k, state in zip(fc.ZY_LABELS, states))
     report, want = fc.mod4_verification(code), mod4_verification_loop_reference(code)
     assert list(report) == list(want)
     assert all(agree(got, ref) for k in want for got, ref in zip(report[k], want[k], strict=True))
