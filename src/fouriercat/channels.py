@@ -1,12 +1,12 @@
 """Pure-loss channel diagnostics and the Petz entanglement fidelity.
 
 Two routes compute the QEC matrix of the code under loss: an analytic
-contraction of closed-form Gram matrices (exact, truncation-free, used for
-parameter sweeps) and a brute-force Fock-space simulation of the
-beamsplitter dilation (the cross-validation oracle).  The oracle takes the
-beamsplitter's images of |n, 0> in closed form (exact: those sectors lie
-under the cutoff) and projects each mode's reflected part onto single-mode
-coherent states, so it costs O(d^3) in the per-mode dimension d.
+contraction of closed-form Gram matrices (exact, truncation-free, one
+eigendecomposition per sweep point) and a brute-force Fock-space simulation
+of the beamsplitter dilation (the cross-validation oracle).  The oracle
+takes the beamsplitter's images of |n, 0> in closed form (exact: those
+sectors lie under the cutoff) and projects each mode's reflected part onto
+single-mode coherent states, so it costs O(d^3) in the per-mode dimension d.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ import numpy as np
 
 from . import encoding
 from .fock import (
+    SingularGramError,
+    _condition_number,
+    _hermitian_eigh,
     annihilation_operator,
     coherent_amplitudes,
     hermitian_inv_sqrt,
@@ -46,8 +49,8 @@ def loss_gram_matrices(lam, alpha, gamma):
     All three are entrywise exponentials of the 2-vector Gram matrix; at
     gamma = 0, Gamma_t reduces to Gamma and Gamma_r to the all-ones matrix.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     base = lam - 1.0
@@ -63,18 +66,26 @@ def qec_matrix_analytic(group, fourier, alpha, gamma, floor=1e-12, phi=np.pi / 2
     M[kp, lq] = sum_{g,h} [F G^-1/2]_{k0,g} [G^-1/2 F^dag]_{h,l0}
                 [G_r^1/2]_{gp} [G_r^1/2]_{qh} [G_t]_{gh}.
     As G_r^1/2 is Hermitian, M = U G_t U^dag, U[kp, g] = [F G^-1/2]_{k0,g} [G_r^1/2]_{gp}.
+    Both roots come from one eigendecomposition of the Hermitian pair (G, G_r).
+    G's eigenvalues w must exceed ``floor`` times the largest, else
+    ``SingularGramError`` raises; either carries G's condition number
+    max |w| / min |w|, as ``extras["condition_number"]`` or on the error.
     """
     lam = lambda_matrix(group, phi)
     gram, gram_t, gram_r = loss_gram_matrices(lam, alpha, gamma)
-    inv_sqrt = hermitian_inv_sqrt(gram, floor=floor).inv_sqrt
-    sr = hermitian_inv_sqrt(gram_r, pseudo=True).sqrt
+    w, v = _hermitian_eigh(np.stack([gram, gram_r]))  # w ascending
+    cond = _condition_number(w[0])
+    if not w[0, 0] > floor * w[0, -1]:
+        raise SingularGramError(cond)
+    scale = np.stack([1.0 / np.sqrt(w[0]), np.sqrt(np.maximum(w[1], 0.0))])
+    inv_sqrt, sr = (v * scale[:, None, :]) @ v.conj().swapaxes(-1, -2)
     label = fourier.defining_label
     rows = [fourier.row(label, k, 0) for k in (0, 1)]
     a = (fourier.matrix @ inv_sqrt)[rows]  # a[k, g]
     u = (a[:, None, :] * sr.T).reshape(2 * group.order, group.order)
     entries = u @ gram_t @ u.conj().T
     entries = (entries + entries.conj().T) / 2
-    return QecMatrix(entries=entries)
+    return QecMatrix(entries=entries, extras={"condition_number": cond})
 
 
 def petz_entanglement_fidelity(qec):
@@ -252,30 +263,18 @@ class SweepRecord:
     flags: list = field(default_factory=list)
 
 
-def _petz_infidelity(group, fourier, alpha, gamma, phi, floor=1e-12):
-    lam = lambda_matrix(group, phi)
-    gram = loss_gram_matrices(lam, alpha, gamma)[0]
-    cond = float(np.linalg.cond(gram))
-    w = np.linalg.eigvalsh(gram)
-    if float(np.min(w)) <= floor * float(np.max(w)):
-        return None, cond
-    qec = qec_matrix_analytic(group, fourier, alpha, gamma, floor=floor, phi=phi)
-    return 1.0 - petz_entanglement_fidelity(qec), cond
-
-
 def _sweep(group, fourier, points, phi):
-    """One record per (value, alpha, gamma) point, analytic route.
-
-    Ill-conditioned points are flagged and carry NaN infidelity rather than
-    being dropped.
-    """
+    """One record per (value, alpha, gamma) point; a numerically singular Gram
+    matrix flags its point ill-conditioned, with NaN infidelity."""
     records = []
     for value, alpha, gamma in points:
-        inf, cond = _petz_infidelity(group, fourier, alpha, gamma, phi)
-        if inf is None:
-            records.append(SweepRecord(value, float("nan"), cond, ["ill-conditioned"]))
+        try:
+            qec = qec_matrix_analytic(group, fourier, alpha, gamma, phi=phi)
+        except SingularGramError as exc:
+            records.append(SweepRecord(value, np.nan, exc.condition_number, ["ill-conditioned"]))
         else:
-            records.append(SweepRecord(value, inf, cond))
+            fid = petz_entanglement_fidelity(qec)
+            records.append(SweepRecord(value, 1.0 - fid, qec.extras["condition_number"]))
     return records
 
 

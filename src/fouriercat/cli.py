@@ -24,12 +24,18 @@ from .channels import (
     sweep_gamma,
 )
 from .encoding import (
+    DegenerateConstellationError,
     code_basis,
     gram_fourier_spectrum,
     gram_matrix,
     make_constellation,
 )
-from .fock import overlap_matrix, passive_gaussian_unitary
+from .fock import (
+    SingularGramError,
+    StarvedTailError,
+    overlap_matrix,
+    passive_gaussian_unitary,
+)
 from .gates import (
     IDENTITY2,
     S2,
@@ -304,18 +310,16 @@ def _build_code(cfg, group, fourier, checks):
     A degenerate constellation or a numerically singular Gram matrix is a
     configuration error; a cutoff too small for the constellation's
     coherent states is a verification failure, ``constellation_tail_mass``.
+    Any other ``ValueError`` propagates.
     """
     try:
         constellation = make_constellation(group, cfg["alpha"], cfg["phi"], cfg["cutoff"])
-    except ValueError as exc:
-        if "degenerate" in str(exc):
-            raise ConfigError(str(exc)) from exc
+        return code_basis(constellation, fourier)
+    except (DegenerateConstellationError, SingularGramError) as exc:
+        raise ConfigError(str(exc)) from exc
+    except StarvedTailError as exc:
         checks.error("constellation_tail_mass", str(exc))
         return None
-    try:
-        return code_basis(constellation, fourier)
-    except ValueError as exc:  # the Gram matrix of nearly coincident states
-        raise ConfigError(str(exc)) from exc
 
 
 def _finish_verify(checks):

@@ -41,6 +41,10 @@ GRAM_FLOOR = 1e-12
 CODE_MEMO_SIZE = 8
 
 
+class DegenerateConstellationError(ValueError):
+    """An orbit in which two group elements send alpha to the same point."""
+
+
 @dataclass(eq=False)
 class Constellation:
     """The orbit {|g alpha>} of a two-mode coherent state under the group."""
@@ -98,7 +102,7 @@ def _constellation(group, alpha_bytes, cutoff):
     alpha_vec = np.frombuffer(alpha_bytes, dtype=complex)  # read-only
     points = group.matrices() @ alpha_vec
     if _min_distance(points) <= 1e-9 * max(1.0, float(np.linalg.norm(alpha_vec))):
-        raise ValueError("degenerate constellation")
+        raise DegenerateConstellationError("degenerate constellation")
     factors = coherent_amplitudes(points, cutoff)  # (|G|, 2, d), one per mode
     factors /= np.linalg.norm(factors, axis=-1, keepdims=True)
     amplitudes = factors[:, 0, :, None] * factors[:, 1, None, :]

@@ -51,16 +51,21 @@ def overlap_matrix(bras, kets):
     return np.conj(bras).reshape(len(bras), -1) @ np.reshape(kets, (len(kets), -1)).T
 
 
+def _norms(t, axes):
+    """Norms of t over ``axes``, kept as size-one axes; a zero state raises."""
+    norm = np.linalg.norm(t, axis=axes, keepdims=True)
+    if norm.min() < 1e-300:
+        raise ValueError("cannot normalize a zero state")
+    return norm
+
+
 def normalize(t, axes=None):
     """t divided by its norm over ``axes`` (all axes when None, else an axis or two).
 
     The norms are kept as size-one axes, so a stack of states normalizes
     state by state; a zero state raises.
     """
-    norm = np.linalg.norm(t, axis=axes, keepdims=True)
-    if norm.min() < 1e-300:
-        raise ValueError("cannot normalize a zero state")
-    return t * (1.0 / norm)
+    return t * (1.0 / _norms(t, axes))
 
 
 def infidelity(a, b, axes=None):
@@ -69,13 +74,19 @@ def infidelity(a, b, axes=None):
     Both arguments are normalized over ``axes`` (see ``normalize``) and the
     global phase is aligned before the difference is taken, so the value
     does not cancel: states an angle eps apart give eps^2 / 2 even where
-    1 - |<a|b>| rounds to 0.  Returns a float, or one per state of a stack.
+    1 - |<a|b>| rounds to 0.  The normalized copies are never formed: the
+    one difference a / |a| - e^{ip} b / |b| is scaled from the raw states.
+    Returns a float, or one per state of a stack.
     """
-    a, b = normalize(a, axes), normalize(b, axes)
-    overlap = np.sum(b.conj() * a, axis=axes, keepdims=True)  # <b|a>
+    overlap = np.sum(b.conj() * a, axis=axes, keepdims=True)  # <b|a> of the raw states
     size = np.abs(overlap)
     phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
-    return np.sum(np.abs(a - phase * b) ** 2, axis=axes) / 2
+    diff = a * (1.0 / _norms(a, axes)) - b * (phase / _norms(b, axes))
+    return np.sum(np.abs(diff) ** 2, axis=axes) / 2
+
+
+class StarvedTailError(ValueError):
+    """A cutoff that truncates more than ``tail_tol`` of a coherent state's Poisson mass."""
 
 
 def coherent_amplitudes(alpha, cutoff, tail_tol=TAIL_TOL):
@@ -91,7 +102,7 @@ def coherent_amplitudes(alpha, cutoff, tail_tol=TAIL_TOL):
     amps = np.exp(logmag + 1j * n * np.angle(alpha))
     bad = ~(1.0 - np.sum(np.abs(amps) ** 2, axis=-1) <= tail_tol)
     if np.any(bad):
-        raise ValueError(f"cutoff too small for |alpha| = {np.max(mag[..., 0][bad]):.4g}")
+        raise StarvedTailError(f"cutoff too small for |alpha| = {np.max(mag[..., 0][bad]):.4g}")
     return amps
 
 
@@ -273,33 +284,49 @@ def annihilation_operator(mode, config, power=1):
     return act
 
 
+class SingularGramError(ValueError):
+    """A Gram matrix whose smallest eigenvalue lies at or below its floor."""
+
+    def __init__(self, condition_number):
+        super().__init__("Gram matrix numerically singular")
+        self.condition_number = condition_number
+
+
+def _hermitian_eigh(a):
+    """eigh (w ascending) of (A + A^H) / 2 for a matrix or stack A, Hermitian to 1e-10."""
+    a = np.asarray(a, dtype=complex)
+    ah = a.conj().swapaxes(-1, -2)
+    if np.max(np.linalg.norm(a - ah, axis=(-2, -1))) > 1e-10:
+        raise ValueError("matrix is not Hermitian")
+    return np.linalg.eigh((a + ah) / 2)
+
+
+def _condition_number(w):
+    """max |w| / min |w| of one eigenvalue spectrum: the 2-norm condition number."""
+    w = np.abs(w)
+    return float(w.max() / w.min()) if w.min() > 0 else float("inf")
+
+
 class MatrixRoots(NamedTuple):
     inv_sqrt: np.ndarray
-    sqrt: np.ndarray
     rank: int  # eigenvalues kept by the inverse square root
     gain: float  # ||A^(-1/2)||_2, from the smallest kept eigenvalue
 
 
 def hermitian_inv_sqrt(a, floor=1e-12, pseudo=False):
-    """Inverse square root of a Hermitian PSD matrix by eigendecomposition.
+    """Inverse square root of a Hermitian PSD matrix by one eigendecomposition.
 
-    Eigenvalues below ``floor`` times the largest one are rejected unless
-    ``pseudo`` is set, in which case they are dropped (pseudo-inverse) —
-    used for rank-deficient Gram matrices of nearly coincident states.
-    Returns A^(-1/2), A^(1/2), how many eigenvalues were kept and ||A^(-1/2)||_2.
+    Eigenvalues below ``floor`` times the largest one raise
+    ``SingularGramError`` unless ``pseudo`` is set, in which case they are
+    dropped (pseudo-inverse) — used for rank-deficient Gram matrices of
+    nearly coincident states.  Returns A^(-1/2), how many eigenvalues were
+    kept and ||A^(-1/2)||_2.
     """
-    a = np.asarray(a, dtype=complex)
-    ah = a.conj().T
-    if np.linalg.norm(a - ah) > 1e-10:
-        raise ValueError("matrix is not Hermitian")
-    w, v = np.linalg.eigh((a + ah) / 2)  # w ascending, so the kept ones are a suffix
-    if not w[-1] > 0:
-        raise ValueError("Gram matrix numerically singular")
+    w, v = _hermitian_eigh(a)  # w ascending, so the kept ones are a suffix
     first = len(w) - int(np.count_nonzero(w > floor * w[-1]))  # smallest kept one
-    if first and not pseudo:
-        raise ValueError("Gram matrix numerically singular")
+    if not w[-1] > 0 or (first and not pseudo):
+        raise SingularGramError(_condition_number(w))
     inv_w = np.zeros_like(w)
     inv_w[first:] = 1.0 / np.sqrt(w[first:])
     inv_sqrt = (v * inv_w) @ v.conj().T
-    sqrt = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-    return MatrixRoots(inv_sqrt, sqrt, rank=len(w) - first, gain=float(inv_w[first]))
+    return MatrixRoots(inv_sqrt, rank=len(w) - first, gain=float(inv_w[first]))

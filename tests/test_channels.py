@@ -15,6 +15,7 @@ from fouriercat.fock import (
     FockConfig,
     annihilation_operator,
     coherent_product,
+    SingularGramError,
     hermitian_inv_sqrt,
     passive_gaussian_unitary,
 )
@@ -297,17 +298,53 @@ def make_group(name):
     return group, fc.build_fourier_transform(group, fc.irrep_table(group))
 
 
+def hermitian_sqrt_reference(a):
+    """A^1/2 of a Hermitian PSD matrix, negative roundoff eigenvalues clipped."""
+    ah = a.conj().T
+    w, v = np.linalg.eigh((a + ah) / 2)
+    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+
+
 def qec_matrix_analytic_einsum_reference(group, fourier, alpha, gamma, phi):
     """The five-operand einsum that ``qec_matrix_analytic`` replaced."""
     lam = fc.lambda_matrix(group, phi)
     gram, gram_t, gram_r = loss_gram_matrices(lam, alpha, gamma)
     inv_sqrt = hermitian_inv_sqrt(gram).inv_sqrt
-    sr = hermitian_inv_sqrt(gram_r, pseudo=True).sqrt
+    sr = hermitian_sqrt_reference(gram_r)
     label = fourier.defining_label
     a = (fourier.matrix @ inv_sqrt)[[fourier.row(label, k, 0) for k in (0, 1)]]
     m = np.einsum("kg,lh,gp,qh,gh->kplq", a, a.conj(), sr, sr, gram_t, optimize=True)
     m = m.reshape(2 * group.order, 2 * group.order)
     return (m + m.conj().T) / 2
+
+
+def qec_matrix_analytic_two_root_reference(group, fourier, alpha, gamma, phi):
+    """``qec_matrix_analytic`` as it was: one eigendecomposition per root."""
+    lam = fc.lambda_matrix(group, phi)
+    gram, gram_t, gram_r = loss_gram_matrices(lam, alpha, gamma)
+    inv_sqrt = hermitian_inv_sqrt(gram).inv_sqrt
+    sr = hermitian_sqrt_reference(gram_r)
+    label = fourier.defining_label
+    a = (fourier.matrix @ inv_sqrt)[[fourier.row(label, k, 0) for k in (0, 1)]]
+    u = (a[:, None, :] * sr.T).reshape(2 * group.order, group.order)
+    m = u @ gram_t @ u.conj().T
+    return fc.QecMatrix(entries=(m + m.conj().T) / 2)
+
+
+def sweep_loop_reference(group, fourier, points, phi, floor=1e-12):
+    """The per-point sweep that ``_sweep`` replaced: Gamma's condition number
+    by SVD, its floor test by eigvalsh, then the two-root QEC matrix."""
+    records = []
+    for value, alpha, gamma in points:
+        gram = loss_gram_matrices(fc.lambda_matrix(group, phi), alpha, gamma)[0]
+        cond = float(np.linalg.cond(gram))
+        w = np.linalg.eigvalsh(gram)
+        if float(np.min(w)) <= floor * float(np.max(w)):
+            records.append((value, np.nan, cond, ["ill-conditioned"]))
+            continue
+        qec = qec_matrix_analytic_two_root_reference(group, fourier, alpha, gamma, phi)
+        records.append((value, 1.0 - fc.petz_entanglement_fidelity(qec), cond, []))
+    return records
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.3])
@@ -319,6 +356,101 @@ def test_analytic_matches_einsum_reference(name, phi, gamma):
         got = fc.qec_matrix_analytic(group, fourier, alpha, gamma, phi=phi).entries
         want = qec_matrix_analytic_einsum_reference(group, fourier, alpha, gamma, phi)
         assert np.max(np.abs(got - want)) < 1e-14
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.3])
+@pytest.mark.parametrize("phi", [np.pi / 2, 1.0], ids=["phi-pi/2", "phi1.0"])
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_analytic_is_bit_identical_to_two_root_reference(name, phi, gamma):
+    # one eigh of the stacked pair (Gamma, Gamma_r) decomposes each matrix as
+    # a separate eigh does, so not one entry moves
+    group, fourier = make_group(name)
+    for alpha in (1.0, ALPHA_STAR, 1.5):
+        got = fc.qec_matrix_analytic(group, fourier, alpha, gamma, phi=phi)
+        want = qec_matrix_analytic_two_root_reference(group, fourier, alpha, gamma, phi)
+        assert np.array_equal(got.entries, want.entries)
+        gram = loss_gram_matrices(fc.lambda_matrix(group, phi), alpha, gamma)[0]
+        cond = np.linalg.cond(gram)
+        assert abs(got.extras["condition_number"] - cond) <= 1e-12 * cond
+
+
+def check_sweep_matches_loop_reference(records, want):
+    eps = np.finfo(float).eps
+    assert [r.value for r in records] == [w[0] for w in want]
+    assert np.array_equal([r.infidelity for r in records], [w[1] for w in want], equal_nan=True)
+    assert [r.flags for r in records] == [w[3] for w in want]
+    for rec, (_, _, cond, _) in zip(records, want):
+        # 1e-12 where Gamma is well conditioned; SVD and eigh each resolve
+        # its smallest eigenvalue only to eps * ||Gamma||, so that relative
+        # error grows as eps * cond towards the ill-conditioned end
+        assert abs(rec.condition_number - cond) <= (1e-12 + 8 * eps * cond) * cond
+
+
+@pytest.mark.parametrize("phi", [np.pi / 2, 1.0], ids=["phi-pi/2", "phi1.0"])
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_sweeps_match_loop_reference(name, phi):
+    group, fourier = make_group(name)
+    # Gamma is singular to the 1e-12 floor at 0.002 and, except for q8 at
+    # phi = 1, at 0.02; from 0.3 on it is well conditioned
+    alphas = [0.002, 0.02, 0.1, 0.3, 1.0, 1.25, ALPHA_STAR, 1.5]
+    records = fc.sweep_alpha(group, fourier, 0.01, alphas, phi=phi)
+    want = sweep_loop_reference(group, fourier, [(a, a, 0.01) for a in alphas], phi)
+    assert want[0][3] == ["ill-conditioned"] and not any(w[3] for w in want[2:])
+    check_sweep_matches_loop_reference(records, want)
+    gammas = [0.0, 1e-3, 1e-2, 0.1, 0.3]
+    for alpha in (0.002, ALPHA_STAR):  # every point flagged at 0.002
+        records = fc.sweep_gamma(group, fourier, alpha, gammas, phi=phi)
+        want = sweep_loop_reference(group, fourier, [(g, alpha, g) for g in gammas], phi)
+        check_sweep_matches_loop_reference(records, want)
+
+
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_analytic_point_decomposes_each_matrix_once(name, monkeypatch):
+    # one eigh of the pair (Gamma, Gamma_r) and one of M per point; no SVD
+    # condition number and no second spectrum of Gamma
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a second decomposition of Gamma")
+
+    shapes = []
+
+    def eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return numpy_eigh(a, *args, **kwargs)
+
+    numpy_eigh = np.linalg.eigh
+    for attr in ("cond", "svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, attr, forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    group, fourier = make_group(name)
+    n = group.order
+    records = fc.sweep_alpha(group, fourier, 0.01, [0.02, 1.0, 1.25])
+    assert [bool(r.flags) for r in records] == [True, False, False]
+    assert shapes == [(2, n, n)] + [(2, n, n), (2 * n, 2 * n)] * 2
+    shapes.clear()
+    records = fc.sweep_gamma(group, fourier, ALPHA_STAR, [0.0, 0.01])
+    assert all(np.isfinite(r.infidelity) for r in records)
+    assert shapes == [(2, n, n), (2 * n, 2 * n)] * 2
+    shapes.clear()
+    qec = fc.qec_matrix_analytic(group, fourier, ALPHA_STAR, 0.01)
+    assert shapes == [(2, n, n)] and qec.extras["condition_number"] > 1
+
+
+def test_singular_gram_error_carries_the_condition_number(d8, d8_fourier):
+    with pytest.raises(SingularGramError, match="Gram matrix numerically singular") as info:
+        fc.qec_matrix_analytic(d8, d8_fourier, 0.02, 0.01)
+    assert isinstance(info.value, ValueError)
+    (record,) = fc.sweep_alpha(d8, d8_fourier, 0.01, [0.02])
+    assert info.value.condition_number == record.condition_number > 1e12
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_analytic_route_rejects_non_finite_alpha(d8, d8_fourier, alpha):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        fc.qec_matrix_analytic(d8, d8_fourier, alpha, 0.01)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        fc.sweep_alpha(d8, d8_fourier, 0.01, [alpha, 1.2])
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        fc.sweep_gamma(d8, d8_fourier, alpha, [0.01])
 
 
 @pytest.mark.parametrize("gamma", [1e-3, 1e-2, 0.3])

@@ -45,6 +45,20 @@ def test_singular_gram_is_config_error(command, capsys):
     assert "Gram matrix numerically singular" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["make_constellation", "code_basis"])
+def test_untyped_construction_error_propagates(step, monkeypatch):
+    # construction errors are routed by type, not by message: a plain
+    # ValueError that merely says "degenerate" is no configuration error
+    def fails(*args):
+        raise ValueError("degenerate constellation")
+
+    monkeypatch.setattr(cli, step, fails)
+    for command in ("verify", "gates-demo"):
+        with pytest.raises(ValueError, match="degenerate") as info:
+            run([command])
+        assert type(info.value) is ValueError
+
+
 def test_unknown_group_is_config_error():
     assert run(["verify", "--group", "e8"]) == 2
 

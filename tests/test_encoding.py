@@ -8,12 +8,19 @@ import fouriercat as fc
 from fouriercat import encoding
 from fouriercat.encoding import (
     CODE_MEMO_SIZE,
+    DegenerateConstellationError,
     analytic_gram,
     cyclic_fourier,
     cyclic_gram,
     deform_constellation,
 )
-from fouriercat.fock import cat_state, coherent_product, infidelity, passive_gaussian_unitary
+from fouriercat.fock import (
+    StarvedTailError,
+    cat_state,
+    coherent_product,
+    infidelity,
+    passive_gaussian_unitary,
+)
 from fouriercat.groups import HADAMARD, PAULI_X
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
@@ -120,7 +127,7 @@ def test_min_euclidean_distance(star_constellation, d8):
 
 
 def test_degenerate_constellation_raises(d8):
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(DegenerateConstellationError, match="degenerate"):
         fc.make_constellation(d8, 1.0, 0.0)
     with pytest.raises(ValueError, match="positive"):
         fc.make_constellation(d8, -1.0, np.pi / 2)
@@ -250,7 +257,7 @@ def test_code_memos_match_an_uncached_build(name, alpha, phi, cutoff):
 def test_failing_constructions_raise_on_every_call(d8, args, message):
     sizes = encoding._constellation.cache_info().currsize
     for _ in range(2):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises((DegenerateConstellationError, StarvedTailError), match=message):
             fc.make_constellation(d8, *args)
     assert encoding._constellation.cache_info().currsize == sizes
     with pytest.raises(ValueError, match="two entries"):
