@@ -24,7 +24,10 @@ from .fock import (
     coherent_amplitudes,
     hermitian_inv_sqrt,
 )
-from .groups import HADAMARD
+from .groups import HADAMARD, memoized
+
+# Parity masks kept by lindblad_kernel_check, one (d, d) bool array per cutoff.
+PARITY_MEMO_SIZE = 8
 
 
 @dataclass
@@ -223,7 +226,9 @@ def lindblad_kernel_check(code, deformed=False):
     Returns (per-operator max residual dict, odd-parity projector residual).
     Residuals are normalized by alpha^4 (alpha^2 for the quadratic operator).
     With ``deformed`` set, the beamsplitter-deformed code and the primed
-    operators (signs of the alpha^4 offsets flipped) are used instead.
+    operators (signs of the alpha^4 offsets flipped) are used instead.  The
+    parity residual is the largest amplitude norm on even total photon
+    number, read through a mask built once per cutoff.
     """
     alpha = code.alpha
     if deformed:
@@ -249,10 +254,17 @@ def lindblad_kernel_check(code, deformed=False):
         name: float(np.max(np.linalg.norm(img, axis=(-2, -1)))) / scale
         for name, (img, scale) in images.items()
     }
-    d = basis.config.dim_per_mode
-    odd = np.add.outer(np.arange(d), np.arange(d)) % 2 == 1
-    parity_residual = float(np.max(np.linalg.norm(amps[:, ~odd], axis=-1)))
+    even = _even_total_parity(basis.config.dim_per_mode)
+    parity_residual = float(np.max(np.linalg.norm(amps[:, even], axis=-1)))
     return residuals, parity_residual
+
+
+@memoized(PARITY_MEMO_SIZE)
+def _even_total_parity(d):
+    """The read-only (d, d) mask of the levels (n1, n2) with n1 + n2 even."""
+    even = np.add.outer(np.arange(d), np.arange(d)) % 2 == 0
+    even.flags.writeable = False
+    return even
 
 
 @dataclass

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -56,6 +55,7 @@ from .groups import (
     HADAMARD,
     build_fourier_transform,
     irrep_table,
+    memoized,
     pauli_group,
     quaternion_group,
     verify_block_diagonalization,
@@ -63,6 +63,11 @@ from .groups import (
 
 ALPHA_STAR = math.sqrt(math.pi / 2)
 MAX_GRID_POINTS = 10**6
+# The largest array a command allocates is the (d, d, d) complex sector lift
+# of a two-mode passive unitary, 16 d^3 bytes at d = cutoff + 1.  Capping it
+# at 256 MiB caps d at 256; a larger cutoff is refused before any allocation.
+MAX_LIFT_BYTES = 2**28
+MAX_CUTOFF = round((MAX_LIFT_BYTES / 16) ** (1 / 3)) - 1
 
 # logical targets on the basis (l, m), acting on L only
 _X_TARGET = np.kron(X2, IDENTITY2)
@@ -139,8 +144,8 @@ def load_config(args):
         raise ConfigError("alpha must be positive")
     if not 0.0 <= cfg["gamma"] < 1.0:
         raise ConfigError("gamma must lie in [0, 1)")
-    if cfg["cutoff"] < 1:
-        raise ConfigError("cutoff must be at least 1")
+    if not 1 <= cfg["cutoff"] <= MAX_CUTOFF:
+        raise ConfigError(f"cutoff must lie in [1, {MAX_CUTOFF}]")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
     return cfg
@@ -462,7 +467,7 @@ def cmd_gates_demo(cfg):
     return 0
 
 
-@functools.cache
+@memoized(1)
 def build_parser():
     """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(

@@ -7,23 +7,33 @@ the modes to an array of the same shape, and any leading axes are a batch,
 so a stack of states is mapped in one call.  No operator is stored as a
 matrix over the full space; the general (non-monomial) two-mode passive
 unitary holds its total-photon sectors packed two to a row of one (d, d, d)
-stack, and a memo of the 32 latest lifts, keyed on the bytes of U and the
-config, lifts each U once.  Every constructor that builds a physical state
-from coherent amplitudes audits the truncated Poisson tail so that silent
-truncation errors cannot creep into downstream fidelity computations.
+stack.  Operators whose inputs never change are built once per process:
+a memo of the 32 latest lifts, keyed on the bytes of U and the config,
+lifts each U once and validates it only then, and a memo of the 32 latest
+ladder operators, keyed on (mode, config, power) and their types, builds
+each a^power once.  Every array a memoized operator holds is read-only, and
+an input that fails validation is never memoized, so it raises on every
+call.  Every constructor that builds a physical state from coherent
+amplitudes audits the truncated Poisson tail so that silent truncation
+errors cannot creep into downstream fidelity computations.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
+from .groups import memoized
+
 DEFAULT_CUTOFF = 25
 TAIL_TOL = 1e-12
+# Results kept by the passive-unitary lift and the ladder-operator memos.
+LIFT_MEMO_SIZE = 32
+LADDER_MEMO_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -51,21 +61,41 @@ def overlap_matrix(bras, kets):
     return np.conj(bras).reshape(len(bras), -1) @ np.reshape(kets, (len(kets), -1)).T
 
 
-def _norms(t, axes):
-    """Norms of t over ``axes``, kept as size-one axes; a zero state raises."""
-    norm = np.linalg.norm(t, axis=axes, keepdims=True)
-    if norm.min() < 1e-300:
-        raise ValueError("cannot normalize a zero state")
-    return norm
-
-
 def normalize(t, axes=None):
     """t divided by its norm over ``axes`` (all axes when None, else an axis or two).
 
     The norms are kept as size-one axes, so a stack of states normalizes
     state by state; a zero state raises.
     """
-    return t * (1.0 / _norms(t, axes))
+    norm = np.linalg.norm(t, axis=axes, keepdims=True)
+    if norm.min() < 1e-300:
+        raise ValueError("cannot normalize a zero state")
+    return t * (1.0 / norm)
+
+
+def _state_rows(t, axes):
+    """(rows, batch shape): t as a C-contiguous complex array, its state ``axes`` flattened last."""
+    t = np.asarray(t, dtype=complex)
+    if axes is None:
+        return np.ascontiguousarray(t).reshape(1, -1), ()
+    state = [ax % t.ndim for ax in np.atleast_1d(axes)]
+    batch = [ax for ax in range(t.ndim) if ax not in state]
+    shape = tuple(t.shape[ax] for ax in batch)
+    return np.ascontiguousarray(t.transpose(batch + state)).reshape(shape + (-1,)), shape
+
+
+def _row_dot(x, y):
+    """sum_n x[..., n] y[..., n], one row at a time (a batched matmul)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _row_norms(rows):
+    """Norm of each row of a C-contiguous complex stack of rows; a zero state raises."""
+    flat = rows.view(float)  # |x|^2 summed as the squares of the real and imaginary parts
+    norm = np.sqrt(_row_dot(flat, flat))
+    if norm.min() < 1e-300:
+        raise ValueError("cannot normalize a zero state")
+    return norm
 
 
 def infidelity(a, b, axes=None):
@@ -74,15 +104,21 @@ def infidelity(a, b, axes=None):
     Both arguments are normalized over ``axes`` (see ``normalize``) and the
     global phase is aligned before the difference is taken, so the value
     does not cancel: states an angle eps apart give eps^2 / 2 even where
-    1 - |<a|b>| rounds to 0.  The normalized copies are never formed: the
-    one difference a / |a| - e^{ip} b / |b| is scaled from the raw states.
-    Returns a float, or one per state of a stack.
+    1 - |<a|b>| rounds to 0.  Each state is flattened to one row, so its
+    overlap and norms are row dot products, and the normalized copies are
+    never formed: the one difference a / |a| - e^{ip} b / |b| is scaled
+    from the raw rows.  Returns a float, or one per state of a stack.
     """
-    overlap = np.sum(b.conj() * a, axis=axes, keepdims=True)  # <b|a> of the raw states
+    a, shape = _state_rows(a, axes)
+    b, _ = _state_rows(b, axes)
+    overlap = _row_dot(b.conj(), a)  # <b|a> of the raw states
     size = np.abs(overlap)
-    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
-    diff = a * (1.0 / _norms(a, axes)) - b * (phase / _norms(b, axes))
-    return np.sum(np.abs(diff) ** 2, axis=axes) / 2
+    zero = size == 0  # orthogonal states keep the phase 1
+    phase = (overlap + zero) / (size + zero)
+    diff = b * (phase / _row_norms(b))[..., None]
+    np.subtract(a * (1.0 / _row_norms(a))[..., None], diff, out=diff)
+    squares = diff.view(float)
+    return (_row_dot(squares, squares) / 2).reshape(shape)[()]
 
 
 class StarvedTailError(ValueError):
@@ -158,7 +194,8 @@ def _monomial_unitary(perm, phases, config):
     phase = reduce(np.multiply.outer, [p**n for p in phases])
     phase.flags.writeable = False
     m = config.modes  # mode axes are the last m; input axis k goes to perm[k]
-    return lambda t: np.moveaxis(phase * t, range(-m, 0), [p - m for p in perm])
+    target = tuple(int(p) - m for p in perm)
+    return lambda t: np.moveaxis(phase * t, range(-m, 0), target)
 
 
 def _sector_unitary(h, config):
@@ -193,6 +230,7 @@ def _sector_unitary(h, config):
     u_t.flags.writeable = False
     gather = k * d + (r - k) % d  # flat (k, (r - k) mod d) for packed (r, k)
     scatter = (r + k) % d * d + r  # flat packed ((j + m) mod d, j) for tensor (j, m)
+    gather.flags.writeable = scatter.flags.writeable = False
 
     def act(t):
         packed = np.reshape(t, (-1, d * d))[:, gather].swapaxes(0, 1)  # (r, batch, k)
@@ -217,22 +255,26 @@ def passive_gaussian_unitary(u, config):
     logarithm, with angle(w) in [-pi, pi] as the sign of the computed
     imaginary part of w decides (an eigenvalue -1 - 1e-17i gives -pi).
 
-    U is validated on every call; the lift is memoized on the exact bytes
-    of the complex-cast U and ``config``, keeping the 32 latest lifts (a
-    sector lift holds d^3 complex numbers, 0.28 MB at cutoff 25) read-only.
+    The lift is memoized on the exact bytes of the complex-cast U and
+    ``config``, keeping the 32 latest lifts (a sector lift holds d^3 complex
+    numbers, 0.28 MB at cutoff 25) read-only.  The shape of U is checked on
+    every call, ahead of the memo, since arrays of two shapes can share
+    their bytes; its unitarity is checked on a memo miss, and a U that
+    fails it (NaN entries included) is never memoized, so it raises again
+    on every call.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (config.modes, config.modes):
         raise ValueError("matrix dimension does not match mode count")
-    if np.linalg.norm(u.conj().T @ u - np.eye(config.modes)) > 1e-10:
-        raise ValueError("mode transformation must be unitary")
     return _lift(u.tobytes(), config)
 
 
-@lru_cache(maxsize=32)
+@memoized(LIFT_MEMO_SIZE)
 def _lift(u_bytes, config):
     """pi(U) for the unitary U whose complex128 bytes (C order) are ``u_bytes``."""
     u = np.frombuffer(u_bytes, dtype=complex).reshape(config.modes, config.modes)
+    if not np.linalg.norm(u.conj().T @ u - np.eye(config.modes)) <= 1e-10:
+        raise ValueError("mode transformation must be unitary")
     monomial = _monomial_structure(u)
     if monomial is not None:
         return _monomial_unitary(*monomial, config)
@@ -247,14 +289,16 @@ def number_diagonal_operator(phases, config):
     """Diagonal unitary multiplying |n_1, ..., n_modes> by phases[n_1, ..., n_modes].
 
     ``phases`` broadcasts to ``(d,) * modes``, so a 1-d profile acts on the
-    last mode; every entry must be unimodular.
+    last mode; every entry must be unimodular (a NaN entry is not).  The
+    operator holds a read-only view of ``phases``.
     """
     values = np.broadcast_to(phases, (config.dim_per_mode,) * config.modes)
-    if np.max(np.abs(np.abs(values) - 1.0)) > 1e-12:
+    if not np.max(np.abs(np.abs(values) - 1.0)) <= 1e-12:
         raise ValueError("diagonal entries must be unimodular")
     return lambda t: values * t
 
 
+@memoized(LADDER_MEMO_SIZE)
 def annihilation_operator(mode, config, power=1):
     """a^power of one mode, as a function on amplitude tensors.
 
@@ -262,9 +306,12 @@ def annihilation_operator(mode, config, power=1):
     slice-and-multiply into a zeroed output, so the top ``power`` levels of
     the mode are exactly zero.  The coefficients are the square roots of
     exact integer products, so power 1 multiplies by sqrt(1..d-1) and
-    power k agrees with k single steps to rounding.
+    power k agrees with k single steps to rounding.  Memoized on the
+    arguments and their types, so ``power=2.0`` is its own key and raises
+    however often ``power=2`` was built; the 32 latest operators are kept,
+    their coefficients read-only.
     """
-    if not 0 <= mode < config.modes:
+    if not isinstance(mode, numbers.Integral) or not 0 <= mode < config.modes:
         raise ValueError("invalid mode index")
     if not isinstance(power, numbers.Integral) or power < 1:
         raise ValueError("power must be an integer >= 1")
@@ -272,6 +319,7 @@ def annihilation_operator(mode, config, power=1):
     product = np.prod(np.arange(1.0, keep + 1)[:, None] + np.arange(power), axis=1)
     after = (slice(None),) * (config.modes - 1 - mode)  # the axes of the later modes
     root = np.sqrt(product).reshape((-1,) + (1,) * len(after))  # along the mode's axis
+    root.flags.writeable = False
     low = (Ellipsis, slice(0, keep)) + after
     high = (Ellipsis, slice(power, None)) + after
 

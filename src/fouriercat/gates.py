@@ -3,6 +3,12 @@
 Each physical operation is reduced to its 4x4 action on the encoded basis
 (ordered (0,0), (0,1), (1,0), (1,1), i.e. logical index first), together
 with the leakage out of the target code subspace.
+
+The gate operators and tables depend only on the Fock configuration, so
+they are built once per process: the self-Kerr S gate and the SNAP S/T
+pair are memoized on the ``FockConfig``, and the cross-Kerr parity table
+(-1)^(n2 n4) on the cutoff, each memo keeping its 8 latest results, which
+hold at most 2 d numbers (an operator) or d^2 (a table), read-only.
 """
 
 from __future__ import annotations
@@ -19,13 +25,16 @@ from .fock import (
     overlap_matrix,
     passive_gaussian_unitary,
 )
-from .groups import HADAMARD
+from .groups import HADAMARD, memoized
 
 IDENTITY2 = np.eye(2, dtype=complex)
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z2 = np.diag([1.0, -1.0]).astype(complex)
 S2 = np.diag([1.0, 1.0j])
 T2 = np.diag([1.0, np.exp(1j * np.pi / 4)])
+
+# Results kept by each memo of gate operators and tables.
+GATE_MEMO_SIZE = 8
 
 
 @dataclass
@@ -76,7 +85,7 @@ def logical_action(physical_op, code, target_code=None):
     target = code if target_code is None else target_code
     images = physical_op(code.amplitudes)
     mat = overlap_matrix(target.amplitudes, images)
-    residual = images - np.tensordot(mat.T, target.amplitudes, axes=1)
+    residual = images - (mat.T @ target.amplitudes.reshape(4, -1)).reshape(images.shape)
     leak = float(np.max(np.linalg.norm(residual, axis=(-2, -1))))
     return LogicalAction(matrix=mat, leakage=leak)
 
@@ -103,8 +112,9 @@ def group_covariance(code):
     return float(np.sqrt(np.max(np.einsum("gk,gk->g", squares, squares))))
 
 
+@memoized(GATE_MEMO_SIZE)
 def self_kerr_s_gate(config):
-    """The self-Kerr diagonal i^{n2^2} on the second mode."""
+    """The self-Kerr diagonal i^{n2^2} on the second mode, memoized on ``config``."""
     n = np.arange(config.dim_per_mode)
     return number_diagonal_operator(1j ** (n**2 % 4), config)
 
@@ -122,12 +132,19 @@ def cz_gate_check(code):
     ever materialized.
     """
     d = code.config.dim_per_mode
-    parity = (-1.0) ** np.outer(np.arange(d), np.arange(d))  # (n2, n4)
     # C[i', i, n2] = sum_n1 conj(b_i'[n1,n2]) b_i[n1,n2], rows (i', i)
     c = np.einsum("iab,jab->ijb", code.amplitudes.conj(), code.amplitudes).reshape(16, d)
     # (i1', i1, i2', i2) -> row (i1', i2'), column (i1, i2)
-    pairs = ((c @ parity) @ c.T).reshape(4, 4, 4, 4)
+    pairs = ((c @ _cross_kerr_parity(d)) @ c.T).reshape(4, 4, 4, 4)
     return pairs.transpose(0, 2, 1, 3).reshape(16, 16)
+
+
+@memoized(GATE_MEMO_SIZE)
+def _cross_kerr_parity(d):
+    """The read-only (n2, n4) table (-1)^(n2 n4) of a d-level cutoff."""
+    parity = (-1.0) ** np.outer(np.arange(d), np.arange(d))
+    parity.flags.writeable = False
+    return parity
 
 
 def cz_target():
@@ -139,7 +156,8 @@ def cz_target():
 def _encoded_residual(op, code, target, u):
     """Max infidelity of op E(|l>|m>) vs E_target(U|l> (x) U|m>)."""
     # column (l, m) of U (x) U holds the coefficients u[l', l] u[m', m]
-    rhs = np.tensordot(np.kron(u, u).T, target.amplitudes, axes=1)
+    amps = target.amplitudes
+    rhs = (np.kron(u, u).T @ amps.reshape(4, -1)).reshape(amps.shape)
     return float(np.max(infidelity(op(code.amplitudes), rhs, axes=(-2, -1))))
 
 
@@ -197,10 +215,17 @@ def zeno_projected_hamiltonian(code, theta=0.0):
 
 def snap_gate_check(code):
     """Logical actions of the mode-2 SNAP phase profiles for S_L and T_L."""
-    n = np.arange(code.config.dim_per_mode)
-    s_op = number_diagonal_operator(np.exp(1j * np.pi / 2 * (n**2 % 4)), code.config)
-    t_op = number_diagonal_operator(np.exp(1j * np.pi / 4 * (n**4 % 8)), code.config)
+    s_op, t_op = _snap_gates(code.config)
     return logical_action(s_op, code), logical_action(t_op, code)
+
+
+@memoized(GATE_MEMO_SIZE)
+def _snap_gates(config):
+    """The mode-2 SNAP operators exp(i pi/2 (n^2 mod 4)) and exp(i pi/4 (n^4 mod 8))."""
+    n = np.arange(config.dim_per_mode)
+    s_op = number_diagonal_operator(np.exp(1j * np.pi / 2 * (n**2 % 4)), config)
+    t_op = number_diagonal_operator(np.exp(1j * np.pi / 4 * (n**4 % 8)), config)
+    return s_op, t_op
 
 
 # The Z_L Y_M eigenstates (|l, 0> + y |l, 1>) / sqrt(2), in this order

@@ -32,6 +32,19 @@ def test_verify_starved_cutoff_fails(capsys):
             assert 'FAILED ["constellation_tail_mass"]' in out
 
 
+def test_cutoff_over_the_cap_is_config_error(capsys):
+    # the cap sizes the largest array, the 16 d^3-byte sector lift, before it is built
+    d = cli.MAX_CUTOFF + 1
+    assert 16 * d**3 <= cli.MAX_LIFT_BYTES < 16 * (d + 1) ** 3
+    assert cli.MAX_CUTOFF >= 60  # the cutoff the memory tests run at
+    for command in ("verify", "gates-demo"):
+        for cutoff in (cli.MAX_CUTOFF + 1, 1_000_000):
+            assert run([command, "--cutoff", str(cutoff)]) == 2
+            captured = capsys.readouterr()
+            assert f"cutoff must lie in [1, {cli.MAX_CUTOFF}]" in captured.err
+            assert captured.out == ""
+
+
 def test_verify_degenerate_phi_is_config_error(capsys):
     for command in ("verify", "gates-demo"):
         assert run([command, "--phi", "0"]) == 2

@@ -237,9 +237,11 @@ def test_non_monomial_unitary_needs_two_modes():
 
 
 def test_passive_unitary_rejects_nonunitary():
-    for _ in range(2):  # U is validated on every call, ahead of the memo
-        with pytest.raises(ValueError, match="unitary"):
-            passive_gaussian_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]), FockConfig(2, 5))
+    # a NaN entry gives a NaN norm, which must fail the check, not pass it
+    for u in ([[1.0, 0.0], [0.0, 2.0]], [[np.nan, 0.0], [0.0, 1.0]], [[0.0, np.nan], [1.0, 0.0]]):
+        for _ in range(2):  # a U that fails validation is never memoized
+            with pytest.raises(ValueError, match="unitary"):
+                passive_gaussian_unitary(np.array(u), FockConfig(2, 5))
 
 
 def test_passive_lift_is_memoized(monkeypatch):
@@ -306,6 +308,9 @@ def test_number_diagonal_operator_unimodular_check():
     assert np.linalg.norm(op(image) - state) < 1e-15
     with pytest.raises(ValueError):
         number_diagonal_operator((n + 1.0)[:, None], cfg)
+    for bad in (np.full(6, np.nan), np.where(n == 3, np.nan, 1.0)):
+        with pytest.raises(ValueError, match="unimodular"):
+            number_diagonal_operator(bad, cfg)
 
 
 def test_mode_operators_commute_across_modes():
