@@ -8,10 +8,8 @@ from .groups import (
     cyclic_group,
     generate_group,
     irrep_table,
-    normalizer_membership,
     pauli_group,
     quaternion_group,
-    regular_representation,
     verify_block_diagonalization,
 )
 from .fock import (
@@ -32,11 +30,9 @@ from .encoding import (
     Constellation,
     cat_qudit,
     code_basis,
-    covariant_encode,
     gram_fourier_spectrum,
     gram_matrix,
     make_constellation,
-    min_euclidean_distance,
 )
 from .gates import (
     ZY_LABELS,
@@ -58,7 +54,6 @@ from .channels import (
     kl_first_order_check,
     lambda_matrix,
     lindblad_kernel_check,
-    loss_gram_matrices,
     petz_entanglement_fidelity,
     qec_matrix_analytic,
     qec_matrix_fock,

@@ -20,6 +20,7 @@ from .fock import (
     SingularGramError,
     _condition_number,
     _hermitian_eigh,
+    _log_factorials,
     annihilation_operator,
     coherent_amplitudes,
     hermitian_inv_sqrt,
@@ -46,7 +47,7 @@ def lambda_matrix(group, phi=np.pi / 2):
     return vecs.conj() @ vecs.T
 
 
-def loss_gram_matrices(lam, alpha, gamma):
+def _loss_gram_matrices(lam, alpha, gamma):
     """(Gamma, Gamma_t, Gamma_r) for the constellation (alpha, alpha e^{i phi}).
 
     All three are entrywise exponentials of the 2-vector Gram matrix; at
@@ -63,22 +64,24 @@ def loss_gram_matrices(lam, alpha, gamma):
     return gram, gram_t, gram_r
 
 
-def qec_matrix_analytic(group, fourier, alpha, gamma, floor=1e-12, phi=np.pi / 2):
+def qec_matrix_analytic(group, fourier, alpha, gamma, phi=np.pi / 2):
     """QEC matrix from the closed-form Gram contraction.
 
     M[kp, lq] = sum_{g,h} [F G^-1/2]_{k0,g} [G^-1/2 F^dag]_{h,l0}
                 [G_r^1/2]_{gp} [G_r^1/2]_{qh} [G_t]_{gh}.
     As G_r^1/2 is Hermitian, M = U G_t U^dag, U[kp, g] = [F G^-1/2]_{k0,g} [G_r^1/2]_{gp}.
     Both roots come from one eigendecomposition of the Hermitian pair (G, G_r).
-    G's eigenvalues w must exceed ``floor`` times the largest, else
-    ``SingularGramError`` raises; either carries G's condition number
-    max |w| / min |w|, as ``extras["condition_number"]`` or on the error.
+    G's eigenvalues w must exceed ``encoding.GRAM_FLOOR`` times the largest,
+    the floor of code construction, else ``SingularGramError`` raises; either
+    carries G's condition number max |w| / min |w|, as
+    ``extras["condition_number"]`` or on the error.  A non-finite phi makes
+    G non-finite, which fails its Hermiticity test with ``ValueError``.
     """
     lam = lambda_matrix(group, phi)
-    gram, gram_t, gram_r = loss_gram_matrices(lam, alpha, gamma)
+    gram, gram_t, gram_r = _loss_gram_matrices(lam, alpha, gamma)
     w, v = _hermitian_eigh(np.stack([gram, gram_r]))  # w ascending
     cond = _condition_number(w[0])
-    if not w[0, 0] > floor * w[0, -1]:
+    if not w[0, 0] > encoding.GRAM_FLOOR * w[0, -1]:
         raise SingularGramError(cond)
     scale = np.stack([1.0 / np.sqrt(w[0]), np.sqrt(np.maximum(w[1], 0.0))])
     inv_sqrt, sr = (v * scale[:, None, :]) @ v.conj().swapaxes(-1, -2)
@@ -94,16 +97,15 @@ def qec_matrix_analytic(group, fourier, alpha, gamma, floor=1e-12, phi=np.pi / 2
 def petz_entanglement_fidelity(qec):
     """Entanglement fidelity of the Petz recovery: ||tr_L M^1/2||_hs^2 / d^2.
 
-    The partial trace is over the logical index.  Eigenvalues of M that are
-    negative beyond tolerance raise; those at or below 1e-13 times the
-    largest are roundoff in M's null space and are set to zero, since their
-    square roots (~1e-8 for a 1e-16 eigenvalue) would enter the fidelity.
+    The partial trace is over the logical index.  M is decomposed by
+    ``fock._hermitian_eigh``, so a non-Hermitian or non-finite M raises
+    ``ValueError``.  Eigenvalues of M that are negative beyond tolerance
+    raise; those at or below 1e-13 times the largest are roundoff in M's
+    null space and are set to zero, since their square roots (~1e-8 for a
+    1e-16 eigenvalue) would enter the fidelity.
     """
     m = qec.entries
-    mh = m.conj().T
-    if np.linalg.norm(m - mh) > 1e-8:
-        raise ValueError("QEC matrix is not Hermitian")
-    w, v = np.linalg.eigh((m + mh) / 2)  # w ascending
+    w, v = _hermitian_eigh(m)  # w ascending
     wmax = float(w[-1])
     if wmax > 0 and w[0] < -1e-8 * wmax:
         raise ValueError("QEC matrix is not positive semidefinite")
@@ -128,7 +130,7 @@ def _loss_amplitudes(d, gamma):
     t, r = np.sqrt(1.0 - gamma), np.sqrt(gamma)
     n = np.arange(d)
     reflected = np.maximum(n[None, :] - n[:, None], 0)  # a - P, clamped to 0
-    logfact = np.cumsum(np.log(np.maximum(n, 1)))  # log(n!)
+    logfact = _log_factorials(d)
     binom = np.exp((logfact[None, :] - logfact[:, None] - logfact[reflected]) / 2)
     return np.triu(binom * t ** n[:, None] * r**reflected), reflected
 

@@ -162,27 +162,6 @@ def code_basis(constellation, fourier):
     return CodeBasis(constellation=constellation, fourier=fourier, amplitudes=amps)
 
 
-def covariant_encode(constellation, fourier, l, omega):
-    """Single-qubit covariant encoding: F^dag applied directly to |g alpha>.
-
-    The multiplicity slot of the Fourier row is contracted with the
-    normalized 2-vector ``omega``.  Returns the normalized (d, d) state.
-    """
-    omega = np.asarray(omega, dtype=complex)
-    if abs(np.linalg.norm(omega) - 1.0) > 1e-10:
-        raise ValueError("omega must be normalized")
-    label = fourier.defining_label
-    coeff = np.zeros(constellation.group.order, dtype=complex)
-    for m in (0, 1):
-        row = fourier.matrix[fourier.row(label, l, m)]
-        coeff += omega[m] * row.conj()
-    vec = np.tensordot(coeff, constellation.amplitudes, axes=1)
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        raise ValueError("covariant encoding projected to the zero vector")
-    return vec / norm
-
-
 def gram_fourier_spectrum(gram, fourier):
     """F Gamma F^dag, its off-diagonal mass and the defining-irrep block.
 
@@ -199,14 +178,6 @@ def gram_fourier_spectrum(gram, fourier):
     return rotated, float(np.linalg.norm(off)), block, float(
         np.linalg.norm(block - scalar * np.eye(4))
     )
-
-
-def min_euclidean_distance(constellation):
-    """Smallest pairwise distance between constellation points in C^2."""
-    pts = constellation.points
-    if len(pts) < 2:
-        raise ValueError("constellation has fewer than two points")
-    return _min_distance(pts)
 
 
 @dataclass

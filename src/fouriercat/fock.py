@@ -122,34 +122,39 @@ def infidelity(a, b, axes=None):
 
 
 class StarvedTailError(ValueError):
-    """A cutoff that truncates more than ``tail_tol`` of a coherent state's Poisson mass."""
+    """A cutoff that truncates more than ``TAIL_TOL`` of a coherent state's Poisson mass."""
 
 
-def coherent_amplitudes(alpha, cutoff, tail_tol=TAIL_TOL):
+def _log_factorials(d):
+    """log(n!) for n = 0, ..., d - 1."""
+    return np.cumsum(np.log(np.maximum(np.arange(d), 1)))
+
+
+def coherent_amplitudes(alpha, cutoff):
     """Truncated coherent amplitudes, shape alpha.shape + (d,), each tail audited."""
     alpha = np.asarray(alpha)[..., None]
     if not np.all(np.isfinite(alpha)):
         raise ValueError("coherent amplitude must be finite")
     n = np.arange(cutoff + 1)
-    logfact = np.cumsum(np.log(np.maximum(n, 1)))
+    logfact = _log_factorials(cutoff + 1)
     mag = np.abs(alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         logmag = np.where(n == 0, 0.0, n * np.log(mag)) - logfact / 2 - mag**2 / 2
     amps = np.exp(logmag + 1j * n * np.angle(alpha))
-    bad = ~(1.0 - np.sum(np.abs(amps) ** 2, axis=-1) <= tail_tol)
+    bad = ~(1.0 - np.sum(np.abs(amps) ** 2, axis=-1) <= TAIL_TOL)
     if np.any(bad):
         raise StarvedTailError(f"cutoff too small for |alpha| = {np.max(mag[..., 0][bad]):.4g}")
     return amps
 
 
-def coherent_state(alpha, cutoff=DEFAULT_CUTOFF, tail_tol=TAIL_TOL):
+def coherent_state(alpha, cutoff=DEFAULT_CUTOFF):
     """Single-mode coherent state |alpha>, renormalized after truncation."""
-    return normalize(coherent_amplitudes(alpha, cutoff, tail_tol))
+    return normalize(coherent_amplitudes(alpha, cutoff))
 
 
-def coherent_product(alphas, cutoff=DEFAULT_CUTOFF, tail_tol=TAIL_TOL):
+def coherent_product(alphas, cutoff=DEFAULT_CUTOFF):
     """Multimode coherent product state |alpha_1, ..., alpha_k>."""
-    factors = coherent_amplitudes(alphas, cutoff, tail_tol)
+    factors = coherent_amplitudes(alphas, cutoff)
     return normalize(reduce(np.multiply.outer, factors))
 
 
@@ -341,10 +346,16 @@ class SingularGramError(ValueError):
 
 
 def _hermitian_eigh(a):
-    """eigh (w ascending) of (A + A^H) / 2 for a matrix or stack A, Hermitian to 1e-10."""
+    """eigh (w ascending) of (A + A^H) / 2 for a matrix or stack A, Hermitian to 1e-10.
+
+    A NaN or inf entry fails the Hermiticity test (its defect is NaN or inf),
+    so a non-finite matrix raises instead of reaching eigh.
+    """
     a = np.asarray(a, dtype=complex)
     ah = a.conj().swapaxes(-1, -2)
-    if np.max(np.linalg.norm(a - ah, axis=(-2, -1))) > 1e-10:
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal is NaN
+        defect = np.max(np.linalg.norm(a - ah, axis=(-2, -1)))
+    if not defect <= 1e-10:
         raise ValueError("matrix is not Hermitian")
     return np.linalg.eigh((a + ah) / 2)
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import encoding
 from .fock import (
+    _log_factorials,
     annihilation_operator,
     infidelity,
     number_diagonal_operator,
@@ -313,7 +314,7 @@ def zy_expansion_residual(code):
     d = code.config.dim_per_mode
     odd = 2 * np.arange(d // 2) + 1  # 2p + 1 < d
     even = 2 * np.arange((d + 1) // 2)  # 2q < d
-    logfact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1.0, d))]))
+    logfact = _log_factorials(d)
     f = np.exp(
         np.add.outer(odd, even) * np.log(alpha)
         - alpha**2

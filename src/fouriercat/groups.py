@@ -67,11 +67,11 @@ def memoized(maxsize):
     return decorate
 
 
-def _is_unitary(u, tol=1e-12):
+def _is_unitary(u):
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         return False
-    return np.linalg.norm(u.conj().T @ u - np.eye(2)) <= tol
+    return np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-12
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,9 @@ class FiniteMatrixGroup:
     def matrices(self):
         return self._matrices
 
-    def find(self, u, tol=MATCH_TOL):
-        """Index of the element matching ``u`` exactly, or -1."""
-        hits = np.flatnonzero(np.linalg.norm(self._matrices - u, axis=(1, 2)) <= tol)
+    def find(self, u):
+        """Index of the element matching ``u`` to ``MATCH_TOL``, or -1."""
+        hits = np.flatnonzero(np.linalg.norm(self._matrices - u, axis=(1, 2)) <= MATCH_TOL)
         return int(hits[0]) if hits.size else -1
 
     def is_abelian(self):
@@ -308,22 +308,6 @@ def build_fourier_transform(group, irreps):
     return GroupFourierTransform(matrix=matrix, row_index=row_index, irreps=ordered)
 
 
-def regular_representation(group, g, side="left"):
-    """Permutation matrix of the left or right regular representation.
-
-    Left action sends |h> to |gh>; right action sends |h> to |h g^-1>.
-    """
-    if side == "left":
-        image = group.cayley[g]  # image[h] = gh
-    elif side == "right":
-        image = group.cayley[:, group.inverse[g]]  # image[h] = h g^-1
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    mat = np.zeros((group.order, group.order))
-    mat[image, np.arange(group.order)] = 1.0
-    return mat
-
-
 def verify_block_diagonalization(fourier, group, irreps):
     """Max residual of the simultaneous block-diagonalization identities.
 
@@ -357,28 +341,3 @@ def _block_targets(fourier):
         k += m
     want.flags.writeable = False
     return want
-
-
-def normalizer_membership(group, u, tol=MATCH_TOL):
-    """Whether ``u`` normalizes the group up to global phases.
-
-    True iff U g U^dag matches some group element up to a global phase for
-    every g.  The phase is extracted from the largest-magnitude entry of the
-    candidate element.
-    """
-    u = np.asarray(u, dtype=complex)
-    if not _is_unitary(u, tol=1e-10):
-        raise ValueError("normalizer test requires a unitary matrix")
-    for g in group.matrices():
-        v = u @ g @ u.conj().T
-        if not any(_phase_match(v, f, tol) for f in group.matrices()):
-            return False
-    return True
-
-
-def _phase_match(a, b, tol):
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    phase = a[idx] / b[idx]
-    if abs(abs(phase) - 1.0) > 1e-6:
-        return False
-    return np.linalg.norm(a - phase * b) <= tol

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 import fouriercat as fc
 from fouriercat.channels import (
     _loss_amplitudes,
+    _loss_gram_matrices,
     argmin_record,
     loglog_slope,
-    loss_gram_matrices,
 )
 from fouriercat.encoding import deform_constellation
 from fouriercat.fock import (
@@ -37,7 +37,7 @@ def test_lambda_matrix_structure(d8):
 
 def test_loss_gram_limits(d8):
     lam = fc.lambda_matrix(d8)
-    gram, gram_t, gram_r = loss_gram_matrices(lam, ALPHA_STAR, 0.0)
+    gram, gram_t, gram_r = _loss_gram_matrices(lam, ALPHA_STAR, 0.0)
     assert np.linalg.norm(gram - gram_t) < 1e-14
     # nothing is reflected at gamma = 0, so the environment Gram is flat
     assert np.linalg.norm(gram_r - np.ones((8, 8))) < 1e-14
@@ -213,6 +213,33 @@ def test_fidelity_frozen_value(d8, d8_fourier):
     assert abs(fc.petz_entanglement_fidelity(qec) - 0.999310705932) < 1e-9
 
 
+def loss_linear_coefficient_at_alpha_star():
+    """Closed form of (1 - F_Petz) / gamma as gamma -> 0 at alpha* and phi = pi/2.
+
+    p and q are the squared norms a^2 coth a^2 and a^2 tanh a^2 of a_1 on
+    the two logical states; eps is the overlap that a_1 on one logical state
+    and a_2 on the other keep (``ODD_CAT_PAIR_OVERLAP``).
+    """
+    a2 = np.pi / 2
+    p, q = a2 / np.tanh(a2), a2 * np.tanh(a2)
+    eps = 4 * np.exp(-2 * a2) / (1 - np.exp(-2 * a2)) ** 2
+    return p + q - (np.sqrt(p) + np.sqrt(q) * (np.sqrt(1 + eps) + np.sqrt(1 - eps)) / 2) ** 2 / 2
+
+
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_petz_infidelity_is_linear_in_small_gamma(name):
+    # the first-order Knill-Laflamme violations at alpha* leave 1 - F = c gamma
+    want = loss_linear_coefficient_at_alpha_star()
+    # c's high-precision value; in double precision p + q ~ 3.15 cancels
+    # down to 0.019, which costs about two digits
+    assert abs(want - 0.019436783062555097) < 1e-14
+    group, fourier = make_group(name)
+    gamma = 1e-8
+    qec = fc.qec_matrix_analytic(group, fourier, ALPHA_STAR, gamma)
+    slope = (1.0 - fc.petz_entanglement_fidelity(qec)) / gamma
+    assert abs(slope - want) < 1e-4 * want
+
+
 def test_kl_overlaps(star_code):
     # every pair separates except a_1 on one logical state against a_2 on
     # the other, which is pinned at the odd-cat overlap squared
@@ -308,7 +335,7 @@ def hermitian_sqrt_reference(a):
 def qec_matrix_analytic_einsum_reference(group, fourier, alpha, gamma, phi):
     """The five-operand einsum that ``qec_matrix_analytic`` replaced."""
     lam = fc.lambda_matrix(group, phi)
-    gram, gram_t, gram_r = loss_gram_matrices(lam, alpha, gamma)
+    gram, gram_t, gram_r = _loss_gram_matrices(lam, alpha, gamma)
     inv_sqrt = hermitian_inv_sqrt(gram).inv_sqrt
     sr = hermitian_sqrt_reference(gram_r)
     label = fourier.defining_label
@@ -321,7 +348,7 @@ def qec_matrix_analytic_einsum_reference(group, fourier, alpha, gamma, phi):
 def qec_matrix_analytic_two_root_reference(group, fourier, alpha, gamma, phi):
     """``qec_matrix_analytic`` as it was: one eigendecomposition per root."""
     lam = fc.lambda_matrix(group, phi)
-    gram, gram_t, gram_r = loss_gram_matrices(lam, alpha, gamma)
+    gram, gram_t, gram_r = _loss_gram_matrices(lam, alpha, gamma)
     inv_sqrt = hermitian_inv_sqrt(gram).inv_sqrt
     sr = hermitian_sqrt_reference(gram_r)
     label = fourier.defining_label
@@ -336,7 +363,7 @@ def sweep_loop_reference(group, fourier, points, phi, floor=1e-12):
     by SVD, its floor test by eigvalsh, then the two-root QEC matrix."""
     records = []
     for value, alpha, gamma in points:
-        gram = loss_gram_matrices(fc.lambda_matrix(group, phi), alpha, gamma)[0]
+        gram = _loss_gram_matrices(fc.lambda_matrix(group, phi), alpha, gamma)[0]
         cond = float(np.linalg.cond(gram))
         w = np.linalg.eigvalsh(gram)
         if float(np.min(w)) <= floor * float(np.max(w)):
@@ -369,7 +396,7 @@ def test_analytic_is_bit_identical_to_two_root_reference(name, phi, gamma):
         got = fc.qec_matrix_analytic(group, fourier, alpha, gamma, phi=phi)
         want = qec_matrix_analytic_two_root_reference(group, fourier, alpha, gamma, phi)
         assert np.array_equal(got.entries, want.entries)
-        gram = loss_gram_matrices(fc.lambda_matrix(group, phi), alpha, gamma)[0]
+        gram = _loss_gram_matrices(fc.lambda_matrix(group, phi), alpha, gamma)[0]
         cond = np.linalg.cond(gram)
         assert abs(got.extras["condition_number"] - cond) <= 1e-12 * cond
 
@@ -451,6 +478,28 @@ def test_analytic_route_rejects_non_finite_alpha(d8, d8_fourier, alpha):
         fc.sweep_alpha(d8, d8_fourier, 0.01, [alpha, 1.2])
     with pytest.raises(ValueError, match="alpha must be positive and finite"):
         fc.sweep_gamma(d8, d8_fourier, alpha, [0.01])
+
+
+def _petz_of_poisoned_qec(d8, fourier, row, col, value):
+    entries = fc.qec_matrix_analytic(d8, fourier, ALPHA_STAR, 0.01).entries
+    entries[row, col] = value
+    return fc.petz_entanglement_fidelity(fc.QecMatrix(entries=entries))
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda d8, fourier: _petz_of_poisoned_qec(d8, fourier, 3, 3, np.nan),
+        lambda d8, fourier: _petz_of_poisoned_qec(d8, fourier, 3, 3, np.inf),
+        lambda d8, fourier: _petz_of_poisoned_qec(d8, fourier, 3, 5, np.nan),
+        lambda d8, fourier: fc.qec_matrix_analytic(d8, fourier, ALPHA_STAR, 0.01, phi=np.nan),
+    ],
+    ids=["petz-nan-diagonal", "petz-inf-diagonal", "petz-nan-off-diagonal", "analytic-nan-phi"],
+)
+def test_non_finite_qec_input_is_rejected(d8, d8_fourier, compute):
+    # a NaN or inf entry fails the Hermiticity test instead of reaching eigh
+    with pytest.raises(ValueError, match="not Hermitian"):
+        compute(d8, d8_fourier)
 
 
 @pytest.mark.parametrize("gamma", [1e-3, 1e-2, 0.3])

@@ -9,6 +9,7 @@ from fouriercat import encoding
 from fouriercat.encoding import (
     CODE_MEMO_SIZE,
     DegenerateConstellationError,
+    _min_distance,
     analytic_gram,
     cyclic_fourier,
     cyclic_gram,
@@ -101,29 +102,36 @@ def test_gram_fourier_scalar_block_only_at_special_alpha(
     assert dev_gen > 0.01
 
 
+def bare_fourier_state(constellation, fourier, l, m):
+    """sum_g conj(F[(lambda, l, m), g]) |g alpha>: the bare inverse-QFT superposition,
+    neither Gram-orthonormalized nor normalized."""
+    row = fourier.matrix[fourier.row(fourier.defining_label, l, m)]
+    return np.tensordot(row.conj(), constellation.amplitudes, axes=1)
+
+
 def test_covariant_encode_matches_at_special_alpha(
     star_constellation, d8_fourier, star_code
 ):
+    # at alpha* the Fourier transform diagonalizes the Gram matrix with one
+    # scalar block, so orthonormalizing changes no encoded state
     for l in (0, 1):
-        for m, omega in ((0, [1.0, 0.0]), (1, [0.0, 1.0])):
-            got = fc.covariant_encode(star_constellation, d8_fourier, l, omega)
+        for m in (0, 1):
+            got = bare_fourier_state(star_constellation, d8_fourier, l, m)
             assert infidelity(got, star_code.amplitudes[2 * l + m]) < 1e-10
 
 
 def test_covariant_encode_differs_at_generic_alpha(d8, d8_fourier):
     constellation = fc.make_constellation(d8, 1.0, np.pi / 2)
     code = fc.code_basis(constellation, d8_fourier)
-    got = fc.covariant_encode(constellation, d8_fourier, 0, [1.0, 0.0])
+    got = bare_fourier_state(constellation, d8_fourier, 0, 0)
     assert infidelity(got, code.amplitudes[0]) > 1e-6
 
 
 def test_min_euclidean_distance(star_constellation, d8):
-    assert abs(
-        fc.min_euclidean_distance(star_constellation) - 2 * ALPHA_STAR
-    ) < 1e-12
+    assert abs(_min_distance(star_constellation.points) - 2 * ALPHA_STAR) < 1e-12
     # phi = pi/2 maximizes the minimum distance
     tilted = fc.make_constellation(d8, ALPHA_STAR, np.pi / 4)
-    assert fc.min_euclidean_distance(tilted) < 2 * ALPHA_STAR - 1e-3
+    assert _min_distance(tilted.points) < 2 * ALPHA_STAR - 1e-3
 
 
 def test_degenerate_constellation_raises(d8):
@@ -183,12 +191,10 @@ def test_cat_qudit_rejects_bad_divisor():
         (lambda code: fc.coherent_state(0.8 - 0.3j, 25), 1, (26,)),
         (lambda code: fc.coherent_product([0.8, 0.5j], 25), 1, (26, 26)),
         (lambda code: fc.cat_state(ALPHA_STAR, 1, 25), 1, (26,)),
-        (lambda code: fc.covariant_encode(code.constellation, code.fourier, 1, [0.6, 0.8]), 1, (26, 26)),
         (lambda code: fc.cat_qudit(8, 4, 1.25, cutoff=25).codewords, 4, (4, 26)),
         (lambda code: fc.zy_eigenstates(code), 4, (4, 26, 26)),
     ],
-    ids=["coherent_state", "coherent_product", "cat_state", "covariant_encode",
-         "cat_qudit", "zy_eigenstates"],
+    ids=["coherent_state", "coherent_product", "cat_state", "cat_qudit", "zy_eigenstates"],
 )
 def test_state_constructors_return_normalized_arrays(build, count, shape, star_code):
     states = build(star_code)
