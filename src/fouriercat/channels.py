@@ -36,7 +36,6 @@ class QecMatrix:
     """16x16 matrix <k,0|C_p^dag C_q|l,0> over logical x environment labels."""
 
     entries: np.ndarray
-    d: int = 2
     extras: dict = field(default_factory=dict)
 
 
@@ -95,14 +94,14 @@ def qec_matrix_analytic(group, fourier, alpha, gamma, phi=np.pi / 2):
 
 
 def petz_entanglement_fidelity(qec):
-    """Entanglement fidelity of the Petz recovery: ||tr_L M^1/2||_hs^2 / d^2.
+    """Entanglement fidelity of the Petz recovery: ||tr_L M^1/2||_hs^2 / 4.
 
-    The partial trace is over the logical index.  M is decomposed by
-    ``fock._hermitian_eigh``, so a non-Hermitian or non-finite M raises
-    ``ValueError``.  Eigenvalues of M that are negative beyond tolerance
-    raise; those at or below 1e-13 times the largest are roundoff in M's
-    null space and are set to zero, since their square roots (~1e-8 for a
-    1e-16 eigenvalue) would enter the fidelity.
+    The partial trace is over the logical qubit, M's leading index.  M is
+    decomposed by ``fock._hermitian_eigh``, so a non-Hermitian or
+    non-finite M raises ``ValueError``.  Eigenvalues of M that are negative
+    beyond tolerance raise; those at or below 1e-13 times the largest are
+    roundoff in M's null space and are set to zero, since their square roots
+    (~1e-8 for a 1e-16 eigenvalue) would enter the fidelity.
     """
     m = qec.entries
     w, v = _hermitian_eigh(m)  # w ascending
@@ -111,11 +110,9 @@ def petz_entanglement_fidelity(qec):
         raise ValueError("QEC matrix is not positive semidefinite")
     w = np.where(w > 1e-13 * max(wmax, 0.0), w, 0.0)
     sqrt_m = (v * np.sqrt(w)) @ v.conj().T
-    d = qec.d
-    n_env = m.shape[0] // d
-    blocks = sqrt_m.reshape(d, n_env, d, n_env)
-    reduced = np.einsum("kpkq->pq", blocks)
-    fid = float(np.sum(np.abs(reduced) ** 2)) / d**2
+    n_env = m.shape[0] // 2
+    reduced = np.einsum("kpkq->pq", sqrt_m.reshape(2, n_env, 2, n_env))
+    fid = float(np.sum(np.abs(reduced) ** 2)) / 4
     return min(fid, 1.0) if fid <= 1.0 + 1e-9 else fid
 
 

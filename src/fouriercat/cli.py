@@ -75,6 +75,7 @@ _S_TARGET = np.kron(S2, IDENTITY2)
 _T_TARGET = np.kron(T2, IDENTITY2)
 _H_TARGET = np.kron(HADAMARD, IDENTITY2)
 _CZ_TARGET = cz_target()
+_ZZ_TARGET = np.exp(1j * math.pi / 4 * np.array([1.0, -1.0, -1.0, 1.0]))  # diag exp(i pi/4 ZZ)
 
 DEFAULTS = {
     "group": "d8",
@@ -102,12 +103,19 @@ def resolve_group(name):
     raise ConfigError(f"unknown group {name!r}: expected d8 or q8")
 
 
+def _group_and_fourier(cfg):
+    """The group ``cfg`` names and its Fourier transform."""
+    group = resolve_group(cfg["group"])
+    return group, build_fourier_transform(group, irrep_table(group))
+
+
 def load_config(args):
     """Merge defaults, an optional JSON config file and CLI flags.
 
-    A config file may set only the options the command declares (its
-    parsed namespace holds one attribute per declared option); any other
-    key is a configuration error.
+    A config file holds one JSON object, which may set only the options
+    the command declares (its parsed namespace holds one attribute per
+    declared option); any other key, or a value of the wrong type, is a
+    configuration error.
     """
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
@@ -118,6 +126,8 @@ def load_config(args):
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file must hold a JSON object, not {data!r}")
         unknown = set(data) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -125,15 +135,21 @@ def load_config(args):
         if unread:
             raise ConfigError(f"config keys {args.command} does not read: {sorted(unread)}")
         cfg.update(data)
-    for key in ("group", "alpha", "phi", "gamma", "cutoff", "format", "out", "grid"):
+    for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    for key in ("out", "grid"):
+        if not isinstance(cfg[key], (str, type(None))):
+            raise ConfigError(f"{key} must be a string, got {cfg[key]!r}")
     for key in ("alpha", "phi", "gamma", "cutoff"):
+        val = cfg[key]
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ConfigError(f"{key} must be a number, got {val!r}")
         try:
-            val = float(cfg[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from exc
+            val = float(val)
+        except OverflowError as exc:  # an integer beyond float range
+            raise ConfigError(f"{key} must be finite") from exc
         if not math.isfinite(val):
             raise ConfigError(f"{key} must be finite")
         cfg[key] = val
@@ -220,27 +236,46 @@ def write_records(path, fmt, cfg, columns, rows, summary):
 
 
 class CheckList:
-    def __init__(self):
+    """The pass/fail lines of one report, and the keys of its failures."""
+
+    def __init__(self, indent, success=None):
+        self.indent = indent
+        self.success = success
         self.failures = []
 
-    def record(self, name, value, tol, ok=None):
-        passed = (value <= tol) if ok is None else ok
-        status = "pass" if passed else "FAIL"
-        print(f"  [{status}] {name}: {value:.3e} (tol {tol:.1e})")
+    def check(self, key, passed, line):
+        """Print ``line`` as passed or failed; a failure is recorded as ``key``."""
+        print(f"{self.indent}[{'pass' if passed else 'FAIL'}] {line}")
         if not passed:
-            self.failures.append(name)
+            self.failures.append(key)
 
-    def error(self, name, message):
-        print(f"  [FAIL] {name}: {message}")
-        self.failures.append(name)
+    def record(self, name, value, tol):
+        self.check(name, value <= tol, f"{name}: {value:.3e} (tol {tol:.1e})")
+
+    def finish(self):
+        """Print the failure keys, or the success line if any; return the exit code."""
+        if self.failures:
+            print(f"FAILED {json.dumps(self.failures)}")
+            return 1
+        if self.success:
+            print(self.success)
+        return 0
+
+
+def _action_distance(action, target):
+    """Distance of a ``LogicalAction``'s matrix to ``target``, up to a global phase."""
+    return phase_aligned_distance(action.matrix, target)[0]
+
+
+def _cz_distance(code):
+    """Distance of the cross-Kerr's two-copy logical matrix to CZ."""
+    return float(np.linalg.norm(cz_gate_check(code) - _CZ_TARGET))
 
 
 def cmd_verify(cfg):
-    group = resolve_group(cfg["group"])
-    checks = CheckList()
+    group, fourier = _group_and_fourier(cfg)
+    checks = CheckList("  ", success="all checks passed")
 
-    irreps = irrep_table(group)
-    fourier = build_fourier_transform(group, irreps)
     f = fourier.matrix
     checks.record(
         "fourier_unitarity",
@@ -249,13 +284,13 @@ def cmd_verify(cfg):
     )
     checks.record(
         "block_diagonalization",
-        verify_block_diagonalization(fourier, group, irreps),
+        verify_block_diagonalization(fourier, group),
         1e-12,
     )
 
     code = _build_code(cfg, group, fourier, checks)
     if code is None:
-        return _finish_verify(checks)
+        return checks.finish()
     basis = code.amplitudes
     checks.record(
         "basis_orthonormality",
@@ -275,22 +310,12 @@ def cmd_verify(cfg):
         )
         checks.record("gram_fourier_scalar_block", scalar_dev, 1e-9)
 
-    sa = s_gate_check(code)
     checks.record(
-        "self_kerr_s_gate",
-        phase_aligned_distance(sa.matrix, _S_TARGET)[0],
-        1e-8,
+        "self_kerr_s_gate", _action_distance(s_gate_check(code), _S_TARGET), 1e-8
     )
+    checks.record("cz_gate", _cz_distance(code), 1e-8)
     checks.record(
-        "cz_gate",
-        float(np.linalg.norm(cz_gate_check(code) - _CZ_TARGET)),
-        1e-8,
-    )
-    ha = composite_hadamard_check(code)
-    checks.record(
-        "composite_hadamard",
-        phase_aligned_distance(ha.matrix, _H_TARGET)[0],
-        1e-7,
+        "composite_hadamard", _action_distance(composite_hadamard_check(code), _H_TARGET), 1e-7
     )
     if at_star:
         kernels, parity = lindblad_kernel_check(code)
@@ -306,7 +331,7 @@ def cmd_verify(cfg):
             1e-12,
         )
 
-    return _finish_verify(checks)
+    return checks.finish()
 
 
 def _build_code(cfg, group, fourier, checks):
@@ -323,21 +348,12 @@ def _build_code(cfg, group, fourier, checks):
     except (DegenerateConstellationError, SingularGramError) as exc:
         raise ConfigError(str(exc)) from exc
     except StarvedTailError as exc:
-        checks.error("constellation_tail_mass", str(exc))
+        checks.check("constellation_tail_mass", False, f"constellation_tail_mass: {exc}")
         return None
 
 
-def _finish_verify(checks):
-    if checks.failures:
-        print(f"FAILED {json.dumps(checks.failures)}")
-        return 1
-    print("all checks passed")
-    return 0
-
-
 def cmd_sweep_alpha(cfg):
-    group = resolve_group(cfg["group"])
-    fourier = build_fourier_transform(group, irrep_table(group))
+    group, fourier = _group_and_fourier(cfg)
     spec = cfg["grid"] if cfg["grid"] is not None else "0.9:1.6:0.01"
     grid = parse_linear_grid(spec)
     if grid[0] <= 0:
@@ -361,8 +377,7 @@ def cmd_sweep_alpha(cfg):
 
 
 def cmd_sweep_gamma(cfg):
-    group = resolve_group(cfg["group"])
-    fourier = build_fourier_transform(group, irrep_table(group))
+    group, fourier = _group_and_fourier(cfg)
     spec = cfg["grid"] if cfg["grid"] is not None else "1e-3:1e-1:20"
     grid = parse_log_grid(spec)
     if grid[-1] >= 1.0:
@@ -419,52 +434,35 @@ def _format_matrix(matrix):
 
 
 def cmd_gates_demo(cfg):
-    group = resolve_group(cfg["group"])
-    fourier = build_fourier_transform(group, irrep_table(group))
-    checks = CheckList()
+    group, fourier = _group_and_fourier(cfg)
+    checks = CheckList("")
     code = _build_code(cfg, group, fourier, checks)
     if code is None:
-        return _finish_verify(checks)
-    failures = []
+        return checks.finish()
 
-    def report(name, action, target, tol):
-        dist, _ = phase_aligned_distance(action.matrix, target)
-        ok = dist <= tol and action.leakage <= max(tol, 1e-7)
-        status = "pass" if ok else "FAIL"
-        print(f"[{status}] {name}: distance {dist:.3e}, leakage {action.leakage:.3e}")
-        print(_format_matrix(np.round(action.matrix, 6)))
-        if not ok:
-            failures.append(name)
-
-    swap = passive_gaussian_unitary(X2, code.config)
-    report("beamsplitter swap (logical X)", logical_action(swap, code), _X_TARGET, 1e-9)
-    report("self-Kerr i^(n2^2) (logical S)", s_gate_check(code), _S_TARGET, 1e-8)
+    swap = logical_action(passive_gaussian_unitary(X2, code.config), code)
     snap_s, snap_t = snap_gate_check(code)
-    report("SNAP quadratic phase (logical S)", snap_s, _S_TARGET, 1e-8)
-    report("SNAP quartic phase (logical T)", snap_t, _T_TARGET, 1e-8)
-    report("composite Hadamard", composite_hadamard_check(code), _H_TARGET, 1e-7)
+    for name, action, target, tol in (
+        ("beamsplitter swap (logical X)", swap, _X_TARGET, 1e-9),
+        ("self-Kerr i^(n2^2) (logical S)", s_gate_check(code), _S_TARGET, 1e-8),
+        ("SNAP quadratic phase (logical S)", snap_s, _S_TARGET, 1e-8),
+        ("SNAP quartic phase (logical T)", snap_t, _T_TARGET, 1e-8),
+        ("composite Hadamard", composite_hadamard_check(code), _H_TARGET, 1e-7),
+    ):
+        dist = _action_distance(action, target)
+        passed = dist <= tol and action.leakage <= max(tol, 1e-7)
+        checks.check(name, passed, f"{name}: distance {dist:.3e}, leakage {action.leakage:.3e}")
+        print(_format_matrix(np.round(action.matrix, 6)))
 
-    cz = cz_gate_check(code)
-    cz_dist = float(np.linalg.norm(cz - _CZ_TARGET))
-    ok = cz_dist <= 1e-8
-    print(f"[{'pass' if ok else 'FAIL'}] two-copy CZ: distance {cz_dist:.3e}")
-    if not ok:
-        failures.append("cz")
+    cz_dist = _cz_distance(code)
+    checks.check("cz", cz_dist <= 1e-8, f"two-copy CZ: distance {cz_dist:.3e}")
 
     gate, _, _ = zeno_projected_hamiltonian(code, theta=math.pi / 4)
-    diag = np.diag(gate.logical_unitary(code.alpha))
-    target = np.exp(1j * math.pi / 4 * np.array([1.0, -1.0, -1.0, 1.0]))
-    zeno_dist = float(np.linalg.norm(diag - target))
-    ok = zeno_dist <= 1e-8
-    print(f"[{'pass' if ok else 'FAIL'}] Zeno ZZ rotation (theta=pi/4): "
-          f"distance {zeno_dist:.3e}")
-    if not ok:
-        failures.append("zeno")
-
-    if failures:
-        print(f"FAILED {json.dumps(failures)}")
-        return 1
-    return 0
+    zeno_dist = float(np.linalg.norm(np.diag(gate.logical_unitary(code.alpha)) - _ZZ_TARGET))
+    checks.check(
+        "zeno", zeno_dist <= 1e-8, f"Zeno ZZ rotation (theta=pi/4): distance {zeno_dist:.3e}"
+    )
+    return checks.finish()
 
 
 @memoized(1)

@@ -172,7 +172,7 @@ def cat_state(alpha, parity, cutoff=DEFAULT_CUTOFF):
     return normalize(plus + (-1.0) ** parity * minus)
 
 
-def _monomial_structure(u, tol=1e-12):
+def _monomial_structure(u):
     """(perm, phases) when u is a generalized permutation matrix, else None.
 
     perm[k] is the row carrying column k's single unit-modulus entry and
@@ -182,7 +182,7 @@ def _monomial_structure(u, tol=1e-12):
     perm = np.argmax(np.abs(u), axis=0)  # the row of each column's largest entry
     phases = u[perm, rows]
     rest = np.linalg.norm(np.where(rows[:, None] == perm, 0.0, u), axis=0)
-    if np.any(np.abs(np.abs(phases) - 1.0) > tol) or np.any(rest > tol):
+    if np.any(np.abs(np.abs(phases) - 1.0) > 1e-12) or np.any(rest > 1e-12):
         return None
     if len(set(perm.tolist())) != len(rows):
         return None

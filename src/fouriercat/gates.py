@@ -77,16 +77,16 @@ def phase_aligned_distance(measured, target):
     return float(np.linalg.norm(measured - phase * target)), float(np.angle(phase))
 
 
-def logical_action(physical_op, code, target_code=None):
+def logical_action(physical_op, code):
     """Reduce a physical operator to its matrix on the encoded basis.
 
-    matrix[(l',m'), (l,m)] = <target l',m'| op |l,m>; the leakage is the
-    largest norm of any image component outside the target code subspace.
+    matrix[(l',m'), (l,m)] = <l',m'| op |l,m>; the leakage is the largest
+    norm of any image component outside the code subspace.
     """
-    target = code if target_code is None else target_code
-    images = physical_op(code.amplitudes)
-    mat = overlap_matrix(target.amplitudes, images)
-    residual = images - (mat.T @ target.amplitudes.reshape(4, -1)).reshape(images.shape)
+    basis = code.amplitudes
+    images = physical_op(basis)
+    mat = overlap_matrix(basis, images)
+    residual = images - (mat.T @ basis.reshape(4, -1)).reshape(images.shape)
     leak = float(np.max(np.linalg.norm(residual, axis=(-2, -1))))
     return LogicalAction(matrix=mat, leakage=leak)
 
@@ -187,12 +187,6 @@ def composite_hadamard_operator(code):
 
 def composite_hadamard_check(code):
     return logical_action(composite_hadamard_operator(code), code)
-
-
-def shshs_identity_residual():
-    """Exact 2x2 check of S H S H S = e^{i pi/4} H."""
-    lhs = S2 @ HADAMARD @ S2 @ HADAMARD @ S2
-    return float(np.linalg.norm(lhs - np.exp(1j * np.pi / 4) * HADAMARD))
 
 
 def zeno_projected_hamiltonian(code, theta=0.0):

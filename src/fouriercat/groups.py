@@ -273,7 +273,7 @@ def irrep_table(group):
     return tuple(irreps)
 
 
-def _validate_irrep(group, irrep, tol=1e-10):
+def _validate_irrep(group, irrep):
     """Raise unless ``irrep.matrices``, (|G|, dim, dim) or a stack of such, are irreps."""
     mats = irrep.matrices
     gram = mats.conj().swapaxes(-1, -2) @ mats
@@ -282,7 +282,7 @@ def _validate_irrep(group, irrep, tol=1e-10):
     homomorphism = np.linalg.norm(products - mats[..., group.cayley, :, :], axis=(-2, -1))
     char_sum = np.sum(np.abs(np.trace(mats, axis1=-2, axis2=-1)) ** 2, axis=-1)
     char_sum_bad = np.any(np.abs(char_sum - group.order) > 1e-8)
-    if max(unitarity.max(), homomorphism.max()) > tol or char_sum_bad:
+    if max(unitarity.max(), homomorphism.max()) > 1e-10 or char_sum_bad:
         raise ValueError("irrep table not available")
 
 
@@ -308,7 +308,7 @@ def build_fourier_transform(group, irreps):
     return GroupFourierTransform(matrix=matrix, row_index=row_index, irreps=ordered)
 
 
-def verify_block_diagonalization(fourier, group, irreps):
+def verify_block_diagonalization(fourier, group):
     """Max residual of the simultaneous block-diagonalization identities.
 
     For every g, F L(g) F^dag must equal the direct sum of rho(g) x I and

@@ -49,7 +49,7 @@ def test_criterion_1_fourier_transform(acceptance_report):
         worst = max(
             worst,
             float(np.linalg.norm(f @ f.conj().T - np.eye(group.order))),
-            fc.verify_block_diagonalization(fourier, group, irreps),
+            fc.verify_block_diagonalization(fourier, group),
         )
     _verdict(acceptance_report, 1, worst <= 1e-12, f"unitarity/block residual {worst:.2e} <= 1e-12")
 

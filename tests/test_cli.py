@@ -406,6 +406,28 @@ def test_config_key_the_command_does_not_read_exits_2(command, keys, tmp_path, m
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        pytest.param("verify", "5", id="not-an-object-number"),
+        pytest.param("verify", "null", id="not-an-object-null"),
+        pytest.param("verify", '["group"]', id="not-an-object-list"),
+        pytest.param("sweep-alpha", '{"grid": 5}', id="grid-number"),
+        pytest.param("sweep-alpha", '{"grid": "1.2:1.3:0.1", "out": 1}', id="out-number"),
+        pytest.param("verify", '{"cutoff": true}', id="cutoff-bool"),
+        pytest.param("gates-demo", '{"alpha": "1.2"}', id="alpha-text"),
+    ],
+)
+def test_config_value_of_the_wrong_type_exits_2(command, text, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(text)
+    assert run([command, "--config", "f.json"]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
+
+
 @pytest.mark.parametrize("command", ["verify", "sweep-alpha", "sweep-gamma", "gates-demo"])
 def test_config_file_may_set_every_option_the_command_reads(command, tmp_path, capsys):
     values = {"group": "d8", "alpha": cli.ALPHA_STAR, "phi": float(np.pi / 2), "cutoff": 25,

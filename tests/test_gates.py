@@ -27,7 +27,6 @@ from fouriercat.gates import (
     double_deformation_residual,
     group_covariance,
     outcome_distribution,
-    shshs_identity_residual,
     snap_gate_check,
     zy_expansion_residual,
 )
@@ -120,7 +119,9 @@ def test_double_deformation_returns(star_code):
 
 
 def test_shshs_identity():
-    assert shshs_identity_residual() < 1e-14
+    # the exact 2x2 identity S H S H S = e^{i pi/4} H behind the composite Hadamard
+    lhs = S2 @ HADAMARD @ S2 @ HADAMARD @ S2
+    assert np.linalg.norm(lhs - np.exp(1j * np.pi / 4) * HADAMARD) < 1e-14
 
 
 def test_composite_hadamard(star_code):
