@@ -6,7 +6,9 @@ eigendecomposition per sweep point) and a brute-force Fock-space simulation
 of the beamsplitter dilation (the cross-validation oracle).  The oracle
 takes the beamsplitter's images of |n, 0> in closed form (exact: those
 sectors lie under the cutoff) and projects each mode's reflected part onto
-single-mode coherent states, so it costs O(d^3) in the per-mode dimension d.
+single-mode coherent states.  It contracts the code's per-mode coherent
+factors, never a (d, d) state, so it costs O(|G|^2 d^2) in the per-mode
+dimension d and the group order |G|.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ from .fock import (
     _hermitian_eigh,
     _log_factorials,
     annihilation_operator,
-    coherent_amplitudes,
     hermitian_inv_sqrt,
 )
 from .groups import HADAMARD, memoized
 
 # Parity masks kept by lindblad_kernel_check, one (d, d) bool array per cutoff.
 PARITY_MEMO_SIZE = 8
+# Loss tables kept by qec_matrix_fock, two (d, d) arrays per cutoff (11 kB at cutoff 25).
+LOSS_MEMO_SIZE = 8
 
 
 @dataclass
@@ -122,14 +125,22 @@ def _loss_amplitudes(d, gamma):
     b[P, a] = sqrt(binom(a, P)) t^P r^(a - P) for BS = pi([[t, -r], [r, t]]),
     t = sqrt(1 - gamma), r = sqrt(gamma): P of the a photons are transmitted
     and a - P reflected.  Below the diagonal (a < P) b is zero and a - P is
-    clamped to 0.
+    clamped to 0.  The gamma-free tables come from ``_loss_tables``.
     """
     t, r = np.sqrt(1.0 - gamma), np.sqrt(gamma)
+    binom, reflected = _loss_tables(d)
+    return binom * t ** np.arange(d)[:, None] * r**reflected, reflected
+
+
+@memoized(LOSS_MEMO_SIZE)
+def _loss_tables(d):
+    """The read-only (d, d) tables sqrt(binom(a, P)) (zero for a < P) and a - P (clamped to 0)."""
     n = np.arange(d)
     reflected = np.maximum(n[None, :] - n[:, None], 0)  # a - P, clamped to 0
     logfact = _log_factorials(d)
-    binom = np.exp((logfact[None, :] - logfact[:, None] - logfact[reflected]) / 2)
-    return np.triu(binom * t ** n[:, None] * r**reflected), reflected
+    binom = np.triu(np.exp((logfact[None, :] - logfact[:, None] - logfact[reflected]) / 2))
+    binom.flags.writeable = reflected.flags.writeable = False
+    return binom, reflected
 
 
 def qec_matrix_fock(code, gamma, env_floor=1e-15):
@@ -145,18 +156,22 @@ def qec_matrix_fock(code, gamma, env_floor=1e-15):
     The inputs |a, 0>, a <= cutoff, lie in sectors that the per-mode cutoff
     does not truncate, so B is exact and no sector is exponentiated; the
     corner sectors N > cutoff never receive amplitude.  Each reflected state
-    is a product e_q1 (x) e_q2 of normalized single-mode coherent states, so
-    projecting both mixed modes onto it factorizes per mode:
-    <e_q1, e_q2|(BS (x) BS)|psi, 0, 0> = Y_q1 psi Y_q2^T with
-    Y_qm[P, a] = conj(e_qm[a - P]) B[P, a - P] for a >= P: one GEMM of all
-    basis states against every Y_q2, then per state a |G|-batched one.  The
-    orthonormalizing mix over q comes last.  Near gamma = 0 the reflected
-    family is rank-deficient, so that mix is a pseudo-inverse with a relative
-    eigenvalue floor.  Dropping an eigenvalue lambda loses entries of order
-    sqrt(lambda), keeping it amplifies roundoff by 1 / sqrt(lambda), so the
-    floor sits a few machine epsilons above zero.  Of the Kraus images' Gram
-    matrix only the logical pair's block (M) and the 4 x 4 blocks summed over
-    environment labels (completeness) are formed.  ``extras`` holds the Kraus
+    is a product e_q1 (x) e_q2 of normalized single-mode coherent states:
+    the constellation's audited factors f_g scaled by r^n and renormalized,
+    so no second tail audit is needed.  Projecting both mixed modes onto it
+    factorizes per mode, <e_q1, e_q2|(BS (x) BS)|psi, 0, 0> = Y_q1 psi Y_q2^T
+    with Y_qm[P, a] = conj(e_qm[a - P]) B[P, a - P] for a >= P.  A basis
+    state is psi_i = sum_g C[i, g] f_g1 (x) f_g2 (``CodeBasis.coefficients``),
+    so with the transmitted factors T_m[q] = Y_qm F_m^T, one GEMM per mode,
+    its raw images are T_1[q] diag(C_i) T_2[q]^T: O(|G|^2 d^2) in all, where
+    the dense states would cost O(|G| d^3).  The orthonormalizing mix over q
+    comes last.  Near gamma = 0 the reflected family is rank-deficient, so
+    that mix is a pseudo-inverse with a relative eigenvalue floor.  Dropping
+    an eigenvalue lambda loses entries of order sqrt(lambda), keeping it
+    amplifies roundoff by 1 / sqrt(lambda), so the floor sits a few machine
+    epsilons above zero.  Of the Kraus images' Gram matrix only the logical
+    pair's block (M) and the 4 x 4 blocks summed over environment labels
+    (completeness) are formed.  ``extras`` holds the Kraus
     images (basis state, environment label, n1, n2), their completeness on
     the code subspace, how many environment eigenvalues the pseudo-inverse
     kept (``env_rank``, of the group order) and its roundoff gain
@@ -164,24 +179,30 @@ def qec_matrix_fock(code, gamma, env_floor=1e-15):
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
-    config = code.config
-    d = config.dim_per_mode
-    n = code.constellation.group.order
+    d = code.config.dim_per_mode
+    factors = code.constellation.factors  # (g, mode, a)
+    n = len(factors)
     b_shift, shift = _loss_amplitudes(d, gamma)
 
     # Per-mode reflected constellation states e[q, m] and their Gram matrix.
-    env = coherent_amplitudes(code.constellation.points * np.sqrt(gamma), config.cutoff)
+    env = factors * np.sqrt(gamma) ** np.arange(d)
     env /= np.linalg.norm(env, axis=-1, keepdims=True)
     env_gram = np.prod(np.einsum("qma,rma->mqr", env.conj(), env), axis=0)
     roots = hermitian_inv_sqrt(env_gram, floor=env_floor, pseudo=True)
 
-    y1, y2 = (np.take(e, shift, axis=-1) * b_shift for e in env.conj().transpose(1, 0, 2))
-    right = code.amplitudes.reshape(4 * d, d) @ y2.reshape(n * d, d).T  # [(i, a), (q, c)]
-    # Per state i, buf holds raw[q] = Y_q1 psi_i Y_q2^T, and the images sum_q conj(inv_sqrt[q, r])
-    # raw[q] overwrite i's rows of right: a working set this small keeps BLAS in cache.
-    kraus, buf = right.reshape(4, n, d * d), np.empty((n, d * d), dtype=complex)
-    for i in range(4):
-        np.matmul(y1, right.reshape(4, d, n, d)[i].swapaxes(0, 1), out=buf.reshape(n, d, d))
+    # The transmitted factors t_m[q, P, g] = (Y_qm f_gm)[P], each Y_qm gathered into
+    # buf ("clip" only spares take a temporary: every shift is in range).
+    buf, transmitted = np.empty((n, d, d), dtype=complex), []
+    for j in (0, 1):
+        y = np.take(env[:, j].conj(), shift, axis=-1, out=buf, mode="clip")
+        y *= b_shift
+        transmitted.append((y.reshape(n * d, d) @ factors[:, j].T).reshape(n, d, n))
+    t1, t2 = transmitted[0], transmitted[1].transpose(0, 2, 1).copy()
+    # Per state i, buf then holds raw[q] = T_1[q] diag(C_i) T_2[q]^T, and the
+    # images sum_q conj(inv_sqrt[q, r]) raw[q] go straight into i's rows of kraus.
+    kraus, buf, scaled = np.empty((4, n, d * d), dtype=complex), buf.reshape(n, d * d), t1.copy()
+    for i, c in enumerate(code.coefficients):
+        np.matmul(np.multiply(t1, c, out=scaled), t2, out=buf.reshape(n, d, d))
         np.matmul(roots.inv_sqrt.conj().T, buf, out=kraus[i])
     completeness = np.empty((4, 4), dtype=complex)
     m = np.empty((2, 2, n, n), dtype=complex)  # m[k, l, p, q] on the |k, 0> logical pair

@@ -1,7 +1,8 @@
 """Command-line front end: verification suites, sweeps and gate reports.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 I/O error.
+3 a sweep's output file cannot be written, 4 standard output was closed
+before the report was written (a broken pipe).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -91,6 +93,10 @@ DEFAULTS = {
 
 class ConfigError(ValueError):
     pass
+
+
+class OutputError(OSError):
+    """A sweep's records could not be written to their file."""
 
 
 def resolve_group(name):
@@ -232,7 +238,7 @@ def write_records(path, fmt, cfg, columns, rows, summary):
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")
     except OSError as exc:
-        raise IOError(f"cannot write {path}: {exc}") from exc
+        raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
 class CheckList:
@@ -260,11 +266,6 @@ class CheckList:
         if self.success:
             print(self.success)
         return 0
-
-
-def _action_distance(action, target):
-    """Distance of a ``LogicalAction``'s matrix to ``target``, up to a global phase."""
-    return phase_aligned_distance(action.matrix, target)[0]
 
 
 def _cz_distance(code):
@@ -311,11 +312,13 @@ def cmd_verify(cfg):
         checks.record("gram_fourier_scalar_block", scalar_dev, 1e-9)
 
     checks.record(
-        "self_kerr_s_gate", _action_distance(s_gate_check(code), _S_TARGET), 1e-8
+        "self_kerr_s_gate", phase_aligned_distance(s_gate_check(code).matrix, _S_TARGET), 1e-8
     )
     checks.record("cz_gate", _cz_distance(code), 1e-8)
     checks.record(
-        "composite_hadamard", _action_distance(composite_hadamard_check(code), _H_TARGET), 1e-7
+        "composite_hadamard",
+        phase_aligned_distance(composite_hadamard_check(code).matrix, _H_TARGET),
+        1e-7,
     )
     if at_star:
         kernels, parity = lindblad_kernel_check(code)
@@ -449,7 +452,7 @@ def cmd_gates_demo(cfg):
         ("SNAP quartic phase (logical T)", snap_t, _T_TARGET, 1e-8),
         ("composite Hadamard", composite_hadamard_check(code), _H_TARGET, 1e-7),
     ):
-        dist = _action_distance(action, target)
+        dist = phase_aligned_distance(action.matrix, target)
         passed = dist <= tol and action.leakage <= max(tol, 1e-7)
         checks.check(name, passed, f"{name}: distance {dist:.3e}, leakage {action.leakage:.3e}")
         print(_format_matrix(np.round(action.matrix, 6)))
@@ -505,13 +508,22 @@ def main(argv=None):
     }
     try:
         cfg = load_config(args)
-        return handlers[args.command](cfg)
+        code = handlers[args.command](cfg)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except IOError as exc:
+    except OutputError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: the reader has gone, so stdout is pointed at
+        # devnull and the interpreter's last flush has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 4
 
 
 if __name__ == "__main__":

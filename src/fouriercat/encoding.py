@@ -10,9 +10,14 @@ per process.  ``constellation_from_vector`` (and through it
 ``make_constellation`` and ``deform_constellation``) is memoized on the
 group object, the bytes of the complex alpha vector and the cutoff;
 ``code_basis`` on its constellation and Fourier transform objects.  Each
-memo keeps its 8 latest results.  One cutoff-25 code with its D8 or Q8
-constellation retains about 0.14 MB, one at cutoff 60 about 0.72 MB, so
-the two memos hold at most 1.8 MB at cutoff 25 and 9.6 MB at cutoff 60.
+memo keeps its 8 latest results.  Besides the amplitudes, a constellation
+keeps its normalized per-mode coherent factors (``factors``, |G| x 2 x d)
+and a code basis its expansion over the constellation states
+(``coefficients``, 4 x |G|), so amplitudes[i] = sum_g coefficients[i, g]
+factors[g, 0] (x) factors[g, 1]; the Fock loss oracle contracts these
+instead of the (d, d) states.  One cutoff-25 code with its D8 or Q8
+constellation retains about 0.14 MB, one at cutoff 60 about 0.73 MB, so
+the two memos hold at most 1.9 MB at cutoff 25 and 9.8 MB at cutoff 60.
 Constellations and code bases compare and hash by identity and their
 arrays are read-only, so a memo hit never returns changed contents.  A
 construction that raises (degenerate constellation, starved cutoff,
@@ -53,6 +58,7 @@ class Constellation:
     alpha_vec: np.ndarray
     amplitudes: np.ndarray  # (|G|, d, d): the state |g alpha> for each g
     config: FockConfig
+    factors: np.ndarray  # (|G|, 2, d): unit per-mode factors, amplitudes[g] = f_g0 (x) f_g1
 
     @property
     def points(self):
@@ -67,6 +73,8 @@ class CodeBasis:
     constellation: Constellation
     fourier: object
     amplitudes: np.ndarray  # (4, d, d), basis state (l, m) at index 2 l + m
+    # (4, |G|): amplitudes[i] = sum_g coefficients[i, g] constellation.amplitudes[g]
+    coefficients: np.ndarray
 
     @property
     def config(self):
@@ -106,9 +114,10 @@ def _constellation(group, alpha_bytes, cutoff):
     factors = coherent_amplitudes(points, cutoff)  # (|G|, 2, d), one per mode
     factors /= np.linalg.norm(factors, axis=-1, keepdims=True)
     amplitudes = factors[:, 0, :, None] * factors[:, 1, None, :]
-    amplitudes.flags.writeable = False
+    amplitudes.flags.writeable = factors.flags.writeable = False
     return Constellation(
-        group=group, alpha_vec=alpha_vec, amplitudes=amplitudes, config=FockConfig(2, cutoff)
+        group=group, alpha_vec=alpha_vec, amplitudes=amplitudes, config=FockConfig(2, cutoff),
+        factors=factors,
     )
 
 
@@ -149,17 +158,22 @@ def code_basis(constellation, fourier):
     """All four encoded basis states, ordered (0,0), (0,1), (1,0), (1,1).
 
     State (l, m) has coefficients column (lambda, l, m) of Gamma^(-1/2) F^dag
-    on the constellation states.  Memoized on the two argument objects; the
-    amplitudes are read-only.
+    on the constellation states, scaled so that its truncated amplitudes
+    have unit norm.  Memoized on the two argument objects; the amplitudes
+    and coefficients are read-only.
     """
     inv_sqrt = hermitian_inv_sqrt(gram_matrix(constellation), floor=GRAM_FLOOR).inv_sqrt
     label = fourier.defining_label
     rows = [fourier.row(label, l, m) for l in (0, 1) for m in (0, 1)]
     coeff = (inv_sqrt @ fourier.matrix.conj().T)[:, rows]
     amps = np.tensordot(coeff.T, constellation.amplitudes, axes=1)
-    amps /= np.linalg.norm(amps, axis=(1, 2), keepdims=True)
-    amps.flags.writeable = False
-    return CodeBasis(constellation=constellation, fourier=fourier, amplitudes=amps)
+    norms = np.linalg.norm(amps, axis=(1, 2))
+    amps /= norms[:, None, None]
+    coeff = coeff.T / norms[:, None]
+    amps.flags.writeable = coeff.flags.writeable = False
+    return CodeBasis(
+        constellation=constellation, fourier=fourier, amplitudes=amps, coefficients=coeff
+    )
 
 
 def gram_fourier_spectrum(gram, fourier):

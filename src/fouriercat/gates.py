@@ -6,9 +6,11 @@ with the leakage out of the target code subspace.
 
 The gate operators and tables depend only on the Fock configuration, so
 they are built once per process: the self-Kerr S gate and the SNAP S/T
-pair are memoized on the ``FockConfig``, and the cross-Kerr parity table
-(-1)^(n2 n4) on the cutoff, each memo keeping its 8 latest results, which
-hold at most 2 d numbers (an operator) or d^2 (a table), read-only.
+pair are memoized on the ``FockConfig``, the cross-Kerr parity table
+(-1)^(n2 n4) on the cutoff, and the closed-form Z_L Y_M eigenstates of
+``zy_expansion_residual`` on (alpha, d), each memo keeping its 8 latest
+results, which hold at most 2 d numbers (an operator), d^2 (a table) or
+4 d^2 + 4 (the eigenstates, 21.6 kB at cutoff 25), read-only.
 """
 
 from __future__ import annotations
@@ -69,12 +71,10 @@ TABLE_CELLS = {
 
 
 def phase_aligned_distance(measured, target):
-    """(distance, phase): min over global phases of ||measured - e^{ip} target||."""
+    """min over global phases p of ||measured - e^{ip} target||."""
     overlap = np.trace(target.conj().T @ measured)
-    if abs(overlap) < 1e-12:
-        return float(np.linalg.norm(measured - target)), 0.0
-    phase = overlap / abs(overlap)
-    return float(np.linalg.norm(measured - phase * target)), float(np.angle(phase))
+    phase = overlap / abs(overlap) if abs(overlap) >= 1e-12 else 1.0
+    return float(np.linalg.norm(measured - phase * target))
 
 
 def logical_action(physical_op, code):
@@ -302,10 +302,18 @@ def zy_expansion_residual(code):
 
     The predicted amplitudes are ((-1)^q -/+ (-1)^p) f_{p,q} on |2p+1>|2q>
     (mode order swapped for l = 1), with f_{p,q} Poisson-like; one overall
-    complex constant per state is fitted.
+    complex constant per state is fitted.  The prediction is built once per
+    (alpha, d) by ``_zy_prediction``.
     """
-    alpha = code.alpha
-    d = code.config.dim_per_mode
+    pred, pred_norms = _zy_prediction(code.alpha, code.config.dim_per_mode)
+    actual = zy_eigenstates(code)
+    scale = np.einsum("sab,sab->s", pred, actual) / pred_norms
+    return float(np.max(np.abs(actual - scale[:, None, None] * pred)))
+
+
+@memoized(GATE_MEMO_SIZE)
+def _zy_prediction(alpha, d):
+    """The read-only real (4, d, d) closed-form eigenstates and their squared norms."""
     odd = 2 * np.arange(d // 2) + 1  # 2p + 1 < d
     even = 2 * np.arange((d + 1) // 2)  # 2q < d
     logfact = _log_factorials(d)
@@ -316,9 +324,9 @@ def zy_expansion_residual(code):
     )
     sign = np.array([-1.0, 1.0, -1.0, 1.0])[:, None, None]  # -1 for the +i states
     coeff = ((-1.0) ** (even // 2) + sign * (-1.0) ** (odd // 2)[:, None]) * f  # [state, p, q]
-    pred = np.zeros((4, d, d), dtype=complex)
+    pred = np.zeros((4, d, d))
     pred[:2, odd[:, None], even] = coeff[:2]  # l = 0 on |2p+1>|2q>
     pred[2:, even[:, None], odd] = coeff[2:].swapaxes(1, 2)  # l = 1, modes swapped
-    actual = zy_eigenstates(code)
-    scale = np.einsum("sab,sab->s", pred.conj(), actual) / np.einsum("sab,sab->s", pred.conj(), pred)
-    return float(np.max(np.abs(actual - scale[:, None, None] * pred)))
+    norms = np.einsum("sab,sab->s", pred, pred)
+    pred.flags.writeable = norms.flags.writeable = False
+    return pred, norms

@@ -103,12 +103,12 @@ def test_criterion_4_gate_suite(acceptance_report, star_code):
 
     kerr = fc.s_gate_check(star_code).matrix
     snap_s, snap_t = snap_gate_check(star_code)
-    s_agree, _ = phase_aligned_distance(kerr, snap_s.matrix)
+    s_agree = phase_aligned_distance(kerr, snap_s.matrix)
     cz_dev = float(np.linalg.norm(fc.cz_gate_check(star_code) - fc.cz_target()))
     had = composite_hadamard_check(star_code)
-    had_dist, _ = phase_aligned_distance(had.matrix, np.kron(HADAMARD, IDENTITY2))
+    had_dist = phase_aligned_distance(had.matrix, np.kron(HADAMARD, IDENTITY2))
     _, zeno_res, _ = fc.zeno_projected_hamiltonian(star_code)
-    t_dist, _ = phase_aligned_distance(snap_t.matrix, np.kron(T2, IDENTITY2))
+    t_dist = phase_aligned_distance(snap_t.matrix, np.kron(T2, IDENTITY2))
     n = np.arange(2 * star_code.config.cutoff)
     profile = np.exp(1j * np.pi / 4 * ((n**4) % 8).astype(float))
     profile_dev = float(

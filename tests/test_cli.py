@@ -139,6 +139,29 @@ def test_unwritable_path_is_io_error(tmp_path):
     assert run(["sweep-alpha", "--grid", "1.2:1.3:0.1", "--out", str(target)]) == 3
 
 
+def test_only_a_failed_sweep_write_exits_3(monkeypatch):
+    def fails(cfg):
+        raise OSError("not a sweep's output file")
+
+    monkeypatch.setattr(cli, "cmd_verify", fails)
+    with pytest.raises(OSError, match="not a sweep"):
+        run(["verify"])
+
+
+def test_closed_stdout_exits_4_without_a_traceback():
+    # gates-demo's report fits in the pipe's buffer, so the closed reader shows
+    # at main's flush; the interpreter's own flush at exit must then stay silent
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    script = "import sys; from fouriercat import cli; sys.exit(cli.main(['gates-demo']))"
+    try:
+        done = subprocess.run([sys.executable, "-c", script], env=fresh_env(), stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (4, b"")
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"gamma": 0.02, "grid": "1.2:1.3:0.1"}))
@@ -323,13 +346,18 @@ def test_each_command_declares_the_options_its_handler_reads(command, tmp_path, 
     assert cfg.read == OPTIONS[command]
 
 
-def run_fresh(script):
-    """stdout of ``script`` run in a fresh interpreter with ``src`` on the path."""
+def fresh_env():
+    """The environment of a fresh interpreter with ``src`` first on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_fresh(script):
+    """stdout of ``script`` run in a fresh interpreter with ``src`` on the path."""
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script], env=fresh_env(), capture_output=True, text=True,
+        timeout=300,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
@@ -449,8 +477,7 @@ def test_default_reports_are_unchanged():
     # no negative entry, as numpy's array printer wrote them; each runs in a
     # fresh process, and the roundoff-level residuals depend on the numpy and
     # BLAS build they were recorded with
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = fresh_env()
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert len(golden) == 7
     for argv, want in golden.items():

@@ -211,7 +211,27 @@ def test_benchmark_records_mirror_the_arrays(star_code, d8):
 
 def code_arrays(code):
     """Every array a code basis and its constellation hold."""
-    return [code.amplitudes, code.constellation.amplitudes, code.constellation.alpha_vec]
+    constellation = code.constellation
+    return [code.amplitudes, code.coefficients, constellation.amplitudes,
+            constellation.factors, constellation.alpha_vec]
+
+
+@pytest.mark.parametrize("cutoff", [10, 25])
+@pytest.mark.parametrize("phi", [np.pi / 2, 1.0], ids=["phi-pi/2", "phi1.0"])
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_amplitudes_are_the_coefficient_expansion_over_factor_products(name, phi, cutoff):
+    # the Fock loss oracle contracts coefficients and per-mode factors, never the
+    # amplitudes, so it cross-checks the code only while both describe one state
+    group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
+    fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
+    alpha = 0.6 if cutoff == 10 else ALPHA_STAR  # within the tail audit at cutoff 10
+    code = fc.code_basis(fc.make_constellation(group, alpha, phi, cutoff), fourier)
+    f = code.constellation.factors
+    assert f.shape == (group.order, 2, cutoff + 1)
+    assert code.coefficients.shape == (4, group.order)
+    assert np.max(np.abs(np.linalg.norm(f, axis=-1) - 1.0)) < 1e-15
+    expansion = np.einsum("ig,ga,gb->iab", code.coefficients, f[:, 0], f[:, 1])
+    assert np.max(np.abs(code.amplitudes - expansion)) < 1e-15
 
 
 def test_code_memos_share_one_read_only_build(d8, d8_fourier):
@@ -287,5 +307,6 @@ def test_code_memo_retention_is_bounded(d8, d8_fourier):
         tracemalloc.stop()
     assert fc.code_basis.cache_info().currsize == CODE_MEMO_SIZE
     assert encoding._constellation.cache_info().currsize == CODE_MEMO_SIZE
-    # the bound the encoding docstring states: 9.6 MB at cutoff 60
+    # 8 codes and their constellations, under the 9.6 MB that both memos held
+    # when full before factors and coefficients were kept (9.8 MB with them)
     assert CODE_MEMO_SIZE * per_code <= retained < 9.6e6, f"retained {retained / 1e6:.2f} MB"

@@ -38,7 +38,7 @@ ALPHA_STAR = np.sqrt(np.pi / 2)
 def test_swap_is_logical_x(star_code):
     op = passive_gaussian_unitary(X2.real, star_code.config)
     action = fc.logical_action(op, star_code)
-    dist, _ = fc.phase_aligned_distance(action.matrix, np.kron(X2, IDENTITY2))
+    dist = fc.phase_aligned_distance(action.matrix, np.kron(X2, IDENTITY2))
     assert dist < 1e-12
     assert action.leakage < 1e-12
 
@@ -48,22 +48,22 @@ def test_mode2_parity_is_logical_z(star_code):
         (-1.0) ** np.arange(star_code.config.dim_per_mode), star_code.config
     )
     action = fc.logical_action(op, star_code)
-    dist, _ = fc.phase_aligned_distance(action.matrix, np.kron(Z2, IDENTITY2))
+    dist = fc.phase_aligned_distance(action.matrix, np.kron(Z2, IDENTITY2))
     assert dist < 1e-12
     assert action.leakage < 1e-12
 
 
 def test_self_kerr_is_logical_s(star_code):
     action = fc.s_gate_check(star_code)
-    dist, _ = fc.phase_aligned_distance(action.matrix, np.kron(S2, IDENTITY2))
+    dist = fc.phase_aligned_distance(action.matrix, np.kron(S2, IDENTITY2))
     assert dist < 1e-12
     assert action.leakage < 1e-12
 
 
 def test_snap_gates(star_code):
     s_action, t_action = snap_gate_check(star_code)
-    dist_s, _ = fc.phase_aligned_distance(s_action.matrix, np.kron(S2, IDENTITY2))
-    dist_t, _ = fc.phase_aligned_distance(t_action.matrix, np.kron(T2, IDENTITY2))
+    dist_s = fc.phase_aligned_distance(s_action.matrix, np.kron(S2, IDENTITY2))
+    dist_t = fc.phase_aligned_distance(t_action.matrix, np.kron(T2, IDENTITY2))
     assert dist_s < 1e-12
     assert dist_t < 1e-12
     assert t_action.leakage < 1e-12
@@ -80,7 +80,7 @@ def test_snap_t_phase_profile():
 def test_self_kerr_and_snap_s_agree(star_code):
     a = fc.s_gate_check(star_code).matrix
     b = snap_gate_check(star_code)[0].matrix
-    dist, _ = fc.phase_aligned_distance(a, b)
+    dist = fc.phase_aligned_distance(a, b)
     assert dist < 1e-12
 
 
@@ -126,7 +126,7 @@ def test_shshs_identity():
 
 def test_composite_hadamard(star_code):
     action = composite_hadamard_check(star_code)
-    dist, _ = fc.phase_aligned_distance(action.matrix, np.kron(HADAMARD, IDENTITY2))
+    dist = fc.phase_aligned_distance(action.matrix, np.kron(HADAMARD, IDENTITY2))
     assert dist < 1e-7
     assert action.leakage < 1e-7
 
@@ -290,7 +290,16 @@ def test_cutoff_60_checks_stay_small(d8, d8_fourier):
     finally:
         tracemalloc.stop()
     assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
-    dist, _ = fc.phase_aligned_distance(swap.matrix, np.kron(X2, IDENTITY2))
+    # the loss oracle alone: its (4, 8, 61, 61) Kraus images (1.9 MB) and one
+    # (8, 61, 61) work buffer (0.48 MB); a dense (4, 8, 61, 61) temporary would pass 4 MB
+    tracemalloc.start()
+    try:
+        fc.qec_matrix_fock(code, 0.01)
+        oracle_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert oracle_peak < 3e6, f"qec_matrix_fock traced peak {oracle_peak / 1e6:.2f} MB"
+    dist = fc.phase_aligned_distance(swap.matrix, np.kron(X2, IDENTITY2))
     assert dist < 1e-12
     analytic = fc.qec_matrix_analytic(d8, d8_fourier, ALPHA_STAR, 0.01)
     assert np.max(np.abs(loss.entries - analytic.entries)) < 1e-10

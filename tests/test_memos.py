@@ -5,7 +5,12 @@ read-only, an input that fails validation is never memoized, and each memo
 keeps at most its stated number of entries.
 """
 
+import ast
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +48,8 @@ BUILDS = {
     "cross-kerr-parity": lambda: gates._cross_kerr_parity(CFG.dim_per_mode),
     "even-parity-mask": lambda: channels._even_total_parity(CFG.dim_per_mode),
     "block-targets": lambda: groups._block_targets(d8_fourier()),
+    "zy-prediction": lambda: gates._zy_prediction(1.25, CFG.dim_per_mode),
+    "loss-tables": lambda: channels._loss_tables(CFG.dim_per_mode),
 }
 
 
@@ -121,6 +128,10 @@ MEMOS = {
                          lambda k: channels._even_total_parity(2 + k)),
     "block-targets": (groups._block_targets, groups.BLOCK_TARGET_MEMO_SIZE,
                       lambda k: groups._block_targets(fourier_of_cyclic(2 + k))),
+    "zy-prediction": (gates._zy_prediction, gates.GATE_MEMO_SIZE,
+                      lambda k: gates._zy_prediction(1.0 + 0.1 * k, 10)),
+    "loss-tables": (channels._loss_tables, channels.LOSS_MEMO_SIZE,
+                    lambda k: channels._loss_tables(2 + k)),
 }
 
 
@@ -143,3 +154,25 @@ def test_public_callables_stay_plain_functions(module):
             continue
         if getattr(obj, "__module__", None) == module.__name__:
             assert inspect.isfunction(obj), f"{module.__name__}.{name} is a {type(obj).__name__}"
+
+
+def test_no_memo_is_filled_at_import():
+    # fcbench's setup_s times a fresh import, so a table built at import would
+    # hide there; a fresh interpreter keeps other tests' calls out of the memos
+    script = (
+        "import sys, fouriercat, fouriercat.cli\n"
+        "print(repr({f'{obj.__module__}.{obj.__qualname__}': obj.cache_info().currsize\n"
+        "            for name, module in list(sys.modules.items())\n"
+        "            if name.startswith('fouriercat')\n"
+        "            for obj in vars(module).values() if hasattr(obj, 'cache_clear')}))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    memos = ast.literal_eval(done.stdout)
+    # every memoized builder of the package is reachable from a module namespace
+    decorated = sum(path.read_text().count("@memoized(") for path in src.glob("fouriercat/*.py"))
+    assert len(memos) == decorated, sorted(memos)
+    assert {name: size for name, size in memos.items() if size} == {}
