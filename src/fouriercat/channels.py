@@ -28,8 +28,6 @@ from .fock import (
 )
 from .groups import HADAMARD, memoized
 
-# Parity masks kept by lindblad_kernel_check, one (d, d) bool array per cutoff.
-PARITY_MEMO_SIZE = 8
 # Loss tables kept by qec_matrix_fock, two (d, d) arrays per cutoff (11 kB at cutoff 25).
 LOSS_MEMO_SIZE = 8
 
@@ -57,6 +55,8 @@ def _loss_gram_matrices(lam, alpha, gamma):
     """
     if not 0.0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
+    if not np.isfinite(2.0 * float(alpha) * float(alpha)):
+        raise ValueError("alpha is too large: 2 alpha^2 overflows")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     base = lam - 1.0
@@ -247,8 +247,7 @@ def lindblad_kernel_check(code, deformed=False):
     Residuals are normalized by alpha^4 (alpha^2 for the quadratic operator).
     With ``deformed`` set, the beamsplitter-deformed code and the primed
     operators (signs of the alpha^4 offsets flipped) are used instead.  The
-    parity residual is the largest amplitude norm on even total photon
-    number, read through a mask built once per cutoff.
+    parity residual is the largest amplitude norm on even total photon number.
     """
     alpha = code.alpha
     if deformed:
@@ -274,17 +273,10 @@ def lindblad_kernel_check(code, deformed=False):
         name: float(np.max(np.linalg.norm(img, axis=(-2, -1)))) / scale
         for name, (img, scale) in images.items()
     }
-    even = _even_total_parity(basis.config.dim_per_mode)
+    k = np.arange(basis.config.dim_per_mode) % 2
+    even = k[:, None] == k  # n1 + n2 even
     parity_residual = float(np.max(np.linalg.norm(amps[:, even], axis=-1)))
     return residuals, parity_residual
-
-
-@memoized(PARITY_MEMO_SIZE)
-def _even_total_parity(d):
-    """The read-only (d, d) mask of the levels (n1, n2) with n1 + n2 even."""
-    even = np.add.outer(np.arange(d), np.arange(d)) % 2 == 0
-    even.flags.writeable = False
-    return even
 
 
 @dataclass

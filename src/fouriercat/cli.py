@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 a sweep's output file cannot be written, 4 standard output was closed
-before the report was written (a broken pipe).
+before the report was written (a broken pipe).  A sweep with no finite
+point exits 0 after writing its records; JSON holds null for NaN and inf.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ from .fock import (
 )
 from .gates import (
     IDENTITY2,
-    S2,
-    T2,
-    X2,
     composite_hadamard_check,
     cz_gate_check,
     cz_target,
@@ -55,6 +53,9 @@ from .gates import (
 )
 from .groups import (
     HADAMARD,
+    PAULI_X,
+    PHASE_S,
+    PHASE_T,
     build_fourier_transform,
     irrep_table,
     memoized,
@@ -72,9 +73,9 @@ MAX_LIFT_BYTES = 2**28
 MAX_CUTOFF = round((MAX_LIFT_BYTES / 16) ** (1 / 3)) - 1
 
 # logical targets on the basis (l, m), acting on L only
-_X_TARGET = np.kron(X2, IDENTITY2)
-_S_TARGET = np.kron(S2, IDENTITY2)
-_T_TARGET = np.kron(T2, IDENTITY2)
+_X_TARGET = np.kron(PAULI_X, IDENTITY2)
+_S_TARGET = np.kron(PHASE_S, IDENTITY2)
+_T_TARGET = np.kron(PHASE_T, IDENTITY2)
 _H_TARGET = np.kron(HADAMARD, IDENTITY2)
 _CZ_TARGET = cz_target()
 _ZZ_TARGET = np.exp(1j * math.pi / 4 * np.array([1.0, -1.0, -1.0, 1.0]))  # diag exp(i pi/4 ZZ)
@@ -164,6 +165,8 @@ def load_config(args):
     cfg["cutoff"] = int(cfg["cutoff"])
     if cfg["alpha"] <= 0:
         raise ConfigError("alpha must be positive")
+    if not math.isfinite(2.0 * cfg["alpha"] * cfg["alpha"]):
+        raise ConfigError("alpha is too large: 2 alpha^2 overflows")
     if not 0.0 <= cfg["gamma"] < 1.0:
         raise ConfigError("gamma must lie in [0, 1)")
     if not 1 <= cfg["cutoff"] <= MAX_CUTOFF:
@@ -211,6 +214,11 @@ def format_float(x):
     return repr(float(x))
 
 
+def _json_value(value):
+    """``value``, or None for a NaN or infinite float."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_records(path, fmt, cfg, columns, rows, summary):
     try:
         if fmt == "csv":
@@ -228,14 +236,13 @@ def write_records(path, fmt, cfg, columns, rows, summary):
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("\n".join(lines) + "\n")
         else:
-            records = [dict(zip(columns, row)) for row in rows]
             payload = {
                 "config": {k: v for k, v in cfg.items() if k != "out"},
-                "records": records,
-                "summary": summary,
+                "records": [{c: _json_value(v) for c, v in zip(columns, row)} for row in rows],
+                "summary": {k: _json_value(v) for k, v in summary.items()},
             }
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(payload, fh, indent=2)
+                json.dump(payload, fh, indent=2, allow_nan=False)
                 fh.write("\n")
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
@@ -361,21 +368,23 @@ def cmd_sweep_alpha(cfg):
     grid = parse_linear_grid(spec)
     if grid[0] <= 0:
         raise ConfigError("alpha grid must start above 0")
+    if not math.isfinite(2.0 * float(grid[-1]) * float(grid[-1])):
+        raise ConfigError("alpha grid is too large: 2 alpha^2 overflows")
     records = sweep_alpha(group, fourier, cfg["gamma"], grid, phi=cfg["phi"])
-    rows = [
-        (r.value, r.infidelity, r.condition_number, list(r.flags)) for r in records
-    ]
-    best = argmin_record(records)
-    summary = {"argmin_alpha": best.value, "min_infidelity": best.infidelity}
+    rows = [(r.value, r.infidelity, r.condition_number, list(r.flags)) for r in records]
+    try:
+        best = argmin_record(records)
+    except ValueError:  # every point is flagged ill-conditioned
+        summary = {"argmin_alpha": None, "min_infidelity": None}
+        report = "no argmin: every point is ill-conditioned"
+    else:
+        summary = {"argmin_alpha": best.value, "min_infidelity": best.infidelity}
+        report = f"argmin alpha = {format_float(best.value)} "
+        report += f"(infidelity {format_float(best.infidelity)})"
     out = cfg["out"] or f"sweep_alpha.{cfg['format']}"
-    write_records(
-        out, cfg["format"], cfg,
-        ["alpha", "infidelity", "condition_number", "flags"], rows, summary,
-    )
-    print(
-        f"argmin alpha = {format_float(best.value)} "
-        f"(infidelity {format_float(best.infidelity)}); wrote {out}"
-    )
+    columns = ["alpha", "infidelity", "condition_number", "flags"]
+    write_records(out, cfg["format"], cfg, columns, rows, summary)
+    print(f"{report}; wrote {out}")
     return 0
 
 
@@ -443,7 +452,7 @@ def cmd_gates_demo(cfg):
     if code is None:
         return checks.finish()
 
-    swap = logical_action(passive_gaussian_unitary(X2, code.config), code)
+    swap = logical_action(passive_gaussian_unitary(PAULI_X, code.config), code)
     snap_s, snap_t = snap_gate_check(code)
     for name, action, target, tol in (
         ("beamsplitter swap (logical X)", swap, _X_TARGET, 1e-9),

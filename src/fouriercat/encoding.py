@@ -204,10 +204,6 @@ class CatQuditCode:
     delta: np.ndarray
     codewords: np.ndarray  # (d, cutoff + 1), codeword k in row k
 
-    @property
-    def m(self):
-        return self.n // self.d
-
 
 def cat_qudit(n, d, alpha, cutoff=None):
     """Standard cat-qudit codewords and the cyclic Gram spectrum.

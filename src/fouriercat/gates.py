@@ -4,13 +4,12 @@ Each physical operation is reduced to its 4x4 action on the encoded basis
 (ordered (0,0), (0,1), (1,0), (1,1), i.e. logical index first), together
 with the leakage out of the target code subspace.
 
-The gate operators and tables depend only on the Fock configuration, so
-they are built once per process: the self-Kerr S gate and the SNAP S/T
-pair are memoized on the ``FockConfig``, the cross-Kerr parity table
-(-1)^(n2 n4) on the cutoff, and the closed-form Z_L Y_M eigenstates of
+The gate operators depend only on the Fock configuration, so they are
+built once per process: the self-Kerr S gate and the SNAP S/T pair are
+memoized on the ``FockConfig`` and the closed-form Z_L Y_M eigenstates of
 ``zy_expansion_residual`` on (alpha, d), each memo keeping its 8 latest
-results, which hold at most 2 d numbers (an operator), d^2 (a table) or
-4 d^2 + 4 (the eigenstates, 21.6 kB at cutoff 25), read-only.
+results, which hold at most 2 d numbers (an operator) or 4 d^2 + 4 (the
+eigenstates, 21.6 kB at cutoff 25), read-only.
 """
 
 from __future__ import annotations
@@ -28,13 +27,9 @@ from .fock import (
     overlap_matrix,
     passive_gaussian_unitary,
 )
-from .groups import HADAMARD, memoized
+from .groups import HADAMARD, PAULI_Z, memoized
 
 IDENTITY2 = np.eye(2, dtype=complex)
-X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-Z2 = np.diag([1.0, -1.0]).astype(complex)
-S2 = np.diag([1.0, 1.0j])
-T2 = np.diag([1.0, np.exp(1j * np.pi / 4)])
 
 # Results kept by each memo of gate operators and tables.
 GATE_MEMO_SIZE = 8
@@ -133,19 +128,13 @@ def cz_gate_check(code):
     ever materialized.
     """
     d = code.config.dim_per_mode
+    odd = np.arange(d) % 2
+    parity = 1.0 - 2.0 * np.outer(odd, odd)  # (-1)^(n2 n4), exactly +-1
     # C[i', i, n2] = sum_n1 conj(b_i'[n1,n2]) b_i[n1,n2], rows (i', i)
     c = np.einsum("iab,jab->ijb", code.amplitudes.conj(), code.amplitudes).reshape(16, d)
     # (i1', i1, i2', i2) -> row (i1', i2'), column (i1, i2)
-    pairs = ((c @ _cross_kerr_parity(d)) @ c.T).reshape(4, 4, 4, 4)
+    pairs = ((c @ parity) @ c.T).reshape(4, 4, 4, 4)
     return pairs.transpose(0, 2, 1, 3).reshape(16, 16)
-
-
-@memoized(GATE_MEMO_SIZE)
-def _cross_kerr_parity(d):
-    """The read-only (n2, n4) table (-1)^(n2 n4) of a d-level cutoff."""
-    parity = (-1.0) ** np.outer(np.arange(d), np.arange(d))
-    parity.flags.writeable = False
-    return parity
 
 
 def cz_target():
@@ -200,7 +189,7 @@ def zeno_projected_hamiltonian(code, theta=0.0):
     lower = overlap_matrix(code.amplitudes, images)
     mat = lower + lower.conj().T
     alpha = code.alpha
-    target = 2 * alpha**2 * np.kron(Z2, Z2)
+    target = 2 * alpha**2 * np.kron(PAULI_Z, PAULI_Z)
     residual = float(np.linalg.norm(mat - target))
     signs = np.array([1.0, -1.0, -1.0, 1.0])  # a1^2 |l, m> = (-1)^(l+m) alpha^2 |l, m>
     eigen = images - alpha**2 * signs[:, None, None] * code.amplitudes

@@ -1,7 +1,8 @@
 """Finite matrix subgroups of U(2) and their Fourier analysis.
 
 Groups are stored as an ordered (|G|, 2, 2) array of unitaries with
-precomputed Cayley and inverse tables.  Element equality is decided at a
+precomputed Cayley and inverse tables; ``elements`` lists them as
+namespaces with ``matrix`` and ``index``.  Element equality is decided at a
 fixed Frobenius tolerance, and the ordering produced by the breadth-first
 closure is deterministic, so element indices are stable across runs.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -74,14 +76,6 @@ def _is_unitary(u):
     return np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-12
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A single group element: its 2x2 matrix and canonical index."""
-
-    matrix: np.ndarray
-    index: int
-
-
 @dataclass(eq=False)
 class FiniteMatrixGroup:
     """An ordered finite subgroup of U(2) with multiplication tables (read-only)."""
@@ -89,7 +83,7 @@ class FiniteMatrixGroup:
     _matrices: np.ndarray  # (|G|, 2, 2), in element order; read via matrices()
     cayley: np.ndarray
     inverse: np.ndarray
-    identity_index: int = 0
+    identity_index = 0  # generate_group puts the identity first
 
     @property
     def order(self):
@@ -97,7 +91,7 @@ class FiniteMatrixGroup:
 
     @property
     def elements(self):
-        return [GroupElement(matrix=m, index=i) for i, m in enumerate(self._matrices)]
+        return [SimpleNamespace(matrix=m, index=i) for i, m in enumerate(self._matrices)]
 
     def matrix(self, i):
         return self._matrices[i]
@@ -129,7 +123,7 @@ class GroupFourierTransform:
 
     matrix: np.ndarray
     row_index: tuple  # (label, l, m) of each row
-    irreps: tuple = ()
+    irreps: tuple  # as build_fourier_transform orders them
 
     def row(self, label, l, m):
         return self.row_index.index((label, l, m))

@@ -11,15 +11,13 @@ from fouriercat.channels import argmin_record, loglog_slope
 from fouriercat.fock import annihilation_operator, infidelity, normalize
 from fouriercat.gates import (
     IDENTITY2,
-    S2,
-    T2,
     TABLE_CELLS,
     composite_hadamard_check,
     deformation_residual,
     outcome_distribution,
     snap_gate_check,
 )
-from fouriercat.groups import HADAMARD, PAULI_X, PAULI_Z
+from fouriercat.groups import HADAMARD, PAULI_X, PAULI_Z, PHASE_T
 from fouriercat.encoding import cyclic_fourier, cyclic_gram
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
@@ -108,7 +106,7 @@ def test_criterion_4_gate_suite(acceptance_report, star_code):
     had = composite_hadamard_check(star_code)
     had_dist = phase_aligned_distance(had.matrix, np.kron(HADAMARD, IDENTITY2))
     _, zeno_res, _ = fc.zeno_projected_hamiltonian(star_code)
-    t_dist = phase_aligned_distance(snap_t.matrix, np.kron(T2, IDENTITY2))
+    t_dist = phase_aligned_distance(snap_t.matrix, np.kron(PHASE_T, IDENTITY2))
     n = np.arange(2 * star_code.config.cutoff)
     profile = np.exp(1j * np.pi / 4 * ((n**4) % 8).astype(float))
     profile_dev = float(

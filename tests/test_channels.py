@@ -480,6 +480,15 @@ def test_analytic_route_rejects_non_finite_alpha(d8, d8_fourier, alpha):
         fc.sweep_gamma(d8, d8_fourier, alpha, [0.01])
 
 
+@pytest.mark.parametrize("alpha", [1e200, np.float64(1e155)], ids=["float", "float64"])
+def test_analytic_route_rejects_alpha_whose_square_overflows(d8, d8_fourier, alpha):
+    # a Python float power would raise OverflowError, a numpy one warn
+    with pytest.raises(ValueError, match="2 alpha\\^2 overflows"):
+        fc.qec_matrix_analytic(d8, d8_fourier, alpha, 0.01)
+    with pytest.raises(ValueError, match="2 alpha\\^2 overflows"):
+        fc.sweep_gamma(d8, d8_fourier, alpha, [0.01])
+
+
 def _petz_of_poisoned_qec(d8, fourier, row, col, value):
     entries = fc.qec_matrix_analytic(d8, fourier, ALPHA_STAR, 0.01).entries
     entries[row, col] = value

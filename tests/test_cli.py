@@ -130,6 +130,51 @@ def test_sweep_gamma_json(tmp_path, capsys):
     assert "log-log slope" in capsys.readouterr().out
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# (argv, exit code): grids whose every point is ill-conditioned, alphas whose
+# square overflows, and an alpha so small that every infidelity is NaN
+EXTREME_RUNS = [
+    (["sweep-alpha", "--grid", "1e-3:2e-3:1e-3"], 0),
+    (["sweep-alpha", "--grid", "1e20:1e20:1"], 0),
+    (["sweep-alpha", "--grid", "1e200:1e200:1"], 2),
+    (["sweep-gamma", "--alpha", "1e200"], 2),
+    (["sweep-gamma", "--alpha", "1e-300"], 0),
+    (["verify", "--alpha", "1e200"], 2),
+    (["gates-demo", "--alpha", "1e200"], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, code",
+    [
+        pytest.param(argv, fmt, code, id=" ".join(argv + [fmt or ""]).strip())
+        for argv, code in EXTREME_RUNS
+        for fmt in (("csv", "json") if argv[0].startswith("sweep-") else (None,))
+    ],
+)
+def test_extreme_inputs_exit_without_a_traceback(argv, fmt, code, tmp_path, capsys):
+    # run in-process, where any exception or RuntimeWarning fails the test
+    out = tmp_path / f"sweep.{fmt}"
+    extra = ["--format", fmt, "--out", str(out)] if fmt else []
+    assert run(argv + extra) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert out.exists() == (code == 0 and fmt is not None)
+    if code == 0 and fmt == "json":
+        payload = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject_constant)
+        if argv[0] == "sweep-alpha":
+            assert all(r["flags"] == ["ill-conditioned"] for r in payload["records"])
+            assert payload["summary"] == {"argmin_alpha": None, "min_infidelity": None}
+            assert "no argmin: every point is ill-conditioned" in captured.out
+        else:
+            assert all(r["infidelity"] is None for r in payload["records"])
+    if code == 0 and fmt == "csv":
+        assert "nan" in out.read_text(encoding="utf-8")
+
+
 def test_empty_grid_is_config_error():
     assert run(["sweep-gamma", "--grid", ""]) == 2
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.linalg import expm
 import fouriercat as fc
 from fouriercat.encoding import deform_constellation
 from fouriercat.fock import (
+    FockConfig,
     annihilation_operator,
     infidelity,
     normalize,
@@ -16,11 +18,7 @@ from fouriercat.fock import (
 )
 from fouriercat.gates import (
     IDENTITY2,
-    S2,
-    T2,
     TABLE_CELLS,
-    X2,
-    Z2,
     _mod4_masses,
     composite_hadamard_check,
     deformation_residual,
@@ -30,15 +28,15 @@ from fouriercat.gates import (
     snap_gate_check,
     zy_expansion_residual,
 )
-from fouriercat.groups import HADAMARD, PAULI_X, PAULI_Z
+from fouriercat.groups import HADAMARD, PAULI_X, PAULI_Z, PHASE_S, PHASE_T
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
 
 
 def test_swap_is_logical_x(star_code):
-    op = passive_gaussian_unitary(X2.real, star_code.config)
+    op = passive_gaussian_unitary(PAULI_X.real, star_code.config)
     action = fc.logical_action(op, star_code)
-    dist = fc.phase_aligned_distance(action.matrix, np.kron(X2, IDENTITY2))
+    dist = fc.phase_aligned_distance(action.matrix, np.kron(PAULI_X, IDENTITY2))
     assert dist < 1e-12
     assert action.leakage < 1e-12
 
@@ -48,22 +46,22 @@ def test_mode2_parity_is_logical_z(star_code):
         (-1.0) ** np.arange(star_code.config.dim_per_mode), star_code.config
     )
     action = fc.logical_action(op, star_code)
-    dist = fc.phase_aligned_distance(action.matrix, np.kron(Z2, IDENTITY2))
+    dist = fc.phase_aligned_distance(action.matrix, np.kron(PAULI_Z, IDENTITY2))
     assert dist < 1e-12
     assert action.leakage < 1e-12
 
 
 def test_self_kerr_is_logical_s(star_code):
     action = fc.s_gate_check(star_code)
-    dist = fc.phase_aligned_distance(action.matrix, np.kron(S2, IDENTITY2))
+    dist = fc.phase_aligned_distance(action.matrix, np.kron(PHASE_S, IDENTITY2))
     assert dist < 1e-12
     assert action.leakage < 1e-12
 
 
 def test_snap_gates(star_code):
     s_action, t_action = snap_gate_check(star_code)
-    dist_s = fc.phase_aligned_distance(s_action.matrix, np.kron(S2, IDENTITY2))
-    dist_t = fc.phase_aligned_distance(t_action.matrix, np.kron(T2, IDENTITY2))
+    dist_s = fc.phase_aligned_distance(s_action.matrix, np.kron(PHASE_S, IDENTITY2))
+    dist_t = fc.phase_aligned_distance(t_action.matrix, np.kron(PHASE_T, IDENTITY2))
     assert dist_s < 1e-12
     assert dist_t < 1e-12
     assert t_action.leakage < 1e-12
@@ -105,6 +103,23 @@ def test_cz_contraction_matches_entrywise_sum(d8, d8_fourier):
     assert np.max(np.abs(fc.cz_gate_check(code) - want)) < 1e-14
 
 
+def test_parity_tables_are_exact_at_every_cutoff():
+    # the cross-Kerr table and the even-parity mask are built inline from
+    # n % 2; on random states both checks must return, bit for bit, what
+    # (-1)^(n2 n4) and the mask of even n1 + n2 give
+    rng = np.random.default_rng(7)
+    for d in range(2, 62):
+        amps = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+        code = SimpleNamespace(alpha=1.0, config=FockConfig(2, d - 1), amplitudes=amps)
+        n = np.arange(d)
+        c = np.einsum("iab,jab->ijb", amps.conj(), amps).reshape(16, d)
+        pairs = ((c @ ((-1.0) ** np.outer(n, n))) @ c.T).reshape(4, 4, 4, 4)
+        assert np.array_equal(fc.cz_gate_check(code), pairs.transpose(0, 2, 1, 3).reshape(16, 16))
+        _, parity = fc.lindblad_kernel_check(code)
+        even = np.add.outer(n, n) % 2 == 0
+        assert parity == float(np.max(np.linalg.norm(amps[:, even], axis=-1)))
+
+
 @pytest.mark.parametrize("alpha", [1.0, ALPHA_STAR, 1.5])
 @pytest.mark.parametrize(
     "u", [HADAMARD, PAULI_X, PAULI_Z, PAULI_X @ PAULI_Z], ids=["H", "X", "Z", "XZ"]
@@ -120,7 +135,7 @@ def test_double_deformation_returns(star_code):
 
 def test_shshs_identity():
     # the exact 2x2 identity S H S H S = e^{i pi/4} H behind the composite Hadamard
-    lhs = S2 @ HADAMARD @ S2 @ HADAMARD @ S2
+    lhs = PHASE_S @ HADAMARD @ PHASE_S @ HADAMARD @ PHASE_S
     assert np.linalg.norm(lhs - np.exp(1j * np.pi / 4) * HADAMARD) < 1e-14
 
 
@@ -284,7 +299,7 @@ def test_cutoff_60_checks_stay_small(d8, d8_fourier):
         fc.mod4_verification(code)
         composite_hadamard_check(code)
         deformation_residual(code, HADAMARD)
-        swap = fc.logical_action(passive_gaussian_unitary(X2.real, code.config), code)
+        swap = fc.logical_action(passive_gaussian_unitary(PAULI_X.real, code.config), code)
         loss = fc.qec_matrix_fock(code, 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -299,7 +314,7 @@ def test_cutoff_60_checks_stay_small(d8, d8_fourier):
     finally:
         tracemalloc.stop()
     assert oracle_peak < 3e6, f"qec_matrix_fock traced peak {oracle_peak / 1e6:.2f} MB"
-    dist = fc.phase_aligned_distance(swap.matrix, np.kron(X2, IDENTITY2))
+    dist = fc.phase_aligned_distance(swap.matrix, np.kron(PAULI_X, IDENTITY2))
     assert dist < 1e-12
     analytic = fc.qec_matrix_analytic(d8, d8_fourier, ALPHA_STAR, 0.01)
     assert np.max(np.abs(loss.entries - analytic.entries)) < 1e-10

@@ -45,8 +45,6 @@ BUILDS = {
     "monomial-lift": lambda: passive_gaussian_unitary(np.array([[0.0, 1j], [1.0, 0.0]]), CFG),
     "self-kerr": lambda: gates.self_kerr_s_gate(CFG),
     "snap": lambda: gates._snap_gates(CFG),
-    "cross-kerr-parity": lambda: gates._cross_kerr_parity(CFG.dim_per_mode),
-    "even-parity-mask": lambda: channels._even_total_parity(CFG.dim_per_mode),
     "block-targets": lambda: groups._block_targets(d8_fourier()),
     "zy-prediction": lambda: gates._zy_prediction(1.25, CFG.dim_per_mode),
     "loss-tables": lambda: channels._loss_tables(CFG.dim_per_mode),
@@ -122,10 +120,6 @@ MEMOS = {
     "self-kerr": (gates.self_kerr_s_gate, gates.GATE_MEMO_SIZE,
                   lambda k: gates.self_kerr_s_gate(FockConfig(2, 1 + k))),
     "snap": (gates._snap_gates, gates.GATE_MEMO_SIZE, lambda k: gates._snap_gates(FockConfig(2, 1 + k))),
-    "cross-kerr-parity": (gates._cross_kerr_parity, gates.GATE_MEMO_SIZE,
-                          lambda k: gates._cross_kerr_parity(2 + k)),
-    "even-parity-mask": (channels._even_total_parity, channels.PARITY_MEMO_SIZE,
-                         lambda k: channels._even_total_parity(2 + k)),
     "block-targets": (groups._block_targets, groups.BLOCK_TARGET_MEMO_SIZE,
                       lambda k: groups._block_targets(fourier_of_cyclic(2 + k))),
     "zy-prediction": (gates._zy_prediction, gates.GATE_MEMO_SIZE,
@@ -156,23 +150,83 @@ def test_public_callables_stay_plain_functions(module):
             assert inspect.isfunction(obj), f"{module.__name__}.{name} is a {type(obj).__name__}"
 
 
-def test_no_memo_is_filled_at_import():
-    # fcbench's setup_s times a fresh import, so a table built at import would
-    # hide there; a fresh interpreter keeps other tests' calls out of the memos
-    script = (
-        "import sys, fouriercat, fouriercat.cli\n"
-        "print(repr({f'{obj.__module__}.{obj.__qualname__}': obj.cache_info().currsize\n"
-        "            for name, module in list(sys.modules.items())\n"
-        "            if name.startswith('fouriercat')\n"
-        "            for obj in vars(module).values() if hasattr(obj, 'cache_clear')}))\n"
-    )
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+# the memos of a fresh interpreter, found through the package's module
+# namespaces, as an expression that maps each to its cache_info()
+MEMO_INFO = (
+    "{f'{obj.__module__}.{obj.__qualname__}': obj.cache_info()\n"
+    " for name, module in list(sys.modules.items()) if name.startswith('fouriercat')\n"
+    " for obj in vars(module).values() if hasattr(obj, 'cache_clear')}"
+)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(script):
+    """stdout of ``script`` in a fresh interpreter that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    memos = ast.literal_eval(done.stdout)
+    return ast.literal_eval(done.stdout)
+
+
+def test_no_memo_is_filled_at_import():
+    # fcbench's setup_s times a fresh import, so a table built at import would
+    # hide there; a fresh interpreter keeps other tests' calls out of the memos
+    memos = run_fresh(
+        "import sys, fouriercat, fouriercat.cli\n"
+        f"print(repr({{k: v.currsize for k, v in {MEMO_INFO}.items()}}))\n"
+    )
     # every memoized builder of the package is reachable from a module namespace
-    decorated = sum(path.read_text().count("@memoized(") for path in src.glob("fouriercat/*.py"))
+    decorated = sum(path.read_text().count("@memoized(") for path in SRC.glob("fouriercat/*.py"))
     assert len(memos) == decorated, sorted(memos)
     assert {name: size for name, size in memos.items() if size} == {}
+
+
+# One round of each measured workload's library and CLI calls: the d8 code at
+# cutoff 25 and the gate checks on it, then the Fock and analytic QEC matrices.
+WORKLOAD_ROUND = """
+import contextlib, io, math, sys
+import fouriercat as fc
+from fouriercat import channels, cli, gates
+from fouriercat.groups import HADAMARD
+
+def one_round():
+    d8 = fc.pauli_group()
+    fourier = fc.build_fourier_transform(d8, fc.irrep_table(d8))
+    code = fc.code_basis(fc.make_constellation(d8, cli.ALPHA_STAR, math.pi / 2, 25), fourier)
+    gates.deformation_residual(code, HADAMARD)
+    gates.double_deformation_residual(code, HADAMARD)
+    channels.lindblad_kernel_check(code)
+    channels.lindblad_kernel_check(code, deformed=True)
+    gates.zy_expansion_residual(code)
+    channels.kl_first_order_check(code, (0.6, 0.8))
+    gates.zeno_projected_hamiltonian(code, theta=0.5)
+    gates.cz_gate_check(code)
+    gates.mod4_verification(code)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify"]) == 0
+        assert cli.main(["gates-demo"]) == 0
+    for make in (fc.pauli_group, fc.quaternion_group):
+        group = make()
+        fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
+        code = fc.code_basis(fc.make_constellation(group, 1.25, math.pi / 2, 20), fourier)
+        fc.qec_matrix_fock(code, 0.01)
+        fc.qec_matrix_analytic(group, fourier, 1.25, 0.01)
+"""
+
+
+def test_every_memo_is_reused_by_a_repeated_workload_round():
+    # a memo that no repeated round hits costs its bookkeeping and retention
+    # for nothing, so each must record a hit on the second of two rounds
+    hits = run_fresh(
+        WORKLOAD_ROUND
+        + "passes = []\n"
+        "for _ in range(2):\n"
+        "    one_round()\n"
+        f"    passes.append({{k: v.hits for k, v in {MEMO_INFO}.items()}})\n"
+        "print(repr(passes))\n"
+    )
+    first, second = hits
+    decorated = sum(path.read_text().count("@memoized(") for path in SRC.glob("fouriercat/*.py"))
+    assert len(second) == decorated, sorted(second)
+    assert [name for name in second if second[name] <= first[name]] == []
