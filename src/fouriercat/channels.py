@@ -43,7 +43,7 @@ class QecMatrix:
 def lambda_matrix(group, phi=np.pi / 2):
     """Gram matrix of the C^2 family {g (1, e^{i phi}) / sqrt 2}, computed exactly."""
     v = np.array([1.0, np.exp(1j * phi)]) / np.sqrt(2.0)
-    vecs = group.matrices() @ v
+    vecs = group.matrices @ v
     return vecs.conj() @ vecs.T
 
 
@@ -87,9 +87,7 @@ def qec_matrix_analytic(group, fourier, alpha, gamma, phi=np.pi / 2):
         raise SingularGramError(cond)
     scale = np.stack([1.0 / np.sqrt(w[0]), np.sqrt(np.maximum(w[1], 0.0))])
     inv_sqrt, sr = (v * scale[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    label = fourier.defining_label
-    rows = [fourier.row(label, k, 0) for k in (0, 1)]
-    a = (fourier.matrix @ inv_sqrt)[rows]  # a[k, g]
+    a = (fourier.matrix @ inv_sqrt)[fourier.logical_rows[0::2]]  # a[k, g], rows (k, 0)
     u = (a[:, None, :] * sr.T).reshape(2 * group.order, group.order)
     entries = u @ gram_t @ u.conj().T
     entries = (entries + entries.conj().T) / 2

@@ -3,7 +3,8 @@
 The two-mode code is built from the orbit of a coherent amplitude vector
 under a finite subgroup of U(2).  The encoded basis states are obtained by
 applying the inverse group Fourier transform to the Gram-orthonormalized
-constellation states.
+constellation states.  The single-mode cat qudit is the same construction
+for the cyclic group Z_N, read through that group's Fourier transform.
 
 A code depends only on (group, alpha vector, cutoff), so it is built once
 per process.  ``constellation_from_vector`` (and through it
@@ -39,7 +40,7 @@ from .fock import (
     normalize,
     overlap_matrix,
 )
-from .groups import memoized
+from .groups import build_fourier_transform, cyclic_group, irrep_table, memoized
 
 GRAM_FLOOR = 1e-12
 # Results kept by the constellation and code-basis memos.
@@ -63,7 +64,7 @@ class Constellation:
     @property
     def points(self):
         """The C^2 amplitude vectors g @ alpha_vec, in group order."""
-        return self.group.matrices() @ self.alpha_vec
+        return self.group.matrices @ self.alpha_vec
 
 
 @dataclass(eq=False)
@@ -108,7 +109,7 @@ def constellation_from_vector(group, alpha_vec, cutoff=DEFAULT_CUTOFF):
 def _constellation(group, alpha_bytes, cutoff):
     """The constellation of the alpha vector whose complex128 bytes are ``alpha_bytes``."""
     alpha_vec = np.frombuffer(alpha_bytes, dtype=complex)  # read-only
-    points = group.matrices() @ alpha_vec
+    points = group.matrices @ alpha_vec
     if _min_distance(points) <= 1e-9 * max(1.0, float(np.linalg.norm(alpha_vec))):
         raise DegenerateConstellationError("degenerate constellation")
     factors = coherent_amplitudes(points, cutoff)  # (|G|, 2, d), one per mode
@@ -147,7 +148,7 @@ def gram_matrix(constellation):
 
 def analytic_gram(group, alpha_vec):
     """Exact coherent-state overlaps <g alpha|h alpha>, truncation-free."""
-    pts = group.matrices() @ np.asarray(alpha_vec, dtype=complex)
+    pts = group.matrices @ np.asarray(alpha_vec, dtype=complex)
     sq = np.sum(np.abs(pts) ** 2, axis=1)
     cross = pts.conj() @ pts.T
     return np.exp(cross - 0.5 * (sq[:, None] + sq[None, :]))
@@ -163,9 +164,7 @@ def code_basis(constellation, fourier):
     and coefficients are read-only.
     """
     inv_sqrt = hermitian_inv_sqrt(gram_matrix(constellation), floor=GRAM_FLOOR).inv_sqrt
-    label = fourier.defining_label
-    rows = [fourier.row(label, l, m) for l in (0, 1) for m in (0, 1)]
-    coeff = (inv_sqrt @ fourier.matrix.conj().T)[:, rows]
+    coeff = (inv_sqrt @ fourier.matrix.conj().T)[:, fourier.logical_rows]
     amps = np.tensordot(coeff.T, constellation.amplitudes, axes=1)
     norms = np.linalg.norm(amps, axis=(1, 2))
     amps /= norms[:, None, None]
@@ -177,21 +176,18 @@ def code_basis(constellation, fourier):
 
 
 def gram_fourier_spectrum(gram, fourier):
-    """F Gamma F^dag, its off-diagonal mass and the defining-irrep block.
+    """Off-diagonal mass of F Gamma F^dag and its defining-irrep block's defect.
 
-    Returns (rotated matrix, off-diagonal Frobenius norm, 4x4 block of the
-    2-dimensional irrep rows, deviation of that block from scalar * I).
+    Returns (off-diagonal Frobenius norm of F Gamma F^dag, deviation of its
+    4x4 block on the 2-dimensional irrep rows from scalar * I).
     """
     f = fourier.matrix
     rotated = f @ gram @ f.conj().T
     off = rotated - np.diag(np.diag(rotated))
-    label = fourier.defining_label
-    idx = [fourier.row(label, l, m) for l in (0, 1) for m in (0, 1)]
-    block = rotated[np.ix_(idx, idx)]
+    rows = fourier.logical_rows
+    block = rotated[np.ix_(rows, rows)]
     scalar = np.trace(block) / 4.0
-    return rotated, float(np.linalg.norm(off)), block, float(
-        np.linalg.norm(block - scalar * np.eye(4))
-    )
+    return float(np.linalg.norm(off)), float(np.linalg.norm(block - scalar * np.eye(4)))
 
 
 @dataclass
@@ -206,11 +202,13 @@ class CatQuditCode:
 
 
 def cat_qudit(n, d, alpha, cutoff=None):
-    """Standard cat-qudit codewords and the cyclic Gram spectrum.
+    """Standard cat-qudit codewords: the Fourier code of the cyclic group Z_N.
 
-    delta_k = e^{-alpha^2} sum_l w^{kl} e^{alpha^2 w^l} are the Fourier
-    eigenvalues of the cyclic Gram matrix; the codeword for |k> is the
-    normalized sum of w^{-kpM}-weighted rotated coherent states.
+    With F the Z_N group Fourier transform w^{kl}/sqrt(N) and the orbit
+    w^l alpha in group order, delta_k = e^{-alpha^2} sum_l w^{kl} e^{alpha^2 w^l}
+    are the Fourier eigenvalues of the orbit's Gram matrix; the codeword for
+    |k> is the normalized sum of w^{-kMl}-weighted rotated coherent states,
+    M = N / d.
     """
     if d < 1 or n % d != 0:
         raise ValueError("d must divide N")
@@ -218,31 +216,16 @@ def cat_qudit(n, d, alpha, cutoff=None):
         raise ValueError("alpha must be positive")
     if cutoff is None:
         cutoff = max(DEFAULT_CUTOFF, int(np.ceil(abs(alpha) ** 2 + 10 * abs(alpha))))
-    w = np.exp(2j * np.pi / n)
-    ls = np.arange(n)
-    delta = np.array(
-        [np.exp(-(alpha**2)) * np.sum(w ** (k * ls) * np.exp(alpha**2 * w**ls)) for k in range(n)]
-    )
+    group = cyclic_group(n)
+    f = build_fourier_transform(group, irrep_table(group)).matrix
+    orbit = (group.matrices @ [0.0, alpha])[:, 1]  # w^l alpha
+    delta = np.sqrt(n) * f @ np.exp(alpha * (orbit - alpha))
     if np.max(np.abs(delta.imag)) > 1e-10 or np.min(delta.real) < -1e-12:
         raise ValueError("cyclic Gram spectrum is not real nonnegative")
     delta = np.clip(delta.real, 0.0, None)
     km = np.arange(d) * (n // d)  # the Fourier index k M of codeword k, below N
     if np.min(delta[km]) < 1e-12:
         raise ValueError("codeword numerically null")
-    weights = w ** -np.outer(km, ls) / np.sqrt(n * delta[km])[:, None]
-    codewords = normalize(weights @ coherent_amplitudes(w**ls * alpha, cutoff), axes=-1)
+    weights = f[km].conj() / np.sqrt(delta[km])[:, None]
+    codewords = normalize(weights @ coherent_amplitudes(orbit, cutoff), axes=-1)
     return CatQuditCode(n=n, d=d, alpha=alpha, delta=delta, codewords=codewords)
-
-
-def cyclic_gram(n, alpha):
-    """Gram matrix of the rotated coherent family {|w^k alpha>}."""
-    w = np.exp(2j * np.pi / n)
-    k = np.arange(n)
-    return np.exp(alpha**2 * (-1 + w ** (k[None, :] - k[:, None])))
-
-
-def cyclic_fourier(n):
-    """DFT matrix w^{kl}/sqrt(N) matching the cat-qudit convention."""
-    w = np.exp(2j * np.pi / n)
-    k = np.arange(n)
-    return w ** np.outer(k, k) / np.sqrt(n)

@@ -51,10 +51,6 @@ class FockConfig:
     def dim_per_mode(self):
         return self.cutoff + 1
 
-    @property
-    def dim(self):
-        return self.dim_per_mode**self.modes
-
 
 def overlap_matrix(bras, kets):
     """<bras[i]|kets[j]> for two stacks of amplitude tensors (stacked on axis 0)."""

@@ -100,7 +100,7 @@ def group_covariance(code):
     basis = code.amplitudes.reshape(4, -1)
     group = code.constellation.group
     images = np.empty((group.order,) + basis.shape, dtype=complex)
-    for out, g in zip(images, group.matrices()):
+    for out, g in zip(images, group.matrices):
         out[:] = passive_gaussian_unitary(g, code.config)(code.amplitudes).reshape(basis.shape)
     for image, overlaps in zip(images, images @ basis.conj().T):  # <basis_k|pi(g) basis_i>
         image -= overlaps @ basis

@@ -1,10 +1,15 @@
 """Finite matrix subgroups of U(2) and their Fourier analysis.
 
-Groups are stored as an ordered (|G|, 2, 2) array of unitaries with
-precomputed Cayley and inverse tables; ``elements`` lists them as
-namespaces with ``matrix`` and ``index``.  Element equality is decided at a
-fixed Frobenius tolerance, and the ordering produced by the breadth-first
-closure is deterministic, so element indices are stable across runs.
+A group's elements are one ordered (|G|, 2, 2) array of unitaries,
+``matrices``, with precomputed Cayley and inverse tables; ``elements`` lists
+them as namespaces with ``matrix`` and ``index``.  Element equality is
+decided at a fixed Frobenius tolerance, and the ordering produced by the
+breadth-first closure is deterministic, so element indices are stable
+across runs.  Every Fourier decision of the package is made here: the
+Fourier transform carries its (irrep, l, m) row labels, and
+``logical_rows`` picks the four rows of the 2-dimensional irrep that label
+the two-mode code's basis.  For the cyclic group Z_N the transform is the
+DFT w^{kl}/sqrt(N), which builds the single-mode cat qudit.
 
 The construction layer is built once per process.  ``pauli_group()`` and
 ``quaternion_group()`` each return one shared instance; ``irrep_table`` is
@@ -80,28 +85,22 @@ def _is_unitary(u):
 class FiniteMatrixGroup:
     """An ordered finite subgroup of U(2) with multiplication tables (read-only)."""
 
-    _matrices: np.ndarray  # (|G|, 2, 2), in element order; read via matrices()
+    matrices: np.ndarray  # (|G|, 2, 2), in element order
     cayley: np.ndarray
     inverse: np.ndarray
     identity_index = 0  # generate_group puts the identity first
 
     @property
     def order(self):
-        return len(self._matrices)
+        return len(self.matrices)
 
     @property
     def elements(self):
-        return [SimpleNamespace(matrix=m, index=i) for i, m in enumerate(self._matrices)]
-
-    def matrix(self, i):
-        return self._matrices[i]
-
-    def matrices(self):
-        return self._matrices
+        return [SimpleNamespace(matrix=m, index=i) for i, m in enumerate(self.matrices)]
 
     def find(self, u):
         """Index of the element matching ``u`` to ``MATCH_TOL``, or -1."""
-        hits = np.flatnonzero(np.linalg.norm(self._matrices - u, axis=(1, 2)) <= MATCH_TOL)
+        hits = np.flatnonzero(np.linalg.norm(self.matrices - u, axis=(1, 2)) <= MATCH_TOL)
         return int(hits[0]) if hits.size else -1
 
     def is_abelian(self):
@@ -125,15 +124,12 @@ class GroupFourierTransform:
     row_index: tuple  # (label, l, m) of each row
     irreps: tuple  # as build_fourier_transform orders them
 
-    def row(self, label, l, m):
-        return self.row_index.index((label, l, m))
-
     @property
-    def defining_label(self):
-        """Label of the unique irrep of dimension > 1, if any."""
+    def logical_rows(self):
+        """Rows (lambda, l, m) of the 2-dimensional irrep lambda, (l, m) at index 2 l + m."""
         for irrep in self.irreps:
             if irrep.dim > 1:
-                return irrep.label
+                return [self.row_index.index((irrep.label, l, m)) for l in (0, 1) for m in (0, 1)]
         raise ValueError("group has no irrep of dimension > 1")
 
 
@@ -179,7 +175,7 @@ def generate_group(generators, max_order=64):
     inverse = np.argmax(cayley == 0, axis=1)
     for table in (mats, cayley, inverse):
         table.flags.writeable = False
-    return FiniteMatrixGroup(_matrices=mats, cayley=cayley, inverse=inverse)
+    return FiniteMatrixGroup(matrices=mats, cayley=cayley, inverse=inverse)
 
 
 @memoized(1)
@@ -247,13 +243,13 @@ def irrep_table(group):
             mats = (w ** (k * power))[:, None, None]
             irreps.append(Irrep(label=f"chi{k}", dim=1, matrices=mats))
     elif n == 8:
-        exps = _pauli_like_exponents(group.matrices())
+        exps = _pauli_like_exponents(group.matrices)
         if exps is None:
             raise ValueError("irrep table not available")
         signs = (-1.0 + 0j) ** (exps @ [[0, 0, 1, 1], [0, 1, 0, 1]])  # column 2s + t: chi_st
         for k, label in enumerate(("chi00", "chi01", "chi10", "chi11")):
             irreps.append(Irrep(label=label, dim=1, matrices=signs[:, k, None, None]))
-        irreps.append(Irrep(label="lambda", dim=2, matrices=group.matrices()))
+        irreps.append(Irrep(label="lambda", dim=2, matrices=group.matrices))
     else:
         raise ValueError("irrep table not available")
 

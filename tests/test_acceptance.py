@@ -18,7 +18,7 @@ from fouriercat.gates import (
     snap_gate_check,
 )
 from fouriercat.groups import HADAMARD, PAULI_X, PAULI_Z, PHASE_T
-from fouriercat.encoding import cyclic_fourier, cyclic_gram
+from fouriercat.encoding import analytic_gram
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
 
@@ -73,7 +73,7 @@ def test_criterion_2_encoding_identities(acceptance_report, star_code, d8):
 
     cov = 0.0
     for i in range(d8.order):
-        op = passive_gaussian_unitary(d8.matrix(i), star_code.config)
+        op = passive_gaussian_unitary(d8.matrices[i], star_code.config)
         images = np.array([op(s.amplitudes).ravel() for s in star_code.basis_states])
         overlaps = images.conj() @ basis.T
         cov = max(cov, float(np.linalg.norm(images - overlaps.conj() @ basis)))
@@ -250,14 +250,11 @@ def test_criterion_10_cat_qudits(acceptance_report):
             worst = max(
                 worst, float(np.linalg.norm(mat.conj() @ mat.T - np.eye(d)))
             )
-            f = cyclic_fourier(n)
+            group = fc.cyclic_group(n)
+            f = fc.build_fourier_transform(group, fc.irrep_table(group)).matrix
             delta = fc.cat_qudit(n, 1, alpha).delta
+            gram = analytic_gram(group, [0.0, alpha])
             worst = max(
-                worst,
-                float(
-                    np.linalg.norm(
-                        f @ np.diag(delta) @ f.conj().T - cyclic_gram(n, alpha)
-                    )
-                ),
+                worst, float(np.linalg.norm(f @ np.diag(delta) @ f.conj().T - gram))
             )
     _verdict(acceptance_report, 10, worst <= 1e-10, f"max codeword/Gram residual {worst:.2e} <= 1e-10")

@@ -338,8 +338,7 @@ def qec_matrix_analytic_einsum_reference(group, fourier, alpha, gamma, phi):
     gram, gram_t, gram_r = _loss_gram_matrices(lam, alpha, gamma)
     inv_sqrt = hermitian_inv_sqrt(gram).inv_sqrt
     sr = hermitian_sqrt_reference(gram_r)
-    label = fourier.defining_label
-    a = (fourier.matrix @ inv_sqrt)[[fourier.row(label, k, 0) for k in (0, 1)]]
+    a = (fourier.matrix @ inv_sqrt)[[fourier.logical_rows[2 * k] for k in (0, 1)]]
     m = np.einsum("kg,lh,gp,qh,gh->kplq", a, a.conj(), sr, sr, gram_t, optimize=True)
     m = m.reshape(2 * group.order, 2 * group.order)
     return (m + m.conj().T) / 2
@@ -351,8 +350,7 @@ def qec_matrix_analytic_two_root_reference(group, fourier, alpha, gamma, phi):
     gram, gram_t, gram_r = _loss_gram_matrices(lam, alpha, gamma)
     inv_sqrt = hermitian_inv_sqrt(gram).inv_sqrt
     sr = hermitian_sqrt_reference(gram_r)
-    label = fourier.defining_label
-    a = (fourier.matrix @ inv_sqrt)[[fourier.row(label, k, 0) for k in (0, 1)]]
+    a = (fourier.matrix @ inv_sqrt)[[fourier.logical_rows[2 * k] for k in (0, 1)]]
     u = (a[:, None, :] * sr.T).reshape(2 * group.order, group.order)
     m = u @ gram_t @ u.conj().T
     return fc.QecMatrix(entries=(m + m.conj().T) / 2)

@@ -171,6 +171,7 @@ def test_extreme_inputs_exit_without_a_traceback(argv, fmt, code, tmp_path, caps
             assert "no argmin: every point is ill-conditioned" in captured.out
         else:
             assert all(r["infidelity"] is None for r in payload["records"])
+            assert payload["summary"] == {"loglog_slope": None, "monotone": None}
     if code == 0 and fmt == "csv":
         assert "nan" in out.read_text(encoding="utf-8")
 

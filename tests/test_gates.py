@@ -324,7 +324,7 @@ def group_covariance_loop_reference(code):
     """The per-element covariance loop that ``group_covariance`` replaced."""
     basis = code.amplitudes
     worst = 0.0
-    for g in code.constellation.group.matrices():
+    for g in code.constellation.group.matrices:
         images = passive_gaussian_unitary(g, code.config)(basis)
         inside = np.tensordot(overlap_matrix(basis, images).T, basis, axes=1)
         worst = max(worst, float(np.linalg.norm(images - inside)))

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import block_diag
 
 import fouriercat as fc
+from fouriercat.encoding import analytic_gram
 from fouriercat.groups import (
     HADAMARD,
     PAULI_X,
@@ -18,7 +19,7 @@ def test_pauli_group_structure(d8):
     assert not d8.is_abelian()
     # every element is a phase times X^a Z^b with phase in {1, -1}
     for i in range(8):
-        m = d8.matrix(i)
+        m = d8.matrices[i]
         assert np.linalg.norm(m.conj().T @ m - np.eye(2)) < 1e-12
 
 
@@ -33,7 +34,7 @@ def test_quaternion_group():
         if i != q8.identity_index and q8.cayley[i, i] == q8.identity_index
     ]
     assert len(order2) == 1
-    assert np.allclose(q8.matrix(order2[0]), -np.eye(2))
+    assert np.allclose(q8.matrices[order2[0]], -np.eye(2))
 
 
 def test_cyclic_group():
@@ -52,7 +53,7 @@ def test_cayley_table_is_a_group(d8):
     # associativity spot check through the matrices
     for i in range(n):
         for j in range(n):
-            prod = d8.matrix(i) @ d8.matrix(j)
+            prod = d8.matrices[i] @ d8.matrices[j]
             assert d8.find(prod) == cayley[i, j]
 
 
@@ -101,6 +102,34 @@ def test_cyclic_irreps_are_characters():
     irreps = fc.irrep_table(z5)
     assert len(irreps) == 5
     assert all(rep.dim == 1 for rep in irreps)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_cyclic_transform_and_gram_match_closed_forms(n):
+    # the cat qudit's DFT w^{kl}/sqrt(N) and circulant Gram exp(alpha^2 (w^{l-k} - 1))
+    group = fc.cyclic_group(n)
+    f = fc.build_fourier_transform(group, fc.irrep_table(group)).matrix
+    w = np.exp(2j * np.pi / n)
+    k = np.arange(n)
+    assert np.max(np.abs(f - w ** np.outer(k, k) / np.sqrt(n))) < 1e-14
+    alpha = 1.25
+    want = np.exp(alpha**2 * (-1 + w ** (k[None, :] - k[:, None])))
+    assert np.max(np.abs(analytic_gram(group, [0.0, alpha]) - want)) < 1e-14
+
+
+@pytest.mark.parametrize("maker", [fc.pauli_group, fc.quaternion_group])
+def test_logical_rows_are_the_lambda_rows(maker):
+    group = maker()
+    fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
+    want = [fourier.row_index.index(("lambda", l, m)) for l in (0, 1) for m in (0, 1)]
+    assert fourier.logical_rows == want
+
+
+def test_logical_rows_need_a_two_dimensional_irrep():
+    z4 = fc.cyclic_group(4)
+    fourier = fc.build_fourier_transform(z4, fc.irrep_table(z4))
+    with pytest.raises(ValueError, match="group has no irrep of dimension > 1"):
+        fourier.logical_rows
 
 
 def test_irrep_table_unavailable_for_klein_four():
@@ -192,7 +221,7 @@ def normalizes(group, u):
 
     Two 2x2 unitaries A, B differ by a phase iff |tr(A^dag B)| = 2.
     """
-    mats = group.matrices()
+    mats = group.matrices
     images = u @ mats @ u.conj().T
     overlaps = np.abs(np.einsum("gab,hab->gh", images.conj(), mats))
     return bool(np.all(np.any(np.abs(overlaps - 2.0) < 1e-9, axis=1)))
@@ -284,8 +313,8 @@ def test_generate_group_matches_loop_reference(gens, max_order):
     group = fc.generate_group(gens, max_order=max_order)
     mats, cayley, inverse = generate_group_loop_reference(gens, max_order)
     # bit-identical: same elements in the same order, same tables
-    assert group.matrices().shape == mats.shape
-    assert group.matrices().tobytes() == mats.tobytes()
+    assert group.matrices.shape == mats.shape
+    assert group.matrices.tobytes() == mats.tobytes()
     assert np.array_equal(group.cayley, cayley)
     assert np.array_equal(group.inverse, inverse)
     if not gens:
@@ -342,7 +371,7 @@ def pauli_like_exponents_loop_reference(m):
 @pytest.mark.parametrize("maker", [fc.pauli_group, fc.quaternion_group])
 def test_characters_match_loop_reference(maker):
     group = maker()
-    exps = np.array([pauli_like_exponents_loop_reference(m) for m in group.matrices()])
+    exps = np.array([pauli_like_exponents_loop_reference(m) for m in group.matrices])
     for irrep in fc.irrep_table(group)[:4]:
         s, t = int(irrep.label[3]), int(irrep.label[4])
         want = (-1.0 + 0j) ** (exps @ [s, t])[:, None, None]
@@ -356,7 +385,7 @@ def test_rotated_pauli_group_has_no_irrep_table():
     v = np.array([[c, -s], [s, c]], dtype=complex)
     group = fc.generate_group([v @ PAULI_X @ v.T, v @ PAULI_Z @ v.T])
     assert group.order == 8
-    assert any(pauli_like_exponents_loop_reference(m) is None for m in group.matrices())
+    assert any(pauli_like_exponents_loop_reference(m) is None for m in group.matrices)
     with pytest.raises(ValueError, match="not available"):
         fc.irrep_table(group)
 
@@ -373,7 +402,7 @@ def test_validate_irrep_rejects_a_stack_with_one_broken_irrep(d8):
 
 def group_arrays(group, irreps, fourier):
     """Every array the group, its irreps and its Fourier transform hold."""
-    return [group.matrices(), group.cayley, group.inverse, fourier.matrix] + [
+    return [group.matrices, group.cayley, group.inverse, fourier.matrix] + [
         r.matrices for r in irreps + fourier.irreps
     ]
 

@@ -1,6 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fouriercat"
@@ -47,3 +48,77 @@ def test_unread_parameter_is_found():
         "    return lambda y: a + len(args) + kw['k']\n"
     )
     assert unread_parameters(tree) == [("f", "c"), ("g", "x"), ("<lambda>", "y")]
+
+
+def definitions(tree):
+    """(name, node) for each top-level function, class and constant, and each public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from ((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not item.name.startswith("_"):
+                        yield item.name, item
+
+
+def read_names(node):
+    """How often each name is read under ``node``: loaded names, attributes, imports."""
+    names = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names[n.attr] += 1
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in n.names for part in alias.name.split("."))
+    return names
+
+
+def orphan_names(modules, readers):
+    """Names defined in ``modules`` (trees) that no tree in ``readers`` reads.
+
+    Reads inside a name's own definition, such as a recursive call, do not
+    count; dunder names are exempt.
+    """
+    read = Counter()
+    for tree in readers:
+        read.update(read_names(tree))
+    return sorted(
+        name
+        for tree in modules
+        for name, node in definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and read[name] <= read_names(node)[name]
+    )
+
+
+def test_every_definition_is_read():
+    folders = (SRC, SRC.parents[1] / "tests", SRC.parents[1] / "fcbench")
+    trees = {
+        folder: [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(folder.glob("*.py"))]
+        for folder in folders
+    }
+    assert orphan_names(trees[SRC], [tree for group in trees.values() for tree in group]) == []
+
+
+def test_orphan_name_is_found():
+    module = ast.parse(
+        "LIMIT = 3\n"
+        "USED = 4\n"
+        "def walk(n):\n"
+        "    return walk(n - 1) if n else USED\n"
+        "def main():\n"
+        "    return Box().shown + Box()._hidden()\n"
+        "class Box:\n"
+        "    def __init__(self): pass\n"
+        "    def shown(self): pass\n"
+        "    def unseen(self): pass\n"
+        "    def _hidden(self): pass\n"
+    )
+    reader = ast.parse("from mod import main\n")
+    assert orphan_names([module], [module, reader]) == ["LIMIT", "unseen", "walk"]
