@@ -313,7 +313,9 @@ def cmd_verify(cfg):
         cfg["phi"] - math.pi / 2
     ) < 1e-9
     if at_star:
-        _, scalar_dev = gram_fourier_spectrum(gram_matrix(code.constellation), fourier)
+        _, scalar_dev = gram_fourier_spectrum(
+            gram_matrix(code.constellation), fourier
+        )
         checks.record("gram_fourier_scalar_block", scalar_dev, 1e-9)
 
     checks.record(
@@ -399,7 +401,9 @@ def cmd_sweep_gamma(cfg):
     except ValueError:  # fewer than two usable points in the window
         slope = None
     vals = [r.infidelity for r in records if np.isfinite(r.infidelity)]
-    monotone = all(a <= b + 1e-15 for a, b in zip(vals, vals[1:])) if len(vals) > 1 else None
+    monotone = None  # fewer than two finite points have no trend
+    if len(vals) > 1:
+        monotone = all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
     summary = {"loglog_slope": slope, "monotone": monotone}
     out = cfg["out"] or f"sweep_gamma.{cfg['format']}"
     write_records(out, cfg["format"], cfg, ["gamma", "infidelity"], rows, summary)

@@ -4,7 +4,7 @@ The two-mode code is built from the orbit of a coherent amplitude vector
 under a finite subgroup of U(2).  The encoded basis states are obtained by
 applying the inverse group Fourier transform to the Gram-orthonormalized
 constellation states.  The single-mode cat qudit is the same construction
-for the cyclic group Z_N, read through that group's Fourier transform.
+for the cyclic group Z_N, written in its closed form.
 
 A code depends only on (group, alpha vector, cutoff), so it is built once
 per process.  ``constellation_from_vector`` (and through it
@@ -40,7 +40,7 @@ from .fock import (
     normalize,
     overlap_matrix,
 )
-from .groups import build_fourier_transform, cyclic_group, irrep_table, memoized
+from .groups import memoized
 
 GRAM_FLOOR = 1e-12
 # Results kept by the constellation and code-basis memos.
@@ -187,7 +187,9 @@ def gram_fourier_spectrum(gram, fourier):
     rows = fourier.logical_rows
     block = rotated[np.ix_(rows, rows)]
     scalar = np.trace(block) / 4.0
-    return float(np.linalg.norm(off)), float(np.linalg.norm(block - scalar * np.eye(4)))
+    return float(np.linalg.norm(off)), float(
+        np.linalg.norm(block - scalar * np.eye(4))
+    )
 
 
 @dataclass
@@ -202,13 +204,15 @@ class CatQuditCode:
 
 
 def cat_qudit(n, d, alpha, cutoff=None):
-    """Standard cat-qudit codewords: the Fourier code of the cyclic group Z_N.
+    """Standard cat-qudit codewords: the Fourier code of Z_N in closed form.
 
-    With F the Z_N group Fourier transform w^{kl}/sqrt(N) and the orbit
-    w^l alpha in group order, delta_k = e^{-alpha^2} sum_l w^{kl} e^{alpha^2 w^l}
-    are the Fourier eigenvalues of the orbit's Gram matrix; the codeword for
-    |k> is the normalized sum of w^{-kMl}-weighted rotated coherent states,
-    M = N / d.
+    delta_k = e^{-alpha^2} sum_l w^{kl} e^{alpha^2 w^l} are the Fourier
+    eigenvalues of the Gram matrix of the orbit w^l alpha, taken as N times
+    an inverse FFT; the codeword for |k> is the normalized sum of
+    w^{-kMl}-weighted rotated coherent states, M = N / d.  The Z_N
+    group route (``cyclic_group`` with its Fourier transform) gives the same
+    DFT, but its closure and character check cost O(N^3) time and memory;
+    this form costs O(N (d + cutoff)) and leaves the group memos alone.
     """
     if d < 1 or n % d != 0:
         raise ValueError("d must divide N")
@@ -216,16 +220,15 @@ def cat_qudit(n, d, alpha, cutoff=None):
         raise ValueError("alpha must be positive")
     if cutoff is None:
         cutoff = max(DEFAULT_CUTOFF, int(np.ceil(abs(alpha) ** 2 + 10 * abs(alpha))))
-    group = cyclic_group(n)
-    f = build_fourier_transform(group, irrep_table(group)).matrix
-    orbit = (group.matrices @ [0.0, alpha])[:, 1]  # w^l alpha
-    delta = np.sqrt(n) * f @ np.exp(alpha * (orbit - alpha))
+    ls = np.arange(n)
+    w = np.exp(2j * np.pi / n)
+    delta = n * np.fft.ifft(np.exp(alpha**2 * (w**ls - 1)))
     if np.max(np.abs(delta.imag)) > 1e-10 or np.min(delta.real) < -1e-12:
         raise ValueError("cyclic Gram spectrum is not real nonnegative")
     delta = np.clip(delta.real, 0.0, None)
     km = np.arange(d) * (n // d)  # the Fourier index k M of codeword k, below N
     if np.min(delta[km]) < 1e-12:
         raise ValueError("codeword numerically null")
-    weights = f[km].conj() / np.sqrt(delta[km])[:, None]
-    codewords = normalize(weights @ coherent_amplitudes(orbit, cutoff), axes=-1)
+    weights = w ** -np.outer(km, ls) / np.sqrt(n * delta[km])[:, None]
+    codewords = normalize(weights @ coherent_amplitudes(w**ls * alpha, cutoff), axes=-1)
     return CatQuditCode(n=n, d=d, alpha=alpha, delta=delta, codewords=codewords)

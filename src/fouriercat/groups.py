@@ -9,7 +9,8 @@ across runs.  Every Fourier decision of the package is made here: the
 Fourier transform carries its (irrep, l, m) row labels, and
 ``logical_rows`` picks the four rows of the 2-dimensional irrep that label
 the two-mode code's basis.  For the cyclic group Z_N the transform is the
-DFT w^{kl}/sqrt(N), which builds the single-mode cat qudit.
+DFT w^{kl}/sqrt(N); the single-mode cat qudit is built from its closed form,
+which the tests check against this route.
 
 The construction layer is built once per process.  ``pauli_group()`` and
 ``quaternion_group()`` each return one shared instance; ``irrep_table`` is

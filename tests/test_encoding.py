@@ -1,4 +1,5 @@
 import gc
+import time
 import tracemalloc
 
 import numpy as np
@@ -177,6 +178,29 @@ def test_cyclic_gram_diagonalized_by_dft(n, alpha):
     f = fc.build_fourier_transform(group, fc.irrep_table(group)).matrix
     delta = fc.cat_qudit(n, 1, alpha).delta
     assert np.linalg.norm(f @ np.diag(delta) @ f.conj().T - gram) < 1e-10
+
+
+def test_cat_qudit_scales_to_large_n():
+    # closed form, no group closure: N = 256 stays in milliseconds and megabytes,
+    # where an (N, N, N) stack of the Z_N character check alone would be 268 MB
+    n, alpha = 256, 13.75
+    fc.cat_qudit(8, 2, 1.25)  # imports and first-call setup outside the window
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = fc.cat_qudit(n, 2, alpha)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 32e6
+    mat = code.codewords
+    assert np.linalg.norm(mat.conj() @ mat.T - np.eye(2)) < 1e-10
+    # delta_k = sum_l w^{kl} e^{alpha^2 (w^l - 1)} summed directly, exponents mod N
+    w = np.exp(2j * np.pi / n)
+    k = np.arange(n)
+    want = w ** (np.outer(k, k) % n) @ np.exp(alpha**2 * (w**k - 1))
+    assert np.max(np.abs(code.delta - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_cat_qudit_rejects_bad_divisor():
