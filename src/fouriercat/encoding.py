@@ -220,8 +220,8 @@ def cat_qudit(n, d, alpha, cutoff=None):
         raise ValueError("alpha must be positive")
     if cutoff is None:
         cutoff = max(DEFAULT_CUTOFF, int(np.ceil(abs(alpha) ** 2 + 10 * abs(alpha))))
-    ls = np.arange(n)
     w = np.exp(2j * np.pi / n)
+    ls = np.arange(n)
     delta = n * np.fft.ifft(np.exp(alpha**2 * (w**ls - 1)))
     if np.max(np.abs(delta.imag)) > 1e-10 or np.min(delta.real) < -1e-12:
         raise ValueError("cyclic Gram spectrum is not real nonnegative")
