@@ -11,14 +11,16 @@ per process.  ``constellation_from_vector`` (and through it
 ``make_constellation`` and ``deform_constellation``) is memoized on the
 group object, the bytes of the complex alpha vector and the cutoff;
 ``code_basis`` on its constellation and Fourier transform objects.  Each
-memo keeps its 8 latest results.  Besides the amplitudes, a constellation
-keeps its normalized per-mode coherent factors (``factors``, |G| x 2 x d)
-and a code basis its expansion over the constellation states
+memo keeps its 8 latest results.  A constellation keeps only its
+normalized per-mode coherent factors (``factors``, |G| x 2 x d); its
+(|G|, d, d) ``amplitudes`` are formed from them on each read.  A code basis
+keeps its amplitudes and its expansion over the constellation states
 (``coefficients``, 4 x |G|), so amplitudes[i] = sum_g coefficients[i, g]
 factors[g, 0] (x) factors[g, 1]; the Fock loss oracle contracts these
-instead of the (d, d) states.  One cutoff-25 code with its D8 or Q8
-constellation retains about 0.14 MB, one at cutoff 60 about 0.73 MB, so
-the two memos hold at most 1.9 MB at cutoff 25 and 9.8 MB at cutoff 60.
+instead of the (d, d) states.  A D8 or Q8 constellation retains about
+8 kB at cutoff 25 and 17 kB at cutoff 60, a code with its constellation
+about 53 kB and 0.26 MB, so the two memos hold at most 0.48 MB at cutoff 25
+and 2.2 MB at cutoff 60.
 Constellations and code bases compare and hash by identity and their
 arrays are read-only, so a memo hit never returns changed contents.  A
 construction that raises (degenerate constellation, starved cutoff,
@@ -57,14 +59,20 @@ class Constellation:
 
     group: object
     alpha_vec: np.ndarray
-    amplitudes: np.ndarray  # (|G|, d, d): the state |g alpha> for each g
     config: FockConfig
-    factors: np.ndarray  # (|G|, 2, d): unit per-mode factors, amplitudes[g] = f_g0 (x) f_g1
+    factors: np.ndarray  # (|G|, 2, d): unit per-mode factors, |g alpha> = f_g0 (x) f_g1
 
     @property
     def points(self):
         """The C^2 amplitude vectors g @ alpha_vec, in group order."""
         return self.group.matrices @ self.alpha_vec
+
+    @property
+    def amplitudes(self):
+        """The (|G|, d, d) states |g alpha>, formed from ``factors`` on each read (read-only)."""
+        amplitudes = self.factors[:, 0, :, None] * self.factors[:, 1, None, :]
+        amplitudes.flags.writeable = False
+        return amplitudes
 
 
 @dataclass(eq=False)
@@ -114,11 +122,9 @@ def _constellation(group, alpha_bytes, cutoff):
         raise DegenerateConstellationError("degenerate constellation")
     factors = coherent_amplitudes(points, cutoff)  # (|G|, 2, d), one per mode
     factors /= np.linalg.norm(factors, axis=-1, keepdims=True)
-    amplitudes = factors[:, 0, :, None] * factors[:, 1, None, :]
-    amplitudes.flags.writeable = factors.flags.writeable = False
+    factors.flags.writeable = False
     return Constellation(
-        group=group, alpha_vec=alpha_vec, amplitudes=amplitudes, config=FockConfig(2, cutoff),
-        factors=factors,
+        group=group, alpha_vec=alpha_vec, config=FockConfig(2, cutoff), factors=factors
     )
 
 
@@ -142,7 +148,11 @@ def deform_constellation(constellation, u):
 
 def gram_matrix(constellation):
     """Fock-space Gram matrix of the constellation states (Hermitized)."""
-    g = overlap_matrix(constellation.amplitudes, constellation.amplitudes)
+    return _gram(constellation.amplitudes)
+
+
+def _gram(states):
+    g = overlap_matrix(states, states)
     return (g + g.conj().T) / 2
 
 
@@ -163,9 +173,10 @@ def code_basis(constellation, fourier):
     have unit norm.  Memoized on the two argument objects; the amplitudes
     and coefficients are read-only.
     """
-    inv_sqrt = hermitian_inv_sqrt(gram_matrix(constellation), floor=GRAM_FLOOR).inv_sqrt
+    states = constellation.amplitudes  # formed once, for the Gram matrix and the expansion
+    inv_sqrt = hermitian_inv_sqrt(_gram(states), floor=GRAM_FLOOR).inv_sqrt
     coeff = (inv_sqrt @ fourier.matrix.conj().T)[:, fourier.logical_rows]
-    amps = np.tensordot(coeff.T, constellation.amplitudes, axes=1)
+    amps = np.tensordot(coeff.T, states, axes=1)
     norms = np.linalg.norm(amps, axis=(1, 2))
     amps /= norms[:, None, None]
     coeff = coeff.T / norms[:, None]
@@ -211,8 +222,8 @@ def cat_qudit(n, d, alpha, cutoff=None):
     an inverse FFT; the codeword for |k> is the normalized sum of
     w^{-kMl}-weighted rotated coherent states, M = N / d.  The Z_N
     group route (``cyclic_group`` with its Fourier transform) gives the same
-    DFT, but its closure and character check cost O(N^3) time and memory;
-    this form costs O(N (d + cutoff)) and leaves the group memos alone.
+    DFT, but its Cayley table and character check cost O(N^3) time; this
+    form costs O(N (d + cutoff)) and leaves the group memos alone.
     """
     if d < 1 or n % d != 0:
         raise ValueError("d must divide N")

@@ -254,9 +254,8 @@ def irrep_table(group):
     else:
         raise ValueError("irrep table not available")
 
-    for dim in {r.dim for r in irreps}:  # all irreps of one dimension in one pass
-        stack = np.array([r.matrices for r in irreps if r.dim == dim])
-        _validate_irrep(group, Irrep(label=f"dim {dim}", dim=dim, matrices=stack))
+    for r in irreps:  # one at a time: all N characters of Z_N in one stack take O(N^3)
+        _validate_irrep(group, r)
     if sum(r.dim**2 for r in irreps) != n:
         raise ValueError("irrep table not available")
     for r in irreps:

@@ -1,9 +1,31 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import fouriercat as fc
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
+
+
+def traced(fn):
+    """Run ``fn()`` under tracemalloc and return (peak, retained) in bytes.
+
+    ``peak`` is the traced peak during the call; ``retained`` is what is
+    still allocated after it, and after a garbage collection, counted from
+    a collected start.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, current - before
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,4 @@
-import gc
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +20,8 @@ from fouriercat.fock import (
     passive_gaussian_unitary,
 )
 from fouriercat.groups import HADAMARD, PAULI_X
+
+from conftest import traced
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
 
@@ -182,17 +182,18 @@ def test_cyclic_gram_diagonalized_by_dft(n, alpha):
 
 def test_cat_qudit_scales_to_large_n():
     # closed form, no group closure: N = 256 stays in milliseconds and megabytes,
-    # where an (N, N, N) stack of the Z_N character check alone would be 268 MB
+    # where the Z_N group route's Cayley table and character check take O(N^3) time
     n, alpha = 256, 13.75
     fc.cat_qudit(8, 2, 1.25)  # imports and first-call setup outside the window
-    tracemalloc.start()
-    try:
+    runs = []
+
+    def build():
         start = time.perf_counter()
         code = fc.cat_qudit(n, 2, alpha)
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        runs.append((time.perf_counter() - start, code))
+
+    peak, _ = traced(build)
+    [(elapsed, code)] = runs
     assert elapsed < 1.0 and peak < 32e6
     mat = code.codewords
     assert np.linalg.norm(mat.conj() @ mat.T - np.eye(2)) < 1e-10
@@ -255,6 +256,11 @@ def test_amplitudes_are_the_coefficient_expansion_over_factor_products(name, phi
     assert np.max(np.abs(np.linalg.norm(f, axis=-1) - 1.0)) < 1e-15
     expansion = np.einsum("ig,ga,gb->iab", code.coefficients, f[:, 0], f[:, 1])
     assert np.max(np.abs(code.amplitudes - expansion)) < 1e-15
+    # <g alpha|h alpha> = prod_m <f_gm|f_hm>: what lets a constellation keep only
+    # its factors, and what the oracle's environment Gram is built on
+    per_mode = np.einsum("qma,rma->mqr", f.conj(), f)
+    gram = fc.gram_matrix(code.constellation)
+    assert np.max(np.abs(gram - per_mode[0] * per_mode[1])) < 1e-14
 
 
 def test_code_memos_share_one_read_only_build(d8, d8_fourier):
@@ -314,22 +320,19 @@ def test_failing_constructions_raise_on_every_call(d8, args, message):
 
 
 def test_code_memo_retention_is_bounded(d8, d8_fourier):
-    # per code at cutoff 60: a (8, 61, 61) constellation and a (4, 61, 61) basis
-    per_code = (8 + 4) * 61**2 * 16
+    # per code at cutoff 60: a (4, 61, 61) basis and its constellation's (8, 2, 61)
+    # factors; the constellation's (8, 61, 61) states are formed on read, not kept
+    per_code = 4 * 61**2 * 16 + 8 * 2 * 61 * 16
     encoding._constellation.cache_clear()
     fc.code_basis.cache_clear()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+
+    def fill():
         for k in range(3 * CODE_MEMO_SIZE):
             fc.code_basis(fc.make_constellation(d8, 1.0 + 0.01 * k, np.pi / 2, 60), d8_fourier)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+
+    _, retained = traced(fill)
     assert fc.code_basis.cache_info().currsize == CODE_MEMO_SIZE
     assert encoding._constellation.cache_info().currsize == CODE_MEMO_SIZE
-    # 8 codes and their constellations, under the 9.6 MB that both memos held
-    # when full before factors and coefficients were kept (9.8 MB with them)
-    assert CODE_MEMO_SIZE * per_code <= retained < 9.6e6, f"retained {retained / 1e6:.2f} MB"
+    # 8 codes and their constellations, under 2.5 MB; with each constellation's
+    # (8, 61, 61) states kept as well, both memos held 5.9 MB
+    assert CODE_MEMO_SIZE * per_code <= retained < 2.5e6, f"retained {retained / 1e6:.2f} MB"

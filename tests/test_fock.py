@@ -348,6 +348,27 @@ def test_hermitian_inv_sqrt_singular():
     assert np.isfinite(roots.inv_sqrt).all()
 
 
+@pytest.mark.parametrize(
+    "defects, raises",
+    [((0.0, 2e-10), True), ((0.0, 5e-11), False), ((8e-11, 8e-11), False)],
+    ids=["second-2e-10", "second-5e-11", "both-8e-11"],
+)
+def test_hermitian_gate_tolerance_is_per_matrix(defects, raises):
+    # ||A - A^H||_F of each matrix is held to 1e-10 on its own: two matrices off
+    # by 8e-11 pass, though the defect of the whole stack is 1.1e-10
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8))
+    a = m + m.conj().swapaxes(-1, -2)  # exactly Hermitian
+    a[:, 0, 1] += np.array(defects) / np.sqrt(2)  # Frobenius defect = defects
+    if raises:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fock._hermitian_eigh(a)
+        return
+    w, v = fock._hermitian_eigh(a)
+    want_w, want_v = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2)
+    assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+
+
 @pytest.mark.parametrize("dropped", [0, 2])
 def test_hermitian_inv_sqrt_gain_is_the_spectral_norm(dropped):
     rng = np.random.default_rng(11)

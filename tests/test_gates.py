@@ -1,4 +1,3 @@
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +28,8 @@ from fouriercat.gates import (
     zy_expansion_residual,
 )
 from fouriercat.groups import HADAMARD, PAULI_X, PAULI_Z, PHASE_S, PHASE_T
+
+from conftest import traced
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
 
@@ -285,8 +286,9 @@ def test_zy_expansion_closed_form(star_code, d8, d8_fourier):
 
 def test_cutoff_60_checks_stay_small(d8, d8_fourier):
     # dim = 61^2 = 3721, where one dense operator would take 221 MB
-    tracemalloc.start()
-    try:
+    kept = []
+
+    def checks():
         code = fc.code_basis(
             fc.make_constellation(d8, ALPHA_STAR, np.pi / 2, cutoff=60), d8_fourier
         )
@@ -300,19 +302,14 @@ def test_cutoff_60_checks_stay_small(d8, d8_fourier):
         composite_hadamard_check(code)
         deformation_residual(code, HADAMARD)
         swap = fc.logical_action(passive_gaussian_unitary(PAULI_X.real, code.config), code)
-        loss = fc.qec_matrix_fock(code, 0.01)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        kept.extend([code, swap, fc.qec_matrix_fock(code, 0.01)])
+
+    peak, _ = traced(checks)
+    code, swap, loss = kept
     assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
     # the loss oracle alone: its (4, 8, 61, 61) Kraus images (1.9 MB) and one
     # (8, 61, 61) work buffer (0.48 MB); a dense (4, 8, 61, 61) temporary would pass 4 MB
-    tracemalloc.start()
-    try:
-        fc.qec_matrix_fock(code, 0.01)
-        oracle_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    oracle_peak, _ = traced(lambda: fc.qec_matrix_fock(code, 0.01))
     assert oracle_peak < 3e6, f"qec_matrix_fock traced peak {oracle_peak / 1e6:.2f} MB"
     dist = fc.phase_aligned_distance(swap.matrix, np.kron(PAULI_X, IDENTITY2))
     assert dist < 1e-12

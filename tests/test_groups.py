@@ -13,6 +13,8 @@ from fouriercat.groups import (
     GroupFourierTransform,
 )
 
+from conftest import traced
+
 
 def test_pauli_group_structure(d8):
     assert d8.order == 8
@@ -332,17 +334,17 @@ def test_generate_group_too_large_like_loop_reference(gens):
 
 
 def test_cayley_table_memory_stays_quadratic():
-    import tracemalloc
-
     # one row of Z_64 products against all elements holds 64^2 2x2 complex
     # differences (0.26 MB); all rows at once would hold 64^3 (16.8 MB)
-    tracemalloc.start()
-    try:
-        fc.cyclic_group(64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced(lambda: fc.cyclic_group(64))
     assert peak < 2e6
+
+
+def test_irrep_validation_memory_stays_quadratic():
+    # one character of Z_128 at a time holds (128, 128) products (0.26 MB);
+    # all 128 characters in one stack would hold 128^3 (34 MB, 118 MB traced)
+    peak, _ = traced(lambda: fc.irrep_table(fc.cyclic_group(128)))
+    assert peak < 4e6
 
 
 def pauli_like_exponents_loop_reference(m):
