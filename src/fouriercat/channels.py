@@ -258,19 +258,20 @@ def lindblad_kernel_check(code, deformed=False):
 
     config, amps = basis.config, basis.amplitudes
     a2sq_op = annihilation_operator(1, config, 2)
-    a1sq, a2sq = annihilation_operator(0, config, 2)(amps), a2sq_op(amps)
+    a1sq = annihilation_operator(0, config, 2)(amps)
     shift = sign * alpha**4 * amps
-    images = {  # name: (L on each basis state, normalization)
-        "L1": (annihilation_operator(0, config, 4)(amps) - shift, alpha**4),
-        "L2": (annihilation_operator(1, config, 4)(amps) - shift, alpha**4),
-        "L12": (a2sq_op(a1sq) + shift, alpha**4),
+
+    def residual(image, scale):
+        """Largest norm of L on a basis state, over its normalization."""
+        return float(np.max(np.linalg.norm(image, axis=(-2, -1)))) / scale
+
+    residuals = {  # each operator's images are reduced as soon as they are formed
+        "L1": residual(annihilation_operator(0, config, 4)(amps) - shift, alpha**4),
+        "L2": residual(annihilation_operator(1, config, 4)(amps) - shift, alpha**4),
+        "L12": residual(a2sq_op(a1sq) + shift, alpha**4),
     }
     if not deformed:
-        images["L0"] = (a1sq + a2sq, alpha**2)
-    residuals = {
-        name: float(np.max(np.linalg.norm(img, axis=(-2, -1)))) / scale
-        for name, (img, scale) in images.items()
-    }
+        residuals["L0"] = residual(a1sq + a2sq_op(amps), alpha**2)
     k = np.arange(basis.config.dim_per_mode) % 2
     even = k[:, None] == k  # n1 + n2 even
     parity_residual = float(np.max(np.linalg.norm(amps[:, even], axis=-1)))

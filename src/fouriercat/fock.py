@@ -34,6 +34,11 @@ TAIL_TOL = 1e-12
 # Results kept by the passive-unitary lift and the ladder-operator memos.
 LIFT_MEMO_SIZE = 32
 LADDER_MEMO_SIZE = 32
+# Packed rows per block of the sector lift.  A block's real work arrays (its
+# Hamiltonians, eigenvectors and cos/sin products) take about 12 / d of the
+# (d, d, d) complex stack they fill, and eight matrices per eigh and matmul
+# call keep the build as fast as one call over all d rows.
+_LIFT_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -209,25 +214,33 @@ def _sector_unitary(h, config):
     packed d x d layout holds sector r (k = 0..r), then the corner sector
     cutoff + 1 + r (k = r + 1..cutoff): element (r, k) is t[k, (r - k) mod d].
     Each row is one d x d matrix (its coupling at k = r vanishes), made real
-    by the gauge |k> -> e^{ik arg h_01}|k> and exponentiated in one batched
-    eigh; a mask to each row's two blocks keeps roundoff from coupling sectors.
+    by the gauge |k> -> e^{ik arg h_01}|k> and exponentiated by eigh; a mask
+    to each row's two blocks keeps roundoff from coupling sectors.  The rows
+    are built ``_LIFT_BLOCK_ROWS`` at a time straight into the returned
+    stack; batched eigh and matmul act matrix by matrix, so the blocks give
+    the bytes one batch over all d rows would.
     """
     d = config.dim_per_mode
     k = np.arange(d)
     r = k[:, None]
     first = k <= r  # packed element (r, k) lies in sector r, not cutoff + 1 + r
     total = np.where(first, r, r + d)
-    ham = np.zeros((d, d, d))
-    ham[:, k, k] = (h[0, 0] * k + h[1, 1] * (total - k)).real
-    ham[:, k[1:], k[:-1]] = abs(h[0, 1]) * np.sqrt((k[:-1] + 1) * (total[:, :-1] - k[:-1]))
-    ham[:, k[:-1], k[1:]] = ham[:, k[1:], k[:-1]]
-    vals, vecs = np.linalg.eigh(ham)
+    gauge = np.exp(1j * np.angle(h[0, 1]) * (k - k[:, None]))
     # (U_r)^T = conj(D) e^{iS_r} D for the real rows S_r and D = diag(e^{ik arg h_01})
     u_t = np.empty((d, d, d), dtype=complex)
-    np.matmul(vecs * np.cos(vals)[:, None, :], vecs.swapaxes(1, 2), out=u_t.real)
-    np.matmul(vecs * np.sin(vals)[:, None, :], vecs.swapaxes(1, 2), out=u_t.imag)
-    u_t *= np.exp(1j * np.angle(h[0, 1]) * (k - k[:, None]))
-    u_t[first[:, :, None] != first[:, None, :]] = 0.0  # the two sectors stay uncoupled
+    for start in range(0, d, _LIFT_BLOCK_ROWS):
+        rows = slice(start, start + _LIFT_BLOCK_ROWS)
+        n = total[rows]
+        ham = np.zeros((len(n), d, d))
+        ham[:, k, k] = (h[0, 0] * k + h[1, 1] * (n - k)).real
+        ham[:, k[1:], k[:-1]] = abs(h[0, 1]) * np.sqrt((k[:-1] + 1) * (n[:, :-1] - k[:-1]))
+        ham[:, k[:-1], k[1:]] = ham[:, k[1:], k[:-1]]
+        vals, vecs = np.linalg.eigh(ham)
+        block = u_t[rows]
+        np.matmul(vecs * np.cos(vals)[:, None, :], vecs.swapaxes(1, 2), out=block.real)
+        np.matmul(vecs * np.sin(vals)[:, None, :], vecs.swapaxes(1, 2), out=block.imag)
+        block *= gauge
+        block[first[rows, :, None] != first[rows, None, :]] = 0.0  # the two sectors stay uncoupled
     u_t.flags.writeable = False
     gather = k * d + (r - k) % d  # flat (k, (r - k) mod d) for packed (r, k)
     scatter = (r + k) % d * d + r  # flat packed ((j + m) mod d, j) for tensor (j, m)
@@ -257,8 +270,9 @@ def passive_gaussian_unitary(u, config):
     imaginary part of w decides (an eigenvalue -1 - 1e-17i gives -pi).
 
     The lift is memoized on the exact bytes of the complex-cast U and
-    ``config``, keeping the 32 latest lifts (a sector lift holds d^3 complex
-    numbers, 0.28 MB at cutoff 25) read-only.  The shape of U is checked on
+    ``config``, keeping the 32 latest lifts read-only: a sector lift holds
+    d^3 complex numbers (0.28 MB at cutoff 25), so the memo holds at most
+    32 x 16 d^3 bytes, 9 MB at cutoff 25.  The shape of U is checked on
     every call, ahead of the memo, since arrays of two shapes can share
     their bytes; its unitarity is checked on a memo miss, and a U that
     fails it (NaN entries included) is never memoized, so it raises again

@@ -90,22 +90,18 @@ def group_covariance(code):
     """Largest leakage of pi(g) E out of the code space, over the group elements g.
 
     The residual of g is the Frobenius norm of pi(g) applied to all four
-    basis states minus its projection back onto the code.  The images of
-    every g are stacked in one (|G|, 4, d^2) buffer; their overlaps with the
-    basis are one batched matmul and their squared norms one reduction.  The
-    projections are subtracted in place, one g at a time, so no second
-    stack-sized array is allocated (at cutoff 25 that one would cost about
-    130 fresh page faults per call).
+    basis states minus its projection back onto the code.  One g is lifted,
+    projected and reduced to its squared residual at a time, so no more than
+    one g's (4, d^2) images are held, and the largest square is kept.
     """
     basis = code.amplitudes.reshape(4, -1)
-    group = code.constellation.group
-    images = np.empty((group.order,) + basis.shape, dtype=complex)
-    for out, g in zip(images, group.matrices):
-        out[:] = passive_gaussian_unitary(g, code.config)(code.amplitudes).reshape(basis.shape)
-    for image, overlaps in zip(images, images @ basis.conj().T):  # <basis_k|pi(g) basis_i>
-        image -= overlaps @ basis
-    squares = images.reshape(group.order, -1).view(float)  # squared norms, no temporary
-    return float(np.sqrt(np.max(np.einsum("gk,gk->g", squares, squares))))
+    worst = 0.0
+    for g in code.constellation.group.matrices:
+        image = passive_gaussian_unitary(g, code.config)(code.amplitudes).reshape(basis.shape)
+        image -= (image @ basis.conj().T) @ basis  # minus sum_k <basis_k|pi(g) basis_i> basis_k
+        squares = image.reshape(-1).view(float)  # the squared norm, no temporary
+        worst = np.maximum(worst, np.einsum("k,k->", squares, squares))  # NaN propagates
+    return float(np.sqrt(worst))
 
 
 @memoized(GATE_MEMO_SIZE)

@@ -596,6 +596,35 @@ def lindblad_kernel_loop_reference(code, deformed=False):
     return residuals, parity
 
 
+def lindblad_kernel_stacked_reference(code, deformed=False):
+    """The all-images-at-once check that ``lindblad_kernel_check`` replaced.
+
+    Every operator's images are formed before any is reduced; the
+    expressions and the key order are the check's own.
+    """
+    alpha = code.alpha
+    if deformed:
+        basis = fc.code_basis(deform_constellation(code.constellation, HADAMARD), code.fourier)
+        sign = -1.0
+    else:
+        basis, sign = code, 1.0
+    config, amps = basis.config, basis.amplitudes
+    a2sq_op = annihilation_operator(1, config, 2)
+    a1sq, a2sq = annihilation_operator(0, config, 2)(amps), a2sq_op(amps)
+    shift = sign * alpha**4 * amps
+    images = {
+        "L1": (annihilation_operator(0, config, 4)(amps) - shift, alpha**4),
+        "L2": (annihilation_operator(1, config, 4)(amps) - shift, alpha**4),
+        "L12": (a2sq_op(a1sq) + shift, alpha**4),
+    }
+    if not deformed:
+        images["L0"] = (a1sq + a2sq, alpha**2)
+    return {
+        name: float(np.max(np.linalg.norm(img, axis=(-2, -1)))) / scale
+        for name, (img, scale) in images.items()
+    }
+
+
 @pytest.mark.parametrize("deformed", [False, True])
 @pytest.mark.parametrize("cutoff", [20, 25])
 @pytest.mark.parametrize("phi", [np.pi / 2, 1.0])
@@ -606,7 +635,9 @@ def test_lindblad_kernels_match_loop_reference(name, alpha, phi, cutoff, deforme
     code = fc.code_basis(fc.make_constellation(group, alpha, phi, cutoff), fourier)
     got, parity = fc.lindblad_kernel_check(code, deformed=deformed)
     want, want_parity = lindblad_kernel_loop_reference(code, deformed)
-    assert list(got) == list(want)
+    stacked = lindblad_kernel_stacked_reference(code, deformed)
+    assert list(got) == list(want) == list(stacked)
+    assert got == stacked  # the same values, bit for bit
     for key, value in want.items():
         assert abs(got[key] - value) <= 1e-15 * max(1.0, value)
     assert abs(parity - want_parity) <= 1e-15

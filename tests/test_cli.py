@@ -435,6 +435,25 @@ def test_verify_then_gates_demo_lift_hadamard_once():
     assert run_fresh(script) == "[0, 0] 1"
 
 
+def test_verify_at_cutoff_60_peaks_near_what_it_keeps():
+    # a fresh interpreter, so no earlier test has memoized pi(H) or the code;
+    # the run keeps the lift, the code and the other memos, and any work
+    # array the size of the lift would put the peak near 2x that
+    script = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "from conftest import traced\n"
+        "from fouriercat import cli\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    peak, kept = traced(lambda: codes.append(cli.main(['verify', '--cutoff', '60'])))\n"
+        "print(codes[0], peak, kept)\n"
+    )
+    code, peak, kept = map(int, run_fresh(script).split())
+    assert code == 0
+    assert peak < 1.5 * kept, f"traced peak {peak / 1e6:.2f} MB, kept {kept / 1e6:.2f} MB"
+
+
 def outcome(parse, argv, capsys):
     """(exit code, stdout, stderr) of a parse that ends in SystemExit."""
     with pytest.raises(SystemExit) as exc:

@@ -22,6 +22,8 @@ from fouriercat.fock import (
 )
 from fouriercat.groups import HADAMARD
 
+from conftest import traced
+
 ALPHA_STAR = np.sqrt(np.pi / 2)
 
 
@@ -226,6 +228,77 @@ def test_sector_unitary_maps_any_leading_batch(lead):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def mode_hamiltonian(u):
+    """h = -i log U on the principal branch, formed as ``passive_gaussian_unitary`` forms it."""
+    vals, vecs = np.linalg.eig(u)
+    q, _ = np.linalg.qr(vecs)
+    return (q * np.angle(vals)) @ q.conj().T
+
+
+def sector_unitary_batched_reference(h, config):
+    """The one-batch sector lift that ``fock._sector_unitary`` replaced.
+
+    All d packed rows are built in one (d, d, d) Hamiltonian, eigenvector and
+    cos/sin stack beside the lift, exponentiated by one batched eigh.
+    """
+    d = config.dim_per_mode
+    k = np.arange(d)
+    r = k[:, None]
+    first = k <= r
+    total = np.where(first, r, r + d)
+    ham = np.zeros((d, d, d))
+    ham[:, k, k] = (h[0, 0] * k + h[1, 1] * (total - k)).real
+    ham[:, k[1:], k[:-1]] = abs(h[0, 1]) * np.sqrt((k[:-1] + 1) * (total[:, :-1] - k[:-1]))
+    ham[:, k[:-1], k[1:]] = ham[:, k[1:], k[:-1]]
+    vals, vecs = np.linalg.eigh(ham)
+    u_t = np.empty((d, d, d), dtype=complex)
+    np.matmul(vecs * np.cos(vals)[:, None, :], vecs.swapaxes(1, 2), out=u_t.real)
+    np.matmul(vecs * np.sin(vals)[:, None, :], vecs.swapaxes(1, 2), out=u_t.imag)
+    u_t *= np.exp(1j * np.angle(h[0, 1]) * (k - k[:, None]))
+    u_t[first[:, :, None] != first[:, None, :]] = 0.0
+    gather = k * d + (r - k) % d
+    scatter = (r + k) % d * d + r
+
+    def act(t):
+        packed = np.reshape(t, (-1, d * d))[:, gather].swapaxes(0, 1)
+        out = (packed @ u_t).swapaxes(0, 1).reshape(-1, d * d)
+        return out[:, scatter].reshape(np.shape(t))
+
+    return act
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        pytest.param(HADAMARD, id="hadamard"),
+        pytest.param(np.array([[LOSS_T, -LOSS_R], [LOSS_R, LOSS_T]]), id="loss-gamma0.01"),
+        pytest.param(COMPLEX_U2, id="complex-u2"),
+    ],
+)
+def test_blocked_sector_lift_matches_one_batch_byte_for_byte(u):
+    # batched eigh and matmul act matrix by matrix, so building the rows in
+    # blocks changes no byte; d = 41 leaves a partial last block
+    h = mode_hamiltonian(np.asarray(u, dtype=complex))
+    rng = np.random.default_rng(15)
+    for cutoff in (7, 25, 40):
+        cfg = FockConfig(2, cutoff)
+        d = cfg.dim_per_mode
+        batch = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        got = fock._sector_unitary(h, cfg)(batch)
+        assert got.tobytes() == sector_unitary_batched_reference(h, cfg)(batch).tobytes()
+
+
+def test_sector_lift_holds_no_work_stack_of_its_size():
+    # one (d, d, d) work stack beside the lift would put the peak above 2x
+    # what the lift keeps; the blocked build peaks at 1.22x at cutoff 60
+    cfg = FockConfig(2, 60)
+    h = mode_hamiltonian(HADAMARD.astype(complex))
+    kept = []
+    peak, retained = traced(lambda: kept.append(fock._sector_unitary(h, cfg)))
+    assert retained >= 16 * cfg.dim_per_mode**3
+    assert peak < 1.3 * retained, f"traced peak {peak / retained:.2f}x the lift"
+
+
 def test_non_monomial_unitary_needs_two_modes():
     u = np.eye(3, dtype=complex)
     u[:2, :2] = HADAMARD
@@ -254,7 +327,7 @@ def test_passive_lift_is_memoized(monkeypatch):
     for u, solves in ((COMPLEX_U2, [(7, 7, 7)]), (np.array([[0.0, 1.0], [1j, 0.0]]), [])):
         fock._lift.cache_clear()
         passive_gaussian_unitary(u, cfg)(batch)
-        assert calls == solves  # all sectors in one batched eigh, packed (d, d, d)
+        assert calls == solves  # d = 7 packed rows fit one block: one batched eigh
         warm = passive_gaussian_unitary(u, cfg)(batch)
         assert calls == solves  # the second lift runs no eigh
         assert fock._lift.cache_info().hits == 1

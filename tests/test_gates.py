@@ -292,6 +292,7 @@ def test_cutoff_60_checks_stay_small(d8, d8_fourier):
         code = fc.code_basis(
             fc.make_constellation(d8, ALPHA_STAR, np.pi / 2, cutoff=60), d8_fourier
         )
+        group_covariance(code)
         fc.s_gate_check(code)
         snap_gate_check(code)
         fc.cz_gate_check(code)
@@ -311,10 +312,50 @@ def test_cutoff_60_checks_stay_small(d8, d8_fourier):
     # (8, 61, 61) work buffer (0.48 MB); a dense (4, 8, 61, 61) temporary would pass 4 MB
     oracle_peak, _ = traced(lambda: fc.qec_matrix_fock(code, 0.01))
     assert oracle_peak < 3e6, f"qec_matrix_fock traced peak {oracle_peak / 1e6:.2f} MB"
+    # the checks hold one operator's images at a time, not a stack of them:
+    # all |G| images stacked put group_covariance at 10x the basis, and every
+    # Lindblad image held at once put lindblad_kernel_check at 9x
+    basis_bytes = code.amplitudes.nbytes
+    for check, bound in ((group_covariance, 4), (fc.lindblad_kernel_check, 7)):
+        check_peak, _ = traced(lambda: check(code))
+        assert check_peak < bound * basis_bytes, f"{check.__name__} {check_peak / basis_bytes:.2f}x"
     dist = fc.phase_aligned_distance(swap.matrix, np.kron(PAULI_X, IDENTITY2))
     assert dist < 1e-12
     analytic = fc.qec_matrix_analytic(d8, d8_fourier, ALPHA_STAR, 0.01)
     assert np.max(np.abs(loss.entries - analytic.entries)) < 1e-10
+
+
+def group_covariance_stacked_reference(code):
+    """The one-stack covariance that ``group_covariance`` replaced.
+
+    The images of every g are stacked in one (|G|, 4, d^2) buffer, projected
+    in place and reduced by one einsum over the stacked rows.
+    """
+    basis = code.amplitudes.reshape(4, -1)
+    group = code.constellation.group
+    images = np.empty((group.order,) + basis.shape, dtype=complex)
+    for out, g in zip(images, group.matrices):
+        out[:] = passive_gaussian_unitary(g, code.config)(code.amplitudes).reshape(basis.shape)
+    for image, overlaps in zip(images, images @ basis.conj().T):
+        image -= overlaps @ basis
+    squares = images.reshape(group.order, -1).view(float)
+    return float(np.sqrt(np.max(np.einsum("gk,gk->g", squares, squares))))
+
+
+@pytest.mark.parametrize("cutoff", [20, 25, 31, 35])
+@pytest.mark.parametrize("phi", [np.pi / 2, 1.0])
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_group_covariance_matches_stacked_reference(name, phi, cutoff):
+    group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
+    fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
+    code = fc.code_basis(fc.make_constellation(group, ALPHA_STAR, phi, cutoff), fourier)
+    got, want = group_covariance(code), group_covariance_stacked_reference(code)
+    if 8 * code.config.dim_per_mode**2 <= 8192:
+        assert got == want  # the same sums, element by element
+    else:
+        # numpy's einsum reduces the stacked rows in 8192-element buffers,
+        # so the one-row sums may round differently
+        assert agree(got, want)
 
 
 def group_covariance_loop_reference(code):
