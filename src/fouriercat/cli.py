@@ -180,7 +180,7 @@ def load_config(args):
 
 
 def parse_linear_grid(spec):
-    """start:stop:step with both endpoints included (up to rounding)."""
+    """start:stop:step with both endpoints included; the step must divide the span."""
     try:
         start, stop, step = (float(p) for p in spec.split(":"))
     except ValueError as exc:
@@ -192,16 +192,17 @@ def parse_linear_grid(spec):
     steps = (stop - start) / step  # inf when step is tiny against the span
     if not steps < MAX_GRID_POINTS:
         raise ConfigError(f"grid has over {MAX_GRID_POINTS} points")
+    if abs(steps - round(steps)) > 1e-9 * steps:  # rounding, not a remainder
+        raise ConfigError(f"grid step {step!r} does not divide stop - start")
     return np.linspace(start, stop, int(round(steps)) + 1)
 
 
 def parse_log_grid(spec):
     """start:stop:count, log-spaced, both endpoints included."""
     try:
-        parts = spec.split(":")
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
-    except (ValueError, IndexError) as exc:
+        start, stop, count = spec.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}") from exc
     if not all(map(math.isfinite, (start, stop))):
         raise ConfigError("grid values must be finite")
@@ -504,7 +505,7 @@ def build_parser():
     sub.add_parser("verify", parents=[code])
     alpha = sub.add_parser("sweep-alpha", parents=[sweep])
     alpha.add_argument("--gamma", type=float)
-    alpha.add_argument("--grid", help="start:stop:step, both ends included")
+    alpha.add_argument("--grid", help="start:stop:step, both ends included; the step must divide the span")
     gamma = sub.add_parser("sweep-gamma", parents=[sweep])
     gamma.add_argument("--alpha", type=float)
     gamma.add_argument("--grid", help="start:stop:count, log-spaced, both ends included")

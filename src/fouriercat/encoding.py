@@ -21,14 +21,11 @@ instead of the (d, d) states.  A D8 or Q8 constellation retains about
 8 kB at cutoff 25 and 17 kB at cutoff 60, a code with its constellation
 about 53 kB and 0.26 MB, so the two memos hold at most 0.48 MB at cutoff 25
 and 2.2 MB at cutoff 60.
-Constellations and code bases compare and hash by identity and their
-arrays are read-only, so a memo hit never returns changed contents.  A
-construction that raises (degenerate constellation, starved cutoff,
-singular Gram matrix) is not memoized and raises again on every call.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -225,10 +222,12 @@ def cat_qudit(n, d, alpha, cutoff=None):
     DFT, but its Cayley table and character check cost O(N^3) time; this
     form costs O(N (d + cutoff)) and leaves the group memos alone.
     """
-    if d < 1 or n % d != 0:
+    if not all(isinstance(k, numbers.Integral) and k >= 1 for k in (n, d)):
+        raise ValueError("N and d must be positive integers")
+    if n % d != 0:
         raise ValueError("d must divide N")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (alpha > 0 and np.isfinite(alpha * alpha)):
+        raise ValueError("alpha must be positive, with a finite alpha^2")
     if cutoff is None:
         cutoff = max(DEFAULT_CUTOFF, int(np.ceil(abs(alpha) ** 2 + 10 * abs(alpha))))
     w = np.exp(2j * np.pi / n)

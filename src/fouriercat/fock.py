@@ -7,15 +7,11 @@ the modes to an array of the same shape, and any leading axes are a batch,
 so a stack of states is mapped in one call.  No operator is stored as a
 matrix over the full space; the general (non-monomial) two-mode passive
 unitary holds its total-photon sectors packed two to a row of one (d, d, d)
-stack.  Operators whose inputs never change are built once per process:
-a memo of the 32 latest lifts, keyed on the bytes of U and the config,
-lifts each U once and validates it only then, and a memo of the 32 latest
-ladder operators, keyed on (mode, config, power) and their types, builds
-each a^power once.  Every array a memoized operator holds is read-only, and
-an input that fails validation is never memoized, so it raises on every
-call.  Every constructor that builds a physical state from coherent
-amplitudes audits the truncated Poisson tail so that silent truncation
-errors cannot creep into downstream fidelity computations.
+stack.  The lift and the ladder operators are memoized (see
+``passive_gaussian_unitary`` and ``annihilation_operator``).  Every
+constructor that builds a physical state from coherent amplitudes audits
+the truncated Poisson tail so that silent truncation errors cannot creep
+into downstream fidelity computations.
 """
 
 from __future__ import annotations

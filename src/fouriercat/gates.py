@@ -4,12 +4,8 @@ Each physical operation is reduced to its 4x4 action on the encoded basis
 (ordered (0,0), (0,1), (1,0), (1,1), i.e. logical index first), together
 with the leakage out of the target code subspace.
 
-The gate operators depend only on the Fock configuration, so they are
-built once per process: the self-Kerr S gate and the SNAP S/T pair are
-memoized on the ``FockConfig`` and the closed-form Z_L Y_M eigenstates of
-``zy_expansion_residual`` on (alpha, d), each memo keeping its 8 latest
-results, which hold at most 2 d numbers (an operator) or 4 d^2 + 4 (the
-eigenstates, 21.6 kB at cutoff 25), read-only.
+The gate tables (phase profiles, the closed-form Z_L Y_M eigenstates) are
+rebuilt on each call: each costs tens of microseconds.
 """
 
 from __future__ import annotations
@@ -27,12 +23,9 @@ from .fock import (
     overlap_matrix,
     passive_gaussian_unitary,
 )
-from .groups import HADAMARD, PAULI_Z, memoized
+from .groups import HADAMARD, PAULI_Z
 
 IDENTITY2 = np.eye(2, dtype=complex)
-
-# Results kept by each memo of gate operators and tables.
-GATE_MEMO_SIZE = 8
 
 
 @dataclass
@@ -104,9 +97,8 @@ def group_covariance(code):
     return float(np.sqrt(worst))
 
 
-@memoized(GATE_MEMO_SIZE)
 def self_kerr_s_gate(config):
-    """The self-Kerr diagonal i^{n2^2} on the second mode, memoized on ``config``."""
+    """The self-Kerr diagonal i^{n2^2} on the second mode."""
     n = np.arange(config.dim_per_mode)
     return number_diagonal_operator(1j ** (n**2 % 4), config)
 
@@ -194,18 +186,11 @@ def zeno_projected_hamiltonian(code, theta=0.0):
 
 
 def snap_gate_check(code):
-    """Logical actions of the mode-2 SNAP phase profiles for S_L and T_L."""
-    s_op, t_op = _snap_gates(code.config)
+    """Logical actions of the mode-2 SNAP phases exp(i pi/2 (n^2 mod 4)) and exp(i pi/4 (n^4 mod 8))."""
+    n = np.arange(code.config.dim_per_mode)
+    s_op = number_diagonal_operator(np.exp(1j * np.pi / 2 * (n**2 % 4)), code.config)
+    t_op = number_diagonal_operator(np.exp(1j * np.pi / 4 * (n**4 % 8)), code.config)
     return logical_action(s_op, code), logical_action(t_op, code)
-
-
-@memoized(GATE_MEMO_SIZE)
-def _snap_gates(config):
-    """The mode-2 SNAP operators exp(i pi/2 (n^2 mod 4)) and exp(i pi/4 (n^4 mod 8))."""
-    n = np.arange(config.dim_per_mode)
-    s_op = number_diagonal_operator(np.exp(1j * np.pi / 2 * (n**2 % 4)), config)
-    t_op = number_diagonal_operator(np.exp(1j * np.pi / 4 * (n**4 % 8)), config)
-    return s_op, t_op
 
 
 # The Z_L Y_M eigenstates (|l, 0> + y |l, 1>) / sqrt(2), in this order
@@ -287,18 +272,16 @@ def zy_expansion_residual(code):
 
     The predicted amplitudes are ((-1)^q -/+ (-1)^p) f_{p,q} on |2p+1>|2q>
     (mode order swapped for l = 1), with f_{p,q} Poisson-like; one overall
-    complex constant per state is fitted.  The prediction is built once per
-    (alpha, d) by ``_zy_prediction``.
+    complex constant per state is fitted.
     """
-    pred, pred_norms = _zy_prediction(code.alpha, code.config.dim_per_mode)
+    pred = _zy_prediction(code.alpha, code.config.dim_per_mode)
     actual = zy_eigenstates(code)
-    scale = np.einsum("sab,sab->s", pred, actual) / pred_norms
+    scale = np.einsum("sab,sab->s", pred, actual) / np.einsum("sab,sab->s", pred, pred)
     return float(np.max(np.abs(actual - scale[:, None, None] * pred)))
 
 
-@memoized(GATE_MEMO_SIZE)
 def _zy_prediction(alpha, d):
-    """The read-only real (4, d, d) closed-form eigenstates and their squared norms."""
+    """The real (4, d, d) closed-form eigenstates, in ``ZY_LABELS`` order."""
     odd = 2 * np.arange(d // 2) + 1  # 2p + 1 < d
     even = 2 * np.arange((d + 1) // 2)  # 2q < d
     logfact = _log_factorials(d)
@@ -312,6 +295,4 @@ def _zy_prediction(alpha, d):
     pred = np.zeros((4, d, d))
     pred[:2, odd[:, None], even] = coeff[:2]  # l = 0 on |2p+1>|2q>
     pred[2:, even[:, None], odd] = coeff[2:].swapaxes(1, 2)  # l = 1, modes swapped
-    norms = np.einsum("sab,sab->s", pred, pred)
-    pred.flags.writeable = norms.flags.writeable = False
-    return pred, norms
+    return pred

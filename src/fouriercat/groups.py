@@ -17,13 +17,7 @@ The construction layer is built once per process.  ``pauli_group()`` and
 memoized on the group object and ``build_fourier_transform`` on the group
 and irrep tuple objects, each keeping its 16 latest results.  None of this
 depends on the Fock cutoff: D8 and Q8 with their tables retain 18 kB in
-all, and 16 cyclic groups of order 64 would retain 3.2 MB.  The targets of
-``verify_block_diagonalization`` are kept for the two latest Fourier
-transforms, 16 kB each for D8 or Q8 (8.4 MB at order 64).  Groups, irreps
-and Fourier transforms compare and hash by identity, and every array a
-constructor here returns is read-only, so a memo hit can never hand out
-contents that a caller has changed.  A call that raises is not memoized:
-its validation runs again on every call.
+all, and 16 cyclic groups of order 64 would retain 3.2 MB.
 """
 
 from __future__ import annotations
@@ -46,20 +40,25 @@ PHASE_T = np.array([[1.0, 0.0], [0.0, np.exp(1j * np.pi / 4)]], dtype=complex)
 
 # Results kept by the irrep-table and Fourier-transform memos.
 GROUP_MEMO_SIZE = 16
-# Targets kept by verify_block_diagonalization, one (2, |G|, |G|, |G|) complex
-# stack per Fourier transform: 16 kB for D8 or Q8, 8.4 MB at order 64.
-BLOCK_TARGET_MEMO_SIZE = 2
 
 
 def memoized(maxsize):
     """Memoize a builder on its arguments, keeping the ``maxsize`` latest results.
+
+    A memo stays only where the hits of a workload round save a measured
+    amount of time; being reused is not enough.  Ten builders qualify: the
+    groups, irrep tables, Fourier transforms, constellations and code bases,
+    the passive lift, the ladder operators, the loss tables and the parser.
 
     The result is a plain function (so tracers that wrap module functions
     still see each call) whose ``__wrapped__`` is the uncached builder.
     Arguments are keyed by hash and equality, which is identity for the
     groups, irreps, constellations and Fourier transforms of this package,
     and by type, so ``2`` and ``2.0`` are two keys and a builder that
-    accepts one and rejects the other validates each on its own.
+    accepts one and rejects the other validates each on its own.  Every
+    array a memoized result holds is read-only, so a hit never returns
+    changed contents, and a call that raises is not memoized, so its
+    validation runs again on every call.
     """
 
     def decorate(build):
@@ -307,20 +306,10 @@ def verify_block_diagonalization(fourier, group):
     groups whose irrep matrices are real (such as <X, Z>) it is invisible.
     Column h of L(g) is |gh> and of R(g) is |h g^-1>, so F L(g) is F with its
     columns picked by the Cayley table, and all g are checked in one product.
-    The direct sums depend on the Fourier transform alone and are built once
-    per transform (the two latest are kept).
     """
     f = fourier.matrix
-    images = np.stack([group.cayley, group.cayley[:, group.inverse].T])  # (side, g, h)
-    got = f[:, images].transpose(1, 2, 0, 3) @ f.conj().T
-    return float(np.max(np.linalg.norm(got - _block_targets(fourier), axis=(2, 3))))
-
-
-@memoized(BLOCK_TARGET_MEMO_SIZE)
-def _block_targets(fourier):
-    """The (side, g) stack of direct sums of rho(g) x I and of I x conj(rho(g)), read-only."""
-    n = len(fourier.matrix)
-    want = np.zeros((2, n, n, n), dtype=complex)
+    n = len(f)
+    want = np.zeros((2, n, n, n), dtype=complex)  # (side, g) stack of the direct sums
     k = 0
     for irrep in fourier.irreps:
         rho, eye, m = irrep.matrices, np.eye(irrep.dim), irrep.dim**2
@@ -329,5 +318,6 @@ def _block_targets(fourier):
         right = np.einsum("ab,gcd->gacbd", eye, rho.conj())
         want[:, :, k : k + m, k : k + m] = np.reshape([left, right], (2, n, m, m))
         k += m
-    want.flags.writeable = False
-    return want
+    images = np.stack([group.cayley, group.cayley[:, group.inverse].T])  # (side, g, h)
+    got = f[:, images].transpose(1, 2, 0, 3) @ f.conj().T
+    return float(np.max(np.linalg.norm(got - want, axis=(2, 3))))

@@ -308,6 +308,11 @@ BIG_INT = "1" + "0" * 400  # a JSON integer beyond float range
         pytest.param(["sweep-alpha", "--grid", "0.9:1.6:1e-320"], None, id="grid-step-subnormal"),
         pytest.param(["sweep-alpha", "--grid", "0.9:1.6:1e-15"], None, id="grid-step-tiny"),
         pytest.param(["sweep-gamma", "--grid", "1e-3:1e-2:100000000000"], None, id="grid-count-huge"),
+        # a step that does not divide the span once swept a different step
+        pytest.param(["sweep-alpha", "--grid", "0.9:1.6:0.3"], None, id="grid-step-not-dividing"),
+        pytest.param(["sweep-alpha", "--grid", "1.0:1.1:0.04"], None, id="grid-step-half-way"),
+        pytest.param(["sweep-alpha", "--grid", "1.2:1.3:0.2"], None, id="grid-step-over-span"),
+        pytest.param(["sweep-gamma", "--grid", "1e-3:1e-1:5:junk"], None, id="log-grid-extra-field"),
         pytest.param(["verify"], '{"alpha": "abc"}', id="config-alpha-text"),
         pytest.param(["verify"], '{"alpha": null}', id="config-alpha-null"),
         pytest.param(["verify"], '{"phi": NaN}', id="config-phi-nan"),

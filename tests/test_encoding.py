@@ -210,6 +210,24 @@ def test_cat_qudit_rejects_bad_divisor():
 
 
 @pytest.mark.parametrize(
+    "n, d, alpha, message",
+    [
+        (0, 1, 1.0, "positive integers"),
+        (-4, 2, 1.0, "positive integers"),
+        (4.0, 2, 1.0, "positive integers"),
+        (4, 0, 1.0, "positive integers"),
+        (4, 2, np.inf, "alpha must be positive"),
+        (4, 2, np.nan, "alpha must be positive"),
+        (4, 2, 1e200, "alpha must be positive"),
+    ],
+    ids=["n-zero", "n-negative", "n-float", "d-zero", "alpha-inf", "alpha-nan", "alpha-square-overflows"],
+)
+def test_cat_qudit_rejects_bad_input_plainly(n, d, alpha, message):
+    with pytest.raises(ValueError, match=message):
+        fc.cat_qudit(n, d, alpha)
+
+
+@pytest.mark.parametrize(
     "build,count,shape",
     [
         (lambda code: fc.coherent_state(0.8 - 0.3j, 25), 1, (26,)),

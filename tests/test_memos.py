@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import fouriercat as fc
 from fouriercat import channels, cli, encoding, fock, gates, groups
 from fouriercat.fock import FockConfig, annihilation_operator, passive_gaussian_unitary
 from fouriercat.groups import HADAMARD
@@ -33,20 +32,11 @@ def held_arrays(obj):
     return [a for cell in cells for a in held_arrays(cell.cell_contents)]
 
 
-def d8_fourier():
-    group = fc.pauli_group()
-    return fc.build_fourier_transform(group, fc.irrep_table(group))
-
-
 BUILDS = {
     "ladder": lambda: annihilation_operator(1, CFG, 2),
     "ladder-3-modes": lambda: annihilation_operator(0, FockConfig(3, 4)),
     "sector-lift": lambda: passive_gaussian_unitary(HADAMARD, CFG),
     "monomial-lift": lambda: passive_gaussian_unitary(np.array([[0.0, 1j], [1.0, 0.0]]), CFG),
-    "self-kerr": lambda: gates.self_kerr_s_gate(CFG),
-    "snap": lambda: gates._snap_gates(CFG),
-    "block-targets": lambda: groups._block_targets(d8_fourier()),
-    "zy-prediction": lambda: gates._zy_prediction(1.25, CFG.dim_per_mode),
     "loss-tables": lambda: channels._loss_tables(CFG.dim_per_mode),
 }
 
@@ -108,22 +98,10 @@ def test_memo_hit_skips_the_unitarity_check(monkeypatch):
         passive_gaussian_unitary(np.array([[0.0, 1.0, 1.0, 0.0]]), CFG)
 
 
-def fourier_of_cyclic(n):
-    group = fc.cyclic_group(n)
-    return fc.build_fourier_transform(group, fc.irrep_table(group))
-
-
 # (memo, its bound, the k-th of a run of distinct calls)
 MEMOS = {
     "ladder": (fock.annihilation_operator, fock.LADDER_MEMO_SIZE,
                lambda k: annihilation_operator(k % 2, FockConfig(2, 1 + k // 2))),
-    "self-kerr": (gates.self_kerr_s_gate, gates.GATE_MEMO_SIZE,
-                  lambda k: gates.self_kerr_s_gate(FockConfig(2, 1 + k))),
-    "snap": (gates._snap_gates, gates.GATE_MEMO_SIZE, lambda k: gates._snap_gates(FockConfig(2, 1 + k))),
-    "block-targets": (groups._block_targets, groups.BLOCK_TARGET_MEMO_SIZE,
-                      lambda k: groups._block_targets(fourier_of_cyclic(2 + k))),
-    "zy-prediction": (gates._zy_prediction, gates.GATE_MEMO_SIZE,
-                      lambda k: gates._zy_prediction(1.0 + 0.1 * k, 10)),
     "loss-tables": (channels._loss_tables, channels.LOSS_MEMO_SIZE,
                     lambda k: channels._loss_tables(2 + k)),
 }
