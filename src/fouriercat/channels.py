@@ -230,10 +230,15 @@ def kl_first_order_check(code, psi_m):
     the two logical states and their images under a_1 and a_2, normalized.
     """
     c, s = psi_m
+    if not (np.isfinite(c) and np.isfinite(s)):
+        raise ValueError("multiplicity state must be finite and nonzero")
     logical = c * code.amplitudes[0::2] + s * code.amplitudes[1::2]  # l = 0, 1
     lost = [annihilation_operator(mode, code.config)(logical) for mode in (0, 1)]
     states = np.concatenate([logical] + lost).reshape(6, -1)
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    norms = np.linalg.norm(states, axis=1, keepdims=True)
+    if not norms.min() > 0:
+        raise ValueError("multiplicity state must be finite and nonzero")
+    states /= norms
     overlaps = np.abs(states.conj() @ states.T)
     return float(np.max(overlaps[np.triu_indices(6, 1)]))
 

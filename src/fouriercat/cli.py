@@ -402,7 +402,7 @@ def cmd_sweep_gamma(cfg):
     rows = [(r.value, r.infidelity) for r in records]
     try:
         slope = loglog_slope(records, 1e-3, 1e-2)
-    except ValueError:  # fewer than two usable points in the window
+    except ValueError:  # fewer than two finite, positive infidelities in the window
         slope = None
     vals = [r.infidelity for r in records if np.isfinite(r.infidelity)]
     monotone = None  # fewer than two finite points have no trend
@@ -412,43 +412,11 @@ def cmd_sweep_gamma(cfg):
     out = cfg["out"] or f"sweep_gamma.{cfg['format']}"
     write_records(out, cfg["format"], cfg, ["gamma", "infidelity"], rows, summary)
     if slope is None:
-        print(f"no log-log slope: fewer than two points in [1e-3, 1e-2]; wrote {out}")
+        print(f"no log-log slope: fewer than two finite, positive infidelities in [1e-3, 1e-2];"
+              f" wrote {out}")
     else:
         print(f"log-log slope over [1e-3, 1e-2] = {format_float(slope)}; wrote {out}")
     return 0
-
-
-def _format_parts(values, signed):
-    """Fixed-point cells of one real array, aligned as numpy aligns them.
-
-    Each value is rounded to 3 decimals with trailing zeros dropped ("1.",
-    "0.5", "-0."); integer parts are right-aligned and fraction parts padded
-    to the widest of the array.  Returns (integer part, fraction, padding).
-    """
-    cells = [(f"{x:+.3f}" if signed else f"{x:.3f}").rstrip("0").split(".") for x in values]
-    left = max(len(whole) for whole, _ in cells)
-    right = max(len(frac) for _, frac in cells)
-    return [(whole.rjust(left), frac, " " * (right - len(frac))) for whole, frac in cells]
-
-
-def _format_matrix(matrix):
-    """``str(matrix)`` as numpy prints it under ``printoptions(precision=3,
-    suppress=True, linewidth=120)``.
-
-    Exact for a complex matrix of up to 4 columns whose entries are below
-    1e8 in modulus, where numpy would switch to exponents.  The real part is
-    signed only when negative, the imaginary part always, with its padding
-    after the ``j``; cells are joined by one space.
-    """
-    rows, cols = matrix.shape
-    real = _format_parts(matrix.real.ravel().tolist(), signed=False)
-    imag = _format_parts(matrix.imag.ravel().tolist(), signed=True)
-    cells = [
-        f"{rw}.{rf}{rp}{iw}.{if_}j{ip}"
-        for (rw, rf, rp), (iw, if_, ip) in zip(real, imag)
-    ]
-    lines = [" ".join(cells[r * cols:(r + 1) * cols]) for r in range(rows)]
-    return "[[" + "]\n [".join(lines) + "]]"
 
 
 def cmd_gates_demo(cfg):
@@ -470,7 +438,8 @@ def cmd_gates_demo(cfg):
         dist = phase_aligned_distance(action.matrix, target)
         passed = dist <= tol and action.leakage <= max(tol, 1e-7)
         checks.check(name, passed, f"{name}: distance {dist:.3e}, leakage {action.leakage:.3e}")
-        print(_format_matrix(np.round(action.matrix, 6)))
+        with np.printoptions(precision=3, suppress=True, linewidth=120):
+            print(np.round(action.matrix, 6))
 
     cz_dist = _cz_distance(code)
     checks.check("cz", cz_dist <= 1e-8, f"two-copy CZ: distance {cz_dist:.3e}")

@@ -107,6 +107,9 @@ def constellation_from_vector(group, alpha_vec, cutoff=DEFAULT_CUTOFF):
     alpha_vec = np.asarray(alpha_vec, dtype=complex)
     if alpha_vec.shape != (2,):
         raise ValueError("alpha vector must have two entries")
+    with np.errstate(over="ignore"):  # |alpha|^2 overflows past about 1.3e154
+        if not np.isfinite(np.sum(np.abs(alpha_vec) ** 2)):
+            raise ValueError("alpha vector must be finite, with a finite |alpha|^2")
     return _constellation(group, alpha_vec.tobytes(), cutoff)
 
 
@@ -127,8 +130,8 @@ def _constellation(group, alpha_bytes, cutoff):
 
 def make_constellation(group, alpha, phi, cutoff=DEFAULT_CUTOFF):
     """Constellation of |alpha, alpha e^{i phi}> under the group orbit."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (0.0 < alpha < np.inf and np.isfinite(phi)):
+        raise ValueError("alpha must be positive and finite, and phi finite")
     return constellation_from_vector(
         group, [alpha, alpha * np.exp(1j * phi)], cutoff
     )
@@ -226,7 +229,7 @@ def cat_qudit(n, d, alpha, cutoff=None):
         raise ValueError("N and d must be positive integers")
     if n % d != 0:
         raise ValueError("d must divide N")
-    if not (alpha > 0 and np.isfinite(alpha * alpha)):
+    if not (alpha > 0 and np.isfinite(float(alpha) * float(alpha))):
         raise ValueError("alpha must be positive, with a finite alpha^2")
     if cutoff is None:
         cutoff = max(DEFAULT_CUTOFF, int(np.ceil(abs(alpha) ** 2 + 10 * abs(alpha))))

@@ -37,6 +37,11 @@ LADDER_MEMO_SIZE = 32
 _LIFT_BLOCK_ROWS = 8
 
 
+def _integer_at_least(n, low):
+    """True for an integer n >= low (numpy integers too), but not for a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= low
+
+
 @dataclass(frozen=True)
 class FockConfig:
     """Mode count and per-mode photon-number cutoff."""
@@ -45,8 +50,8 @@ class FockConfig:
     cutoff: int = DEFAULT_CUTOFF
 
     def __post_init__(self):
-        if self.modes < 1 or self.cutoff < 1:
-            raise ValueError("modes and cutoff must be >= 1")
+        if not (_integer_at_least(self.modes, 1) and _integer_at_least(self.cutoff, 1)):
+            raise ValueError("modes and cutoff must be integers >= 1")
 
     @property
     def dim_per_mode(self):
@@ -129,6 +134,8 @@ def _log_factorials(d):
 
 def coherent_amplitudes(alpha, cutoff):
     """Truncated coherent amplitudes, shape alpha.shape + (d,), each tail audited."""
+    if not _integer_at_least(cutoff, 1):
+        raise ValueError("cutoff must be an integer >= 1")
     alpha = np.asarray(alpha)[..., None]
     if not np.all(np.isfinite(alpha)):
         raise ValueError("coherent amplitude must be finite")
@@ -322,9 +329,9 @@ def annihilation_operator(mode, config, power=1):
     however often ``power=2`` was built; the 32 latest operators are kept,
     their coefficients read-only.
     """
-    if not isinstance(mode, numbers.Integral) or not 0 <= mode < config.modes:
+    if not _integer_at_least(mode, 0) or mode >= config.modes:
         raise ValueError("invalid mode index")
-    if not isinstance(power, numbers.Integral) or power < 1:
+    if not _integer_at_least(power, 1):
         raise ValueError("power must be an integer >= 1")
     keep = max(config.dim_per_mode - power, 0)
     product = np.prod(np.arange(1.0, keep + 1)[:, None] + np.arange(power), axis=1)

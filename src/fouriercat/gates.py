@@ -141,11 +141,9 @@ def _encoded_residual(op, code, target, u):
 
 def deformation_residual(code, u):
     """Max infidelity of pi(U) E(|l>|m>) vs E_U(U|l> (x) U|m>)."""
+    pi_u = passive_gaussian_unitary(u, code.config)  # checks U before the deformed code
     deformed = encoding.deform_constellation(code.constellation, u)
-    deformed_basis = encoding.code_basis(deformed, code.fourier)
-    return _encoded_residual(
-        passive_gaussian_unitary(u, code.config), code, deformed_basis, u
-    )
+    return _encoded_residual(pi_u, code, encoding.code_basis(deformed, code.fourier), u)
 
 
 def double_deformation_residual(code, u):

@@ -248,6 +248,12 @@ def test_kl_overlaps(star_code):
         assert abs(worst - ODD_CAT_PAIR_OVERLAP) < 1e-9
 
 
+@pytest.mark.parametrize("psi", [(0.0, 0.0), (np.inf, 0.0)], ids=["zero", "inf"])
+def test_kl_rejects_a_zero_or_infinite_multiplicity_state(star_code, psi):
+    with pytest.raises(ValueError, match="multiplicity state must be finite and nonzero"):
+        fc.kl_first_order_check(star_code, psi)
+
+
 def test_kl_violated_at_generic_alpha(d8, d8_fourier):
     code = fc.code_basis(fc.make_constellation(d8, 1.0, np.pi / 2), d8_fourier)
     worst = fc.kl_first_order_check(code, np.array([1.0, 1.0]) / np.sqrt(2))

@@ -270,6 +270,19 @@ def test_sweep_gamma_without_slope_window(tmp_path, capsys):
     assert "no log-log slope" in capsys.readouterr().out
 
 
+def test_sweep_gamma_with_an_ill_conditioned_slope_window(tmp_path, capsys):
+    # 1e-3 and 1e-2 lie in the window, but both points are flagged ill-conditioned
+    out = tmp_path / "sweep.json"
+    assert run(["sweep-gamma", "--alpha", "0.0001", "--grid", "1e-3:1e-1:3", "--format", "json",
+                "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert [r["infidelity"] for r in payload["records"]] == [None, None, None]
+    assert payload["summary"]["loglog_slope"] is None
+    printed = capsys.readouterr().out
+    assert "no log-log slope" in printed
+    assert "fewer than two finite, positive infidelities in [1e-3, 1e-2]" in printed
+
+
 def test_sweeps_honour_phi(tmp_path):
     out = tmp_path / "sweep.json"
     assert run(
@@ -556,26 +569,3 @@ def test_default_reports_are_unchanged():
                               text=True, timeout=300)
         assert (done.returncode, done.stdout) == (want["exit_code"], want["stdout"]), argv
 
-
-def test_matrix_printer_matches_numpy():
-    # gates-demo prints np.round(matrix, 6) directly; numpy's printer is the reference
-    rng = np.random.default_rng(14)
-    edges = np.array([0.0, -0.0, -1e-17, 1e-17, 5e-4, -5e-4, 0.9995, -0.9995, 4.9999e-4,
-                      1.5e-3, 0.5, -0.5, 0.707107, 1.0, -1.0, 999.9995, -1e3, 1e3])
-    for k in range(10_000):
-        kind = k % 5
-        if kind == 0:  # signed zeros, roundoff-size and halfway entries
-            parts = rng.choice(edges, (2, 4, 4))
-        elif kind == 1:  # entries up to 1e3 in modulus
-            parts = rng.normal(size=(2, 4, 4)) * 10.0 ** rng.integers(-4, 3)
-        elif kind == 2:  # all-integer matrices
-            parts = rng.integers(-12, 12, (2, 4, 4)).astype(float)
-        elif kind == 3:  # no negative real part, which drops the real part's pad
-            parts = np.abs(rng.normal(size=(2, 4, 4)))
-            parts[1] *= rng.choice([-1.0, 1.0], (4, 4))
-        else:  # few decimals, so fraction widths differ between the parts
-            parts = np.round(rng.normal(size=(2, 4, 4)), rng.integers(0, 4))
-        matrix = np.round(parts[0] + 1j * parts[1], 6)
-        with np.printoptions(precision=3, suppress=True, linewidth=120):
-            want = str(matrix)
-        assert cli._format_matrix(matrix) == want, repr(matrix)

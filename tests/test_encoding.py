@@ -219,12 +219,39 @@ def test_cat_qudit_rejects_bad_divisor():
         (4, 2, np.inf, "alpha must be positive"),
         (4, 2, np.nan, "alpha must be positive"),
         (4, 2, 1e200, "alpha must be positive"),
+        (4, 2, np.float64(1e200), "alpha must be positive"),
     ],
-    ids=["n-zero", "n-negative", "n-float", "d-zero", "alpha-inf", "alpha-nan", "alpha-square-overflows"],
+    ids=["n-zero", "n-negative", "n-float", "d-zero", "alpha-inf", "alpha-nan", "alpha-square-overflows",
+         "numpy-alpha-square-overflows"],
 )
 def test_cat_qudit_rejects_bad_input_plainly(n, d, alpha, message):
     with pytest.raises(ValueError, match=message):
         fc.cat_qudit(n, d, alpha)
+
+
+@pytest.mark.parametrize(
+    "alpha, phi, cutoff, message",
+    [
+        (np.inf, np.pi / 2, 25, "alpha must be positive and finite"),
+        (np.nan, np.pi / 2, 25, "alpha must be positive and finite"),
+        (1.0, np.inf, 25, "phi finite"),
+        (1e200, np.pi / 2, 25, r"finite \|alpha\|\^2"),
+        (1.2, np.pi / 2, 25.5, "cutoff must be an integer"),
+        (1.2, np.pi / 2, 25.0, "cutoff must be an integer"),
+        (1.2, np.pi / 2, True, "cutoff must be an integer"),
+    ],
+    ids=["alpha-inf", "alpha-nan", "phi-inf", "alpha-square-overflows", "cutoff-half",
+         "cutoff-float", "cutoff-bool"],
+)
+def test_make_constellation_rejects_bad_input_plainly(d8, alpha, phi, cutoff, message):
+    # raised before any arithmetic, so no RuntimeWarning comes first
+    with pytest.raises(ValueError, match=message):
+        fc.make_constellation(d8, alpha, phi, cutoff)
+
+
+def test_deformed_alpha_vector_needs_a_finite_square(star_constellation):
+    with pytest.raises(ValueError, match=r"finite \|alpha\|\^2"):
+        deform_constellation(star_constellation, 1e200 * np.eye(2))
 
 
 @pytest.mark.parametrize(

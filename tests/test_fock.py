@@ -86,6 +86,36 @@ def test_coherent_amplitudes_reject_non_finite(bad):
         coherent_amplitudes([0.5, bad, 1.0], 20)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FockConfig(2, 25.5), "integers >= 1"),
+        (lambda: FockConfig(2, 25.0), "integers >= 1"),
+        (lambda: FockConfig(2, True), "integers >= 1"),
+        (lambda: FockConfig(True, 5), "integers >= 1"),
+        (lambda: coherent_amplitudes(0.5, 10.0), "cutoff must be an integer"),
+        (lambda: coherent_state(0.5, -1), "cutoff must be an integer"),
+        (lambda: coherent_product([0.5, 0.2j], 12.5), "cutoff must be an integer"),
+        (lambda: cat_state(1.0, 0, True), "cutoff must be an integer"),
+        (lambda: annihilation_operator(True, FockConfig(3, 4)), "mode index"),
+    ],
+    ids=["config-cutoff-half", "config-cutoff-float", "config-cutoff-bool", "config-modes-bool",
+         "amplitudes-float", "state-negative", "product-half", "cat-bool", "ladder-mode-bool"],
+)
+def test_sizes_and_indices_must_be_integers(build, message):
+    # a float cutoff sized arange one level past it, and a bool counted as 0 or 1
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_numpy_integer_sizes_stay_valid():
+    cfg = FockConfig(np.int64(2), np.int32(12))
+    assert cfg.dim_per_mode == 13
+    assert coherent_amplitudes(0.5, np.int64(12)).shape == (13,)
+    lowered = annihilation_operator(np.int64(1), cfg, np.int64(2))(np.ones((13, 13)))
+    assert lowered[0, 0] == np.sqrt(2)
+
+
 def test_coherent_is_destroy_eigenstate():
     cfg = FockConfig(1, 40)
     alpha = 1.1
@@ -544,7 +574,7 @@ def test_ladder_power_is_the_composed_steps(cfg, power):
 
 def test_ladder_power_must_be_a_positive_integer():
     cfg = FockConfig(2, 4)
-    for power in (0, -1, 1.0, 2.5, "2", None):
+    for power in (0, -1, 1.0, 2.5, "2", None, True):
         with pytest.raises(ValueError, match="power"):
             annihilation_operator(0, cfg, power)
     # a power past the cutoff annihilates every state

@@ -130,6 +130,13 @@ def test_deformation_identity(d8, d8_fourier, alpha, u):
     assert deformation_residual(code, u) < 1e-10
 
 
+def test_deformation_checks_u_before_the_deformed_code(d8, d8_fourier):
+    # 2 I would deform to |alpha| = 2.5, which the cutoff starves
+    code = fc.code_basis(fc.make_constellation(d8, 1.25, np.pi / 2, 20), d8_fourier)
+    with pytest.raises(ValueError, match="mode transformation must be unitary"):
+        deformation_residual(code, 2 * np.eye(2))
+
+
 def test_double_deformation_returns(star_code):
     assert double_deformation_residual(star_code, HADAMARD) < 1e-10
 
