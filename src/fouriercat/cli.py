@@ -81,7 +81,7 @@ _S_TARGET = np.kron(PHASE_S, IDENTITY2)
 _T_TARGET = np.kron(PHASE_T, IDENTITY2)
 _H_TARGET = np.kron(HADAMARD, IDENTITY2)
 _CZ_TARGET = cz_target()
-_ZZ_TARGET = np.exp(1j * math.pi / 4 * np.array([1.0, -1.0, -1.0, 1.0]))  # diag exp(i pi/4 ZZ)
+_ZZ_TARGET = np.diag(np.exp(1j * math.pi / 4 * np.array([1.0, -1.0, -1.0, 1.0])))  # exp(i pi/4 ZZ)
 
 DEFAULTS = {
     "group": "d8",
@@ -227,15 +227,8 @@ def write_records(path, fmt, cfg, columns, rows, summary):
     try:
         if fmt == "csv":
             lines = [",".join(columns)]
-            for row in rows:
-                cells = []
-                for value in row:
-                    if isinstance(value, float):
-                        cells.append(format_float(value))
-                    elif isinstance(value, (list, tuple)):
-                        cells.append(";".join(str(v) for v in value))
-                    else:
-                        cells.append(str(value))
+            for row in rows:  # floats, and the flags as one list
+                cells = [";".join(v) if isinstance(v, list) else format_float(v) for v in row]
                 lines.append(",".join(cells))
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("\n".join(lines) + "\n")
@@ -269,6 +262,11 @@ class CheckList:
     def record(self, name, value, tol):
         self.check(name, value <= tol, f"{name}: {value:.3e} (tol {tol:.1e})")
 
+    def starved(self, error):
+        """Fail ``constellation_tail_mass`` with a starved cutoff's error; return the exit code."""
+        self.check("constellation_tail_mass", False, f"constellation_tail_mass: {error}")
+        return self.finish()
+
     def finish(self):
         """Print the failure keys, or the success line if any; return the exit code."""
         if self.failures:
@@ -286,6 +284,7 @@ def _cz_distance(code):
 
 def cmd_verify(cfg):
     group, fourier = _group_and_fourier(cfg)
+    code = _build_code(cfg, group, fourier)  # a configuration error prints no report
     checks = CheckList("  ", success="all checks passed")
 
     f = fourier.matrix
@@ -300,9 +299,8 @@ def cmd_verify(cfg):
         1e-12,
     )
 
-    code = _build_code(cfg, group, fourier, checks)
-    if code is None:
-        return checks.finish()
+    if isinstance(code, StarvedTailError):
+        return checks.starved(code)
     basis = code.amplitudes
     checks.record(
         "basis_orthonormality",
@@ -348,13 +346,13 @@ def cmd_verify(cfg):
     return checks.finish()
 
 
-def _build_code(cfg, group, fourier, checks):
-    """The code of ``cfg``, or None after recording a starved cutoff on ``checks``.
+def _build_code(cfg, group, fourier):
+    """The code of ``cfg``, or the ``StarvedTailError`` of a cutoff too small for it.
 
     A degenerate constellation or a numerically singular Gram matrix is a
     configuration error; a cutoff too small for the constellation's
-    coherent states is a verification failure, ``constellation_tail_mass``.
-    Any other ``ValueError`` propagates.
+    coherent states is a verification failure, which the caller reports
+    (see ``CheckList.starved``).  Any other ``ValueError`` propagates.
     """
     try:
         constellation = make_constellation(group, cfg["alpha"], cfg["phi"], cfg["cutoff"])
@@ -362,8 +360,7 @@ def _build_code(cfg, group, fourier, checks):
     except (DegenerateConstellationError, SingularGramError) as exc:
         raise ConfigError(str(exc)) from exc
     except StarvedTailError as exc:
-        checks.check("constellation_tail_mass", False, f"constellation_tail_mass: {exc}")
-        return None
+        return exc
 
 
 def cmd_sweep_alpha(cfg):
@@ -421,10 +418,10 @@ def cmd_sweep_gamma(cfg):
 
 def cmd_gates_demo(cfg):
     group, fourier = _group_and_fourier(cfg)
+    code = _build_code(cfg, group, fourier)
     checks = CheckList("")
-    code = _build_code(cfg, group, fourier, checks)
-    if code is None:
-        return checks.finish()
+    if isinstance(code, StarvedTailError):
+        return checks.starved(code)
 
     swap = logical_action(passive_gaussian_unitary(PAULI_X, code.config), code)
     snap_s, snap_t = snap_gate_check(code)
@@ -445,7 +442,7 @@ def cmd_gates_demo(cfg):
     checks.check("cz", cz_dist <= 1e-8, f"two-copy CZ: distance {cz_dist:.3e}")
 
     gate, _, _ = zeno_projected_hamiltonian(code, theta=math.pi / 4)
-    zeno_dist = float(np.linalg.norm(np.diag(gate.logical_unitary(code.alpha)) - _ZZ_TARGET))
+    zeno_dist = float(np.linalg.norm(gate.logical_unitary(code.alpha) - _ZZ_TARGET))
     checks.check(
         "zeno", zeno_dist <= 1e-8, f"Zeno ZZ rotation (theta=pi/4): distance {zeno_dist:.3e}"
     )

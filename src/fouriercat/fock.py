@@ -75,52 +75,19 @@ def normalize(t, axes=None):
     return t * (1.0 / norm)
 
 
-def _state_rows(t, axes):
-    """(rows, batch shape): t as a C-contiguous complex array, its state ``axes`` flattened last."""
-    t = np.asarray(t, dtype=complex)
-    if axes is None:
-        return np.ascontiguousarray(t).reshape(1, -1), ()
-    state = [ax % t.ndim for ax in np.atleast_1d(axes)]
-    batch = [ax for ax in range(t.ndim) if ax not in state]
-    shape = tuple(t.shape[ax] for ax in batch)
-    return np.ascontiguousarray(t.transpose(batch + state)).reshape(shape + (-1,)), shape
-
-
-def _row_dot(x, y):
-    """sum_n x[..., n] y[..., n], one row at a time (a batched matmul)."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def _row_norms(rows):
-    """Norm of each row of a C-contiguous complex stack of rows; a zero state raises."""
-    flat = rows.view(float)  # |x|^2 summed as the squares of the real and imaginary parts
-    norm = np.sqrt(_row_dot(flat, flat))
-    if norm.min() < 1e-300:
-        raise ValueError("cannot normalize a zero state")
-    return norm
-
-
-def infidelity(a, b, axes=None):
+def infidelity(a, b):
     """1 - |<a|b>| of the normalized states, as min_p ||a - e^{ip} b||^2 / 2.
 
-    Both arguments are normalized over ``axes`` (see ``normalize``) and the
-    global phase is aligned before the difference is taken, so the value
-    does not cancel: states an angle eps apart give eps^2 / 2 even where
-    1 - |<a|b>| rounds to 0.  Each state is flattened to one row, so its
-    overlap and norms are row dot products, and the normalized copies are
-    never formed: the one difference a / |a| - e^{ip} b / |b| is scaled
-    from the raw rows.  Returns a float, or one per state of a stack.
+    Both states are normalized (see ``normalize``) and the global phase of
+    <b|a> is aligned before the difference is taken, so the value does not
+    cancel: states an angle eps apart give eps^2 / 2 even where 1 - |<a|b>|
+    rounds to 0.  Orthogonal states keep the phase 1, so they give 1.
     """
-    a, shape = _state_rows(a, axes)
-    b, _ = _state_rows(b, axes)
-    overlap = _row_dot(b.conj(), a)  # <b|a> of the raw states
-    size = np.abs(overlap)
-    zero = size == 0  # orthogonal states keep the phase 1
-    phase = (overlap + zero) / (size + zero)
-    diff = b * (phase / _row_norms(b))[..., None]
-    np.subtract(a * (1.0 / _row_norms(a))[..., None], diff, out=diff)
-    squares = diff.view(float)
-    return (_row_dot(squares, squares) / 2).reshape(shape)[()]
+    a, b = normalize(a), normalize(b)
+    overlap = np.vdot(b, a)
+    size = abs(overlap)
+    diff = a - (overlap / size if size else 1.0) * b
+    return float(np.vdot(diff, diff).real / 2)
 
 
 class StarvedTailError(ValueError):
@@ -177,18 +144,16 @@ def cat_state(alpha, parity, cutoff=DEFAULT_CUTOFF):
 
 
 def _monomial_structure(u):
-    """(perm, phases) when u is a generalized permutation matrix, else None.
+    """(perm, phases) when the unitary u is a generalized permutation matrix, else None.
 
     perm[k] is the row carrying column k's single unit-modulus entry and
-    phases[k] that entry.
+    phases[k] that entry; since u is unitary, no two columns share a row.
     """
     rows = np.arange(u.shape[0])
     perm = np.argmax(np.abs(u), axis=0)  # the row of each column's largest entry
     phases = u[perm, rows]
     rest = np.linalg.norm(np.where(rows[:, None] == perm, 0.0, u), axis=0)
     if np.any(np.abs(np.abs(phases) - 1.0) > 1e-12) or np.any(rest > 1e-12):
-        return None
-    if len(set(perm.tolist())) != len(rows):
         return None
     return perm, phases
 
@@ -361,16 +326,16 @@ class SingularGramError(ValueError):
 def _hermitian_eigh(a):
     """eigh (w ascending) of (A + A^H) / 2 for a matrix or stack A, Hermitian to 1e-10.
 
-    A NaN or inf entry fails the Hermiticity test (its defect is NaN or inf),
-    so a non-finite matrix raises instead of reaching eigh.
+    Each matrix's Frobenius defect ||A - A^H|| is held to 1e-10 on its own.
+    A NaN or inf entry fails that test (its defect is NaN or inf), so a
+    non-finite matrix raises instead of reaching eigh.
     """
     a = np.asarray(a, dtype=complex)
     ah = a.conj().swapaxes(-1, -2)
-    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal is NaN
-        # one row of real and imaginary parts per matrix: its squared Frobenius defect
-        rows = (a - ah).reshape(-1, a.shape[-1] ** 2).view(float)
-        defect = np.einsum("ij,ij->i", rows, rows)
-    if not defect.max() <= 1e-20:  # 1e-10 per matrix
+    # inf - inf on the diagonal is NaN, and a defect past 1e154 squares to inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        hermitian = np.linalg.norm(a - ah, axis=(-2, -1)) <= 1e-10
+    if not np.all(hermitian):
         raise ValueError("matrix is not Hermitian")
     return np.linalg.eigh((a + ah) / 2)
 

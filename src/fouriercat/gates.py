@@ -136,7 +136,7 @@ def _encoded_residual(op, code, target, u):
     # column (l, m) of U (x) U holds the coefficients u[l', l] u[m', m]
     amps = target.amplitudes
     rhs = (np.kron(u, u).T @ amps.reshape(4, -1)).reshape(amps.shape)
-    return float(np.max(infidelity(op(code.amplitudes), rhs, axes=(-2, -1))))
+    return float(np.max([infidelity(a, b) for a, b in zip(op(code.amplitudes), rhs)]))
 
 
 def deformation_residual(code, u):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fouriercat import cli
+from fouriercat import cli, gates
 
 
 def run(args):
@@ -30,6 +30,11 @@ def test_verify_starved_cutoff_fails(capsys):
             out = capsys.readouterr().out
             assert "[FAIL] constellation_tail_mass" in out
             assert 'FAILED ["constellation_tail_mass"]' in out
+            if command == "verify":  # after the two checks that need no code
+                lines = out.splitlines()
+                assert lines[0].startswith("  [pass] fourier_unitarity")
+                assert lines[1].startswith("  [pass] block_diagonalization")
+                assert lines[2].startswith("  [FAIL] constellation_tail_mass")
 
 
 def test_cutoff_over_the_cap_is_config_error(capsys):
@@ -48,14 +53,16 @@ def test_cutoff_over_the_cap_is_config_error(capsys):
 def test_verify_degenerate_phi_is_config_error(capsys):
     for command in ("verify", "gates-demo"):
         assert run([command, "--phi", "0"]) == 2
-        assert "degenerate" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "degenerate" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["verify", "gates-demo"])
 def test_singular_gram_is_config_error(command, capsys):
     # at alpha 0.001 the eight coherent states nearly coincide
     assert run([command, "--alpha", "0.001"]) == 2
-    assert "Gram matrix numerically singular" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "Gram matrix numerically singular" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("step", ["make_constellation", "code_basis"])
@@ -242,6 +249,20 @@ def test_gates_demo(capsys):
     assert "[FAIL]" not in out
     assert "composite Hadamard" in out
     assert "Zeno" in out
+
+
+def test_gates_demo_zeno_check_sees_off_diagonal_errors(monkeypatch, capsys):
+    # the target diagonal is kept exactly; only an off-diagonal entry is wrong
+    def off_diagonal(gate, alpha):
+        u = cli._ZZ_TARGET.copy()
+        u[0, 1] = 0.1
+        return u
+
+    monkeypatch.setattr(gates.ZenoGate, "logical_unitary", off_diagonal)
+    assert run(["gates-demo"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] Zeno ZZ rotation (theta=pi/4): distance 1.000e-01" in out
+    assert out.endswith('FAILED ["zeno"]\n')
 
 
 def out_option(command, path):
