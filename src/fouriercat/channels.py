@@ -30,6 +30,7 @@ from .groups import HADAMARD, memoized
 
 # Loss tables kept by qec_matrix_fock, two (d, d) arrays per cutoff (11 kB at cutoff 25).
 LOSS_MEMO_SIZE = 8
+ENV_FLOOR = 1e-15  # relative eigenvalue floor of qec_matrix_fock's pseudo-inverse
 
 
 @dataclass
@@ -141,7 +142,7 @@ def _loss_tables(d):
     return binom, reflected
 
 
-def qec_matrix_fock(code, gamma, env_floor=1e-15):
+def qec_matrix_fock(code, gamma):
     """Brute-force QEC matrix: beamsplitter dilation plus constellation basis.
 
     Each mode is mixed with a vacuum ancilla at transmissivity sqrt(1-gamma);
@@ -164,12 +165,12 @@ def qec_matrix_fock(code, gamma, env_floor=1e-15):
     its raw images are T_1[q] diag(C_i) T_2[q]^T: O(|G|^2 d^2) in all, where
     the dense states would cost O(|G| d^3).  The orthonormalizing mix over q
     comes last.  Near gamma = 0 the reflected family is rank-deficient, so
-    that mix is a pseudo-inverse with a relative eigenvalue floor.  Dropping
-    an eigenvalue lambda loses entries of order sqrt(lambda), keeping it
-    amplifies roundoff by 1 / sqrt(lambda), so the floor sits a few machine
-    epsilons above zero.  Of the Kraus images' Gram matrix only the logical
-    pair's block (M) and the 4 x 4 blocks summed over environment labels
-    (completeness) are formed.  ``extras`` holds the Kraus
+    that mix is a pseudo-inverse with the relative eigenvalue floor
+    ``ENV_FLOOR``.  Dropping an eigenvalue lambda loses entries of order
+    sqrt(lambda), keeping it amplifies roundoff by 1 / sqrt(lambda), so the
+    floor sits a few machine epsilons above zero.  Of the Kraus images' Gram
+    matrix only the logical pair's block (M) and the 4 x 4 blocks summed over
+    environment labels (completeness) are formed.  ``extras`` holds the Kraus
     images (basis state, environment label, n1, n2), their completeness on
     the code subspace, how many environment eigenvalues the pseudo-inverse
     kept (``env_rank``, of the group order) and its roundoff gain
@@ -186,7 +187,7 @@ def qec_matrix_fock(code, gamma, env_floor=1e-15):
     env = factors * np.sqrt(gamma) ** np.arange(d)
     env /= np.linalg.norm(env, axis=-1, keepdims=True)
     env_gram = np.prod(np.einsum("qma,rma->mqr", env.conj(), env), axis=0)
-    roots = hermitian_inv_sqrt(env_gram, floor=env_floor, pseudo=True)
+    roots = hermitian_inv_sqrt(env_gram, floor=ENV_FLOOR, pseudo=True)
 
     # The transmitted factors t_m[q, P, g] = (Y_qm f_gm)[P], each Y_qm gathered into
     # buf ("clip" only spares take a temporary: every shift is in range).

@@ -198,7 +198,7 @@ def parse_linear_grid(spec):
 
 
 def parse_log_grid(spec):
-    """start:stop:count, log-spaced, both endpoints included."""
+    """start:stop:count, log-spaced, both endpoints included, no point twice (so count 1 iff start == stop)."""
     try:
         start, stop, count = spec.split(":")
         start, stop, count = float(start), float(stop), int(count)
@@ -210,7 +210,10 @@ def parse_log_grid(spec):
         raise ConfigError("log grid requires 0 < start <= stop and count >= 1")
     if count > MAX_GRID_POINTS:
         raise ConfigError(f"grid has over {MAX_GRID_POINTS} points")
-    return np.logspace(math.log10(start), math.log10(stop), count)
+    grid = np.logspace(math.log10(start), math.log10(stop), count)
+    if (count == 1 and stop > start) or np.any(np.diff(grid) <= 0):
+        raise ConfigError("log grid points must be distinct, and one point needs start == stop")
+    return grid
 
 
 def format_float(x):
@@ -474,7 +477,7 @@ def build_parser():
     alpha.add_argument("--grid", help="start:stop:step, both ends included; the step must divide the span")
     gamma = sub.add_parser("sweep-gamma", parents=[sweep])
     gamma.add_argument("--alpha", type=float)
-    gamma.add_argument("--grid", help="start:stop:count, log-spaced, both ends included")
+    gamma.add_argument("--grid", help="start:stop:count, log-spaced, both ends included; count is 1 exactly when start == stop")
     sub.add_parser("gates-demo", parents=[code])
     return parser
 

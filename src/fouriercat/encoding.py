@@ -124,7 +124,7 @@ def _constellation(group, alpha_bytes, cutoff):
     factors /= np.linalg.norm(factors, axis=-1, keepdims=True)
     factors.flags.writeable = False
     return Constellation(
-        group=group, alpha_vec=alpha_vec, config=FockConfig(2, cutoff), factors=factors
+        group=group, alpha_vec=alpha_vec, config=FockConfig(cutoff), factors=factors
     )
 
 

@@ -1,24 +1,22 @@
-"""Truncated multimode Fock-space numerics.
+"""Truncated two-mode Fock-space numerics.
 
-A state is its amplitude array: a plain complex tensor of shape ``(d,) *
-modes`` with one axis per mode, d = cutoff + 1.  Operators are plain
-functions on such tensors: they map an array whose last ``modes`` axes are
-the modes to an array of the same shape, and any leading axes are a batch,
-so a stack of states is mapped in one call.  No operator is stored as a
-matrix over the full space; the general (non-monomial) two-mode passive
-unitary holds its total-photon sectors packed two to a row of one (d, d, d)
-stack.  The lift and the ladder operators are memoized (see
-``passive_gaussian_unitary`` and ``annihilation_operator``).  Every
-constructor that builds a physical state from coherent amplitudes audits
-the truncated Poisson tail so that silent truncation errors cannot creep
-into downstream fidelity computations.
+A state is its amplitude array: a plain complex (d, d) tensor with one axis
+per mode, d = cutoff + 1.  Operators are plain functions on such tensors:
+they map an array whose last two axes are the modes to an array of the same
+shape, and any leading axes are a batch, so a stack of states is mapped in
+one call.  No operator is stored as a matrix over the full space; the
+general (non-monomial) passive unitary holds its total-photon sectors packed
+two to a row of one (d, d, d) stack.  The lift and the ladder operators are
+memoized (see ``passive_gaussian_unitary`` and ``annihilation_operator``).
+Every constructor that builds a physical state from coherent amplitudes
+audits the truncated Poisson tail so that silent truncation errors cannot
+creep into downstream fidelity computations.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -44,14 +42,13 @@ def _integer_at_least(n, low):
 
 @dataclass(frozen=True)
 class FockConfig:
-    """Mode count and per-mode photon-number cutoff."""
+    """Per-mode photon-number cutoff of the two-mode space."""
 
-    modes: int
-    cutoff: int = DEFAULT_CUTOFF
+    cutoff: int
 
     def __post_init__(self):
-        if not (_integer_at_least(self.modes, 1) and _integer_at_least(self.cutoff, 1)):
-            raise ValueError("modes and cutoff must be integers >= 1")
+        if not _integer_at_least(self.cutoff, 1):
+            raise ValueError("cutoff must be an integer >= 1")
 
     @property
     def dim_per_mode(self):
@@ -124,9 +121,10 @@ def coherent_state(alpha, cutoff=DEFAULT_CUTOFF):
 
 
 def coherent_product(alphas, cutoff=DEFAULT_CUTOFF):
-    """Multimode coherent product state |alpha_1, ..., alpha_k>."""
-    factors = coherent_amplitudes(alphas, cutoff)
-    return normalize(reduce(np.multiply.outer, factors))
+    """Two-mode coherent product state |alpha_1, alpha_2>, a (d, d) tensor."""
+    if np.shape(alphas) != (2,):
+        raise ValueError("coherent_product takes exactly two amplitudes")
+    return normalize(np.multiply.outer(*coherent_amplitudes(alphas, cutoff)))
 
 
 def cat_state(alpha, parity, cutoff=DEFAULT_CUTOFF):
@@ -161,15 +159,14 @@ def _monomial_structure(u):
 def _monomial_unitary(perm, phases, config):
     """Exact second quantization of a mode permutation with phases.
 
-    pi(U)|n_1..n_m> = prod_k phases_k^{n_k} |n with mode k sent to perm[k]>;
-    number-preserving per mode, so truncation introduces no error at all.
+    pi(U)|n_1, n_2> = phases[0]^n_1 phases[1]^n_2 |n_1, n_2>, the mode axes
+    then swapped if perm swaps the modes: no truncation error at all.
     """
     n = np.arange(config.dim_per_mode)
-    phase = reduce(np.multiply.outer, [p**n for p in phases])
+    phase = np.multiply.outer(phases[0] ** n, phases[1] ** n)
     phase.flags.writeable = False
-    m = config.modes  # mode axes are the last m; input axis k goes to perm[k]
-    target = tuple(int(p) - m for p in perm)
-    return lambda t: np.moveaxis(phase * t, range(-m, 0), target)
+    swap = perm[0] == 1
+    return lambda t: (phase * t).swapaxes(-2, -1) if swap else phase * t
 
 
 def _sector_unitary(h, config):
@@ -223,19 +220,19 @@ def _sector_unitary(h, config):
 
 
 def passive_gaussian_unitary(u, config):
-    """Second quantization of a U(m) mode rotation: pi(U)|alpha> = |U alpha>.
+    """Second quantization of a U(2) mode rotation: pi(U)|alpha> = |U alpha>.
 
     Returns pi(U) as a function on amplitude tensors (see the module
-    docstring).  Generalized permutation matrices are lifted exactly on any
-    number of modes.  Any other unitary must act on two modes; it is built
-    by exponentiating the quadratic Hamiltonian sum_jk h_jk a_j^dag a_k one
-    total-number sector at a time.  That route is exact on sectors that fit
-    under the per-mode cutoff; the corner sectors N > cutoff carry a small
-    truncation error and depend on h itself, not only on U.  Such a U is
-    normal with distinct eigenvalues w, so the QR of its eigenvectors is an
-    orthonormal eigenbasis Q, and h = Q diag(angle(w)) Q^dag: the principal
-    logarithm, with angle(w) in [-pi, pi] as the sign of the computed
-    imaginary part of w decides (an eigenvalue -1 - 1e-17i gives -pi).
+    docstring).  Generalized permutation matrices are lifted exactly.  Any
+    other unitary is built by exponentiating the quadratic Hamiltonian
+    sum_jk h_jk a_j^dag a_k one total-number sector at a time.  That route is
+    exact on sectors that fit under the per-mode cutoff; the corner sectors
+    N > cutoff carry a small truncation error and depend on h itself, not
+    only on U.  Such a U is normal with distinct eigenvalues w, so the QR of
+    its eigenvectors is an orthonormal eigenbasis Q, and
+    h = Q diag(angle(w)) Q^dag: the principal logarithm, with angle(w) in
+    [-pi, pi] as the sign of the computed imaginary part of w decides (an
+    eigenvalue -1 - 1e-17i gives -pi).
 
     The lift is memoized on the exact bytes of the complex-cast U and
     ``config``, keeping the 32 latest lifts read-only: a sector lift holds
@@ -247,35 +244,33 @@ def passive_gaussian_unitary(u, config):
     on every call.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (config.modes, config.modes):
-        raise ValueError("matrix dimension does not match mode count")
+    if u.shape != (2, 2):
+        raise ValueError("matrix dimension must be 2 x 2")
     return _lift(u.tobytes(), config)
 
 
 @memoized(LIFT_MEMO_SIZE)
 def _lift(u_bytes, config):
     """pi(U) for the unitary U whose complex128 bytes (C order) are ``u_bytes``."""
-    u = np.frombuffer(u_bytes, dtype=complex).reshape(config.modes, config.modes)
-    if not np.linalg.norm(u.conj().T @ u - np.eye(config.modes)) <= 1e-10:
+    u = np.frombuffer(u_bytes, dtype=complex).reshape(2, 2)
+    if not np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-10:
         raise ValueError("mode transformation must be unitary")
     monomial = _monomial_structure(u)
     if monomial is not None:
         return _monomial_unitary(*monomial, config)
-    if config.modes != 2:
-        raise ValueError("a non-monomial mode transformation needs exactly two modes")
     vals, vecs = np.linalg.eig(u)
     q, _ = np.linalg.qr(vecs)
     return _sector_unitary((q * np.angle(vals)) @ q.conj().T, config)
 
 
 def number_diagonal_operator(phases, config):
-    """Diagonal unitary multiplying |n_1, ..., n_modes> by phases[n_1, ..., n_modes].
+    """Diagonal unitary multiplying |n_1, n_2> by phases[n_1, n_2].
 
-    ``phases`` broadcasts to ``(d,) * modes``, so a 1-d profile acts on the
-    last mode; every entry must be unimodular (a NaN entry is not).  The
+    ``phases`` broadcasts to (d, d), so a 1-d profile acts on the second
+    mode; every entry must be unimodular (a NaN entry is not).  The
     operator holds a read-only view of ``phases``.
     """
-    values = np.broadcast_to(phases, (config.dim_per_mode,) * config.modes)
+    values = np.broadcast_to(phases, (config.dim_per_mode,) * 2)
     if not np.max(np.abs(np.abs(values) - 1.0)) <= 1e-12:
         raise ValueError("diagonal entries must be unimodular")
     return lambda t: values * t
@@ -283,7 +278,7 @@ def number_diagonal_operator(phases, config):
 
 @memoized(LADDER_MEMO_SIZE)
 def annihilation_operator(mode, config, power=1):
-    """a^power of one mode, as a function on amplitude tensors.
+    """a^power of mode 0 or 1, as a function on amplitude tensors.
 
     out[n] = sqrt((n + power)! / n!) t[n + power], written by one
     slice-and-multiply into a zeroed output, so the top ``power`` levels of
@@ -294,13 +289,13 @@ def annihilation_operator(mode, config, power=1):
     however often ``power=2`` was built; the 32 latest operators are kept,
     their coefficients read-only.
     """
-    if not _integer_at_least(mode, 0) or mode >= config.modes:
+    if not _integer_at_least(mode, 0) or mode > 1:
         raise ValueError("invalid mode index")
     if not _integer_at_least(power, 1):
         raise ValueError("power must be an integer >= 1")
     keep = max(config.dim_per_mode - power, 0)
     product = np.prod(np.arange(1.0, keep + 1)[:, None] + np.arange(power), axis=1)
-    after = (slice(None),) * (config.modes - 1 - mode)  # the axes of the later modes
+    after = (slice(None),) * (1 - mode)  # the second mode's axis, for mode 0
     root = np.sqrt(product).reshape((-1,) + (1,) * len(after))  # along the mode's axis
     root.flags.writeable = False
     low = (Ellipsis, slice(0, keep)) + after

@@ -86,7 +86,13 @@ def test_analytic_matches_fock_property(name, alpha, gamma, phi):
     check_analytic_matches_fock(name, alpha, gamma, phi)
 
 
-def reference_kraus_images(code, gamma, env_floor=1e-13):
+# Both routes at one floor, which keeps 7 of 8 environment states at gamma =
+# 1e-3; the library's lower ENV_FLOOR keeps 8 and is cross-checked against the
+# analytic route in test_analytic_matches_fock_property.
+REFERENCE_ENV_FLOOR = 1e-13
+
+
+def reference_kraus_images(code, gamma):
     """Kraus images by the direct d^5 route: one beamsplitter application per
     input photon number, then four-index contractions with the two-mode
     environment basis.  Returns the images and the pseudo-inverse's gain
@@ -94,9 +100,8 @@ def reference_kraus_images(code, gamma, env_floor=1e-13):
     config = code.config
     d = config.dim_per_mode
     n = code.constellation.group.order
-    pair = FockConfig(2, config.cutoff)
     t, r = np.sqrt(1.0 - gamma), np.sqrt(gamma)
-    bs = passive_gaussian_unitary(np.array([[t, -r], [r, t]]), pair)
+    bs = passive_gaussian_unitary(np.array([[t, -r], [r, t]]), config)
     inputs = np.zeros((d, d, d), dtype=complex)  # inputs[n] = |n>|0>
     inputs[np.arange(d), np.arange(d), 0] = 1.0
     b = np.stack([bs(vac) for vac in inputs], axis=-1)
@@ -108,7 +113,7 @@ def reference_kraus_images(code, gamma, env_floor=1e-13):
     )
     env_gram = env_amps.conj() @ env_amps.T
     env_inv_sqrt = hermitian_inv_sqrt(
-        (env_gram + env_gram.conj().T) / 2, floor=env_floor, pseudo=True
+        (env_gram + env_gram.conj().T) / 2, floor=REFERENCE_ENV_FLOOR, pseudo=True
     ).inv_sqrt
     env_tensors = (env_inv_sqrt.T @ env_amps).reshape(n, d, d)
     images = []
@@ -122,15 +127,13 @@ def reference_kraus_images(code, gamma, env_floor=1e-13):
 @pytest.mark.parametrize("gamma", [1e-3, 1e-2, 5e-2])
 @pytest.mark.parametrize("phi", [np.pi / 2, 1.0], ids=["phi-pi/2", "phi1.0"])
 @pytest.mark.parametrize("name", ["d8", "q8"])
-def test_kraus_images_match_direct_reference(name, phi, gamma):
+def test_kraus_images_match_direct_reference(name, phi, gamma, monkeypatch):
     group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
     fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
     # cutoff 10 holds coherent amplitude 0.6 within the 1e-12 tail audit
     code = fc.code_basis(fc.make_constellation(group, 0.6, phi, cutoff=10), fourier)
-    # both routes at one floor, which keeps 7 of 8 environment states at
-    # gamma = 1e-3; the library's lower default keeps 8 and is cross-checked
-    # against the analytic route in test_analytic_matches_fock_property
-    images = fc.qec_matrix_fock(code, gamma, env_floor=1e-13).extras["kraus_images"]
+    monkeypatch.setattr(fc.channels, "ENV_FLOOR", REFERENCE_ENV_FLOOR)
+    images = fc.qec_matrix_fock(code, gamma).extras["kraus_images"]
     reference, gain = reference_kraus_images(code, gamma)
     assert images.shape == reference.shape == (4, 8, 11, 11)
     # The orthonormalizing pseudo-inverse multiplies roundoff by its gain,
@@ -142,11 +145,12 @@ def test_kraus_images_match_direct_reference(name, phi, gamma):
 @pytest.mark.parametrize("gamma", [1e-3, 1e-2, 5e-2])
 @pytest.mark.parametrize("phi", [np.pi / 2, 1.0], ids=["phi-pi/2", "phi1.0"])
 @pytest.mark.parametrize("name", ["d8", "q8"])
-def test_env_gain_matches_direct_reference(name, phi, gamma):
+def test_env_gain_matches_direct_reference(name, phi, gamma, monkeypatch):
     group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
     fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
     code = fc.code_basis(fc.make_constellation(group, 0.6, phi, cutoff=10), fourier)
-    gain = fc.qec_matrix_fock(code, gamma, env_floor=1e-13).extras["env_gain"]
+    monkeypatch.setattr(fc.channels, "ENV_FLOOR", REFERENCE_ENV_FLOOR)
+    gain = fc.qec_matrix_fock(code, gamma).extras["env_gain"]
     _, reference = reference_kraus_images(code, gamma)
     assert abs(gain - reference) < 1e-4 * reference
 
@@ -157,7 +161,7 @@ def test_closed_form_loss_amplitudes_match_sector_lift(cutoff, gamma):
     # the lifted beamsplitter applied to sum_n |n, 0>, gathered as B[P, a - P]
     d = cutoff + 1
     t, r = np.sqrt(1.0 - gamma), np.sqrt(gamma)
-    bs = passive_gaussian_unitary(np.array([[t, -r], [r, t]]), FockConfig(2, cutoff))
+    bs = passive_gaussian_unitary(np.array([[t, -r], [r, t]]), FockConfig(cutoff))
     inputs = np.zeros((d, d), dtype=complex)
     inputs[:, 0] = 1.0
     lifted = bs(inputs)

@@ -347,6 +347,11 @@ BIG_INT = "1" + "0" * 400  # a JSON integer beyond float range
         pytest.param(["sweep-alpha", "--grid", "1.0:1.1:0.04"], None, id="grid-step-half-way"),
         pytest.param(["sweep-alpha", "--grid", "1.2:1.3:0.2"], None, id="grid-step-over-span"),
         pytest.param(["sweep-gamma", "--grid", "1e-3:1e-1:5:junk"], None, id="log-grid-extra-field"),
+        # a one-point log grid once dropped its stop value, a repeated one wrote one point thrice
+        pytest.param(["sweep-gamma", "--grid", "1e-3:1e-1:1"], None, id="log-grid-one-point-span"),
+        pytest.param(["sweep-gamma", "--grid", "1e-1:1e-1:3"], None, id="log-grid-repeated-point"),
+        pytest.param(["sweep-gamma"], '{"grid": "1e-3:1e-1:1"}', id="config-log-grid-one-point-span"),
+        pytest.param(["sweep-gamma"], '{"grid": "1e-1:1e-1:3"}', id="config-log-grid-repeated-point"),
         pytest.param(["verify"], '{"alpha": "abc"}', id="config-alpha-text"),
         pytest.param(["verify"], '{"alpha": null}', id="config-alpha-null"),
         pytest.param(["verify"], '{"phi": NaN}', id="config-phi-nan"),

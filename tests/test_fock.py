@@ -29,9 +29,9 @@ ALPHA_STAR = np.sqrt(np.pi / 2)
 
 def random_state(cfg, seed):
     rng = np.random.default_rng(seed)
-    dim = cfg.dim_per_mode**cfg.modes
+    dim = cfg.dim_per_mode**2
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return (amps / np.linalg.norm(amps)).reshape((cfg.dim_per_mode,) * cfg.modes)
+    return (amps / np.linalg.norm(amps)).reshape((cfg.dim_per_mode,) * 2)
 
 
 def destroy(cutoff):
@@ -41,7 +41,7 @@ def destroy(cutoff):
 def dense_mode_op(single, mode, cfg):
     """Dense reference: a single-mode matrix on one mode of a small space."""
     eye = np.eye(cfg.dim_per_mode)
-    return reduce(np.kron, [single if k == mode else eye for k in range(cfg.modes)])
+    return np.kron(single, eye) if mode == 0 else np.kron(eye, single)
 
 
 def test_coherent_state_normalized():
@@ -89,17 +89,16 @@ def test_coherent_amplitudes_reject_non_finite(bad):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: FockConfig(2, 25.5), "integers >= 1"),
-        (lambda: FockConfig(2, 25.0), "integers >= 1"),
-        (lambda: FockConfig(2, True), "integers >= 1"),
-        (lambda: FockConfig(True, 5), "integers >= 1"),
+        (lambda: FockConfig(25.5), "cutoff must be an integer >= 1"),
+        (lambda: FockConfig(25.0), "cutoff must be an integer >= 1"),
+        (lambda: FockConfig(True), "cutoff must be an integer >= 1"),
         (lambda: coherent_amplitudes(0.5, 10.0), "cutoff must be an integer"),
         (lambda: coherent_state(0.5, -1), "cutoff must be an integer"),
         (lambda: coherent_product([0.5, 0.2j], 12.5), "cutoff must be an integer"),
         (lambda: cat_state(1.0, 0, True), "cutoff must be an integer"),
-        (lambda: annihilation_operator(True, FockConfig(3, 4)), "mode index"),
+        (lambda: annihilation_operator(True, FockConfig(4)), "mode index"),
     ],
-    ids=["config-cutoff-half", "config-cutoff-float", "config-cutoff-bool", "config-modes-bool",
+    ids=["config-cutoff-half", "config-cutoff-float", "config-cutoff-bool",
          "amplitudes-float", "state-negative", "product-half", "cat-bool", "ladder-mode-bool"],
 )
 def test_sizes_and_indices_must_be_integers(build, message):
@@ -109,20 +108,30 @@ def test_sizes_and_indices_must_be_integers(build, message):
 
 
 def test_numpy_integer_sizes_stay_valid():
-    cfg = FockConfig(np.int64(2), np.int32(12))
+    cfg = FockConfig(np.int32(12))
     assert cfg.dim_per_mode == 13
     assert coherent_amplitudes(0.5, np.int64(12)).shape == (13,)
     lowered = annihilation_operator(np.int64(1), cfg, np.int64(2))(np.ones((13, 13)))
     assert lowered[0, 0] == np.sqrt(2)
 
 
+def test_two_mode_contracts():
+    # the old (modes, cutoff) form fails loudly instead of reading cutoff 2
+    with pytest.raises(TypeError):
+        FockConfig(2, 5)
+    for alphas in ([0.5], [0.5, 0.2j, 1.0], 0.5):
+        with pytest.raises(ValueError, match="exactly two amplitudes"):
+            coherent_product(alphas, 10)
+
+
 def test_coherent_is_destroy_eigenstate():
-    cfg = FockConfig(1, 40)
-    alpha = 1.1
-    state = coherent_state(alpha, 40)
-    image = annihilation_operator(0, cfg)(state)
-    assert infidelity(normalize(image), state) < 1e-12
-    assert abs(np.linalg.norm(image) - abs(alpha)) < 1e-10
+    cfg = FockConfig(40)
+    alphas = (1.1, 0.4j)
+    state = coherent_product(alphas, 40)
+    for mode, alpha in enumerate(alphas):
+        image = annihilation_operator(mode, cfg)(state)
+        assert infidelity(normalize(image), state) < 1e-12
+        assert abs(np.linalg.norm(image) - abs(alpha)) < 1e-10
 
 
 def test_cat_state_parity_support():
@@ -149,7 +158,7 @@ def test_cat_overlaps_at_special_alpha():
 
 
 def test_passive_unitary_moves_coherent_states():
-    cfg = FockConfig(2, 25)
+    cfg = FockConfig(25)
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     vec = np.array([0.8, 0.3j])
     op = passive_gaussian_unitary(h, cfg)
@@ -159,7 +168,7 @@ def test_passive_unitary_moves_coherent_states():
 
 
 def test_monomial_unitary_is_exact_swap():
-    cfg = FockConfig(2, 5)
+    cfg = FockConfig(5)
     swap = passive_gaussian_unitary(np.array([[0.0, 1.0], [1.0, 0.0]]), cfg)
     amps = np.zeros((6, 6), dtype=complex)
     amps[4, 1] = 1.0
@@ -168,7 +177,7 @@ def test_monomial_unitary_is_exact_swap():
 
 
 def test_monomial_unitary_phases():
-    cfg = FockConfig(2, 7)
+    cfg = FockConfig(7)
     op = passive_gaussian_unitary(np.diag([1.0, -1.0]), cfg)
     state = random_state(cfg, 1)
     want = dense_mode_op(np.diag((-1.0) ** np.arange(8)), 1, cfg) @ state.ravel()
@@ -225,7 +234,7 @@ def test_sector_unitary_matches_dense_reference(u):
     # cutoffs 1-3 are the edge cases of the packed rows (one or two sectors
     # of length 1 and 0)
     for cutoff in (1, 2, 3, 7):
-        cfg = FockConfig(2, cutoff)
+        cfg = FockConfig(cutoff)
         state = random_state(cfg, 5)
         got = passive_gaussian_unitary(u, cfg)(state).ravel()
         want = dense_passive_unitary(u, cfg) @ state.ravel()
@@ -234,7 +243,7 @@ def test_sector_unitary_matches_dense_reference(u):
 
 def test_sector_unitary_keeps_a_corner_sector_exactly():
     # all amplitude in N = cutoff + 2, which shares its packed row with N = 1
-    cfg = FockConfig(2, 7)
+    cfg = FockConfig(7)
     n = np.add.outer(np.arange(8), np.arange(8))
     rng = np.random.default_rng(11)
     amps = np.where(n == cfg.cutoff + 2, rng.normal(size=(8, 8)) + 1j, 0.0)
@@ -247,7 +256,7 @@ def test_sector_unitary_keeps_a_corner_sector_exactly():
 
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["single", "stack", "grid"])
 def test_sector_unitary_maps_any_leading_batch(lead):
-    cfg = FockConfig(2, 5)
+    cfg = FockConfig(5)
     rng = np.random.default_rng(12)
     shape = lead + (6, 6)
     batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -311,7 +320,7 @@ def test_blocked_sector_lift_matches_one_batch_byte_for_byte(u):
     h = mode_hamiltonian(np.asarray(u, dtype=complex))
     rng = np.random.default_rng(15)
     for cutoff in (7, 25, 40):
-        cfg = FockConfig(2, cutoff)
+        cfg = FockConfig(cutoff)
         d = cfg.dim_per_mode
         batch = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
         got = fock._sector_unitary(h, cfg)(batch)
@@ -321,7 +330,7 @@ def test_blocked_sector_lift_matches_one_batch_byte_for_byte(u):
 def test_sector_lift_holds_no_work_stack_of_its_size():
     # one (d, d, d) work stack beside the lift would put the peak above 2x
     # what the lift keeps; the blocked build peaks at 1.22x at cutoff 60
-    cfg = FockConfig(2, 60)
+    cfg = FockConfig(60)
     h = mode_hamiltonian(HADAMARD.astype(complex))
     kept = []
     peak, retained = traced(lambda: kept.append(fock._sector_unitary(h, cfg)))
@@ -332,11 +341,13 @@ def test_sector_lift_holds_no_work_stack_of_its_size():
 def test_non_monomial_unitary_needs_two_modes():
     u = np.eye(3, dtype=complex)
     u[:2, :2] = HADAMARD
-    for _ in range(2):  # the memo caches no failed lift
-        with pytest.raises(ValueError, match="two modes"):
-            passive_gaussian_unitary(u, FockConfig(3, 3))
-    # a monomial one is still lifted on any mode count
-    passive_gaussian_unitary(np.roll(np.eye(3), 1, axis=0), FockConfig(3, 3))
+    # a monomial 3 x 3 unitary is no longer lifted on a third mode either
+    for unitary in (u, np.roll(np.eye(3), 1, axis=0)):
+        misses = fock._lift.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(ValueError, match="2 x 2"):
+                passive_gaussian_unitary(unitary, FockConfig(3))
+        assert fock._lift.cache_info().misses == misses  # rejected before the memo
 
 
 def test_passive_unitary_rejects_nonunitary():
@@ -344,7 +355,7 @@ def test_passive_unitary_rejects_nonunitary():
     for u in ([[1.0, 0.0], [0.0, 2.0]], [[np.nan, 0.0], [0.0, 1.0]], [[0.0, np.nan], [1.0, 0.0]]):
         for _ in range(2):  # a U that fails validation is never memoized
             with pytest.raises(ValueError, match="unitary"):
-                passive_gaussian_unitary(np.array(u), FockConfig(2, 5))
+                passive_gaussian_unitary(np.array(u), FockConfig(5))
 
 
 def test_passive_lift_is_memoized(monkeypatch):
@@ -352,7 +363,7 @@ def test_passive_lift_is_memoized(monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     rng = np.random.default_rng(8)
-    cfg = FockConfig(2, 6)
+    cfg = FockConfig(6)
     batch = rng.normal(size=(3, 7, 7)) + 1j * rng.normal(size=(3, 7, 7))
     for u, solves in ((COMPLEX_U2, [(7, 7, 7)]), (np.array([[0.0, 1.0], [1j, 0.0]]), [])):
         fock._lift.cache_clear()
@@ -368,30 +379,22 @@ def test_passive_lift_is_memoized(monkeypatch):
 
 
 def test_passive_lift_memo_misses_on_any_key_change():
-    cfg = FockConfig(2, 7)
+    cfg = FockConfig(7)
     state = random_state(cfg, 9)
     nudged = HADAMARD.astype(complex)
     nudged[0, 1] = np.nextafter(nudged[0, 1].real, 1.0)  # one ulp
     fock._lift.cache_clear()
     passive_gaussian_unitary(HADAMARD, cfg)
-    for u, c in ((nudged, cfg), (HADAMARD, FockConfig(2, 6))):
+    for u, c in ((nudged, cfg), (HADAMARD, FockConfig(6))):
         misses = fock._lift.cache_info().misses
         vec = state[: c.dim_per_mode, : c.dim_per_mode].ravel()
         got = passive_gaussian_unitary(u, c)(vec.reshape((c.dim_per_mode,) * 2)).ravel()
         assert fock._lift.cache_info().misses == misses + 1
         assert np.linalg.norm(got - dense_passive_unitary(u, c) @ vec) < 1e-12
-    # the same diagonal phases on a third mode
-    cfg3 = FockConfig(3, 7)
-    passive_gaussian_unitary(np.diag([1j, -1.0]), cfg)
-    misses = fock._lift.cache_info().misses
-    got = passive_gaussian_unitary(np.diag([1j, -1.0, 1.0]), cfg3)(np.ones((8, 8, 8)))
-    assert fock._lift.cache_info().misses == misses + 1
-    n = np.arange(8)
-    assert np.array_equal(got, np.multiply.outer(np.multiply.outer(1j**n, (-1.0) ** n), n**0))
 
 
 def test_passive_lift_memo_stays_bounded():
-    cfg = FockConfig(2, 3)
+    cfg = FockConfig(3)
     maxsize = fock._lift.cache_info().maxsize
     for theta in np.linspace(0.1, 1.4, maxsize + 5):
         c, s = np.cos(theta), np.sin(theta)
@@ -400,7 +403,7 @@ def test_passive_lift_memo_stays_bounded():
 
 
 def test_number_diagonal_operator_unimodular_check():
-    cfg = FockConfig(2, 5)
+    cfg = FockConfig(5)
     n = np.arange(6)
     op = number_diagonal_operator((-1.0) ** np.outer(n, n), cfg)
     dense = np.diag(((-1.0) ** np.outer(n, n)).ravel())
@@ -417,7 +420,7 @@ def test_number_diagonal_operator_unimodular_check():
 
 
 def test_mode_operators_commute_across_modes():
-    cfg = FockConfig(2, 6)
+    cfg = FockConfig(6)
     state = random_state(cfg, 3)
     a = destroy(cfg.cutoff)
     a1_dense, a2_dense = dense_mode_op(a, 0, cfg), dense_mode_op(a, 1, cfg)
@@ -485,7 +488,7 @@ def test_hermitian_inv_sqrt_gain_is_the_spectral_norm(dropped):
 
 
 def test_operator_composition_and_dagger():
-    cfg = FockConfig(2, 7)
+    cfg = FockConfig(7)
     state = random_state(cfg, 4)
     # <psi|a^dag a|psi> = ||a psi||^2 is the mean photon number of the mode
     n = np.arange(8.0)
@@ -507,19 +510,18 @@ def test_operator_composition_and_dagger():
 
 def test_operators_map_a_batch_as_each_member():
     rng = np.random.default_rng(6)
-    cfg2, cfg3 = FockConfig(2, 5), FockConfig(3, 3)
+    cfg = FockConfig(5)
     n = np.arange(6)
-    cyclic = np.array([[0.0, 0.0, 1j], [-1.0, 0.0, 0.0], [0.0, np.exp(0.3j), 0.0]])
-    cases = [  # (operator, config, exact)
-        (passive_gaussian_unitary(cyclic, cfg3), cfg3, True),
-        (number_diagonal_operator(np.exp(0.7j * np.outer(n, n**2)), cfg2), cfg2, True),
-        (passive_gaussian_unitary(COMPLEX_U2, cfg2), cfg2, False),
-        (annihilation_operator(0, cfg2), cfg2, True),
-        (annihilation_operator(1, cfg2), cfg2, True),
-        (annihilation_operator(1, cfg3), cfg3, True),
+    phased_swap = np.array([[0.0, 1j], [np.exp(0.3j), 0.0]])
+    cases = [  # (operator, exact)
+        (passive_gaussian_unitary(phased_swap, cfg), True),
+        (number_diagonal_operator(np.exp(0.7j * np.outer(n, n**2)), cfg), True),
+        (passive_gaussian_unitary(COMPLEX_U2, cfg), False),
+        (annihilation_operator(0, cfg), True),
+        (annihilation_operator(1, cfg), True),
     ]
-    for op, cfg, exact in cases:
-        shape = (4,) + (cfg.dim_per_mode,) * cfg.modes
+    shape = (4, 6, 6)
+    for op, exact in cases:
         batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         got = op(batch)
         want = np.array([op(member) for member in batch])
@@ -529,52 +531,50 @@ def test_operators_map_a_batch_as_each_member():
         else:  # one matmul per sector block; BLAS may sum in another order
             assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(batch))
     with pytest.raises(ValueError, match="mode index"):
-        annihilation_operator(2, cfg2)
+        annihilation_operator(2, cfg)
 
 
 def roll_lower(t, mode, cfg):
     """One step of a on ``mode`` by a cyclic shift, as the operator once did it."""
     d = cfg.dim_per_mode
-    root = np.append(np.sqrt(np.arange(1, d)), 0.0).reshape((-1,) + (1,) * (cfg.modes - 1 - mode))
-    return root * np.roll(t, -1, axis=mode - cfg.modes)
+    root = np.append(np.sqrt(np.arange(1, d)), 0.0).reshape((-1,) + (1,) * (1 - mode))
+    return root * np.roll(t, -1, axis=mode - 2)
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 7])
-@pytest.mark.parametrize("modes", [1, 2])
-def test_ladder_step_is_bit_identical_to_the_roll(modes, cutoff):
-    rng = np.random.default_rng(10 * modes + cutoff)
-    cfg = FockConfig(modes, cutoff)
-    shape = (3, 2) + (cfg.dim_per_mode,) * modes
+@pytest.mark.parametrize("mode", [0, 1], ids=["mode0", "mode1"])
+def test_ladder_step_is_bit_identical_to_the_roll(mode, cutoff):
+    rng = np.random.default_rng(20 + cutoff)
+    cfg = FockConfig(cutoff)
+    shape = (3, 2) + (cfg.dim_per_mode,) * 2
     batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    for mode in range(modes):
-        got = annihilation_operator(mode, cfg)(batch)
-        want = roll_lower(batch, mode, cfg)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        # equal everywhere and the same bits below the top level, where the
-        # roll multiplies a wrapped amplitude by 0 and its zero may carry a sign
-        assert np.array_equal(got, want)
-        below = np.moveaxis(got, mode - modes, 0)[:-1]
-        assert below.tobytes() == np.moveaxis(want, mode - modes, 0)[:-1].tobytes()
+    got = annihilation_operator(mode, cfg)(batch)
+    want = roll_lower(batch, mode, cfg)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    # equal everywhere and the same bits below the top level, where the
+    # roll multiplies a wrapped amplitude by 0 and its zero may carry a sign
+    assert np.array_equal(got, want)
+    below = np.moveaxis(got, mode - 2, 0)[:-1]
+    assert below.tobytes() == np.moveaxis(want, mode - 2, 0)[:-1].tobytes()
 
 
 @pytest.mark.parametrize("power", [2, 4])
-@pytest.mark.parametrize("cfg", [FockConfig(1, 7), FockConfig(2, 7), FockConfig(2, 3), FockConfig(3, 5)],
-                         ids=lambda c: f"{c.modes}x{c.cutoff}")
-def test_ladder_power_is_the_composed_steps(cfg, power):
+@pytest.mark.parametrize("cfg", [FockConfig(7), FockConfig(3)], ids=lambda c: f"2x{c.cutoff}")
+@pytest.mark.parametrize("mode", [0, 1], ids=["mode0", "mode1"])
+def test_ladder_power_is_the_composed_steps(mode, cfg, power):
     rng = np.random.default_rng(power)
-    shape = (2,) + (cfg.dim_per_mode,) * cfg.modes
+    shape = (2,) + (cfg.dim_per_mode,) * 2
     batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    for mode in range(cfg.modes):
-        step = annihilation_operator(mode, cfg)
-        got = annihilation_operator(mode, cfg, power)(batch)
-        want = reduce(lambda t, _: step(t), range(power), batch)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        top = np.moveaxis(got, mode - cfg.modes, 0)[max(cfg.dim_per_mode - power, 0):]
-        assert top.size and not np.any(top)
+    step = annihilation_operator(mode, cfg)
+    got = annihilation_operator(mode, cfg, power)(batch)
+    want = reduce(lambda t, _: step(t), range(power), batch)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    top = np.moveaxis(got, mode - 2, 0)[max(cfg.dim_per_mode - power, 0):]
+    assert top.size and not np.any(top)
 
 
 def test_ladder_power_must_be_a_positive_integer():
-    cfg = FockConfig(2, 4)
+    cfg = FockConfig(4)
     for power in (0, -1, 1.0, 2.5, "2", None, True):
         with pytest.raises(ValueError, match="power"):
             annihilation_operator(0, cfg, power)
@@ -587,7 +587,7 @@ def test_infidelity_does_not_cancel():
     eps = 1e-9
     got = infidelity(np.array([np.cos(eps), np.sin(eps)]), np.array([1.0, 0.0]))
     assert got == pytest.approx(eps**2 / 2, rel=1e-6)
-    state = random_state(FockConfig(2, 6), 7)
+    state = random_state(FockConfig(6), 7)
     assert 0.0 <= infidelity(state, np.exp(0.3j) * state) <= 1e-30
     # orthogonal states are a full unit apart, whatever their norms
     assert infidelity(np.eye(3)[0], 2j * np.eye(3)[1]) == 1.0

@@ -111,7 +111,7 @@ def test_parity_tables_are_exact_at_every_cutoff():
     rng = np.random.default_rng(7)
     for d in range(2, 62):
         amps = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
-        code = SimpleNamespace(alpha=1.0, config=FockConfig(2, d - 1), amplitudes=amps)
+        code = SimpleNamespace(alpha=1.0, config=FockConfig(d - 1), amplitudes=amps)
         n = np.arange(d)
         c = np.einsum("iab,jab->ijb", amps.conj(), amps).reshape(16, d)
         pairs = ((c @ ((-1.0) ** np.outer(n, n))) @ c.T).reshape(4, 4, 4, 4)

@@ -19,7 +19,7 @@ from fouriercat import channels, cli, encoding, fock, gates, groups
 from fouriercat.fock import FockConfig, annihilation_operator, passive_gaussian_unitary
 from fouriercat.groups import HADAMARD
 
-CFG = FockConfig(2, 9)
+CFG = FockConfig(9)
 
 
 def held_arrays(obj):
@@ -34,7 +34,7 @@ def held_arrays(obj):
 
 BUILDS = {
     "ladder": lambda: annihilation_operator(1, CFG, 2),
-    "ladder-3-modes": lambda: annihilation_operator(0, FockConfig(3, 4)),
+    "ladder-mode-0": lambda: annihilation_operator(0, CFG),
     "sector-lift": lambda: passive_gaussian_unitary(HADAMARD, CFG),
     "monomial-lift": lambda: passive_gaussian_unitary(np.array([[0.0, 1j], [1.0, 0.0]]), CFG),
     "loss-tables": lambda: channels._loss_tables(CFG.dim_per_mode),
@@ -101,7 +101,7 @@ def test_memo_hit_skips_the_unitarity_check(monkeypatch):
 # (memo, its bound, the k-th of a run of distinct calls)
 MEMOS = {
     "ladder": (fock.annihilation_operator, fock.LADDER_MEMO_SIZE,
-               lambda k: annihilation_operator(k % 2, FockConfig(2, 1 + k // 2))),
+               lambda k: annihilation_operator(k % 2, FockConfig(1 + k // 2))),
     "loss-tables": (channels._loss_tables, channels.LOSS_MEMO_SIZE,
                     lambda k: channels._loss_tables(2 + k)),
 }
