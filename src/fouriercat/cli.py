@@ -33,6 +33,7 @@ from .encoding import (
     make_constellation,
 )
 from .fock import (
+    DEFAULT_CUTOFF,
     SingularGramError,
     StarvedTailError,
     overlap_matrix,
@@ -88,7 +89,7 @@ DEFAULTS = {
     "alpha": ALPHA_STAR,
     "phi": math.pi / 2,
     "gamma": 0.01,
-    "cutoff": 25,
+    "cutoff": DEFAULT_CUTOFF,
     "format": "csv",
     "out": None,
     "grid": None,

@@ -11,21 +11,19 @@ per process.  ``constellation_from_vector`` (and through it
 ``make_constellation`` and ``deform_constellation``) is memoized on the
 group object, the bytes of the complex alpha vector and the cutoff;
 ``code_basis`` on its constellation and Fourier transform objects.  Each
-memo keeps its 8 latest results.  A constellation keeps only its
+keeps its ``CODE_MEMO_SIZE`` latest results.  A constellation keeps only its
 normalized per-mode coherent factors (``factors``, |G| x 2 x d); its
 (|G|, d, d) ``amplitudes`` are formed from them on each read.  A code basis
 keeps its amplitudes and its expansion over the constellation states
 (``coefficients``, 4 x |G|), so amplitudes[i] = sum_g coefficients[i, g]
 factors[g, 0] (x) factors[g, 1]; the Fock loss oracle contracts these
-instead of the (d, d) states.  A D8 or Q8 constellation retains about
-8 kB at cutoff 25 and 17 kB at cutoff 60, a code with its constellation
-about 53 kB and 0.26 MB, so the two memos hold at most 0.48 MB at cutoff 25
-and 2.2 MB at cutoff 60.
+instead of the (d, d) states.  A D8 or Q8 constellation retains about 8 kB
+at cutoff 25 and 17 kB at cutoff 60, a code with its constellation 53 kB
+and 0.26 MB, so the two memos hold at most 0.48 MB at 25 and 2.2 MB at 60.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -33,15 +31,15 @@ import numpy as np
 
 from .fock import (
     DEFAULT_CUTOFF,
+    GRAM_FLOOR,
     FockConfig,
     coherent_amplitudes,
     hermitian_inv_sqrt,
     normalize,
     overlap_matrix,
 )
-from .groups import memoized
+from .groups import _integer_at_least, memoized
 
-GRAM_FLOOR = 1e-12
 # Results kept by the constellation and code-basis memos.
 CODE_MEMO_SIZE = 8
 
@@ -148,11 +146,7 @@ def deform_constellation(constellation, u):
 
 def gram_matrix(constellation):
     """Fock-space Gram matrix of the constellation states (Hermitized)."""
-    return _gram(constellation.amplitudes)
-
-
-def _gram(states):
-    g = overlap_matrix(states, states)
+    g = overlap_matrix(constellation.amplitudes, constellation.amplitudes)
     return (g + g.conj().T) / 2
 
 
@@ -174,7 +168,7 @@ def code_basis(constellation, fourier):
     and coefficients are read-only.
     """
     states = constellation.amplitudes  # formed once, for the Gram matrix and the expansion
-    inv_sqrt = hermitian_inv_sqrt(_gram(states), floor=GRAM_FLOOR).inv_sqrt
+    inv_sqrt = hermitian_inv_sqrt(overlap_matrix(states, states)).inv_sqrt
     coeff = (inv_sqrt @ fourier.matrix.conj().T)[:, fourier.logical_rows]
     amps = np.tensordot(coeff.T, states, axes=1)
     norms = np.linalg.norm(amps, axis=(1, 2))
@@ -207,8 +201,6 @@ def gram_fourier_spectrum(gram, fourier):
 class CatQuditCode:
     """Single-mode d-dimensional cat code over the cyclic group Z_N."""
 
-    n: int
-    d: int
     alpha: float
     delta: np.ndarray
     codewords: np.ndarray  # (d, cutoff + 1), codeword k in row k
@@ -225,7 +217,7 @@ def cat_qudit(n, d, alpha, cutoff=None):
     DFT, but its Cayley table and character check cost O(N^3) time; this
     form costs O(N (d + cutoff)) and leaves the group memos alone.
     """
-    if not all(isinstance(k, numbers.Integral) and k >= 1 for k in (n, d)):
+    if not (_integer_at_least(n, 1) and _integer_at_least(d, 1)):
         raise ValueError("N and d must be positive integers")
     if n % d != 0:
         raise ValueError("d must divide N")
@@ -244,4 +236,4 @@ def cat_qudit(n, d, alpha, cutoff=None):
         raise ValueError("codeword numerically null")
     weights = w ** -np.outer(km, ls) / np.sqrt(n * delta[km])[:, None]
     codewords = normalize(weights @ coherent_amplitudes(w**ls * alpha, cutoff), axes=-1)
-    return CatQuditCode(n=n, d=d, alpha=alpha, delta=delta, codewords=codewords)
+    return CatQuditCode(alpha=alpha, delta=delta, codewords=codewords)

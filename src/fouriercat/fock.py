@@ -15,13 +15,12 @@ creep into downstream fidelity computations.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .groups import memoized
+from .groups import _integer_at_least, memoized
 
 DEFAULT_CUTOFF = 25
 TAIL_TOL = 1e-12
@@ -33,11 +32,6 @@ LADDER_MEMO_SIZE = 32
 # (d, d, d) complex stack they fill, and eight matrices per eigh and matmul
 # call keep the build as fast as one call over all d rows.
 _LIFT_BLOCK_ROWS = 8
-
-
-def _integer_at_least(n, low):
-    """True for an integer n >= low (numpy integers too), but not for a bool."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= low
 
 
 @dataclass(frozen=True)
@@ -180,10 +174,11 @@ def _sector_unitary(h, config):
     cutoff + 1 + r (k = r + 1..cutoff): element (r, k) is t[k, (r - k) mod d].
     Each row is one d x d matrix (its coupling at k = r vanishes), made real
     by the gauge |k> -> e^{ik arg h_01}|k> and exponentiated by eigh; a mask
-    to each row's two blocks keeps roundoff from coupling sectors.  The rows
-    are built ``_LIFT_BLOCK_ROWS`` at a time straight into the returned
-    stack; batched eigh and matmul act matrix by matrix, so the blocks give
-    the bytes one batch over all d rows would.
+    to each row's two blocks keeps roundoff from coupling sectors.  Rows are
+    built ``_LIFT_BLOCK_ROWS`` at a time into the returned stack, with the
+    bytes of one batch (batched eigh and matmul act matrix by matrix).  The
+    d eigh calls on d x d matrices cost O(d^4): 2.7 ms at cutoff 25, 28.5 ms
+    at 60 and 104 ms at 90 on one BLAS thread.
     """
     d = config.dim_per_mode
     k = np.arange(d)
@@ -235,13 +230,13 @@ def passive_gaussian_unitary(u, config):
     eigenvalue -1 - 1e-17i gives -pi).
 
     The lift is memoized on the exact bytes of the complex-cast U and
-    ``config``, keeping the 32 latest lifts read-only: a sector lift holds
-    d^3 complex numbers (0.28 MB at cutoff 25), so the memo holds at most
-    32 x 16 d^3 bytes, 9 MB at cutoff 25.  The shape of U is checked on
-    every call, ahead of the memo, since arrays of two shapes can share
-    their bytes; its unitarity is checked on a memo miss, and a U that
-    fails it (NaN entries included) is never memoized, so it raises again
-    on every call.
+    ``config``, keeping the ``LIFT_MEMO_SIZE`` latest lifts read-only: a
+    sector lift holds d^3 complex numbers (0.28 MB at cutoff 25), so the
+    memo holds at most ``LIFT_MEMO_SIZE`` x 16 d^3 bytes, 9 MB at cutoff
+    25.  The shape of U is checked on every call, ahead of the memo, since
+    arrays of two shapes can share their bytes; its unitarity is checked on
+    a memo miss, and a U that fails it (NaN entries included) is never
+    memoized, so it raises again on every call.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
@@ -286,8 +281,8 @@ def annihilation_operator(mode, config, power=1):
     exact integer products, so power 1 multiplies by sqrt(1..d-1) and
     power k agrees with k single steps to rounding.  Memoized on the
     arguments and their types, so ``power=2.0`` is its own key and raises
-    however often ``power=2`` was built; the 32 latest operators are kept,
-    their coefficients read-only.
+    however often ``power=2`` was built; the ``LADDER_MEMO_SIZE`` latest
+    operators are kept, their coefficients read-only.
     """
     if not _integer_at_least(mode, 0) or mode > 1:
         raise ValueError("invalid mode index")
@@ -308,6 +303,9 @@ def annihilation_operator(mode, config, power=1):
         return out
 
     return act
+
+
+GRAM_FLOOR = 1e-12  # hermitian_inv_sqrt's default floor, relative to the largest eigenvalue
 
 
 class SingularGramError(ValueError):
@@ -347,7 +345,7 @@ class MatrixRoots(NamedTuple):
     gain: float  # ||A^(-1/2)||_2, from the smallest kept eigenvalue
 
 
-def hermitian_inv_sqrt(a, floor=1e-12, pseudo=False):
+def hermitian_inv_sqrt(a, floor=GRAM_FLOOR, pseudo=False):
     """Inverse square root of a Hermitian PSD matrix by one eigendecomposition.
 
     Eigenvalues below ``floor`` times the largest one raise

@@ -15,13 +15,14 @@ which the tests check against this route.
 The construction layer is built once per process.  ``pauli_group()`` and
 ``quaternion_group()`` each return one shared instance; ``irrep_table`` is
 memoized on the group object and ``build_fourier_transform`` on the group
-and irrep tuple objects, each keeping its 16 latest results.  None of this
-depends on the Fock cutoff: D8 and Q8 with their tables retain 18 kB in
-all, and 16 cyclic groups of order 64 would retain 3.2 MB.
+and irrep tuple objects, each keeping its ``GROUP_MEMO_SIZE`` latest
+results.  None of this depends on the Fock cutoff: D8 and Q8 with their
+tables retain 18 kB in all, and a full memo of order-64 cyclic groups 3.2 MB.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from types import SimpleNamespace
@@ -72,6 +73,11 @@ def memoized(maxsize):
         return memo
 
     return decorate
+
+
+def _integer_at_least(n, low):
+    """The one size check: an integer n >= low (numpy integers too), but not a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= low
 
 
 def _is_unitary(u):
@@ -148,8 +154,8 @@ def generate_group(generators, max_order=64):
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not all(_is_unitary(g) for g in gens):
         raise ValueError("generator is not unitary")
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    if not _integer_at_least(max_order, 1):
+        raise ValueError("max_order must be an integer >= 1")
 
     gens = np.reshape(gens, (-1, 2, 2))
     mats = np.eye(2, dtype=complex)[None]
@@ -192,6 +198,8 @@ def quaternion_group():
 
 def cyclic_group(n):
     """Z_N realized as diag(1, w^k) with w = exp(2 pi i / N)."""
+    if not _integer_at_least(n, 1):
+        raise ValueError("N must be an integer >= 1")
     w = np.exp(2j * np.pi / n)
     return generate_group([np.diag([1.0, w]).astype(complex)], max_order=n)
 

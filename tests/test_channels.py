@@ -211,6 +211,13 @@ def test_petz_fidelity_ignores_null_space_roundoff(d8, d8_fourier, bump):
     assert abs(shift) < 1e-12
 
 
+def test_petz_rejects_a_negative_eigenvalue():
+    # -1e-6 lies below -1e-8 times the largest eigenvalue, 1
+    entries = np.diag(np.r_[1.0, np.zeros(14), -1e-6])
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        fc.petz_entanglement_fidelity(fc.QecMatrix(entries=entries))
+
+
 def test_fidelity_frozen_value(d8, d8_fourier):
     # cross-validated against an explicit Petz-map Kraus computation
     qec = fc.qec_matrix_analytic(d8, d8_fourier, ALPHA_STAR, 0.01)

@@ -216,13 +216,15 @@ def test_cat_qudit_rejects_bad_divisor():
         (-4, 2, 1.0, "positive integers"),
         (4.0, 2, 1.0, "positive integers"),
         (4, 0, 1.0, "positive integers"),
+        (True, 1, 1.0, "positive integers"),
+        (4, True, 1.0, "positive integers"),
         (4, 2, np.inf, "alpha must be positive"),
         (4, 2, np.nan, "alpha must be positive"),
         (4, 2, 1e200, "alpha must be positive"),
         (4, 2, np.float64(1e200), "alpha must be positive"),
     ],
-    ids=["n-zero", "n-negative", "n-float", "d-zero", "alpha-inf", "alpha-nan", "alpha-square-overflows",
-         "numpy-alpha-square-overflows"],
+    ids=["n-zero", "n-negative", "n-float", "d-zero", "n-bool", "d-bool", "alpha-inf", "alpha-nan",
+         "alpha-square-overflows", "numpy-alpha-square-overflows"],
 )
 def test_cat_qudit_rejects_bad_input_plainly(n, d, alpha, message):
     with pytest.raises(ValueError, match=message):

@@ -20,7 +20,7 @@ from fouriercat.fock import (
     number_diagonal_operator,
     passive_gaussian_unitary,
 )
-from fouriercat.groups import HADAMARD
+from fouriercat.groups import HADAMARD, PAULI_X, cyclic_group, generate_group
 
 from conftest import traced
 
@@ -97,12 +97,21 @@ def test_coherent_amplitudes_reject_non_finite(bad):
         (lambda: coherent_product([0.5, 0.2j], 12.5), "cutoff must be an integer"),
         (lambda: cat_state(1.0, 0, True), "cutoff must be an integer"),
         (lambda: annihilation_operator(True, FockConfig(4)), "mode index"),
+        (lambda: cyclic_group(0), "N must be an integer >= 1"),
+        (lambda: cyclic_group(-3), "N must be an integer >= 1"),
+        (lambda: cyclic_group(2.5), "N must be an integer >= 1"),
+        (lambda: cyclic_group(True), "N must be an integer >= 1"),
+        (lambda: generate_group([PAULI_X], max_order=2.5), "max_order must be an integer >= 1"),
+        (lambda: generate_group([PAULI_X], max_order=64.0), "max_order must be an integer >= 1"),
     ],
     ids=["config-cutoff-half", "config-cutoff-float", "config-cutoff-bool",
-         "amplitudes-float", "state-negative", "product-half", "cat-bool", "ladder-mode-bool"],
+         "amplitudes-float", "state-negative", "product-half", "cat-bool", "ladder-mode-bool",
+         "cyclic-zero", "cyclic-negative", "cyclic-float", "cyclic-bool", "max-order-half",
+         "max-order-float"],
 )
 def test_sizes_and_indices_must_be_integers(build, message):
-    # a float cutoff sized arange one level past it, and a bool counted as 0 or 1
+    # one rule, groups._integer_at_least, for every size: a float cutoff sized
+    # arange one level past it, a bool counted as 0 or 1, and Z_0 divided by zero
     with pytest.raises(ValueError, match=message):
         build()
 
@@ -113,6 +122,7 @@ def test_numpy_integer_sizes_stay_valid():
     assert coherent_amplitudes(0.5, np.int64(12)).shape == (13,)
     lowered = annihilation_operator(np.int64(1), cfg, np.int64(2))(np.ones((13, 13)))
     assert lowered[0, 0] == np.sqrt(2)
+    assert cyclic_group(np.int64(4)).order == 4
 
 
 def test_two_mode_contracts():

@@ -45,6 +45,24 @@ def test_cyclic_group():
     assert z8.is_abelian()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: fc.generate_group([2 * PAULI_X]), "generator is not unitary"),
+        (lambda: fc.generate_group([np.eye(3)]), "generator is not unitary"),
+        # <S, X> is non-abelian of order 32: neither Z_N nor Pauli-like of order 8
+        (lambda: fc.irrep_table(fc.generate_group([PHASE_S, PAULI_X])), "irrep table not available"),
+        (lambda: fc.build_fourier_transform(fc.pauli_group(), fc.irrep_table(fc.pauli_group())[:4]),
+         "incomplete irrep set"),
+    ],
+    ids=["non-unitary-generator", "three-by-three-generator", "non-abelian-order-32",
+         "four-of-five-irreps"],
+)
+def test_group_layer_rejects_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_cayley_table_is_a_group(d8):
     cayley = d8.cayley
     n = d8.order

@@ -79,22 +79,47 @@ def read_names(node):
     return names
 
 
+def fields(tree):
+    """(class.field, field) for each field of a top-level dataclass or NamedTuple."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        marks = {getattr(n, "id", getattr(n, "attr", None)) for n in marks + node.bases}
+        if marks & {"dataclass", "NamedTuple"}:
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def attribute_reads(node):
+    """How often each attribute is loaded (``obj.name``) under ``node``."""
+    return Counter(
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
 def orphan_names(modules, readers):
     """Names defined in ``modules`` (trees) that no tree in ``readers`` reads.
 
     Reads inside a name's own definition, such as a recursive call, do not
-    count; dunder names are exempt.
+    count; dunder names are exempt.  A dataclass or NamedTuple field, listed
+    as ``Class.field``, counts as read only through an attribute load, since
+    a bare name such as a local ``n`` is not a read of a field ``n``.
     """
-    read = Counter()
+    read, attrs = Counter(), Counter()
     for tree in readers:
         read.update(read_names(tree))
-    return sorted(
+        attrs.update(attribute_reads(tree))
+    names = [
         name
         for tree in modules
         for name, node in definitions(tree)
         if not (name.startswith("__") and name.endswith("__"))
         and read[name] <= read_names(node)[name]
-    )
+    ]
+    names += [label for tree in modules for label, field in fields(tree) if not attrs[field]]
+    return sorted(names)
 
 
 def test_every_definition_is_read():
@@ -113,12 +138,24 @@ def test_orphan_name_is_found():
         "def walk(n):\n"
         "    return walk(n - 1) if n else USED\n"
         "def main():\n"
-        "    return Box().shown + Box()._hidden()\n"
+        "    return Box().shown + Box()._hidden() + norm(Point(1.0, 2), 3)\n"
         "class Box:\n"
         "    def __init__(self): pass\n"
         "    def shown(self): pass\n"
         "    def unseen(self): pass\n"
         "    def _hidden(self): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class Point:\n"
+        "    x: float\n"
+        "    n: int\n"
+        "    origin = 0\n"
+        "class Pair(NamedTuple):\n"
+        "    left: int\n"
+        "    right: int\n"
+        "def norm(p, n):\n"
+        "    return p.x + n + Pair(1, 2).left\n"
     )
     reader = ast.parse("from mod import main\n")
-    assert orphan_names([module], [module, reader]) == ["LIMIT", "unseen", "walk"]
+    assert orphan_names([module], [module, reader]) == [
+        "LIMIT", "Pair.right", "Point.n", "unseen", "walk"
+    ]
