@@ -79,6 +79,8 @@ def qec_matrix_analytic(group, fourier, alpha, gamma, phi=np.pi / 2):
     carries G's condition number max |w| / min |w|, as
     ``extras["condition_number"]`` or on the error.  A non-finite phi makes
     G non-finite, which fails its Hermiticity test with ``ValueError``.
+    M is returned as (M + M^H) / 2; ``extras["hermiticity_defect"]`` is
+    ||M - M^H||_F before that, about eps cond(G): the roundoff it hides.
     """
     lam = lambda_matrix(group, phi)
     gram, gram_t, gram_r = _loss_gram_matrices(lam, alpha, gamma)
@@ -91,8 +93,11 @@ def qec_matrix_analytic(group, fourier, alpha, gamma, phi=np.pi / 2):
     a = (fourier.matrix @ inv_sqrt)[fourier.logical_rows[0::2]]  # a[k, g], rows (k, 0)
     u = (a[:, None, :] * sr.T).reshape(2 * group.order, group.order)
     entries = u @ gram_t @ u.conj().T
-    entries = (entries + entries.conj().T) / 2
-    return QecMatrix(entries=entries, extras={"condition_number": cond})
+    adjoint = entries.conj().T
+    skew = entries - adjoint
+    defect = float(abs(np.vdot(skew, skew)) ** 0.5)
+    entries = (entries + adjoint) / 2
+    return QecMatrix(entries, extras={"condition_number": cond, "hermiticity_defect": defect})
 
 
 def petz_entanglement_fidelity(qec):

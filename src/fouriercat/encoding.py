@@ -37,6 +37,7 @@ from .fock import (
     hermitian_inv_sqrt,
     normalize,
     overlap_matrix,
+    unit_coherent_factors,
 )
 from .groups import _integer_at_least, memoized
 
@@ -118,8 +119,7 @@ def _constellation(group, alpha_bytes, cutoff):
     points = group.matrices @ alpha_vec
     if _min_distance(points) <= 1e-9 * max(1.0, float(np.linalg.norm(alpha_vec))):
         raise DegenerateConstellationError("degenerate constellation")
-    factors = coherent_amplitudes(points, cutoff)  # (|G|, 2, d), one per mode
-    factors /= np.linalg.norm(factors, axis=-1, keepdims=True)
+    factors = unit_coherent_factors(points, cutoff)  # (|G|, 2, d), one per mode
     factors.flags.writeable = False
     return Constellation(
         group=group, alpha_vec=alpha_vec, config=FockConfig(cutoff), factors=factors

@@ -4,10 +4,13 @@ A state is its amplitude array: a plain complex (d, d) tensor with one axis
 per mode, d = cutoff + 1.  Operators are plain functions on such tensors:
 they map an array whose last two axes are the modes to an array of the same
 shape, and any leading axes are a batch, so a stack of states is mapped in
-one call.  No operator is stored as a matrix over the full space; the
-general (non-monomial) passive unitary holds its total-photon sectors packed
-two to a row of one (d, d, d) stack.  The lift and the ladder operators are
-memoized (see ``passive_gaussian_unitary`` and ``annihilation_operator``).
+one call.  No operator is stored as a matrix over the full space.  Passive
+unitaries are lifted here only when they are monomial (mode permutations
+with phases), which the truncation leaves exact; a state built from coherent
+points is moved by any U(2) rotation through its points instead
+(pi(U)|alpha> = |U alpha>, see ``gates``).  The monomial lift and the ladder
+operators are memoized (see ``passive_gaussian_unitary`` and
+``annihilation_operator``).
 Every constructor that builds a physical state from coherent amplitudes
 audits the truncated Poisson tail so that silent truncation errors cannot
 creep into downstream fidelity computations.
@@ -27,11 +30,6 @@ TAIL_TOL = 1e-12
 # Results kept by the passive-unitary lift and the ladder-operator memos.
 LIFT_MEMO_SIZE = 32
 LADDER_MEMO_SIZE = 32
-# Packed rows per block of the sector lift.  A block's real work arrays (its
-# Hamiltonians, eigenvectors and cos/sin products) take about 12 / d of the
-# (d, d, d) complex stack they fill, and eight matrices per eigh and matmul
-# call keep the build as fast as one call over all d rows.
-_LIFT_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -109,6 +107,13 @@ def coherent_amplitudes(alpha, cutoff):
     return amps
 
 
+def unit_coherent_factors(points, cutoff):
+    """Audited per-mode factors of the products |p_1, p_2>, each normalized after truncation."""
+    factors = coherent_amplitudes(points, cutoff)
+    factors /= np.linalg.norm(factors, axis=-1, keepdims=True)
+    return factors
+
+
 def coherent_state(alpha, cutoff=DEFAULT_CUTOFF):
     """Single-mode coherent state |alpha>, renormalized after truncation."""
     return normalize(coherent_amplitudes(alpha, cutoff))
@@ -163,99 +168,48 @@ def _monomial_unitary(perm, phases, config):
     return lambda t: (phase * t).swapaxes(-2, -1) if swap else phase * t
 
 
-def _sector_unitary(h, config):
-    """exp(i sum_jk h_jk a_j^dag a_k) on two truncated modes, all sectors at once.
-
-    The Hamiltonian conserves N = n_1 + n_2, so it never couples two
-    sectors.  Sector N holds |k, N - k> for max(0, N - cutoff) <= k <=
-    min(N, cutoff); there it is tridiagonal, with diagonal h_00 k +
-    h_11 (N - k) and <k+1|H|k> = h_01 sqrt((k + 1)(N - k)).  Row r of the
-    packed d x d layout holds sector r (k = 0..r), then the corner sector
-    cutoff + 1 + r (k = r + 1..cutoff): element (r, k) is t[k, (r - k) mod d].
-    Each row is one d x d matrix (its coupling at k = r vanishes), made real
-    by the gauge |k> -> e^{ik arg h_01}|k> and exponentiated by eigh; a mask
-    to each row's two blocks keeps roundoff from coupling sectors.  Rows are
-    built ``_LIFT_BLOCK_ROWS`` at a time into the returned stack, with the
-    bytes of one batch (batched eigh and matmul act matrix by matrix).  The
-    d eigh calls on d x d matrices cost O(d^4): 2.7 ms at cutoff 25, 28.5 ms
-    at 60 and 104 ms at 90 on one BLAS thread.
-    """
-    d = config.dim_per_mode
-    k = np.arange(d)
-    r = k[:, None]
-    first = k <= r  # packed element (r, k) lies in sector r, not cutoff + 1 + r
-    total = np.where(first, r, r + d)
-    gauge = np.exp(1j * np.angle(h[0, 1]) * (k - k[:, None]))
-    # (U_r)^T = conj(D) e^{iS_r} D for the real rows S_r and D = diag(e^{ik arg h_01})
-    u_t = np.empty((d, d, d), dtype=complex)
-    for start in range(0, d, _LIFT_BLOCK_ROWS):
-        rows = slice(start, start + _LIFT_BLOCK_ROWS)
-        n = total[rows]
-        ham = np.zeros((len(n), d, d))
-        ham[:, k, k] = (h[0, 0] * k + h[1, 1] * (n - k)).real
-        ham[:, k[1:], k[:-1]] = abs(h[0, 1]) * np.sqrt((k[:-1] + 1) * (n[:, :-1] - k[:-1]))
-        ham[:, k[:-1], k[1:]] = ham[:, k[1:], k[:-1]]
-        vals, vecs = np.linalg.eigh(ham)
-        block = u_t[rows]
-        np.matmul(vecs * np.cos(vals)[:, None, :], vecs.swapaxes(1, 2), out=block.real)
-        np.matmul(vecs * np.sin(vals)[:, None, :], vecs.swapaxes(1, 2), out=block.imag)
-        block *= gauge
-        block[first[rows, :, None] != first[rows, None, :]] = 0.0  # the two sectors stay uncoupled
-    u_t.flags.writeable = False
-    gather = k * d + (r - k) % d  # flat (k, (r - k) mod d) for packed (r, k)
-    scatter = (r + k) % d * d + r  # flat packed ((j + m) mod d, j) for tensor (j, m)
-    gather.flags.writeable = scatter.flags.writeable = False
-
-    def act(t):
-        packed = np.reshape(t, (-1, d * d))[:, gather].swapaxes(0, 1)  # (r, batch, k)
-        out = (packed @ u_t).swapaxes(0, 1).reshape(-1, d * d)
-        return out[:, scatter].reshape(np.shape(t))
-
-    return act
-
-
-def passive_gaussian_unitary(u, config):
-    """Second quantization of a U(2) mode rotation: pi(U)|alpha> = |U alpha>.
-
-    Returns pi(U) as a function on amplitude tensors (see the module
-    docstring).  Generalized permutation matrices are lifted exactly.  Any
-    other unitary is built by exponentiating the quadratic Hamiltonian
-    sum_jk h_jk a_j^dag a_k one total-number sector at a time.  That route is
-    exact on sectors that fit under the per-mode cutoff; the corner sectors
-    N > cutoff carry a small truncation error and depend on h itself, not
-    only on U.  Such a U is normal with distinct eigenvalues w, so the QR of
-    its eigenvectors is an orthonormal eigenbasis Q, and
-    h = Q diag(angle(w)) Q^dag: the principal logarithm, with angle(w) in
-    [-pi, pi] as the sign of the computed imaginary part of w decides (an
-    eigenvalue -1 - 1e-17i gives -pi).
-
-    The lift is memoized on the exact bytes of the complex-cast U and
-    ``config``, keeping the ``LIFT_MEMO_SIZE`` latest lifts read-only: a
-    sector lift holds d^3 complex numbers (0.28 MB at cutoff 25), so the
-    memo holds at most ``LIFT_MEMO_SIZE`` x 16 d^3 bytes, 9 MB at cutoff
-    25.  The shape of U is checked on every call, ahead of the memo, since
-    arrays of two shapes can share their bytes; its unitarity is checked on
-    a memo miss, and a U that fails it (NaN entries included) is never
-    memoized, so it raises again on every call.
-    """
+def _mode_matrix(u):
+    """u as a complex 2 x 2 array; any other shape raises."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("matrix dimension must be 2 x 2")
-    return _lift(u.tobytes(), config)
+    return u
+
+
+def _check_unitary(u):
+    """u itself; raise unless the 2 x 2 matrix u is unitary to 1e-10 (a NaN entry is not)."""
+    if not np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-10:
+        raise ValueError("mode transformation must be unitary")
+    return u
+
+
+def passive_gaussian_unitary(u, config):
+    """Second quantization of a monomial U(2) mode rotation: pi(U)|alpha> = |U alpha>.
+
+    Returns pi(U) as a function on amplitude tensors (see the module
+    docstring).  U must be a generalized permutation matrix, which is lifted
+    exactly.  Any other unitary mixes in the sectors N > cutoff that the
+    truncation cuts, so it raises ``ValueError``; the gates that apply such
+    a U move coherent points instead (see ``gates``).
+
+    The lift is memoized on the exact bytes of the complex-cast U and
+    ``config``, keeping the ``LIFT_MEMO_SIZE`` latest lifts read-only (each
+    holds one (d, d) phase table).  The shape of U is checked on every call,
+    ahead of the memo, since arrays of two shapes can share their bytes; its
+    unitarity is checked on a memo miss, and a U that fails it (NaN entries
+    included) is never memoized, so it raises again on every call.
+    """
+    return _lift(_mode_matrix(u).tobytes(), config)
 
 
 @memoized(LIFT_MEMO_SIZE)
 def _lift(u_bytes, config):
     """pi(U) for the unitary U whose complex128 bytes (C order) are ``u_bytes``."""
     u = np.frombuffer(u_bytes, dtype=complex).reshape(2, 2)
-    if not np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-10:
-        raise ValueError("mode transformation must be unitary")
-    monomial = _monomial_structure(u)
-    if monomial is not None:
-        return _monomial_unitary(*monomial, config)
-    vals, vecs = np.linalg.eig(u)
-    q, _ = np.linalg.qr(vecs)
-    return _sector_unitary((q * np.angle(vals)) @ q.conj().T, config)
+    monomial = _monomial_structure(_check_unitary(u))
+    if monomial is None:
+        raise ValueError("only a monomial mode transformation is lifted exactly")
+    return _monomial_unitary(*monomial, config)
 
 
 def number_diagonal_operator(phases, config):

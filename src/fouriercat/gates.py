@@ -4,6 +4,11 @@ Each physical operation is reduced to its 4x4 action on the encoded basis
 (ordered (0,0), (0,1), (1,0), (1,1), i.e. logical index first), together
 with the leakage out of the target code subspace.
 
+A code state is a sum of coherent products, sum_g C[i, g] |p_g>, and the
+non-monomial gates map it to another such sum: pi(U)|p> = |U p>, and
+i^{n^2} = ((1 + i) + (1 - i)(-1)^n) / 2 (Yurke and Stoler, PRL 57, 13
+(1986)).  So they act on the terms (weights, points), never lifting U.
+
 The gate tables (phase profiles, the closed-form Z_L Y_M eigenstates) are
 rebuilt on each call: each costs tens of microseconds.
 """
@@ -16,12 +21,15 @@ import numpy as np
 
 from . import encoding
 from .fock import (
+    _check_unitary,
     _log_factorials,
+    _mode_matrix,
     annihilation_operator,
     infidelity,
     number_diagonal_operator,
     overlap_matrix,
     passive_gaussian_unitary,
+    unit_coherent_factors,
 )
 from .groups import HADAMARD, PAULI_Z
 
@@ -71,8 +79,12 @@ def logical_action(physical_op, code):
     matrix[(l',m'), (l,m)] = <l',m'| op |l,m>; the leakage is the largest
     norm of any image component outside the code subspace.
     """
+    return _logical_reduction(physical_op(code.amplitudes), code)
+
+
+def _logical_reduction(images, code):
+    """``logical_action`` of an operator, from its images of the four basis states."""
     basis = code.amplitudes
-    images = physical_op(basis)
     mat = overlap_matrix(basis, images)
     residual = images - (mat.T @ basis.reshape(4, -1)).reshape(images.shape)
     leak = float(np.max(np.linalg.norm(residual, axis=(-2, -1))))
@@ -131,37 +143,64 @@ def cz_target():
     return np.diag((-1.0 + 0j) ** np.outer(logical, logical).ravel())
 
 
-def _encoded_residual(op, code, target, u):
-    """Max infidelity of op E(|l>|m>) vs E_target(U|l> (x) U|m>)."""
+def _coherent_images(weights, points, config):
+    """The (d, d) images sum_t weights[i, t] |points[t]>, one per row of weights.
+
+    Each |p> is f_p1 (x) f_p2, built as the code's own constellation states
+    are (``unit_coherent_factors``), so image i is F_1^T diag(weights[i]) F_2.
+    """
+    factors = unit_coherent_factors(points, config.cutoff)  # (terms, 2, d)
+    return (factors[:, 0].T * weights[:, None, :]) @ factors[:, 1]
+
+
+def _kerr_split(weights, points):
+    """The terms of i^{n2^2} sum_t w_t |p_t>: each point and its mode-2 negation.
+
+    Exact on truncated factors too: the factor of -b is (-1)^n that of b.
+    """
+    weights = np.concatenate([weights * (0.5 + 0.5j), weights * (0.5 - 0.5j)], axis=-1)
+    return weights, np.concatenate([points, points * np.array([1.0, -1.0])])
+
+
+def _encoded_residual(code, target, u):
+    """Max infidelity of pi(U) E(|l>|m>) vs E_target(U|l> (x) U|m>), pi(U) moving the points."""
+    images = _coherent_images(code.coefficients, code.constellation.points @ u.T, code.config)
     # column (l, m) of U (x) U holds the coefficients u[l', l] u[m', m]
     amps = target.amplitudes
     rhs = (np.kron(u, u).T @ amps.reshape(4, -1)).reshape(amps.shape)
-    return float(np.max([infidelity(a, b) for a, b in zip(op(code.amplitudes), rhs)]))
+    return float(np.max([infidelity(a, b) for a, b in zip(images, rhs)]))
 
 
 def deformation_residual(code, u):
     """Max infidelity of pi(U) E(|l>|m>) vs E_U(U|l> (x) U|m>)."""
-    pi_u = passive_gaussian_unitary(u, code.config)  # checks U before the deformed code
+    u = _check_unitary(_mode_matrix(u))  # ahead of the deformed code
     deformed = encoding.deform_constellation(code.constellation, u)
-    return _encoded_residual(pi_u, code, encoding.code_basis(deformed, code.fourier), u)
+    target = encoding.code_basis(deformed, code.fourier)
+    return _encoded_residual(code, target, u)
 
 
 def double_deformation_residual(code, u):
     """Max infidelity of pi(U)^2 E(|l>|m>) vs E(U^2|l> (x) U^2|m>)."""
-    u = np.asarray(u)
-    pi_u = passive_gaussian_unitary(u, code.config)
-    return _encoded_residual(lambda t: pi_u(pi_u(t)), code, code, u @ u)
-
-
-def composite_hadamard_operator(code):
-    """i^{n2^2} pi(H) i^{n2^2} pi(H) i^{n2^2}: logical Hadamard on L only."""
-    s_op = self_kerr_s_gate(code.config)
-    pi_h = passive_gaussian_unitary(HADAMARD, code.config)
-    return lambda t: s_op(pi_h(s_op(pi_h(s_op(t)))))
+    u = _check_unitary(_mode_matrix(u))
+    return _encoded_residual(code, code, u @ u)
 
 
 def composite_hadamard_check(code):
-    return logical_action(composite_hadamard_operator(code), code)
+    """Logical action of i^{n2^2} pi(H) i^{n2^2} pi(H) i^{n2^2}: Hadamard on L only."""
+    return _logical_reduction(_composite_hadamard_images(code), code)
+
+
+def _composite_hadamard_images(code):
+    """i^{n2^2} pi(H) i^{n2^2} pi(H) i^{n2^2} on the four code states.
+
+    The first two self-Kerr gates split the |G| points into 4 |G| terms; the
+    last one acts as the diagonal on their images.
+    """
+    weights, points = code.coefficients, code.constellation.points
+    for _ in range(2):
+        weights, points = _kerr_split(weights, points)
+        points = points @ HADAMARD.T
+    return self_kerr_s_gate(code.config)(_coherent_images(weights, points, code.config))
 
 
 def zeno_projected_hamiltonian(code, theta=0.0):

@@ -49,7 +49,8 @@ def memoized(maxsize):
     A memo stays only where the hits of a workload round save a measured
     amount of time; being reused is not enough.  Ten builders qualify: the
     groups, irrep tables, Fourier transforms, constellations and code bases,
-    the passive lift, the ladder operators, the loss tables and the parser.
+    the monomial passive lift, the ladder operators, the loss tables and the
+    parser.
 
     The result is a plain function (so tracers that wrap module functions
     still see each call) whose ``__wrapped__`` is the uncached builder.

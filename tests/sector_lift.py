@@ -1,0 +1,97 @@
+"""The sector lift of a general two-mode passive unitary: a test oracle.
+
+The library lifts only monomial mode transformations; its gates move
+coherent points instead.  The tests check those routes against this lift.
+pi(U) = exp(i sum_jk h_jk a_j^dag a_k) conserves the total photon number
+N = n_1 + n_2, so it is built one sector at a time.  Sectors N <= cutoff lie
+wholly under the per-mode cutoff and are exact; the corner sectors
+N > cutoff are truncated, so there the lift depends on h, not only on U.
+``exact_image`` pads states to twice their cutoff, where every sector of the
+original box is whole, so it applies a composition of such lifts exactly.
+"""
+
+import numpy as np
+
+from fouriercat.fock import FockConfig, _monomial_structure, passive_gaussian_unitary
+from fouriercat.groups import HADAMARD
+
+
+def mode_hamiltonian(u):
+    """h = -i log U on the principal branch.
+
+    A non-monomial U is normal with distinct eigenvalues w, so the QR of its
+    eigenvectors is an orthonormal eigenbasis Q, and h = Q diag(angle(w))
+    Q^dag, with angle(w) in [-pi, pi] as the sign of the computed imaginary
+    part of w decides (an eigenvalue -1 - 1e-17i gives -pi).
+    """
+    vals, vecs = np.linalg.eig(u)
+    q, _ = np.linalg.qr(vecs)
+    return (q * np.angle(vals)) @ q.conj().T
+
+
+def sector_unitary(h, config):
+    """exp(i sum_jk h_jk a_j^dag a_k) on two truncated modes, all sectors at once.
+
+    Sector N holds |k, N - k> for max(0, N - cutoff) <= k <= min(N, cutoff);
+    there the Hamiltonian is tridiagonal, with diagonal h_00 k + h_11 (N - k)
+    and <k+1|H|k> = h_01 sqrt((k + 1)(N - k)).  Row r of the packed d x d
+    layout holds sector r (k = 0..r), then the corner sector cutoff + 1 + r
+    (k = r + 1..cutoff): element (r, k) is t[k, (r - k) mod d].  Each row is
+    one d x d matrix (its coupling at k = r vanishes), made real by the gauge
+    |k> -> e^{ik arg h_01}|k> and exponentiated by eigh; a mask to each row's
+    two blocks keeps roundoff from coupling sectors.  One batched eigh over
+    the (d, d, d) stack of rows costs O(d^4).
+    """
+    d = config.dim_per_mode
+    k = np.arange(d)
+    r = k[:, None]
+    first = k <= r  # packed element (r, k) lies in sector r, not cutoff + 1 + r
+    total = np.where(first, r, r + d)
+    ham = np.zeros((d, d, d))
+    ham[:, k, k] = (h[0, 0] * k + h[1, 1] * (total - k)).real
+    ham[:, k[1:], k[:-1]] = abs(h[0, 1]) * np.sqrt((k[:-1] + 1) * (total[:, :-1] - k[:-1]))
+    ham[:, k[:-1], k[1:]] = ham[:, k[1:], k[:-1]]
+    vals, vecs = np.linalg.eigh(ham)
+    # (U_r)^T = conj(D) e^{iS_r} D for the real rows S_r and D = diag(e^{ik arg h_01})
+    u_t = np.empty((d, d, d), dtype=complex)
+    np.matmul(vecs * np.cos(vals)[:, None, :], vecs.swapaxes(1, 2), out=u_t.real)
+    np.matmul(vecs * np.sin(vals)[:, None, :], vecs.swapaxes(1, 2), out=u_t.imag)
+    u_t *= np.exp(1j * np.angle(h[0, 1]) * (k - k[:, None]))
+    u_t[first[:, :, None] != first[:, None, :]] = 0.0  # the two sectors stay uncoupled
+    gather = k * d + (r - k) % d  # flat (k, (r - k) mod d) for packed (r, k)
+    scatter = (r + k) % d * d + r  # flat packed ((j + m) mod d, j) for tensor (j, m)
+
+    def act(t):
+        packed = np.reshape(t, (-1, d * d))[:, gather].swapaxes(0, 1)  # (r, batch, k)
+        out = (packed @ u_t).swapaxes(0, 1).reshape(-1, d * d)
+        return out[:, scatter].reshape(np.shape(t))
+
+    return act
+
+
+def passive_unitary(u, config):
+    """pi(U) for any 2 x 2 unitary: the library's exact lift if U is monomial, else the sector lift."""
+    u = np.asarray(u, dtype=complex)
+    if _monomial_structure(u) is not None:
+        return passive_gaussian_unitary(u, config)
+    return sector_unitary(mode_hamiltonian(u), config)
+
+
+def composite_hadamard_operator(config):
+    """i^{n2^2} pi(H) i^{n2^2} pi(H) i^{n2^2} by the sector lift at ``config``."""
+    s_phase = 1j ** (np.arange(config.dim_per_mode) ** 2 % 4)
+    pi_h = passive_unitary(HADAMARD, config)
+    return lambda t: s_phase * pi_h(s_phase * pi_h(s_phase * t))
+
+
+def exact_image(operator, states):
+    """``operator(config)`` applied to ``states`` zero-padded to twice their cutoff.
+
+    The operators here conserve the total photon number, and every sector
+    N <= 2c of a cutoff-c state lies whole under the cutoff 2c, so the image
+    is exact; it is returned in the 2c box.
+    """
+    d = np.shape(states)[-1]
+    padded = np.zeros(np.shape(states)[:-2] + (2 * d - 1, 2 * d - 1), dtype=complex)
+    padded[..., :d, :d] = states
+    return operator(FockConfig(2 * (d - 1)))(padded)

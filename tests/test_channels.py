@@ -17,9 +17,10 @@ from fouriercat.fock import (
     coherent_product,
     SingularGramError,
     hermitian_inv_sqrt,
-    passive_gaussian_unitary,
 )
 from fouriercat.groups import HADAMARD
+
+from sector_lift import passive_unitary
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
 
@@ -101,7 +102,7 @@ def reference_kraus_images(code, gamma):
     d = config.dim_per_mode
     n = code.constellation.group.order
     t, r = np.sqrt(1.0 - gamma), np.sqrt(gamma)
-    bs = passive_gaussian_unitary(np.array([[t, -r], [r, t]]), config)
+    bs = passive_unitary(np.array([[t, -r], [r, t]]), config)
     inputs = np.zeros((d, d, d), dtype=complex)  # inputs[n] = |n>|0>
     inputs[np.arange(d), np.arange(d), 0] = 1.0
     b = np.stack([bs(vac) for vac in inputs], axis=-1)
@@ -161,7 +162,7 @@ def test_closed_form_loss_amplitudes_match_sector_lift(cutoff, gamma):
     # the lifted beamsplitter applied to sum_n |n, 0>, gathered as B[P, a - P]
     d = cutoff + 1
     t, r = np.sqrt(1.0 - gamma), np.sqrt(gamma)
-    bs = passive_gaussian_unitary(np.array([[t, -r], [r, t]]), FockConfig(cutoff))
+    bs = passive_unitary(np.array([[t, -r], [r, t]]), FockConfig(cutoff))
     inputs = np.zeros((d, d), dtype=complex)
     inputs[:, 0] = 1.0
     lifted = bs(inputs)
@@ -175,9 +176,9 @@ def test_closed_form_loss_amplitudes_match_sector_lift(cutoff, gamma):
 @pytest.mark.parametrize("name", ["d8", "q8"])
 def test_fock_route_needs_no_sector_lift(name, monkeypatch):
     def no_lift(*args):
-        raise AssertionError("qec_matrix_fock lifted a beamsplitter")
+        raise AssertionError("qec_matrix_fock lifted a passive unitary")
 
-    monkeypatch.setattr(fc.fock, "_sector_unitary", no_lift)
+    monkeypatch.setattr(fc.fock, "_lift", no_lift)
     group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
     fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
     code = fc.code_basis(fc.make_constellation(group, 1.25, 1.0), fourier)
@@ -414,6 +415,15 @@ def test_analytic_is_bit_identical_to_two_root_reference(name, phi, gamma):
         gram = _loss_gram_matrices(fc.lambda_matrix(group, phi), alpha, gamma)[0]
         cond = np.linalg.cond(gram)
         assert abs(got.extras["condition_number"] - cond) <= 1e-12 * cond
+
+
+def test_analytic_reports_the_hermiticity_defect_it_removes(d8, d8_fourier):
+    # ||M - M^H|| before the Hermitization grows about as eps * cond(Gamma):
+    # cond 3.97 at alpha 1.0, 7.68e10 at alpha 0.05
+    for alpha, low, high in ((1.0, 0.0, 1e-14), (0.05, 1e-12, np.inf)):
+        qec = fc.qec_matrix_analytic(d8, d8_fourier, alpha, 0.01)
+        assert low <= qec.extras["hermiticity_defect"] <= high
+        assert np.array_equal(qec.entries, qec.entries.conj().T)
 
 
 def check_sweep_matches_loop_reference(records, want):

@@ -38,10 +38,8 @@ def test_verify_starved_cutoff_fails(capsys):
 
 
 def test_cutoff_over_the_cap_is_config_error(capsys):
-    # the cap sizes the largest array, the 16 d^3-byte sector lift, before it is built
-    d = cli.MAX_CUTOFF + 1
-    assert 16 * d**3 <= cli.MAX_LIFT_BYTES < 16 * (d + 1) ** 3
-    assert cli.MAX_CUTOFF >= 60  # the cutoff the memory tests run at
+    # the cap is refused before anything is built
+    assert cli.MAX_CUTOFF == 255
     for command in ("verify", "gates-demo"):
         for cutoff in (cli.MAX_CUTOFF + 1, 1_000_000):
             assert run([command, "--cutoff", str(cutoff)]) == 2
@@ -443,10 +441,10 @@ def fresh_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
-def run_fresh(script):
-    """stdout of ``script`` run in a fresh interpreter with ``src`` on the path."""
+def run_fresh(script, *args):
+    """stdout of ``script`` run with ``args`` in a fresh interpreter with ``src`` on the path."""
     done = subprocess.run(
-        [sys.executable, "-c", script], env=fresh_env(), capture_output=True, text=True,
+        [sys.executable, "-c", script, *args], env=fresh_env(), capture_output=True, text=True,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -465,24 +463,33 @@ def test_runtime_does_not_import_scipy():
     assert run_fresh(script) == "[0, 0] []"
 
 
-def test_verify_then_gates_demo_lift_hadamard_once():
-    # a fresh interpreter, so the passive-unitary memo starts empty
+def test_verify_then_gates_demo_lift_only_monomial_unitaries():
+    # a fresh interpreter, so no memo has been filled; the gates move coherent
+    # points, so no sector lift is built and LAPACK's general eigensolver and
+    # QR (whose pages a process would otherwise load) are never called
     script = (
         "import contextlib, io\n"
+        "import numpy as np\n"
+        "solves = []\n"
+        "for name in ('eig', 'qr'):\n"
+        "    setattr(np.linalg, name, lambda *a, name=name, **k: solves.append(name))\n"
         "from fouriercat import cli, fock\n"
-        "lift, lifts = fock._sector_unitary, []\n"
-        "fock._sector_unitary = lambda h, config: lifts.append(h) or lift(h, config)\n"
+        "lift, lifted = fock._lift, []\n"
+        "fock._lift = lambda u_bytes, config: lifted.append(u_bytes) or lift(u_bytes, config)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['verify']), cli.main(['gates-demo'])]\n"
-        "print(codes, len(lifts))\n"
+        "us = [np.frombuffer(u, dtype=complex).reshape(2, 2) for u in lifted]\n"
+        "print(codes, solves, len(us), all(fock._monomial_structure(u) is not None for u in us))\n"
     )
-    assert run_fresh(script) == "[0, 0] 1"
+    codes, solves, lifts, monomial = run_fresh(script).rsplit(" ", 3)
+    assert (codes, solves, monomial) == ("[0, 0]", "[]", "True")
+    assert int(lifts) > 0  # the group covariance and the logical swap still lift
 
 
-def test_verify_at_cutoff_60_peaks_near_what_it_keeps():
-    # a fresh interpreter, so no earlier test has memoized pi(H) or the code;
-    # the run keeps the lift, the code and the other memos, and any work
-    # array the size of the lift would put the peak near 2x that
+def test_verify_memory_grows_like_the_states():
+    # every array verify builds is O(d^2), so its traced peak grows as d^2:
+    # 2.23 MB at cutoff 60 and 8.54 MB at 120, a ratio of 3.82 against
+    # (121/61)^2 = 3.93; a (d, d, d) array would push it towards 7.8
     script = (
         "import contextlib, io, sys\n"
         f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
@@ -490,12 +497,22 @@ def test_verify_at_cutoff_60_peaks_near_what_it_keeps():
         "from fouriercat import cli\n"
         "codes = []\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    peak, kept = traced(lambda: codes.append(cli.main(['verify', '--cutoff', '60'])))\n"
-        "print(codes[0], peak, kept)\n"
+        "    peak, _ = traced(lambda: codes.append(cli.main(['verify', '--cutoff', sys.argv[1]])))\n"
+        "print(codes[0], peak)\n"
     )
-    code, peak, kept = map(int, run_fresh(script).split())
-    assert code == 0
-    assert peak < 1.5 * kept, f"traced peak {peak / 1e6:.2f} MB, kept {kept / 1e6:.2f} MB"
+    runs = [run_fresh(script, str(cutoff)).split() for cutoff in (60, 120)]
+    assert [code for code, _ in runs] == ["0", "0"]
+    peaks = [int(peak) for _, peak in runs]
+    assert peaks[1] / peaks[0] < (121 / 61) ** 2.5, f"peaks {peaks[0] / 1e6:.2f}, {peaks[1] / 1e6:.2f} MB"
+
+
+def test_verify_at_alpha_2_passes_at_the_default_cutoff(capsys):
+    # the composite Hadamard moves coherent points, so no corner sector of a
+    # truncated lift shows as a gate error
+    assert run(["verify", "--alpha", "2.0"]) == 0
+    out = capsys.readouterr().out
+    value = float(re.search(r"composite_hadamard: (\S+)", out).group(1))
+    assert value < 1e-13
 
 
 def outcome(parse, argv, capsys):

@@ -22,7 +22,7 @@ from fouriercat.fock import (
 )
 from fouriercat.groups import HADAMARD, PAULI_X, cyclic_group, generate_group
 
-from conftest import traced
+from sector_lift import passive_unitary
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
 
@@ -171,7 +171,7 @@ def test_passive_unitary_moves_coherent_states():
     cfg = FockConfig(25)
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     vec = np.array([0.8, 0.3j])
-    op = passive_gaussian_unitary(h, cfg)
+    op = passive_unitary(h, cfg)
     got = op(coherent_product(vec, 25))
     want = coherent_product(h @ vec, 25)
     assert infidelity(got, want) < 1e-10
@@ -246,7 +246,7 @@ def test_sector_unitary_matches_dense_reference(u):
     for cutoff in (1, 2, 3, 7):
         cfg = FockConfig(cutoff)
         state = random_state(cfg, 5)
-        got = passive_gaussian_unitary(u, cfg)(state).ravel()
+        got = passive_unitary(u, cfg)(state).ravel()
         want = dense_passive_unitary(u, cfg) @ state.ravel()
         assert np.linalg.norm(got - want) < 1e-12
 
@@ -257,7 +257,7 @@ def test_sector_unitary_keeps_a_corner_sector_exactly():
     n = np.add.outer(np.arange(8), np.arange(8))
     rng = np.random.default_rng(11)
     amps = np.where(n == cfg.cutoff + 2, rng.normal(size=(8, 8)) + 1j, 0.0)
-    got = passive_gaussian_unitary(COMPLEX_U2, cfg)(amps)
+    got = passive_unitary(COMPLEX_U2, cfg)(amps)
     assert np.count_nonzero(got[n != cfg.cutoff + 2]) == 0
     assert abs(np.linalg.norm(got) - np.linalg.norm(amps)) < 1e-13
     want = dense_passive_unitary(COMPLEX_U2, cfg) @ amps.ravel()
@@ -270,82 +270,11 @@ def test_sector_unitary_maps_any_leading_batch(lead):
     rng = np.random.default_rng(12)
     shape = lead + (6, 6)
     batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    got = passive_gaussian_unitary(HADAMARD, cfg)(batch)
+    got = passive_unitary(HADAMARD, cfg)(batch)
     assert got.shape == shape
     dense = dense_passive_unitary(HADAMARD, cfg)
     want = (batch.reshape(-1, 36) @ dense.T).reshape(shape)
     assert np.max(np.abs(got - want)) < 1e-12
-
-
-def mode_hamiltonian(u):
-    """h = -i log U on the principal branch, formed as ``passive_gaussian_unitary`` forms it."""
-    vals, vecs = np.linalg.eig(u)
-    q, _ = np.linalg.qr(vecs)
-    return (q * np.angle(vals)) @ q.conj().T
-
-
-def sector_unitary_batched_reference(h, config):
-    """The one-batch sector lift that ``fock._sector_unitary`` replaced.
-
-    All d packed rows are built in one (d, d, d) Hamiltonian, eigenvector and
-    cos/sin stack beside the lift, exponentiated by one batched eigh.
-    """
-    d = config.dim_per_mode
-    k = np.arange(d)
-    r = k[:, None]
-    first = k <= r
-    total = np.where(first, r, r + d)
-    ham = np.zeros((d, d, d))
-    ham[:, k, k] = (h[0, 0] * k + h[1, 1] * (total - k)).real
-    ham[:, k[1:], k[:-1]] = abs(h[0, 1]) * np.sqrt((k[:-1] + 1) * (total[:, :-1] - k[:-1]))
-    ham[:, k[:-1], k[1:]] = ham[:, k[1:], k[:-1]]
-    vals, vecs = np.linalg.eigh(ham)
-    u_t = np.empty((d, d, d), dtype=complex)
-    np.matmul(vecs * np.cos(vals)[:, None, :], vecs.swapaxes(1, 2), out=u_t.real)
-    np.matmul(vecs * np.sin(vals)[:, None, :], vecs.swapaxes(1, 2), out=u_t.imag)
-    u_t *= np.exp(1j * np.angle(h[0, 1]) * (k - k[:, None]))
-    u_t[first[:, :, None] != first[:, None, :]] = 0.0
-    gather = k * d + (r - k) % d
-    scatter = (r + k) % d * d + r
-
-    def act(t):
-        packed = np.reshape(t, (-1, d * d))[:, gather].swapaxes(0, 1)
-        out = (packed @ u_t).swapaxes(0, 1).reshape(-1, d * d)
-        return out[:, scatter].reshape(np.shape(t))
-
-    return act
-
-
-@pytest.mark.parametrize(
-    "u",
-    [
-        pytest.param(HADAMARD, id="hadamard"),
-        pytest.param(np.array([[LOSS_T, -LOSS_R], [LOSS_R, LOSS_T]]), id="loss-gamma0.01"),
-        pytest.param(COMPLEX_U2, id="complex-u2"),
-    ],
-)
-def test_blocked_sector_lift_matches_one_batch_byte_for_byte(u):
-    # batched eigh and matmul act matrix by matrix, so building the rows in
-    # blocks changes no byte; d = 41 leaves a partial last block
-    h = mode_hamiltonian(np.asarray(u, dtype=complex))
-    rng = np.random.default_rng(15)
-    for cutoff in (7, 25, 40):
-        cfg = FockConfig(cutoff)
-        d = cfg.dim_per_mode
-        batch = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
-        got = fock._sector_unitary(h, cfg)(batch)
-        assert got.tobytes() == sector_unitary_batched_reference(h, cfg)(batch).tobytes()
-
-
-def test_sector_lift_holds_no_work_stack_of_its_size():
-    # one (d, d, d) work stack beside the lift would put the peak above 2x
-    # what the lift keeps; the blocked build peaks at 1.22x at cutoff 60
-    cfg = FockConfig(60)
-    h = mode_hamiltonian(HADAMARD.astype(complex))
-    kept = []
-    peak, retained = traced(lambda: kept.append(fock._sector_unitary(h, cfg)))
-    assert retained >= 16 * cfg.dim_per_mode**3
-    assert peak < 1.3 * retained, f"traced peak {peak / retained:.2f}x the lift"
 
 
 def test_non_monomial_unitary_needs_two_modes():
@@ -368,34 +297,44 @@ def test_passive_unitary_rejects_nonunitary():
                 passive_gaussian_unitary(np.array(u), FockConfig(5))
 
 
-def test_passive_lift_is_memoized(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+def test_passive_lift_is_memoized():
     rng = np.random.default_rng(8)
     cfg = FockConfig(6)
     batch = rng.normal(size=(3, 7, 7)) + 1j * rng.normal(size=(3, 7, 7))
-    for u, solves in ((COMPLEX_U2, [(7, 7, 7)]), (np.array([[0.0, 1.0], [1j, 0.0]]), [])):
-        fock._lift.cache_clear()
-        passive_gaussian_unitary(u, cfg)(batch)
-        assert calls == solves  # d = 7 packed rows fit one block: one batched eigh
-        warm = passive_gaussian_unitary(u, cfg)(batch)
-        assert calls == solves  # the second lift runs no eigh
-        assert fock._lift.cache_info().hits == 1
+    for u in (np.diag([1.0, np.exp(0.4j)]), np.array([[0.0, 1.0], [1j, 0.0]])):
         fock._lift.cache_clear()
         cold = passive_gaussian_unitary(u, cfg)(batch)
+        warm = passive_gaussian_unitary(u, cfg)(batch)
+        assert fock._lift.cache_info().hits == 1
         assert np.array_equal(cold, warm)
-        calls.clear()
+
+
+@pytest.mark.parametrize(
+    "u", [HADAMARD, COMPLEX_U2, np.array([[LOSS_T, -LOSS_R], [LOSS_R, LOSS_T]])],
+    ids=["hadamard", "complex-u2", "loss-gamma0.01"],
+)
+def test_non_monomial_unitary_is_refused(u, monkeypatch):
+    # the lift of a non-monomial U would mix each sector across the cutoff;
+    # it is refused after the unitarity check, runs no LAPACK solver and is
+    # never memoized
+    for name in ("eig", "eigh", "qr"):
+        monkeypatch.setattr(np.linalg, name, None)
+    size = fock._lift.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="only a monomial mode transformation"):
+            passive_gaussian_unitary(u, FockConfig(5))
+    assert fock._lift.cache_info().currsize == size
 
 
 def test_passive_lift_memo_misses_on_any_key_change():
     cfg = FockConfig(7)
     state = random_state(cfg, 9)
-    nudged = HADAMARD.astype(complex)
-    nudged[0, 1] = np.nextafter(nudged[0, 1].real, 1.0)  # one ulp
+    phase = np.diag([1.0, np.exp(0.3j)])
+    nudged = phase.copy()
+    nudged[1, 1] = complex(np.nextafter(phase[1, 1].real, 1.0), phase[1, 1].imag)  # one ulp
     fock._lift.cache_clear()
-    passive_gaussian_unitary(HADAMARD, cfg)
-    for u, c in ((nudged, cfg), (HADAMARD, FockConfig(6))):
+    passive_gaussian_unitary(phase, cfg)
+    for u, c in ((nudged, cfg), (phase, FockConfig(6))):
         misses = fock._lift.cache_info().misses
         vec = state[: c.dim_per_mode, : c.dim_per_mode].ravel()
         got = passive_gaussian_unitary(u, c)(vec.reshape((c.dim_per_mode,) * 2)).ravel()
@@ -407,8 +346,7 @@ def test_passive_lift_memo_stays_bounded():
     cfg = FockConfig(3)
     maxsize = fock._lift.cache_info().maxsize
     for theta in np.linspace(0.1, 1.4, maxsize + 5):
-        c, s = np.cos(theta), np.sin(theta)
-        passive_gaussian_unitary(np.array([[c, -s], [s, c]]), cfg)
+        passive_gaussian_unitary(np.diag([1.0, np.exp(1j * theta)]), cfg)
     assert fock._lift.cache_info().currsize <= maxsize
 
 
@@ -510,7 +448,7 @@ def test_operator_composition_and_dagger():
     # the two factors do not commute
     kerr = number_diagonal_operator(1j ** (np.arange(8) ** 2 % 4), cfg)
     u = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
-    mix = passive_gaussian_unitary(u, cfg)
+    mix = passive_unitary(u, cfg)
     kerr_dense = dense_mode_op(np.diag(1j ** (np.arange(8) ** 2 % 4)), 1, cfg)
     mix_dense = dense_passive_unitary(u, cfg)
     got = kerr(mix(state)).ravel()
@@ -526,7 +464,7 @@ def test_operators_map_a_batch_as_each_member():
     cases = [  # (operator, exact)
         (passive_gaussian_unitary(phased_swap, cfg), True),
         (number_diagonal_operator(np.exp(0.7j * np.outer(n, n**2)), cfg), True),
-        (passive_gaussian_unitary(COMPLEX_U2, cfg), False),
+        (passive_unitary(COMPLEX_U2, cfg), False),
         (annihilation_operator(0, cfg), True),
         (annihilation_operator(1, cfg), True),
     ]

@@ -30,6 +30,7 @@ from fouriercat.gates import (
 from fouriercat.groups import HADAMARD, PAULI_X, PAULI_Z, PHASE_S, PHASE_T
 
 from conftest import traced
+from sector_lift import composite_hadamard_operator, exact_image, passive_unitary
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
 
@@ -397,6 +398,21 @@ def zeno_eigen_loop_reference(code):
     return max(float(np.linalg.norm(r)) for r in eigen)
 
 
+def exact_box_image(operator, states):
+    """``sector_lift.exact_image`` of ``states``, cut back to their own cutoff."""
+    d = np.shape(states)[-1]
+    return exact_image(operator, states)[..., :d, :d]
+
+
+def exact_pi_h(states):
+    """pi(H) applied exactly to cutoff-c states, in their box."""
+    return exact_box_image(lambda config: passive_unitary(HADAMARD, config), states)
+
+
+def pi_h_twice(pi_h):
+    return lambda t: pi_h(pi_h(t))
+
+
 def agree(got, want):
     """Equal to 1e-15, relative for values above one."""
     return abs(got - want) <= 1e-15 * max(1.0, abs(want))
@@ -413,14 +429,20 @@ def test_stacked_residuals_match_loop_references(name, alpha, phi, cutoff):
     assert agree(group_covariance(code), group_covariance_loop_reference(code))
     s_op = fc.gates.self_kerr_s_gate(code.config)
     assert agree(fc.s_gate_check(code).leakage, leakage_loop_reference(s_op, code))
-    h_op = fc.gates.composite_hadamard_operator(code)
-    assert agree(composite_hadamard_check(code).leakage, leakage_loop_reference(h_op, code))
+    # the composite Hadamard's images match the exact lift (see
+    # test_composite_hadamard_images_match_the_exact_lift), and the leakage
+    # is their residual reduced state by state
+    images = fc.gates._composite_hadamard_images(code)
+    exact = exact_box_image(composite_hadamard_operator, code.amplitudes)
+    assert np.max(np.abs(images - exact)) < 1e-14
+    h_leak = leakage_loop_reference(lambda t: images, code)
+    assert agree(composite_hadamard_check(code).leakage, h_leak)
     assert agree(fc.zeno_projected_hamiltonian(code)[2], zeno_eigen_loop_reference(code))
-    pi_h = passive_gaussian_unitary(HADAMARD, code.config)
     deformed = fc.code_basis(deform_constellation(code.constellation, HADAMARD), fourier)
-    want = encoded_residual_loop_reference(pi_h, code, deformed, HADAMARD)
+    want = encoded_residual_loop_reference(exact_pi_h, code, deformed, HADAMARD)
     assert agree(deformation_residual(code, HADAMARD), want)
-    want = encoded_residual_loop_reference(lambda t: pi_h(pi_h(t)), code, code, HADAMARD @ HADAMARD)
+    twice = exact_box_image(lambda config: pi_h_twice(passive_unitary(HADAMARD, config)), code.amplitudes)
+    want = encoded_residual_loop_reference(lambda t: twice, code, code, HADAMARD @ HADAMARD)
     assert agree(double_deformation_residual(code, HADAMARD), want)
     states, want = fc.zy_eigenstates(code), zy_eigenstates_loop_reference(code)
     assert fc.ZY_LABELS == tuple(want)
@@ -429,3 +451,24 @@ def test_stacked_residuals_match_loop_references(name, alpha, phi, cutoff):
     assert list(report) == list(want)
     assert all(agree(got, ref) for k in want for got, ref in zip(report[k], want[k], strict=True))
     assert agree(zy_expansion_residual(code), zy_expansion_loop_reference(code))
+
+
+@pytest.mark.parametrize(
+    "alpha, cutoff", [(ALPHA_STAR, 25), (1.3, 20), (2.0, 25)], ids=["alpha*", "1.3", "2.0"]
+)
+@pytest.mark.parametrize("phi", [np.pi / 2, 1.0], ids=["phi-pi/2", "phi1.0"])
+@pytest.mark.parametrize("name", ["d8", "q8"])
+def test_composite_hadamard_images_match_the_exact_lift(name, phi, alpha, cutoff):
+    # the lift at cutoff 2c on the zero-padded code states is exact: the
+    # operator conserves N, and every sector N <= 2c lies under that cutoff;
+    # the lift at cutoff c truncates the corner sectors N > c instead
+    group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
+    fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
+    code = fc.code_basis(fc.make_constellation(group, alpha, phi, cutoff), fourier)
+    d = code.config.dim_per_mode
+    exact = exact_image(composite_hadamard_operator, code.amplitudes)
+    images = fc.gates._composite_hadamard_images(code)
+    assert np.max(np.abs(images - exact[..., :d, :d])) < 1e-14
+    assert np.linalg.norm(exact[..., d:, :]) + np.linalg.norm(exact[..., :d, d:]) < 1e-14
+    truncated = composite_hadamard_operator(code.config)(code.amplitudes)
+    assert np.max(np.abs(truncated - exact[..., :d, :d])) > 1e-9

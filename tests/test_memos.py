@@ -17,9 +17,9 @@ import pytest
 
 from fouriercat import channels, cli, encoding, fock, gates, groups
 from fouriercat.fock import FockConfig, annihilation_operator, passive_gaussian_unitary
-from fouriercat.groups import HADAMARD
 
 CFG = FockConfig(9)
+PHASE = np.diag([1.0, np.exp(0.4j)])  # a monomial mode transformation that swaps no modes
 
 
 def held_arrays(obj):
@@ -35,7 +35,7 @@ def held_arrays(obj):
 BUILDS = {
     "ladder": lambda: annihilation_operator(1, CFG, 2),
     "ladder-mode-0": lambda: annihilation_operator(0, CFG),
-    "sector-lift": lambda: passive_gaussian_unitary(HADAMARD, CFG),
+    "phase-lift": lambda: passive_gaussian_unitary(PHASE, CFG),
     "monomial-lift": lambda: passive_gaussian_unitary(np.array([[0.0, 1j], [1.0, 0.0]]), CFG),
     "loss-tables": lambda: channels._loss_tables(CFG.dim_per_mode),
 }
@@ -74,7 +74,7 @@ def test_ladder_memo_keys_on_argument_types():
     ids=["non-unitary", "nan"],
 )
 def test_failed_unitarity_is_never_memoized(u):
-    passive_gaussian_unitary(HADAMARD, CFG)
+    passive_gaussian_unitary(PHASE, CFG)
     size = fock._lift.cache_info().currsize
     for _ in range(3):
         with pytest.raises(ValueError, match="unitary"):
@@ -87,7 +87,7 @@ def test_memo_hit_skips_the_unitarity_check(monkeypatch):
     norm = np.linalg.norm
     monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
     fock._lift.cache_clear()
-    for u in (HADAMARD, np.array([[0.0, 1.0], [1.0, 0.0]])):
+    for u in (PHASE, np.array([[0.0, 1.0], [1.0, 0.0]])):
         passive_gaussian_unitary(u, CFG)
         assert calls  # a miss checks U
         calls.clear()
