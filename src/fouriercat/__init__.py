@@ -13,7 +13,6 @@ from .groups import (
     verify_block_diagonalization,
 )
 from .fock import (
-    FockConfig,
     annihilation_operator,
     cat_state,
     coherent_product,

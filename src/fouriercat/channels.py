@@ -79,8 +79,7 @@ def qec_matrix_analytic(group, fourier, alpha, gamma, phi=np.pi / 2):
     carries G's condition number max |w| / min |w|, as
     ``extras["condition_number"]`` or on the error.  A non-finite phi makes
     G non-finite, which fails its Hermiticity test with ``ValueError``.
-    M is returned as (M + M^H) / 2; ``extras["hermiticity_defect"]`` is
-    ||M - M^H||_F before that, about eps cond(G): the roundoff it hides.
+    M is returned as (M + M^H) / 2.
     """
     lam = lambda_matrix(group, phi)
     gram, gram_t, gram_r = _loss_gram_matrices(lam, alpha, gamma)
@@ -93,11 +92,8 @@ def qec_matrix_analytic(group, fourier, alpha, gamma, phi=np.pi / 2):
     a = (fourier.matrix @ inv_sqrt)[fourier.logical_rows[0::2]]  # a[k, g], rows (k, 0)
     u = (a[:, None, :] * sr.T).reshape(2 * group.order, group.order)
     entries = u @ gram_t @ u.conj().T
-    adjoint = entries.conj().T
-    skew = entries - adjoint
-    defect = float(abs(np.vdot(skew, skew)) ** 0.5)
-    entries = (entries + adjoint) / 2
-    return QecMatrix(entries, extras={"condition_number": cond, "hermiticity_defect": defect})
+    entries = (entries + entries.conj().T) / 2
+    return QecMatrix(entries, extras={"condition_number": cond})
 
 
 def petz_entanglement_fidelity(qec):
@@ -183,8 +179,8 @@ def qec_matrix_fock(code, gamma):
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
-    d = code.config.dim_per_mode
     factors = code.constellation.factors  # (g, mode, a)
+    d = factors.shape[-1]
     n = len(factors)
     b_shift, shift = _loss_amplitudes(d, gamma)
 
@@ -239,7 +235,7 @@ def kl_first_order_check(code, psi_m):
     if not (np.isfinite(c) and np.isfinite(s)):
         raise ValueError("multiplicity state must be finite and nonzero")
     logical = c * code.amplitudes[0::2] + s * code.amplitudes[1::2]  # l = 0, 1
-    lost = [annihilation_operator(mode, code.config)(logical) for mode in (0, 1)]
+    lost = [annihilation_operator(mode)(logical) for mode in (0, 1)]
     states = np.concatenate([logical] + lost).reshape(6, -1)
     norms = np.linalg.norm(states, axis=1, keepdims=True)
     if not norms.min() > 0:
@@ -267,9 +263,9 @@ def lindblad_kernel_check(code, deformed=False):
         basis = code
         sign = 1.0
 
-    config, amps = basis.config, basis.amplitudes
-    a2sq_op = annihilation_operator(1, config, 2)
-    a1sq = annihilation_operator(0, config, 2)(amps)
+    amps = basis.amplitudes
+    a2sq_op = annihilation_operator(1, 2)
+    a1sq = annihilation_operator(0, 2)(amps)
     shift = sign * alpha**4 * amps
 
     def residual(image, scale):
@@ -277,13 +273,13 @@ def lindblad_kernel_check(code, deformed=False):
         return float(np.max(np.linalg.norm(image, axis=(-2, -1)))) / scale
 
     residuals = {  # each operator's images are reduced as soon as they are formed
-        "L1": residual(annihilation_operator(0, config, 4)(amps) - shift, alpha**4),
-        "L2": residual(annihilation_operator(1, config, 4)(amps) - shift, alpha**4),
+        "L1": residual(annihilation_operator(0, 4)(amps) - shift, alpha**4),
+        "L2": residual(annihilation_operator(1, 4)(amps) - shift, alpha**4),
         "L12": residual(a2sq_op(a1sq) + shift, alpha**4),
     }
     if not deformed:
         residuals["L0"] = residual(a1sq + a2sq_op(amps), alpha**2)
-    k = np.arange(basis.config.dim_per_mode) % 2
+    k = np.arange(amps.shape[-1]) % 2
     even = k[:, None] == k  # n1 + n2 even
     parity_residual = float(np.max(np.linalg.norm(amps[:, even], axis=-1)))
     return residuals, parity_residual

@@ -424,7 +424,7 @@ def cmd_gates_demo(cfg):
     if isinstance(code, StarvedTailError):
         return checks.starved(code)
 
-    swap = logical_action(passive_gaussian_unitary(PAULI_X, code.config), code)
+    swap = logical_action(passive_gaussian_unitary(PAULI_X), code)
     snap_s, snap_t = snap_gate_check(code)
     for name, action, target, tol in (
         ("beamsplitter swap (logical X)", swap, _X_TARGET, 1e-9),

@@ -12,8 +12,9 @@ per process.  ``constellation_from_vector`` (and through it
 group object, the bytes of the complex alpha vector and the cutoff;
 ``code_basis`` on its constellation and Fourier transform objects.  Each
 keeps its ``CODE_MEMO_SIZE`` latest results.  A constellation keeps only its
-normalized per-mode coherent factors (``factors``, |G| x 2 x d); its
-(|G|, d, d) ``amplitudes`` are formed from them on each read.  A code basis
+normalized per-mode coherent factors (``factors``, |G| x 2 x d); its cutoff
+is d - 1 and its (|G|, d, d) ``amplitudes`` are formed from them on each
+read, so no object holds the cutoff apart from the arrays.  A code basis
 keeps its amplitudes and its expansion over the constellation states
 (``coefficients``, 4 x |G|), so amplitudes[i] = sum_g coefficients[i, g]
 factors[g, 0] (x) factors[g, 1]; the Fock loss oracle contracts these
@@ -32,7 +33,6 @@ import numpy as np
 from .fock import (
     DEFAULT_CUTOFF,
     GRAM_FLOOR,
-    FockConfig,
     coherent_amplitudes,
     hermitian_inv_sqrt,
     normalize,
@@ -55,8 +55,11 @@ class Constellation:
 
     group: object
     alpha_vec: np.ndarray
-    config: FockConfig
     factors: np.ndarray  # (|G|, 2, d): unit per-mode factors, |g alpha> = f_g0 (x) f_g1
+
+    @property
+    def cutoff(self):
+        return self.factors.shape[-1] - 1
 
     @property
     def points(self):
@@ -80,10 +83,6 @@ class CodeBasis:
     amplitudes: np.ndarray  # (4, d, d), basis state (l, m) at index 2 l + m
     # (4, |G|): amplitudes[i] = sum_g coefficients[i, g] constellation.amplitudes[g]
     coefficients: np.ndarray
-
-    @property
-    def config(self):
-        return self.constellation.config
 
     @property
     def basis_states(self):
@@ -121,9 +120,7 @@ def _constellation(group, alpha_bytes, cutoff):
         raise DegenerateConstellationError("degenerate constellation")
     factors = unit_coherent_factors(points, cutoff)  # (|G|, 2, d), one per mode
     factors.flags.writeable = False
-    return Constellation(
-        group=group, alpha_vec=alpha_vec, config=FockConfig(cutoff), factors=factors
-    )
+    return Constellation(group=group, alpha_vec=alpha_vec, factors=factors)
 
 
 def make_constellation(group, alpha, phi, cutoff=DEFAULT_CUTOFF):
@@ -140,7 +137,7 @@ def deform_constellation(constellation, u):
     return constellation_from_vector(
         constellation.group,
         np.asarray(u, dtype=complex) @ constellation.alpha_vec,
-        constellation.config.cutoff,
+        constellation.cutoff,
     )
 
 
@@ -215,7 +212,8 @@ def cat_qudit(n, d, alpha, cutoff=None):
     w^{-kMl}-weighted rotated coherent states, M = N / d.  The Z_N
     group route (``cyclic_group`` with its Fourier transform) gives the same
     DFT, but its Cayley table and character check cost O(N^3) time; this
-    form costs O(N (d + cutoff)) and leaves the group memos alone.
+    form costs O(d N cutoff), the (d, N) @ (N, cutoff + 1) product of the
+    weights and the coherent amplitudes, and leaves the group memos alone.
     """
     if not (_integer_at_least(n, 1) and _integer_at_least(d, 1)):
         raise ValueError("N and d must be positive integers")

@@ -4,12 +4,15 @@ A state is its amplitude array: a plain complex (d, d) tensor with one axis
 per mode, d = cutoff + 1.  Operators are plain functions on such tensors:
 they map an array whose last two axes are the modes to an array of the same
 shape, and any leading axes are a batch, so a stack of states is mapped in
-one call.  No operator is stored as a matrix over the full space.  Passive
-unitaries are lifted here only when they are monomial (mode permutations
-with phases), which the truncation leaves exact; a state built from coherent
-points is moved by any U(2) rotation through its points instead
-(pi(U)|alpha> = |U alpha>, see ``gates``).  The monomial lift and the ladder
-operators are memoized (see ``passive_gaussian_unitary`` and
+one call.  An operator takes no dimension: it reads d from the last axis of
+the tensor it acts on, so one operator serves every cutoff (a diagonal's
+phases must broadcast to the state).  No operator is
+stored as a matrix over the full space.  Passive unitaries are lifted here
+only when they are monomial (mode permutations with phases), which the
+truncation leaves exact; a state built from coherent points is moved by any
+U(2) rotation through its points instead (pi(U)|alpha> = |U alpha>, see
+``gates``).  An operator's arguments are validated when it is built; the
+tables it applies are memoized per d (see ``passive_gaussian_unitary`` and
 ``annihilation_operator``).
 Every constructor that builds a physical state from coherent amplitudes
 audits the truncated Poisson tail so that silent truncation errors cannot
@@ -18,7 +21,6 @@ creep into downstream fidelity computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,24 +29,9 @@ from .groups import _integer_at_least, memoized
 
 DEFAULT_CUTOFF = 25
 TAIL_TOL = 1e-12
-# Results kept by the passive-unitary lift and the ladder-operator memos.
+# Tables kept by the monomial-lift and the ladder-coefficient memos.
 LIFT_MEMO_SIZE = 32
 LADDER_MEMO_SIZE = 32
-
-
-@dataclass(frozen=True)
-class FockConfig:
-    """Per-mode photon-number cutoff of the two-mode space."""
-
-    cutoff: int
-
-    def __post_init__(self):
-        if not _integer_at_least(self.cutoff, 1):
-            raise ValueError("cutoff must be an integer >= 1")
-
-    @property
-    def dim_per_mode(self):
-        return self.cutoff + 1
 
 
 def overlap_matrix(bras, kets):
@@ -141,31 +128,21 @@ def cat_state(alpha, parity, cutoff=DEFAULT_CUTOFF):
 
 
 def _monomial_structure(u):
-    """(perm, phases) when the unitary u is a generalized permutation matrix, else None.
+    """(swap, phases) when the 2 x 2 unitary u is a generalized permutation matrix, else None.
 
-    perm[k] is the row carrying column k's single unit-modulus entry and
-    phases[k] that entry; since u is unitary, no two columns share a row.
+    Each column's largest entry (the first on a tie) must have unit modulus
+    and the other one vanish, to 1e-12; swap is whether column 0's lies in
+    row 1, and phases are the two unit entries, column by column.  A matrix
+    that passes is unitary to 1e-11, and a NaN entry fails.  Plain Python
+    on the four entries: a lift checks its U on every build.
     """
-    rows = np.arange(u.shape[0])
-    perm = np.argmax(np.abs(u), axis=0)  # the row of each column's largest entry
-    phases = u[perm, rows]
-    rest = np.linalg.norm(np.where(rows[:, None] == perm, 0.0, u), axis=0)
-    if np.any(np.abs(np.abs(phases) - 1.0) > 1e-12) or np.any(rest > 1e-12):
-        return None
-    return perm, phases
-
-
-def _monomial_unitary(perm, phases, config):
-    """Exact second quantization of a mode permutation with phases.
-
-    pi(U)|n_1, n_2> = phases[0]^n_1 phases[1]^n_2 |n_1, n_2>, the mode axes
-    then swapped if perm swaps the modes: no truncation error at all.
-    """
-    n = np.arange(config.dim_per_mode)
-    phase = np.multiply.outer(phases[0] ** n, phases[1] ** n)
-    phase.flags.writeable = False
-    swap = perm[0] == 1
-    return lambda t: (phase * t).swapaxes(-2, -1) if swap else phase * t
+    (a, b), (c, e) = u.tolist()
+    swap = abs(c) > abs(a)
+    p0, p1, r0, r1 = (c, b, a, e) if swap else (a, e, c, b)
+    unit = abs(abs(p0) - 1.0) <= 1e-12 and abs(abs(p1) - 1.0) <= 1e-12
+    if unit and abs(r0) <= 1e-12 and abs(r1) <= 1e-12:
+        return swap, (p0, p1)
+    return None
 
 
 def _mode_matrix(u):
@@ -183,80 +160,101 @@ def _check_unitary(u):
     return u
 
 
-def passive_gaussian_unitary(u, config):
+def passive_gaussian_unitary(u):
     """Second quantization of a monomial U(2) mode rotation: pi(U)|alpha> = |U alpha>.
 
     Returns pi(U) as a function on amplitude tensors (see the module
     docstring).  U must be a generalized permutation matrix, which is lifted
-    exactly.  Any other unitary mixes in the sectors N > cutoff that the
-    truncation cuts, so it raises ``ValueError``; the gates that apply such
-    a U move coherent points instead (see ``gates``).
+    exactly: pi(U)|n_1, n_2> = phases[0]^n_1 phases[1]^n_2 |n_1, n_2>, the
+    mode axes then swapped if U swaps the modes.  A non-unitary U (NaN
+    entries included) raises, and so does any other unitary, which mixes in
+    the sectors N > cutoff that the truncation cuts; the gates that apply
+    such a U move coherent points instead (see ``gates``).
 
-    The lift is memoized on the exact bytes of the complex-cast U and
-    ``config``, keeping the ``LIFT_MEMO_SIZE`` latest lifts read-only (each
-    holds one (d, d) phase table).  The shape of U is checked on every call,
-    ahead of the memo, since arrays of two shapes can share their bytes; its
-    unitarity is checked on a memo miss, and a U that fails it (NaN entries
-    included) is never memoized, so it raises again on every call.
+    U is checked on every build, so a U that fails never reaches a memo.
+    The operator takes its (d, d) phase table from ``_lift``, memoized on
+    the exact bytes of the complex-cast U and d, which keeps the
+    ``LIFT_MEMO_SIZE`` latest tables read-only.
     """
-    return _lift(_mode_matrix(u).tobytes(), config)
+    u = _mode_matrix(u)
+    monomial = _monomial_structure(u)
+    if monomial is None:
+        _check_unitary(u)
+        raise ValueError("only a monomial mode transformation is lifted exactly")
+    u_bytes, swap = u.tobytes(), monomial[0]
+
+    def act(t):
+        phase = _lift(u_bytes, np.shape(t)[-1])
+        return (phase * t).swapaxes(-2, -1) if swap else phase * t
+
+    return act
 
 
 @memoized(LIFT_MEMO_SIZE)
-def _lift(u_bytes, config):
-    """pi(U) for the unitary U whose complex128 bytes (C order) are ``u_bytes``."""
-    u = np.frombuffer(u_bytes, dtype=complex).reshape(2, 2)
-    monomial = _monomial_structure(_check_unitary(u))
-    if monomial is None:
-        raise ValueError("only a monomial mode transformation is lifted exactly")
-    return _monomial_unitary(*monomial, config)
+def _lift(u_bytes, d):
+    """The (d, d) phase table of the monomial U whose complex128 bytes are ``u_bytes``."""
+    _, phases = _monomial_structure(np.frombuffer(u_bytes, dtype=complex).reshape(2, 2))
+    n = np.arange(d)
+    phase = np.multiply.outer(phases[0] ** n, phases[1] ** n)
+    phase.flags.writeable = False
+    return phase
 
 
-def number_diagonal_operator(phases, config):
+def number_diagonal_operator(phases):
     """Diagonal unitary multiplying |n_1, n_2> by phases[n_1, n_2].
 
-    ``phases`` broadcasts to (d, d), so a 1-d profile acts on the second
-    mode; every entry must be unimodular (a NaN entry is not).  The
-    operator holds a read-only view of ``phases``.
+    ``phases`` must broadcast to the state's (d, d), so a 1-d profile acts
+    on the second mode; every entry must be unimodular (a NaN entry is not).
+    The operator holds a read-only view of ``phases``.
     """
-    values = np.broadcast_to(phases, (config.dim_per_mode,) * 2)
+    values = np.asarray(phases).view()
     if not np.max(np.abs(np.abs(values) - 1.0)) <= 1e-12:
         raise ValueError("diagonal entries must be unimodular")
+    values.flags.writeable = False
     return lambda t: values * t
 
 
-@memoized(LADDER_MEMO_SIZE)
-def annihilation_operator(mode, config, power=1):
+def annihilation_operator(mode, power=1):
     """a^power of mode 0 or 1, as a function on amplitude tensors.
 
     out[n] = sqrt((n + power)! / n!) t[n + power], written by one
     slice-and-multiply into a zeroed output, so the top ``power`` levels of
-    the mode are exactly zero.  The coefficients are the square roots of
-    exact integer products, so power 1 multiplies by sqrt(1..d-1) and
-    power k agrees with k single steps to rounding.  Memoized on the
-    arguments and their types, so ``power=2.0`` is its own key and raises
-    however often ``power=2`` was built; the ``LADDER_MEMO_SIZE`` latest
-    operators are kept, their coefficients read-only.
+    the mode are exactly zero.  The mode and the power are checked when the
+    operator is built, and they must be integers (``power=2.0`` raises);
+    the coefficients come from ``_ladder_roots`` at the state's d.
     """
     if not _integer_at_least(mode, 0) or mode > 1:
         raise ValueError("invalid mode index")
     if not _integer_at_least(power, 1):
         raise ValueError("power must be an integer >= 1")
-    keep = max(config.dim_per_mode - power, 0)
-    product = np.prod(np.arange(1.0, keep + 1)[:, None] + np.arange(power), axis=1)
-    after = (slice(None),) * (1 - mode)  # the second mode's axis, for mode 0
-    root = np.sqrt(product).reshape((-1,) + (1,) * len(after))  # along the mode's axis
-    root.flags.writeable = False
-    low = (Ellipsis, slice(0, keep)) + after
-    high = (Ellipsis, slice(power, None)) + after
+    power = int(power)
 
     def act(t):
         t = np.asarray(t)
+        root = _ladder_roots(t.shape[-1], power)[mode]  # along the mode's axis
         out = np.zeros(t.shape, dtype=np.result_type(root, t))
-        np.multiply(root, t[high], out=out[low])
+        if mode:
+            np.multiply(root, t[..., power:], out=out[..., : len(root)])
+        else:
+            np.multiply(root, t[..., power:, :], out=out[..., : len(root), :])
         return out
 
     return act
+
+
+@memoized(LADDER_MEMO_SIZE)
+def _ladder_roots(d, power):
+    """The read-only coefficients sqrt((n + power)! / n!), n < d - power, of a^power.
+
+    They are the square roots of exact integer products, so power 1 gives
+    sqrt(1..d-1) and power k agrees with k single steps to rounding.
+    Returned as a column for mode 0 and a row for mode 1, two views of one array.
+    """
+    keep = max(d - power, 0)
+    product = np.prod(np.arange(1.0, keep + 1)[:, None] + np.arange(power), axis=1)
+    root = np.sqrt(product)
+    root.flags.writeable = False
+    return root[:, None], root
 
 
 GRAM_FLOOR = 1e-12  # hermitian_inv_sqrt's default floor, relative to the largest eigenvalue

@@ -102,22 +102,21 @@ def group_covariance(code):
     basis = code.amplitudes.reshape(4, -1)
     worst = 0.0
     for g in code.constellation.group.matrices:
-        image = passive_gaussian_unitary(g, code.config)(code.amplitudes).reshape(basis.shape)
+        image = passive_gaussian_unitary(g)(code.amplitudes).reshape(basis.shape)
         image -= (image @ basis.conj().T) @ basis  # minus sum_k <basis_k|pi(g) basis_i> basis_k
         squares = image.reshape(-1).view(float)  # the squared norm, no temporary
         worst = np.maximum(worst, np.einsum("k,k->", squares, squares))  # NaN propagates
     return float(np.sqrt(worst))
 
 
-def self_kerr_s_gate(config):
-    """The self-Kerr diagonal i^{n2^2} on the second mode."""
-    n = np.arange(config.dim_per_mode)
-    return number_diagonal_operator(1j ** (n**2 % 4), config)
+def self_kerr_s_gate():
+    """The self-Kerr diagonal i^{n2^2} on the second mode, at the state's cutoff."""
+    return lambda t: number_diagonal_operator(1j ** (np.arange(np.shape(t)[-1]) ** 2 % 4))(t)
 
 
 def s_gate_check(code):
     """Logical action of the self-Kerr i^{n2^2}; should equal S (x) I."""
-    return logical_action(self_kerr_s_gate(code.config), code)
+    return logical_action(self_kerr_s_gate(), code)
 
 
 def cz_gate_check(code):
@@ -127,7 +126,7 @@ def cz_gate_check(code):
     states factor through per-mode density profiles; no 4-mode operator is
     ever materialized.
     """
-    d = code.config.dim_per_mode
+    d = code.amplitudes.shape[-1]
     odd = np.arange(d) % 2
     parity = 1.0 - 2.0 * np.outer(odd, odd)  # (-1)^(n2 n4), exactly +-1
     # C[i', i, n2] = sum_n1 conj(b_i'[n1,n2]) b_i[n1,n2], rows (i', i)
@@ -143,13 +142,13 @@ def cz_target():
     return np.diag((-1.0 + 0j) ** np.outer(logical, logical).ravel())
 
 
-def _coherent_images(weights, points, config):
+def _coherent_images(weights, points, cutoff):
     """The (d, d) images sum_t weights[i, t] |points[t]>, one per row of weights.
 
     Each |p> is f_p1 (x) f_p2, built as the code's own constellation states
     are (``unit_coherent_factors``), so image i is F_1^T diag(weights[i]) F_2.
     """
-    factors = unit_coherent_factors(points, config.cutoff)  # (terms, 2, d)
+    factors = unit_coherent_factors(points, cutoff)  # (terms, 2, d)
     return (factors[:, 0].T * weights[:, None, :]) @ factors[:, 1]
 
 
@@ -164,7 +163,8 @@ def _kerr_split(weights, points):
 
 def _encoded_residual(code, target, u):
     """Max infidelity of pi(U) E(|l>|m>) vs E_target(U|l> (x) U|m>), pi(U) moving the points."""
-    images = _coherent_images(code.coefficients, code.constellation.points @ u.T, code.config)
+    constellation = code.constellation
+    images = _coherent_images(code.coefficients, constellation.points @ u.T, constellation.cutoff)
     # column (l, m) of U (x) U holds the coefficients u[l', l] u[m', m]
     amps = target.amplitudes
     rhs = (np.kron(u, u).T @ amps.reshape(4, -1)).reshape(amps.shape)
@@ -200,7 +200,7 @@ def _composite_hadamard_images(code):
     for _ in range(2):
         weights, points = _kerr_split(weights, points)
         points = points @ HADAMARD.T
-    return self_kerr_s_gate(code.config)(_coherent_images(weights, points, code.config))
+    return self_kerr_s_gate()(_coherent_images(weights, points, code.constellation.cutoff))
 
 
 def zeno_projected_hamiltonian(code, theta=0.0):
@@ -208,7 +208,7 @@ def zeno_projected_hamiltonian(code, theta=0.0):
 
     Returns (ZenoGate, residual vs 2 alpha^2 Z (x) Z, max a1^2 eigen residual).
     """
-    a1 = annihilation_operator(0, code.config)
+    a1 = annihilation_operator(0)
     images = a1(a1(code.amplitudes))
     # <t|a1^2|s> plus <t|a1^dag2|s> = conj <s|a1^2|t>
     lower = overlap_matrix(code.amplitudes, images)
@@ -224,9 +224,9 @@ def zeno_projected_hamiltonian(code, theta=0.0):
 
 def snap_gate_check(code):
     """Logical actions of the mode-2 SNAP phases exp(i pi/2 (n^2 mod 4)) and exp(i pi/4 (n^4 mod 8))."""
-    n = np.arange(code.config.dim_per_mode)
-    s_op = number_diagonal_operator(np.exp(1j * np.pi / 2 * (n**2 % 4)), code.config)
-    t_op = number_diagonal_operator(np.exp(1j * np.pi / 4 * (n**4 % 8)), code.config)
+    n = np.arange(code.amplitudes.shape[-1])
+    s_op = number_diagonal_operator(np.exp(1j * np.pi / 2 * (n**2 % 4)))
+    t_op = number_diagonal_operator(np.exp(1j * np.pi / 4 * (n**4 % 8)))
     return logical_action(s_op, code), logical_action(t_op, code)
 
 
@@ -292,7 +292,7 @@ def mod4_verification(code):
     prob = np.empty((3,) + stack.shape)  # before, after a_1, after a_2
     np.abs(stack, out=prob[0])
     for out, mode in zip(prob[1:], (0, 1)):
-        np.abs(annihilation_operator(mode, code.config)(stack), out=out)
+        np.abs(annihilation_operator(mode)(stack), out=out)
     prob **= 2
     masses = _mod4_masses(prob)  # (before/a_1/a_2, state, r1, r2)
     masses[1:] /= masses[1:].sum(axis=(-2, -1), keepdims=True)  # the lost states, normalized
@@ -311,7 +311,7 @@ def zy_expansion_residual(code):
     (mode order swapped for l = 1), with f_{p,q} Poisson-like; one overall
     complex constant per state is fitted.
     """
-    pred = _zy_prediction(code.alpha, code.config.dim_per_mode)
+    pred = _zy_prediction(code.alpha, code.amplitudes.shape[-1])
     actual = zy_eigenstates(code)
     scale = np.einsum("sab,sab->s", pred, actual) / np.einsum("sab,sab->s", pred, pred)
     return float(np.max(np.abs(actual - scale[:, None, None] * pred)))

@@ -46,11 +46,14 @@ GROUP_MEMO_SIZE = 16
 def memoized(maxsize):
     """Memoize a builder on its arguments, keeping the ``maxsize`` latest results.
 
-    A memo stays only where the hits of a workload round save a measured
-    amount of time; being reused is not enough.  Ten builders qualify: the
-    groups, irrep tables, Fourier transforms, constellations and code bases,
-    the monomial passive lift, the ladder operators, the loss tables and the
-    parser.
+    A memo stays only where its hits save at least 1% of a warm benchmark
+    round (about 5 ms), by its own builds or by the hits it keeps up in an
+    identity-keyed memo downstream; being reused is not enough.  Ten
+    builders qualify (the README gives what each saves): ``pauli_group``,
+    ``quaternion_group``, ``irrep_table``, ``build_fourier_transform``,
+    ``encoding._constellation`` and ``code_basis``, ``fock._ladder_roots``
+    and ``fock._lift`` (keyed on d), ``channels._loss_tables`` and
+    ``cli.build_parser``.
 
     The result is a plain function (so tracers that wrap module functions
     still see each call) whose ``__wrapped__`` is the uncached builder.
@@ -78,7 +81,9 @@ def memoized(maxsize):
 
 def _integer_at_least(n, low):
     """The one size check: an integer n >= low (numpy integers too), but not a bool."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= low
+    # a plain int skips the slower ABC test: operators are checked on every build
+    integral = type(n) is int or (isinstance(n, numbers.Integral) and not isinstance(n, bool))
+    return integral and n >= low
 
 
 def _is_unitary(u):

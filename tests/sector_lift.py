@@ -8,11 +8,14 @@ wholly under the per-mode cutoff and are exact; the corner sectors
 N > cutoff are truncated, so there the lift depends on h, not only on U.
 ``exact_image`` pads states to twice their cutoff, where every sector of the
 original box is whole, so it applies a composition of such lifts exactly.
+Like the library's operators, these read d from the state they act on.
 """
+
+from functools import lru_cache, partial
 
 import numpy as np
 
-from fouriercat.fock import FockConfig, _monomial_structure, passive_gaussian_unitary
+from fouriercat.fock import _monomial_structure, passive_gaussian_unitary
 from fouriercat.groups import HADAMARD
 
 
@@ -29,8 +32,8 @@ def mode_hamiltonian(u):
     return (q * np.angle(vals)) @ q.conj().T
 
 
-def sector_unitary(h, config):
-    """exp(i sum_jk h_jk a_j^dag a_k) on two truncated modes, all sectors at once.
+def sector_unitary(h, d):
+    """exp(i sum_jk h_jk a_j^dag a_k) on two truncated modes of dimension d, all sectors at once.
 
     Sector N holds |k, N - k> for max(0, N - cutoff) <= k <= min(N, cutoff);
     there the Hamiltonian is tridiagonal, with diagonal h_00 k + h_11 (N - k)
@@ -42,7 +45,6 @@ def sector_unitary(h, config):
     two blocks keeps roundoff from coupling sectors.  One batched eigh over
     the (d, d, d) stack of rows costs O(d^4).
     """
-    d = config.dim_per_mode
     k = np.arange(d)
     r = k[:, None]
     first = k <= r  # packed element (r, k) lies in sector r, not cutoff + 1 + r
@@ -69,23 +71,28 @@ def sector_unitary(h, config):
     return act
 
 
-def passive_unitary(u, config):
-    """pi(U) for any 2 x 2 unitary: the library's exact lift if U is monomial, else the sector lift."""
+def passive_unitary(u):
+    """pi(U) for any 2 x 2 unitary: the library's exact lift if U is monomial, else the sector lift.
+
+    The sector lift is built for the d of the state it is applied to and
+    kept for the next state of that d.
+    """
     u = np.asarray(u, dtype=complex)
     if _monomial_structure(u) is not None:
-        return passive_gaussian_unitary(u, config)
-    return sector_unitary(mode_hamiltonian(u), config)
+        return passive_gaussian_unitary(u)
+    lift = lru_cache(maxsize=1)(partial(sector_unitary, mode_hamiltonian(u)))
+    return lambda t: lift(np.shape(t)[-1])(t)
 
 
-def composite_hadamard_operator(config):
-    """i^{n2^2} pi(H) i^{n2^2} pi(H) i^{n2^2} by the sector lift at ``config``."""
-    s_phase = 1j ** (np.arange(config.dim_per_mode) ** 2 % 4)
-    pi_h = passive_unitary(HADAMARD, config)
-    return lambda t: s_phase * pi_h(s_phase * pi_h(s_phase * t))
+def composite_hadamard_operator(t):
+    """i^{n2^2} pi(H) i^{n2^2} pi(H) i^{n2^2} applied to t, pi(H) by the sector lift."""
+    s_phase = 1j ** (np.arange(np.shape(t)[-1]) ** 2 % 4)
+    pi_h = passive_unitary(HADAMARD)
+    return s_phase * pi_h(s_phase * pi_h(s_phase * t))
 
 
 def exact_image(operator, states):
-    """``operator(config)`` applied to ``states`` zero-padded to twice their cutoff.
+    """``operator`` applied to ``states`` zero-padded to twice their cutoff.
 
     The operators here conserve the total photon number, and every sector
     N <= 2c of a cutoff-c state lies whole under the cutoff 2c, so the image
@@ -94,4 +101,4 @@ def exact_image(operator, states):
     d = np.shape(states)[-1]
     padded = np.zeros(np.shape(states)[:-2] + (2 * d - 1, 2 * d - 1), dtype=complex)
     padded[..., :d, :d] = states
-    return operator(FockConfig(2 * (d - 1)))(padded)
+    return operator(padded)

@@ -63,7 +63,7 @@ def test_criterion_2_encoding_identities(acceptance_report, star_code, d8):
     worst_prod = max(
         infidelity(
             star_code.amplitudes[2 * l + m],
-            _product_cat(first, second, star_code.config.cutoff),
+            _product_cat(first, second, star_code.constellation.cutoff),
         )
         for (l, m), (first, second) in targets.items()
     )
@@ -73,7 +73,7 @@ def test_criterion_2_encoding_identities(acceptance_report, star_code, d8):
 
     cov = 0.0
     for i in range(d8.order):
-        op = passive_gaussian_unitary(d8.matrices[i], star_code.config)
+        op = passive_gaussian_unitary(d8.matrices[i])
         images = np.array([op(s.amplitudes).ravel() for s in star_code.basis_states])
         overlaps = images.conj() @ basis.T
         cov = max(cov, float(np.linalg.norm(images - overlaps.conj() @ basis)))
@@ -107,7 +107,7 @@ def test_criterion_4_gate_suite(acceptance_report, star_code):
     had_dist = phase_aligned_distance(had.matrix, np.kron(HADAMARD, IDENTITY2))
     _, zeno_res, _ = fc.zeno_projected_hamiltonian(star_code)
     t_dist = phase_aligned_distance(snap_t.matrix, np.kron(PHASE_T, IDENTITY2))
-    n = np.arange(2 * star_code.config.cutoff)
+    n = np.arange(2 * star_code.constellation.cutoff)
     profile = np.exp(1j * np.pi / 4 * ((n**4) % 8).astype(float))
     profile_dev = float(
         np.linalg.norm(profile - np.where(n % 2 == 0, 1.0, np.exp(1j * np.pi / 4)))
@@ -138,7 +138,7 @@ def test_criterion_5_measurement(acceptance_report, star_code):
             sum(p for cell, p in dist.items() if cell not in TABLE_CELLS[label]),
         )
         for mode in (0, 1):
-            lower = annihilation_operator(mode, star_code.config)
+            lower = annihilation_operator(mode)
             lost = normalize(lower(state))
             dist_l = outcome_distribution(lost)
             worst_flip = max(

@@ -475,7 +475,7 @@ def test_verify_then_gates_demo_lift_only_monomial_unitaries():
         "    setattr(np.linalg, name, lambda *a, name=name, **k: solves.append(name))\n"
         "from fouriercat import cli, fock\n"
         "lift, lifted = fock._lift, []\n"
-        "fock._lift = lambda u_bytes, config: lifted.append(u_bytes) or lift(u_bytes, config)\n"
+        "fock._lift = lambda u_bytes, d: lifted.append(u_bytes) or lift(u_bytes, d)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['verify']), cli.main(['gates-demo'])]\n"
         "us = [np.frombuffer(u, dtype=complex).reshape(2, 2) for u in lifted]\n"

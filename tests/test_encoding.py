@@ -51,7 +51,7 @@ def test_product_cat_form_special_alpha(star_code):
         (1, 0): ((0, 1j * a), (1, a)),
         (1, 1): ((0, a), (1, 1j * a)),
     }
-    cutoff = star_code.config.cutoff
+    cutoff = star_code.constellation.cutoff
     for (l, m), (first, second) in targets.items():
         got = star_code.amplitudes[2 * l + m]
         want = _product_cat(first, second, cutoff)
@@ -63,7 +63,7 @@ def test_product_cat_form_special_alpha(star_code):
 def test_group_covariance(star_code, d8):
     basis = np.array([s.amplitudes.ravel() for s in star_code.basis_states])
     for i in range(d8.order):
-        op = passive_gaussian_unitary(d8.matrices[i], star_code.config)
+        op = passive_gaussian_unitary(d8.matrices[i])
         images = np.array([op(s.amplitudes).ravel() for s in star_code.basis_states])
         overlaps = images.conj() @ basis.T
         leak = np.linalg.norm(images - overlaps.conj() @ basis)
@@ -343,7 +343,7 @@ def test_code_memos_match_an_uncached_build(name, alpha, phi, cutoff):
     for got, vec in ((code, vec), (deformed, HADAMARD @ vec)):
         constellation = encoding._constellation.__wrapped__(fresh_group, vec.tobytes(), cutoff)
         want = fc.code_basis.__wrapped__(constellation, fresh_fourier)
-        assert want is not got and want.config == got.config
+        assert want is not got and want.constellation.cutoff == got.constellation.cutoff
         for a, b in zip(code_arrays(got), code_arrays(want), strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()

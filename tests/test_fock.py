@@ -6,7 +6,6 @@ from scipy.linalg import expm, logm
 
 from fouriercat import fock
 from fouriercat.fock import (
-    FockConfig,
     SingularGramError,
     StarvedTailError,
     annihilation_operator,
@@ -27,20 +26,20 @@ from sector_lift import passive_unitary
 ALPHA_STAR = np.sqrt(np.pi / 2)
 
 
-def random_state(cfg, seed):
+def random_state(d, seed):
+    """A random normalized (d, d) state."""
     rng = np.random.default_rng(seed)
-    dim = cfg.dim_per_mode**2
-    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return (amps / np.linalg.norm(amps)).reshape((cfg.dim_per_mode,) * 2)
+    amps = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    return (amps / np.linalg.norm(amps)).reshape(d, d)
 
 
 def destroy(cutoff):
     return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
 
 
-def dense_mode_op(single, mode, cfg):
-    """Dense reference: a single-mode matrix on one mode of a small space."""
-    eye = np.eye(cfg.dim_per_mode)
+def dense_mode_op(single, mode):
+    """Dense reference: a single-mode (d, d) matrix on one mode of the d^2 space."""
+    eye = np.eye(len(single))
     return np.kron(single, eye) if mode == 0 else np.kron(eye, single)
 
 
@@ -89,14 +88,11 @@ def test_coherent_amplitudes_reject_non_finite(bad):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: FockConfig(25.5), "cutoff must be an integer >= 1"),
-        (lambda: FockConfig(25.0), "cutoff must be an integer >= 1"),
-        (lambda: FockConfig(True), "cutoff must be an integer >= 1"),
         (lambda: coherent_amplitudes(0.5, 10.0), "cutoff must be an integer"),
         (lambda: coherent_state(0.5, -1), "cutoff must be an integer"),
         (lambda: coherent_product([0.5, 0.2j], 12.5), "cutoff must be an integer"),
         (lambda: cat_state(1.0, 0, True), "cutoff must be an integer"),
-        (lambda: annihilation_operator(True, FockConfig(4)), "mode index"),
+        (lambda: annihilation_operator(True), "mode index"),
         (lambda: cyclic_group(0), "N must be an integer >= 1"),
         (lambda: cyclic_group(-3), "N must be an integer >= 1"),
         (lambda: cyclic_group(2.5), "N must be an integer >= 1"),
@@ -104,8 +100,7 @@ def test_coherent_amplitudes_reject_non_finite(bad):
         (lambda: generate_group([PAULI_X], max_order=2.5), "max_order must be an integer >= 1"),
         (lambda: generate_group([PAULI_X], max_order=64.0), "max_order must be an integer >= 1"),
     ],
-    ids=["config-cutoff-half", "config-cutoff-float", "config-cutoff-bool",
-         "amplitudes-float", "state-negative", "product-half", "cat-bool", "ladder-mode-bool",
+    ids=["amplitudes-float", "state-negative", "product-half", "cat-bool", "ladder-mode-bool",
          "cyclic-zero", "cyclic-negative", "cyclic-float", "cyclic-bool", "max-order-half",
          "max-order-float"],
 )
@@ -117,29 +112,31 @@ def test_sizes_and_indices_must_be_integers(build, message):
 
 
 def test_numpy_integer_sizes_stay_valid():
-    cfg = FockConfig(np.int32(12))
-    assert cfg.dim_per_mode == 13
+    assert coherent_amplitudes(0.5, np.int32(12)).shape == (13,)
     assert coherent_amplitudes(0.5, np.int64(12)).shape == (13,)
-    lowered = annihilation_operator(np.int64(1), cfg, np.int64(2))(np.ones((13, 13)))
+    lowered = annihilation_operator(np.int64(1), np.int64(2))(np.ones((13, 13)))
     assert lowered[0, 0] == np.sqrt(2)
     assert cyclic_group(np.int64(4)).order == 4
 
 
 def test_two_mode_contracts():
-    # the old (modes, cutoff) form fails loudly instead of reading cutoff 2
+    # the old forms that passed a dimension fail loudly instead of reading it
     with pytest.raises(TypeError):
-        FockConfig(2, 5)
+        passive_gaussian_unitary(PAULI_X, 5)
+    with pytest.raises(TypeError):
+        number_diagonal_operator(np.ones(6), 5)
+    with pytest.raises(ValueError, match="power"):
+        annihilation_operator(0, object())
     for alphas in ([0.5], [0.5, 0.2j, 1.0], 0.5):
         with pytest.raises(ValueError, match="exactly two amplitudes"):
             coherent_product(alphas, 10)
 
 
 def test_coherent_is_destroy_eigenstate():
-    cfg = FockConfig(40)
     alphas = (1.1, 0.4j)
     state = coherent_product(alphas, 40)
     for mode, alpha in enumerate(alphas):
-        image = annihilation_operator(mode, cfg)(state)
+        image = annihilation_operator(mode)(state)
         assert infidelity(normalize(image), state) < 1e-12
         assert abs(np.linalg.norm(image) - abs(alpha)) < 1e-10
 
@@ -168,18 +165,16 @@ def test_cat_overlaps_at_special_alpha():
 
 
 def test_passive_unitary_moves_coherent_states():
-    cfg = FockConfig(25)
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     vec = np.array([0.8, 0.3j])
-    op = passive_unitary(h, cfg)
+    op = passive_unitary(h)
     got = op(coherent_product(vec, 25))
     want = coherent_product(h @ vec, 25)
     assert infidelity(got, want) < 1e-10
 
 
 def test_monomial_unitary_is_exact_swap():
-    cfg = FockConfig(5)
-    swap = passive_gaussian_unitary(np.array([[0.0, 1.0], [1.0, 0.0]]), cfg)
+    swap = passive_gaussian_unitary(np.array([[0.0, 1.0], [1.0, 0.0]]))
     amps = np.zeros((6, 6), dtype=complex)
     amps[4, 1] = 1.0
     got = swap(amps)
@@ -187,21 +182,20 @@ def test_monomial_unitary_is_exact_swap():
 
 
 def test_monomial_unitary_phases():
-    cfg = FockConfig(7)
-    op = passive_gaussian_unitary(np.diag([1.0, -1.0]), cfg)
-    state = random_state(cfg, 1)
-    want = dense_mode_op(np.diag((-1.0) ** np.arange(8)), 1, cfg) @ state.ravel()
+    op = passive_gaussian_unitary(np.diag([1.0, -1.0]))
+    state = random_state(8, 1)
+    want = dense_mode_op(np.diag((-1.0) ** np.arange(8)), 1) @ state.ravel()
     assert np.linalg.norm(op(state).ravel() - want) < 1e-15
     # a phased swap: |n1, n2> -> i^n1 |n2, n1>
-    phased_swap = passive_gaussian_unitary(np.array([[0.0, 1.0], [1j, 0.0]]), cfg)
+    phased_swap = passive_gaussian_unitary(np.array([[0.0, 1.0], [1j, 0.0]]))
     got = phased_swap(state)
     want = (1j ** np.arange(8))[None, :] * state.T
     assert np.linalg.norm(got - want) < 1e-15
 
 
-def dense_passive_unitary(u, cfg):
+def dense_passive_unitary(u, d):
     """expm(i sum_jk h_jk a_j^dag a_k) from kron-built truncated ladder matrices."""
-    a = [dense_mode_op(destroy(cfg.cutoff), k, cfg) for k in (0, 1)]
+    a = [dense_mode_op(destroy(d - 1), k) for k in (0, 1)]
     h = -1j * logm(u)
     ham = sum(h[j, k] * a[j].conj().T @ a[k] for j in (0, 1) for k in (0, 1))
     return expm(1j * ham)
@@ -243,36 +237,35 @@ def test_sector_unitary_matches_dense_reference(u):
     # a random state fills every sector, the corners N > cutoff included;
     # cutoffs 1-3 are the edge cases of the packed rows (one or two sectors
     # of length 1 and 0)
-    for cutoff in (1, 2, 3, 7):
-        cfg = FockConfig(cutoff)
-        state = random_state(cfg, 5)
-        got = passive_unitary(u, cfg)(state).ravel()
-        want = dense_passive_unitary(u, cfg) @ state.ravel()
+    op = passive_unitary(u)
+    for d in (2, 3, 4, 8):
+        state = random_state(d, 5)
+        got = op(state).ravel()
+        want = dense_passive_unitary(u, d) @ state.ravel()
         assert np.linalg.norm(got - want) < 1e-12
 
 
 def test_sector_unitary_keeps_a_corner_sector_exactly():
     # all amplitude in N = cutoff + 2, which shares its packed row with N = 1
-    cfg = FockConfig(7)
+    cutoff = 7
     n = np.add.outer(np.arange(8), np.arange(8))
     rng = np.random.default_rng(11)
-    amps = np.where(n == cfg.cutoff + 2, rng.normal(size=(8, 8)) + 1j, 0.0)
-    got = passive_unitary(COMPLEX_U2, cfg)(amps)
-    assert np.count_nonzero(got[n != cfg.cutoff + 2]) == 0
+    amps = np.where(n == cutoff + 2, rng.normal(size=(8, 8)) + 1j, 0.0)
+    got = passive_unitary(COMPLEX_U2)(amps)
+    assert np.count_nonzero(got[n != cutoff + 2]) == 0
     assert abs(np.linalg.norm(got) - np.linalg.norm(amps)) < 1e-13
-    want = dense_passive_unitary(COMPLEX_U2, cfg) @ amps.ravel()
+    want = dense_passive_unitary(COMPLEX_U2, 8) @ amps.ravel()
     assert np.linalg.norm(got.ravel() - want) < 1e-12
 
 
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["single", "stack", "grid"])
 def test_sector_unitary_maps_any_leading_batch(lead):
-    cfg = FockConfig(5)
     rng = np.random.default_rng(12)
     shape = lead + (6, 6)
     batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    got = passive_unitary(HADAMARD, cfg)(batch)
+    got = passive_unitary(HADAMARD)(batch)
     assert got.shape == shape
-    dense = dense_passive_unitary(HADAMARD, cfg)
+    dense = dense_passive_unitary(HADAMARD, 6)
     want = (batch.reshape(-1, 36) @ dense.T).reshape(shape)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -285,7 +278,7 @@ def test_non_monomial_unitary_needs_two_modes():
         misses = fock._lift.cache_info().misses
         for _ in range(2):
             with pytest.raises(ValueError, match="2 x 2"):
-                passive_gaussian_unitary(unitary, FockConfig(3))
+                passive_gaussian_unitary(unitary)
         assert fock._lift.cache_info().misses == misses  # rejected before the memo
 
 
@@ -294,17 +287,16 @@ def test_passive_unitary_rejects_nonunitary():
     for u in ([[1.0, 0.0], [0.0, 2.0]], [[np.nan, 0.0], [0.0, 1.0]], [[0.0, np.nan], [1.0, 0.0]]):
         for _ in range(2):  # a U that fails validation is never memoized
             with pytest.raises(ValueError, match="unitary"):
-                passive_gaussian_unitary(np.array(u), FockConfig(5))
+                passive_gaussian_unitary(np.array(u))
 
 
 def test_passive_lift_is_memoized():
     rng = np.random.default_rng(8)
-    cfg = FockConfig(6)
     batch = rng.normal(size=(3, 7, 7)) + 1j * rng.normal(size=(3, 7, 7))
     for u in (np.diag([1.0, np.exp(0.4j)]), np.array([[0.0, 1.0], [1j, 0.0]])):
         fock._lift.cache_clear()
-        cold = passive_gaussian_unitary(u, cfg)(batch)
-        warm = passive_gaussian_unitary(u, cfg)(batch)
+        cold = passive_gaussian_unitary(u)(batch)
+        warm = passive_gaussian_unitary(u)(batch)
         assert fock._lift.cache_info().hits == 1
         assert np.array_equal(cold, warm)
 
@@ -322,63 +314,59 @@ def test_non_monomial_unitary_is_refused(u, monkeypatch):
     size = fock._lift.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ValueError, match="only a monomial mode transformation"):
-            passive_gaussian_unitary(u, FockConfig(5))
+            passive_gaussian_unitary(u)
     assert fock._lift.cache_info().currsize == size
 
 
 def test_passive_lift_memo_misses_on_any_key_change():
-    cfg = FockConfig(7)
-    state = random_state(cfg, 9)
+    state = random_state(8, 9)
     phase = np.diag([1.0, np.exp(0.3j)])
     nudged = phase.copy()
     nudged[1, 1] = complex(np.nextafter(phase[1, 1].real, 1.0), phase[1, 1].imag)  # one ulp
     fock._lift.cache_clear()
-    passive_gaussian_unitary(phase, cfg)
-    for u, c in ((nudged, cfg), (phase, FockConfig(6))):
+    passive_gaussian_unitary(phase)(state)
+    for u, d in ((nudged, 8), (phase, 7)):
         misses = fock._lift.cache_info().misses
-        vec = state[: c.dim_per_mode, : c.dim_per_mode].ravel()
-        got = passive_gaussian_unitary(u, c)(vec.reshape((c.dim_per_mode,) * 2)).ravel()
+        vec = state[:d, :d].ravel()
+        got = passive_gaussian_unitary(u)(vec.reshape(d, d)).ravel()
         assert fock._lift.cache_info().misses == misses + 1
-        assert np.linalg.norm(got - dense_passive_unitary(u, c) @ vec) < 1e-12
+        assert np.linalg.norm(got - dense_passive_unitary(u, d) @ vec) < 1e-12
 
 
 def test_passive_lift_memo_stays_bounded():
-    cfg = FockConfig(3)
     maxsize = fock._lift.cache_info().maxsize
     for theta in np.linspace(0.1, 1.4, maxsize + 5):
-        passive_gaussian_unitary(np.diag([1.0, np.exp(1j * theta)]), cfg)
+        passive_gaussian_unitary(np.diag([1.0, np.exp(1j * theta)]))(np.ones((4, 4)))
     assert fock._lift.cache_info().currsize <= maxsize
 
 
 def test_number_diagonal_operator_unimodular_check():
-    cfg = FockConfig(5)
     n = np.arange(6)
-    op = number_diagonal_operator((-1.0) ** np.outer(n, n), cfg)
+    op = number_diagonal_operator((-1.0) ** np.outer(n, n))
     dense = np.diag(((-1.0) ** np.outer(n, n)).ravel())
-    state = random_state(cfg, 2)
+    state = random_state(6, 2)
     image = op(state)
     assert np.linalg.norm(image.ravel() - dense @ state.ravel()) < 1e-15
     assert abs(np.linalg.norm(image) - 1.0) < 1e-14
     assert np.linalg.norm(op(image) - state) < 1e-15
     with pytest.raises(ValueError):
-        number_diagonal_operator((n + 1.0)[:, None], cfg)
+        number_diagonal_operator((n + 1.0)[:, None])
     for bad in (np.full(6, np.nan), np.where(n == 3, np.nan, 1.0)):
         with pytest.raises(ValueError, match="unimodular"):
-            number_diagonal_operator(bad, cfg)
+            number_diagonal_operator(bad)
 
 
 def test_mode_operators_commute_across_modes():
-    cfg = FockConfig(6)
-    state = random_state(cfg, 3)
-    a = destroy(cfg.cutoff)
-    a1_dense, a2_dense = dense_mode_op(a, 0, cfg), dense_mode_op(a, 1, cfg)
-    a1, a2 = annihilation_operator(0, cfg), annihilation_operator(1, cfg)
+    state = random_state(7, 3)
+    a = destroy(6)
+    a1_dense, a2_dense = dense_mode_op(a, 0), dense_mode_op(a, 1)
+    a1, a2 = annihilation_operator(0), annihilation_operator(1)
     a1a2 = a1(a2(state)).ravel()
     a2a1 = a2(a1(state)).ravel()
     assert np.linalg.norm(a1a2 - a2a1) < 1e-14
     assert np.linalg.norm(a1a2 - a1_dense @ a2_dense @ state.ravel()) < 1e-14
     # a_1 commutes with a mode-2 phase e^{i n2}
-    phase2 = number_diagonal_operator(np.exp(1j * np.arange(cfg.dim_per_mode)), cfg)
+    phase2 = number_diagonal_operator(np.exp(1j * np.arange(7)))
     lhs = a1(phase2(state))
     rhs = phase2(a1(state))
     assert np.linalg.norm(lhs - rhs) < 1e-14
@@ -436,21 +424,20 @@ def test_hermitian_inv_sqrt_gain_is_the_spectral_norm(dropped):
 
 
 def test_operator_composition_and_dagger():
-    cfg = FockConfig(7)
-    state = random_state(cfg, 4)
+    state = random_state(8, 4)
     # <psi|a^dag a|psi> = ||a psi||^2 is the mean photon number of the mode
     n = np.arange(8.0)
     for mode, counts in ((0, n[:, None]), (1, n[None, :])):
         mean = np.sum(counts * np.abs(state) ** 2)
-        image = annihilation_operator(mode, cfg)(state)
+        image = annihilation_operator(mode)(state)
         assert abs(np.linalg.norm(image) ** 2 - mean) < 1e-14
     # composition applies the right factor first, as the dense product does;
     # the two factors do not commute
-    kerr = number_diagonal_operator(1j ** (np.arange(8) ** 2 % 4), cfg)
+    kerr = number_diagonal_operator(1j ** (np.arange(8) ** 2 % 4))
     u = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
-    mix = passive_unitary(u, cfg)
-    kerr_dense = dense_mode_op(np.diag(1j ** (np.arange(8) ** 2 % 4)), 1, cfg)
-    mix_dense = dense_passive_unitary(u, cfg)
+    mix = passive_unitary(u)
+    kerr_dense = dense_mode_op(np.diag(1j ** (np.arange(8) ** 2 % 4)), 1)
+    mix_dense = dense_passive_unitary(u, 8)
     got = kerr(mix(state)).ravel()
     assert np.linalg.norm(got - kerr_dense @ mix_dense @ state.ravel()) < 1e-12
     assert np.linalg.norm(got - mix_dense @ kerr_dense @ state.ravel()) > 1e-2
@@ -458,15 +445,14 @@ def test_operator_composition_and_dagger():
 
 def test_operators_map_a_batch_as_each_member():
     rng = np.random.default_rng(6)
-    cfg = FockConfig(5)
     n = np.arange(6)
     phased_swap = np.array([[0.0, 1j], [np.exp(0.3j), 0.0]])
     cases = [  # (operator, exact)
-        (passive_gaussian_unitary(phased_swap, cfg), True),
-        (number_diagonal_operator(np.exp(0.7j * np.outer(n, n**2)), cfg), True),
-        (passive_unitary(COMPLEX_U2, cfg), False),
-        (annihilation_operator(0, cfg), True),
-        (annihilation_operator(1, cfg), True),
+        (passive_gaussian_unitary(phased_swap), True),
+        (number_diagonal_operator(np.exp(0.7j * np.outer(n, n**2))), True),
+        (passive_unitary(COMPLEX_U2), False),
+        (annihilation_operator(0), True),
+        (annihilation_operator(1), True),
     ]
     shape = (4, 6, 6)
     for op, exact in cases:
@@ -479,12 +465,73 @@ def test_operators_map_a_batch_as_each_member():
         else:  # one matmul per sector block; BLAS may sum in another order
             assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(batch))
     with pytest.raises(ValueError, match="mode index"):
-        annihilation_operator(2, cfg)
+        annihilation_operator(2)
 
 
-def roll_lower(t, mode, cfg):
+def dense_monomial(u, d):
+    """pi(U) of a monomial U as a (d^2, d^2) matrix: each |n_1, n_2> to its permuted, phased image."""
+    swap = abs(u[1, 0]) > abs(u[0, 0])
+    p0, p1 = (u[1, 0], u[0, 1]) if swap else (u[0, 0], u[1, 1])
+    dense = np.zeros((d * d, d * d), dtype=complex)
+    for n1, n2 in np.ndindex(d, d):
+        row = n2 * d + n1 if swap else n1 * d + n2
+        dense[row, n1 * d + n2] = p0**n1 * p1**n2
+    return dense
+
+
+PHASED_SWAP = np.array([[0.0, 1j], [np.exp(0.3j), 0.0]])
+PHASE = np.diag([np.exp(-0.8j), 1j])
+# (operator, its dense reference at dimension d)
+ANY_DIMENSION = {
+    "a1": (annihilation_operator(0), lambda d: dense_mode_op(destroy(d - 1), 0)),
+    "a2": (annihilation_operator(1), lambda d: dense_mode_op(destroy(d - 1), 1)),
+    "a1^2": (annihilation_operator(0, 2), lambda d: dense_mode_op(destroy(d - 1) @ destroy(d - 1), 0)),
+    "a2^3": (annihilation_operator(1, 3),
+             lambda d: dense_mode_op(np.linalg.matrix_power(destroy(d - 1), 3), 1)),
+    "phased-swap": (passive_gaussian_unitary(PHASED_SWAP), lambda d: dense_monomial(PHASED_SWAP, d)),
+    "phase": (passive_gaussian_unitary(PHASE), lambda d: dense_monomial(PHASE, d)),
+}
+
+
+@pytest.mark.parametrize("op, dense", ANY_DIMENSION.values(), ids=ANY_DIMENSION.keys())
+def test_one_operator_serves_any_dimension(op, dense):
+    # each operator is built once, at import, and reads d from the state it acts on
+    rng = np.random.default_rng(31)
+    for d in (4, 9, 4):
+        batch = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        want = (batch.reshape(3, -1) @ dense(d).T).reshape(batch.shape)
+        got = op(batch)
+        assert got.shape == batch.shape
+        assert np.max(np.abs(got - want)) < 1e-13
+        assert np.array_equal(op(batch[1]), got[1])
+
+
+def test_number_diagonal_operator_takes_its_dimension_from_the_phases():
+    rng = np.random.default_rng(32)
+    for d in (4, 9):
+        phases = np.exp(0.3j * np.add.outer(np.arange(d), np.arange(d) ** 2))
+        diagonal = number_diagonal_operator(phases)
+        batch = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        want = (batch.reshape(3, -1) @ np.diag(phases.ravel()).T).reshape(batch.shape)
+        assert np.max(np.abs(diagonal(batch) - want)) < 1e-14
+        assert np.array_equal(diagonal(batch[1]), diagonal(batch)[1])
+        with pytest.raises(ValueError):
+            diagonal(np.ones((d + 1, d + 1)))
+
+
+def test_table_memos_stay_bounded_over_many_dimensions():
+    # twice as many dimensions as a memo keeps leave each within its bound
+    sizes = {fock._ladder_roots: fock.LADDER_MEMO_SIZE, fock._lift: fock.LIFT_MEMO_SIZE}
+    for d in range(2, 2 + 2 * max(sizes.values())):
+        for op, _ in ANY_DIMENSION.values():
+            op(np.ones((d, d)))
+    for memo, size in sizes.items():
+        assert memo.cache_info().currsize == size
+
+
+def roll_lower(t, mode):
     """One step of a on ``mode`` by a cyclic shift, as the operator once did it."""
-    d = cfg.dim_per_mode
+    d = np.shape(t)[-1]
     root = np.append(np.sqrt(np.arange(1, d)), 0.0).reshape((-1,) + (1,) * (1 - mode))
     return root * np.roll(t, -1, axis=mode - 2)
 
@@ -493,11 +540,10 @@ def roll_lower(t, mode, cfg):
 @pytest.mark.parametrize("mode", [0, 1], ids=["mode0", "mode1"])
 def test_ladder_step_is_bit_identical_to_the_roll(mode, cutoff):
     rng = np.random.default_rng(20 + cutoff)
-    cfg = FockConfig(cutoff)
-    shape = (3, 2) + (cfg.dim_per_mode,) * 2
+    shape = (3, 2) + (cutoff + 1,) * 2
     batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    got = annihilation_operator(mode, cfg)(batch)
-    want = roll_lower(batch, mode, cfg)
+    got = annihilation_operator(mode)(batch)
+    want = roll_lower(batch, mode)
     assert got.dtype == want.dtype and got.shape == want.shape
     # equal everywhere and the same bits below the top level, where the
     # roll multiplies a wrapped amplitude by 0 and its zero may carry a sign
@@ -507,27 +553,26 @@ def test_ladder_step_is_bit_identical_to_the_roll(mode, cutoff):
 
 
 @pytest.mark.parametrize("power", [2, 4])
-@pytest.mark.parametrize("cfg", [FockConfig(7), FockConfig(3)], ids=lambda c: f"2x{c.cutoff}")
+@pytest.mark.parametrize("cutoff", [7, 3], ids=lambda c: f"2x{c}")
 @pytest.mark.parametrize("mode", [0, 1], ids=["mode0", "mode1"])
-def test_ladder_power_is_the_composed_steps(mode, cfg, power):
+def test_ladder_power_is_the_composed_steps(mode, cutoff, power):
     rng = np.random.default_rng(power)
-    shape = (2,) + (cfg.dim_per_mode,) * 2
+    shape = (2,) + (cutoff + 1,) * 2
     batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    step = annihilation_operator(mode, cfg)
-    got = annihilation_operator(mode, cfg, power)(batch)
+    step = annihilation_operator(mode)
+    got = annihilation_operator(mode, power)(batch)
     want = reduce(lambda t, _: step(t), range(power), batch)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    top = np.moveaxis(got, mode - 2, 0)[max(cfg.dim_per_mode - power, 0):]
+    top = np.moveaxis(got, mode - 2, 0)[max(cutoff + 1 - power, 0):]
     assert top.size and not np.any(top)
 
 
 def test_ladder_power_must_be_a_positive_integer():
-    cfg = FockConfig(4)
     for power in (0, -1, 1.0, 2.5, "2", None, True):
         with pytest.raises(ValueError, match="power"):
-            annihilation_operator(0, cfg, power)
+            annihilation_operator(0, power)
     # a power past the cutoff annihilates every state
-    assert not np.any(annihilation_operator(1, cfg, 6)(np.ones((5, 5))))
+    assert not np.any(annihilation_operator(1, 6)(np.ones((5, 5))))
 
 
 def test_infidelity_does_not_cancel():
@@ -535,7 +580,7 @@ def test_infidelity_does_not_cancel():
     eps = 1e-9
     got = infidelity(np.array([np.cos(eps), np.sin(eps)]), np.array([1.0, 0.0]))
     assert got == pytest.approx(eps**2 / 2, rel=1e-6)
-    state = random_state(FockConfig(6), 7)
+    state = random_state(7, 7)
     assert 0.0 <= infidelity(state, np.exp(0.3j) * state) <= 1e-30
     # orthogonal states are a full unit apart, whatever their norms
     assert infidelity(np.eye(3)[0], 2j * np.eye(3)[1]) == 1.0

@@ -7,7 +7,6 @@ from scipy.linalg import expm
 import fouriercat as fc
 from fouriercat.encoding import deform_constellation
 from fouriercat.fock import (
-    FockConfig,
     annihilation_operator,
     infidelity,
     normalize,
@@ -36,7 +35,7 @@ ALPHA_STAR = np.sqrt(np.pi / 2)
 
 
 def test_swap_is_logical_x(star_code):
-    op = passive_gaussian_unitary(PAULI_X.real, star_code.config)
+    op = passive_gaussian_unitary(PAULI_X.real)
     action = fc.logical_action(op, star_code)
     dist = fc.phase_aligned_distance(action.matrix, np.kron(PAULI_X, IDENTITY2))
     assert dist < 1e-12
@@ -44,9 +43,7 @@ def test_swap_is_logical_x(star_code):
 
 
 def test_mode2_parity_is_logical_z(star_code):
-    op = number_diagonal_operator(
-        (-1.0) ** np.arange(star_code.config.dim_per_mode), star_code.config
-    )
+    op = number_diagonal_operator((-1.0) ** np.arange(star_code.amplitudes.shape[-1]))
     action = fc.logical_action(op, star_code)
     dist = fc.phase_aligned_distance(action.matrix, np.kron(PAULI_Z, IDENTITY2))
     assert dist < 1e-12
@@ -94,7 +91,7 @@ def test_cz_contraction_matches_entrywise_sum(d8, d8_fourier):
     code = fc.code_basis(fc.make_constellation(d8, 1.0, np.pi / 2), d8_fourier)
     tensors = np.array([s.amplitudes for s in code.basis_states])
     c = np.einsum("iab,jab->ijb", tensors.conj(), tensors)
-    n = np.arange(code.config.dim_per_mode)
+    n = np.arange(code.amplitudes.shape[-1])
     parity = (-1.0) ** np.outer(n, n)
     want = np.zeros((16, 16), dtype=complex)
     for i1p in range(4):
@@ -112,7 +109,7 @@ def test_parity_tables_are_exact_at_every_cutoff():
     rng = np.random.default_rng(7)
     for d in range(2, 62):
         amps = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
-        code = SimpleNamespace(alpha=1.0, config=FockConfig(d - 1), amplitudes=amps)
+        code = SimpleNamespace(alpha=1.0, amplitudes=amps)
         n = np.arange(d)
         c = np.einsum("iab,jab->ijb", amps.conj(), amps).reshape(16, d)
         pairs = ((c @ ((-1.0) ** np.outer(n, n))) @ c.T).reshape(4, 4, 4, 4)
@@ -211,7 +208,7 @@ def test_y_readout_covers_all_outcomes():
 def test_readout_survives_single_loss(star_code):
     for label, state in zip(fc.ZY_LABELS, fc.zy_eigenstates(star_code)):
         for mode in (0, 1):
-            lower = annihilation_operator(mode, star_code.config)
+            lower = annihilation_operator(mode)
             lost = normalize(lower(state))
             dist = outcome_distribution(lost)
             wrong = sum(
@@ -248,7 +245,7 @@ def mod4_verification_loop_reference(code):
     for label, state in zy_eigenstates_loop_reference(code).items():
         masses = [_mod4_masses(np.abs(state) ** 2)]
         for mode in (0, 1):
-            lost = np.abs(annihilation_operator(mode, code.config)(state)) ** 2
+            lost = np.abs(annihilation_operator(mode)(state)) ** 2
             masses.append(_mod4_masses(lost) / lost.sum())
         outside = sum(masses[0][c] for c in np.ndindex(4, 4) if c not in TABLE_CELLS[label])
         wrong = [sum(m[c] for c in np.ndindex(4, 4) if fc.y_readout(*c) != label[1:]) for m in masses[1:]]
@@ -259,7 +256,7 @@ def mod4_verification_loop_reference(code):
 def zy_expansion_loop_reference(code):
     """The scalar double loop ``zy_expansion_residual`` replaced."""
     alpha = code.alpha
-    d = code.config.dim_per_mode
+    d = code.amplitudes.shape[-1]
     logfact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1.0, d))]))
     worst = 0.0
     for label, state in zy_eigenstates_loop_reference(code).items():
@@ -310,7 +307,7 @@ def test_cutoff_60_checks_stay_small(d8, d8_fourier):
         fc.mod4_verification(code)
         composite_hadamard_check(code)
         deformation_residual(code, HADAMARD)
-        swap = fc.logical_action(passive_gaussian_unitary(PAULI_X.real, code.config), code)
+        swap = fc.logical_action(passive_gaussian_unitary(PAULI_X.real), code)
         kept.extend([code, swap, fc.qec_matrix_fock(code, 0.01)])
 
     peak, _ = traced(checks)
@@ -343,7 +340,7 @@ def group_covariance_stacked_reference(code):
     group = code.constellation.group
     images = np.empty((group.order,) + basis.shape, dtype=complex)
     for out, g in zip(images, group.matrices):
-        out[:] = passive_gaussian_unitary(g, code.config)(code.amplitudes).reshape(basis.shape)
+        out[:] = passive_gaussian_unitary(g)(code.amplitudes).reshape(basis.shape)
     for image, overlaps in zip(images, images @ basis.conj().T):
         image -= overlaps @ basis
     squares = images.reshape(group.order, -1).view(float)
@@ -358,7 +355,7 @@ def test_group_covariance_matches_stacked_reference(name, phi, cutoff):
     fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
     code = fc.code_basis(fc.make_constellation(group, ALPHA_STAR, phi, cutoff), fourier)
     got, want = group_covariance(code), group_covariance_stacked_reference(code)
-    if 8 * code.config.dim_per_mode**2 <= 8192:
+    if 8 * code.amplitudes.shape[-1] ** 2 <= 8192:
         assert got == want  # the same sums, element by element
     else:
         # numpy's einsum reduces the stacked rows in 8192-element buffers,
@@ -371,7 +368,7 @@ def group_covariance_loop_reference(code):
     basis = code.amplitudes
     worst = 0.0
     for g in code.constellation.group.matrices:
-        images = passive_gaussian_unitary(g, code.config)(basis)
+        images = passive_gaussian_unitary(g)(basis)
         inside = np.tensordot(overlap_matrix(basis, images).T, basis, axes=1)
         worst = max(worst, float(np.linalg.norm(images - inside)))
     return worst
@@ -392,7 +389,7 @@ def encoded_residual_loop_reference(op, code, target, u):
 
 def zeno_eigen_loop_reference(code):
     """The per-state a1^2 eigen residuals that ``zeno_projected_hamiltonian`` replaced."""
-    a1 = annihilation_operator(0, code.config)
+    a1 = annihilation_operator(0)
     signs = np.array([1.0, -1.0, -1.0, 1.0])
     eigen = a1(a1(code.amplitudes)) - code.alpha**2 * signs[:, None, None] * code.amplitudes
     return max(float(np.linalg.norm(r)) for r in eigen)
@@ -406,7 +403,7 @@ def exact_box_image(operator, states):
 
 def exact_pi_h(states):
     """pi(H) applied exactly to cutoff-c states, in their box."""
-    return exact_box_image(lambda config: passive_unitary(HADAMARD, config), states)
+    return exact_box_image(passive_unitary(HADAMARD), states)
 
 
 def pi_h_twice(pi_h):
@@ -427,7 +424,7 @@ def test_stacked_residuals_match_loop_references(name, alpha, phi, cutoff):
     fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
     code = fc.code_basis(fc.make_constellation(group, alpha, phi, cutoff), fourier)
     assert agree(group_covariance(code), group_covariance_loop_reference(code))
-    s_op = fc.gates.self_kerr_s_gate(code.config)
+    s_op = fc.gates.self_kerr_s_gate()
     assert agree(fc.s_gate_check(code).leakage, leakage_loop_reference(s_op, code))
     # the composite Hadamard's images match the exact lift (see
     # test_composite_hadamard_images_match_the_exact_lift), and the leakage
@@ -441,7 +438,7 @@ def test_stacked_residuals_match_loop_references(name, alpha, phi, cutoff):
     deformed = fc.code_basis(deform_constellation(code.constellation, HADAMARD), fourier)
     want = encoded_residual_loop_reference(exact_pi_h, code, deformed, HADAMARD)
     assert agree(deformation_residual(code, HADAMARD), want)
-    twice = exact_box_image(lambda config: pi_h_twice(passive_unitary(HADAMARD, config)), code.amplitudes)
+    twice = exact_box_image(pi_h_twice(passive_unitary(HADAMARD)), code.amplitudes)
     want = encoded_residual_loop_reference(lambda t: twice, code, code, HADAMARD @ HADAMARD)
     assert agree(double_deformation_residual(code, HADAMARD), want)
     states, want = fc.zy_eigenstates(code), zy_eigenstates_loop_reference(code)
@@ -465,10 +462,10 @@ def test_composite_hadamard_images_match_the_exact_lift(name, phi, alpha, cutoff
     group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
     fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
     code = fc.code_basis(fc.make_constellation(group, alpha, phi, cutoff), fourier)
-    d = code.config.dim_per_mode
+    d = code.amplitudes.shape[-1]
     exact = exact_image(composite_hadamard_operator, code.amplitudes)
     images = fc.gates._composite_hadamard_images(code)
     assert np.max(np.abs(images - exact[..., :d, :d])) < 1e-14
     assert np.linalg.norm(exact[..., d:, :]) + np.linalg.norm(exact[..., :d, d:]) < 1e-14
-    truncated = composite_hadamard_operator(code.config)(code.amplitudes)
+    truncated = composite_hadamard_operator(code.amplitudes)
     assert np.max(np.abs(truncated - exact[..., :d, :d])) > 1e-9

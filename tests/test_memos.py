@@ -1,8 +1,10 @@
-"""The memo contract of the operator and table memos.
+"""The memo contract of the table memos.
 
 A memo hit returns the instance the miss built, every array it holds is
 read-only, an input that fails validation is never memoized, and each memo
-keeps at most its stated number of entries.
+keeps at most its stated number of entries.  The Fock operators check their
+arguments when they are built and take their tables from a memo keyed on
+the state's dimension d.
 """
 
 import ast
@@ -16,14 +18,20 @@ import numpy as np
 import pytest
 
 from fouriercat import channels, cli, encoding, fock, gates, groups
-from fouriercat.fock import FockConfig, annihilation_operator, passive_gaussian_unitary
+from fouriercat.fock import annihilation_operator, passive_gaussian_unitary
 
-CFG = FockConfig(9)
+D = 10  # the per-mode dimension the tables are built for
 PHASE = np.diag([1.0, np.exp(0.4j)])  # a monomial mode transformation that swaps no modes
+PHASED_SWAP = np.array([[0.0, 1j], [1.0, 0.0]])
+
+
+def u_key(u):
+    """The bytes a lift's table memo is keyed on."""
+    return np.asarray(u, dtype=complex).tobytes()
 
 
 def held_arrays(obj):
-    """The numpy arrays an operator (a closure), a tuple of them or an array holds."""
+    """The numpy arrays a table, a tuple of them or a closure holds."""
     if isinstance(obj, np.ndarray):
         return [obj]
     if isinstance(obj, tuple):
@@ -33,11 +41,11 @@ def held_arrays(obj):
 
 
 BUILDS = {
-    "ladder": lambda: annihilation_operator(1, CFG, 2),
-    "ladder-mode-0": lambda: annihilation_operator(0, CFG),
-    "phase-lift": lambda: passive_gaussian_unitary(PHASE, CFG),
-    "monomial-lift": lambda: passive_gaussian_unitary(np.array([[0.0, 1j], [1.0, 0.0]]), CFG),
-    "loss-tables": lambda: channels._loss_tables(CFG.dim_per_mode),
+    "ladder": lambda: fock._ladder_roots(D, 2),
+    "ladder-power-1": lambda: fock._ladder_roots(D, 1),
+    "phase-lift": lambda: fock._lift(u_key(PHASE), D),
+    "monomial-lift": lambda: fock._lift(u_key(PHASED_SWAP), D),
+    "loss-tables": lambda: channels._loss_tables(D),
 }
 
 
@@ -53,19 +61,28 @@ def test_memo_hits_return_the_same_read_only_instance(build):
             array.flat[0] = 0
 
 
-def test_ladder_memo_keys_on_argument_types():
-    state = np.ones((10, 10))
-    annihilation_operator(0, CFG, 2)(state)
-    annihilation_operator(0, CFG)(state)
+def test_ladder_tables_key_on_argument_types():
+    # the operator checks its mode and power when it is built, so a float
+    # power raises however often the int one was applied, and never reaches
+    # the table memo; a numpy integer power shares the int's table
+    state = np.ones((D, D))
+    fock._ladder_roots.cache_clear()
+    annihilation_operator(0, 2)(state)
+    annihilation_operator(1, np.int64(2))(state)
+    annihilation_operator(0)(state)
+    assert fock._ladder_roots.cache_info().currsize == 2
     for _ in range(2):
         with pytest.raises(ValueError, match="power"):
-            annihilation_operator(0, CFG, 2.0)
+            annihilation_operator(0, 2.0)
         with pytest.raises(ValueError, match="power"):
-            annihilation_operator(0, CFG, power=2.0)
+            annihilation_operator(0, power=2.0)
         with pytest.raises(ValueError, match="mode"):
-            annihilation_operator(0.0, CFG)
+            annihilation_operator(0.0)
         with pytest.raises(ValueError, match="mode"):
-            annihilation_operator(0.0, CFG, 2)
+            annihilation_operator(0.0, 2)
+    assert fock._ladder_roots.cache_info().currsize == 2
+    # the table memo is typed itself: a float dimension is its own key
+    assert fock._ladder_roots(D, 2) is not fock._ladder_roots(float(D), 2)
 
 
 @pytest.mark.parametrize(
@@ -74,34 +91,41 @@ def test_ladder_memo_keys_on_argument_types():
     ids=["non-unitary", "nan"],
 )
 def test_failed_unitarity_is_never_memoized(u):
-    passive_gaussian_unitary(PHASE, CFG)
+    passive_gaussian_unitary(PHASE)(np.ones((D, D)))
     size = fock._lift.cache_info().currsize
     for _ in range(3):
         with pytest.raises(ValueError, match="unitary"):
-            passive_gaussian_unitary(u, CFG)
+            passive_gaussian_unitary(u)
     assert fock._lift.cache_info().currsize == size
 
 
-def test_memo_hit_skips_the_unitarity_check(monkeypatch):
-    calls = []
-    norm = np.linalg.norm
-    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
-    fock._lift.cache_clear()
-    for u in (PHASE, np.array([[0.0, 1.0], [1.0, 0.0]])):
-        passive_gaussian_unitary(u, CFG)
-        assert calls  # a miss checks U
-        calls.clear()
-        passive_gaussian_unitary(u, CFG)
-        assert not calls  # a hit does not
-    # the shape is still checked on a hit: (1, 4) has the bytes of a cached (2, 2)
+def test_lift_checks_u_on_each_build_and_never_on_application(monkeypatch):
+    # the check of a monomial U is plain Python (no numpy norm), and an
+    # applied lift finds its table in the memo without checking U again
+    checks, norms = [], []
+    structure, norm = fock._monomial_structure, np.linalg.norm
+    monkeypatch.setattr(fock, "_monomial_structure", lambda u: checks.append(1) or structure(u))
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(1) or norm(*a, **k))
+    state = np.ones((D, D))
+    for u in (PHASE, PHASED_SWAP):
+        passive_gaussian_unitary(u)(state)  # the table is in the memo now
+        checks.clear()
+        op = passive_gaussian_unitary(u)
+        assert len(checks) == 1  # every build checks U
+        op(state)
+        op(state)
+        assert len(checks) == 1 and not norms  # a table hit checks nothing
+    # the shape is checked on every build: (1, 4) has the bytes of a (2, 2)
     with pytest.raises(ValueError, match="dimension"):
-        passive_gaussian_unitary(np.array([[0.0, 1.0, 1.0, 0.0]]), CFG)
+        passive_gaussian_unitary(np.array([[0.0, 1.0, 1.0, 0.0]]))
 
 
-# (memo, its bound, the k-th of a run of distinct calls)
+# (memo, its bound, the k-th of a run of calls that each add a key)
 MEMOS = {
-    "ladder": (fock.annihilation_operator, fock.LADDER_MEMO_SIZE,
-               lambda k: annihilation_operator(k % 2, FockConfig(1 + k // 2))),
+    "ladder": (fock._ladder_roots, fock.LADDER_MEMO_SIZE,
+               lambda k: annihilation_operator(k % 2, 1 + k % 3)(np.ones((2 + k, 2 + k)))),
+    "lift": (fock._lift, fock.LIFT_MEMO_SIZE,
+             lambda k: passive_gaussian_unitary(PHASED_SWAP)(np.ones((2 + k, 2 + k)))),
     "loss-tables": (channels._loss_tables, channels.LOSS_MEMO_SIZE,
                     lambda k: channels._loss_tables(2 + k)),
 }
