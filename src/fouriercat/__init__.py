@@ -21,7 +21,6 @@ from .fock import (
     infidelity,
     normalize,
     number_diagonal_operator,
-    passive_gaussian_unitary,
 )
 from .encoding import (
     CatQuditCode,

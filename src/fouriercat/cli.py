@@ -37,7 +37,6 @@ from .fock import (
     SingularGramError,
     StarvedTailError,
     overlap_matrix,
-    passive_gaussian_unitary,
 )
 from .gates import (
     IDENTITY2,
@@ -224,7 +223,15 @@ def _json_value(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def write_records(path, fmt, cfg, columns, rows, summary):
+def write_records(cfg, name, records, summary):
+    """Write one (name, infidelity, condition_number, flags) row per sweep record; return the path.
+
+    Both sweeps write this layout, ``name`` being the swept parameter, to
+    ``cfg["out"]`` or to sweep_<name>.<format>.
+    """
+    path, fmt = cfg["out"] or f"sweep_{name}.{cfg['format']}", cfg["format"]
+    columns = [name, "infidelity", "condition_number", "flags"]
+    rows = [(r.value, r.infidelity, r.condition_number, list(r.flags)) for r in records]
     try:
         if fmt == "csv":
             lines = [",".join(columns)]
@@ -244,6 +251,7 @@ def write_records(path, fmt, cfg, columns, rows, summary):
                 fh.write("\n")
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
+    return path
 
 
 class CheckList:
@@ -373,7 +381,6 @@ def cmd_sweep_alpha(cfg):
     if not math.isfinite(2.0 * float(grid[-1]) * float(grid[-1])):
         raise ConfigError("alpha grid is too large: 2 alpha^2 overflows")
     records = sweep_alpha(group, fourier, cfg["gamma"], grid, phi=cfg["phi"])
-    rows = [(r.value, r.infidelity, r.condition_number, list(r.flags)) for r in records]
     try:
         best = argmin_record(records)
     except ValueError:  # every point is flagged ill-conditioned
@@ -383,9 +390,7 @@ def cmd_sweep_alpha(cfg):
         summary = {"argmin_alpha": best.value, "min_infidelity": best.infidelity}
         report = f"argmin alpha = {format_float(best.value)} "
         report += f"(infidelity {format_float(best.infidelity)})"
-    out = cfg["out"] or f"sweep_alpha.{cfg['format']}"
-    columns = ["alpha", "infidelity", "condition_number", "flags"]
-    write_records(out, cfg["format"], cfg, columns, rows, summary)
+    out = write_records(cfg, "alpha", records, summary)
     print(f"{report}; wrote {out}")
     return 0
 
@@ -397,7 +402,6 @@ def cmd_sweep_gamma(cfg):
     if grid[-1] >= 1.0:
         raise ConfigError("gamma grid must end below 1")
     records = sweep_gamma(group, fourier, cfg["alpha"], grid, phi=cfg["phi"])
-    rows = [(r.value, r.infidelity) for r in records]
     try:
         slope = loglog_slope(records, 1e-3, 1e-2)
     except ValueError:  # fewer than two finite, positive infidelities in the window
@@ -407,8 +411,7 @@ def cmd_sweep_gamma(cfg):
     if len(vals) > 1:
         monotone = all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
     summary = {"loglog_slope": slope, "monotone": monotone}
-    out = cfg["out"] or f"sweep_gamma.{cfg['format']}"
-    write_records(out, cfg["format"], cfg, ["gamma", "infidelity"], rows, summary)
+    out = write_records(cfg, "gamma", records, summary)
     if slope is None:
         print(f"no log-log slope: fewer than two finite, positive infidelities in [1e-3, 1e-2];"
               f" wrote {out}")
@@ -424,7 +427,7 @@ def cmd_gates_demo(cfg):
     if isinstance(code, StarvedTailError):
         return checks.starved(code)
 
-    swap = logical_action(passive_gaussian_unitary(PAULI_X), code)
+    swap = logical_action(lambda t: t.swapaxes(-2, -1), code)  # pi(X) exchanges the modes
     snap_s, snap_t = snap_gate_check(code)
     for name, action, target, tol in (
         ("beamsplitter swap (logical X)", swap, _X_TARGET, 1e-9),

@@ -7,12 +7,12 @@ shape, and any leading axes are a batch, so a stack of states is mapped in
 one call.  An operator takes no dimension: it reads d from the last axis of
 the tensor it acts on, so one operator serves every cutoff (a diagonal's
 phases must broadcast to the state).  No operator is
-stored as a matrix over the full space.  Passive unitaries are lifted here
-only when they are monomial (mode permutations with phases), which the
-truncation leaves exact; a state built from coherent points is moved by any
-U(2) rotation through its points instead (pi(U)|alpha> = |U alpha>, see
-``gates``).  An operator's arguments are validated when it is built; the
-tables it applies are memoized per d (see ``passive_gaussian_unitary`` and
+stored as a matrix over the full space.  No passive unitary is lifted here:
+``gates`` applies pi(U) to a code state through its coherent points,
+pi(U)|alpha> = |U alpha>, in three cases.  A group element permutes the
+constellation's factors, any other U moves the points, and the swap pi(X)
+exchanges the two mode axes.  An operator's arguments are validated when it
+is built; the ladder coefficients it applies are memoized per d (see
 ``annihilation_operator``).
 Every constructor that builds a physical state from coherent amplitudes
 audits the truncated Poisson tail so that silent truncation errors cannot
@@ -29,8 +29,7 @@ from .groups import _integer_at_least, memoized
 
 DEFAULT_CUTOFF = 25
 TAIL_TOL = 1e-12
-# Tables kept by the monomial-lift and the ladder-coefficient memos.
-LIFT_MEMO_SIZE = 32
+# Tables kept by the ladder-coefficient memo.
 LADDER_MEMO_SIZE = 32
 
 
@@ -125,79 +124,6 @@ def cat_state(alpha, parity, cutoff=DEFAULT_CUTOFF):
         raise ValueError("odd cat state is undefined at alpha = 0")
     plus, minus = coherent_amplitudes([alpha, -alpha], cutoff)
     return normalize(plus + (-1.0) ** parity * minus)
-
-
-def _monomial_structure(u):
-    """(swap, phases) when the 2 x 2 unitary u is a generalized permutation matrix, else None.
-
-    Each column's largest entry (the first on a tie) must have unit modulus
-    and the other one vanish, to 1e-12; swap is whether column 0's lies in
-    row 1, and phases are the two unit entries, column by column.  A matrix
-    that passes is unitary to 1e-11, and a NaN entry fails.  Plain Python
-    on the four entries: a lift checks its U on every build.
-    """
-    (a, b), (c, e) = u.tolist()
-    swap = abs(c) > abs(a)
-    p0, p1, r0, r1 = (c, b, a, e) if swap else (a, e, c, b)
-    unit = abs(abs(p0) - 1.0) <= 1e-12 and abs(abs(p1) - 1.0) <= 1e-12
-    if unit and abs(r0) <= 1e-12 and abs(r1) <= 1e-12:
-        return swap, (p0, p1)
-    return None
-
-
-def _mode_matrix(u):
-    """u as a complex 2 x 2 array; any other shape raises."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError("matrix dimension must be 2 x 2")
-    return u
-
-
-def _check_unitary(u):
-    """u itself; raise unless the 2 x 2 matrix u is unitary to 1e-10 (a NaN entry is not)."""
-    if not np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-10:
-        raise ValueError("mode transformation must be unitary")
-    return u
-
-
-def passive_gaussian_unitary(u):
-    """Second quantization of a monomial U(2) mode rotation: pi(U)|alpha> = |U alpha>.
-
-    Returns pi(U) as a function on amplitude tensors (see the module
-    docstring).  U must be a generalized permutation matrix, which is lifted
-    exactly: pi(U)|n_1, n_2> = phases[0]^n_1 phases[1]^n_2 |n_1, n_2>, the
-    mode axes then swapped if U swaps the modes.  A non-unitary U (NaN
-    entries included) raises, and so does any other unitary, which mixes in
-    the sectors N > cutoff that the truncation cuts; the gates that apply
-    such a U move coherent points instead (see ``gates``).
-
-    U is checked on every build, so a U that fails never reaches a memo.
-    The operator takes its (d, d) phase table from ``_lift``, memoized on
-    the exact bytes of the complex-cast U and d, which keeps the
-    ``LIFT_MEMO_SIZE`` latest tables read-only.
-    """
-    u = _mode_matrix(u)
-    monomial = _monomial_structure(u)
-    if monomial is None:
-        _check_unitary(u)
-        raise ValueError("only a monomial mode transformation is lifted exactly")
-    u_bytes, swap = u.tobytes(), monomial[0]
-
-    def act(t):
-        phase = _lift(u_bytes, np.shape(t)[-1])
-        return (phase * t).swapaxes(-2, -1) if swap else phase * t
-
-    return act
-
-
-@memoized(LIFT_MEMO_SIZE)
-def _lift(u_bytes, d):
-    """The (d, d) phase table of the monomial U whose complex128 bytes are ``u_bytes``."""
-    _, phases = _monomial_structure(np.frombuffer(u_bytes, dtype=complex).reshape(2, 2))
-    n = np.arange(d)
-    phase = np.multiply.outer(phases[0] ** n, phases[1] ** n)
-    phase.flags.writeable = False
-    return phase
 
 
 def number_diagonal_operator(phases):

@@ -4,10 +4,15 @@ Each physical operation is reduced to its 4x4 action on the encoded basis
 (ordered (0,0), (0,1), (1,0), (1,1), i.e. logical index first), together
 with the leakage out of the target code subspace.
 
-A code state is a sum of coherent products, sum_g C[i, g] |p_g>, and the
-non-monomial gates map it to another such sum: pi(U)|p> = |U p>, and
+A code state is a sum of coherent products, sum_h C[i, h] |p_h>, and a
+passive gate maps it to another such sum, pi(U)|p> = |U p>, so no U is
+lifted.  There is one route, in three cases.  A group element g permutes the
+constellation, pi(g)|p_h> = |p_gh>, so its images reuse the constellation's
+factors in Cayley-table order.  Any other U moves the points, whose factors
+are then built (``_coherent_images``).  The swap pi(X) exchanges the two
+mode axes.  The self-Kerr phase splits each point in two,
 i^{n^2} = ((1 + i) + (1 - i)(-1)^n) / 2 (Yurke and Stoler, PRL 57, 13
-(1986)).  So they act on the terms (weights, points), never lifting U.
+(1986)).
 
 The gate tables (phase profiles, the closed-form Z_L Y_M eigenstates) are
 rebuilt on each call: each costs tens of microseconds.
@@ -21,14 +26,11 @@ import numpy as np
 
 from . import encoding
 from .fock import (
-    _check_unitary,
     _log_factorials,
-    _mode_matrix,
     annihilation_operator,
     infidelity,
     number_diagonal_operator,
     overlap_matrix,
-    passive_gaussian_unitary,
     unit_coherent_factors,
 )
 from .groups import HADAMARD, PAULI_Z
@@ -95,14 +97,18 @@ def group_covariance(code):
     """Largest leakage of pi(g) E out of the code space, over the group elements g.
 
     The residual of g is the Frobenius norm of pi(g) applied to all four
-    basis states minus its projection back onto the code.  One g is lifted,
-    projected and reduced to its squared residual at a time, so no more than
-    one g's (4, d^2) images are held, and the largest square is kept.
+    basis states minus its projection back onto the code.  pi(g) permutes
+    the constellation, pi(g)|p_h> = |p_gh>, so the images of g are the code's
+    expansion over its own factors taken in the order of row g of the Cayley
+    table.  One g is imaged, projected and reduced to its squared residual
+    at a time, so no more than one g's (4, d^2) images are held, and the
+    largest square is kept.
     """
     basis = code.amplitudes.reshape(4, -1)
+    constellation = code.constellation
     worst = 0.0
-    for g in code.constellation.group.matrices:
-        image = passive_gaussian_unitary(g)(code.amplitudes).reshape(basis.shape)
+    for row in constellation.group.cayley:
+        image = _coherent_images(code.coefficients, constellation.factors[row]).reshape(basis.shape)
         image -= (image @ basis.conj().T) @ basis  # minus sum_k <basis_k|pi(g) basis_i> basis_k
         squares = image.reshape(-1).view(float)  # the squared norm, no temporary
         worst = np.maximum(worst, np.einsum("k,k->", squares, squares))  # NaN propagates
@@ -142,13 +148,12 @@ def cz_target():
     return np.diag((-1.0 + 0j) ** np.outer(logical, logical).ravel())
 
 
-def _coherent_images(weights, points, cutoff):
-    """The (d, d) images sum_t weights[i, t] |points[t]>, one per row of weights.
+def _coherent_images(weights, factors):
+    """The (d, d) images sum_t weights[i, t] |p_t>, one per row of weights.
 
-    Each |p> is f_p1 (x) f_p2, built as the code's own constellation states
-    are (``unit_coherent_factors``), so image i is F_1^T diag(weights[i]) F_2.
+    Each |p_t> is factors[t, 0] (x) factors[t, 1], as the code's own
+    constellation states are, so image i is F_1^T diag(weights[i]) F_2.
     """
-    factors = unit_coherent_factors(points, cutoff)  # (terms, 2, d)
     return (factors[:, 0].T * weights[:, None, :]) @ factors[:, 1]
 
 
@@ -161,10 +166,21 @@ def _kerr_split(weights, points):
     return weights, np.concatenate([points, points * np.array([1.0, -1.0])])
 
 
+def _mode_unitary(u):
+    """u as a complex 2 x 2 array; raise unless it is one, unitary to 1e-10 (a NaN entry is not)."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError("matrix dimension must be 2 x 2")
+    if not np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-10:
+        raise ValueError("mode transformation must be unitary")
+    return u
+
+
 def _encoded_residual(code, target, u):
     """Max infidelity of pi(U) E(|l>|m>) vs E_target(U|l> (x) U|m>), pi(U) moving the points."""
     constellation = code.constellation
-    images = _coherent_images(code.coefficients, constellation.points @ u.T, constellation.cutoff)
+    factors = unit_coherent_factors(constellation.points @ u.T, constellation.cutoff)
+    images = _coherent_images(code.coefficients, factors)
     # column (l, m) of U (x) U holds the coefficients u[l', l] u[m', m]
     amps = target.amplitudes
     rhs = (np.kron(u, u).T @ amps.reshape(4, -1)).reshape(amps.shape)
@@ -173,7 +189,7 @@ def _encoded_residual(code, target, u):
 
 def deformation_residual(code, u):
     """Max infidelity of pi(U) E(|l>|m>) vs E_U(U|l> (x) U|m>)."""
-    u = _check_unitary(_mode_matrix(u))  # ahead of the deformed code
+    u = _mode_unitary(u)  # ahead of the deformed code
     deformed = encoding.deform_constellation(code.constellation, u)
     target = encoding.code_basis(deformed, code.fourier)
     return _encoded_residual(code, target, u)
@@ -181,7 +197,7 @@ def deformation_residual(code, u):
 
 def double_deformation_residual(code, u):
     """Max infidelity of pi(U)^2 E(|l>|m>) vs E(U^2|l> (x) U^2|m>)."""
-    u = _check_unitary(_mode_matrix(u))
+    u = _mode_unitary(u)
     return _encoded_residual(code, code, u @ u)
 
 
@@ -200,7 +216,8 @@ def _composite_hadamard_images(code):
     for _ in range(2):
         weights, points = _kerr_split(weights, points)
         points = points @ HADAMARD.T
-    return self_kerr_s_gate()(_coherent_images(weights, points, code.constellation.cutoff))
+    factors = unit_coherent_factors(points, code.constellation.cutoff)
+    return self_kerr_s_gate()(_coherent_images(weights, factors))
 
 
 def zeno_projected_hamiltonian(code, theta=0.0):

@@ -48,12 +48,11 @@ def memoized(maxsize):
 
     A memo stays only where its hits save at least 1% of a warm benchmark
     round (about 5 ms), by its own builds or by the hits it keeps up in an
-    identity-keyed memo downstream; being reused is not enough.  Ten
+    identity-keyed memo downstream; being reused is not enough.  Nine
     builders qualify (the README gives what each saves): ``pauli_group``,
     ``quaternion_group``, ``irrep_table``, ``build_fourier_transform``,
     ``encoding._constellation`` and ``code_basis``, ``fock._ladder_roots``
-    and ``fock._lift`` (keyed on d), ``channels._loss_tables`` and
-    ``cli.build_parser``.
+    (keyed on d), ``channels._loss_tables`` and ``cli.build_parser``.
 
     The result is a plain function (so tracers that wrap module functions
     still see each call) whose ``__wrapped__`` is the uncached builder.

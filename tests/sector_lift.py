@@ -1,7 +1,9 @@
-"""The sector lift of a general two-mode passive unitary: a test oracle.
+"""Lifts of two-mode passive unitaries to Fock space: a test oracle.
 
-The library lifts only monomial mode transformations; its gates move
-coherent points instead.  The tests check those routes against this lift.
+The library lifts no passive unitary: its gates permute or move the code
+states' coherent points instead.  The tests check those routes against the
+lifts here.  A monomial U (a mode permutation with phases) is lifted
+exactly by ``monomial_unitary``; any other U by the sector lift.
 pi(U) = exp(i sum_jk h_jk a_j^dag a_k) conserves the total photon number
 N = n_1 + n_2, so it is built one sector at a time.  Sectors N <= cutoff lie
 wholly under the per-mode cutoff and are exact; the corner sectors
@@ -15,8 +17,42 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from fouriercat.fock import _monomial_structure, passive_gaussian_unitary
 from fouriercat.groups import HADAMARD
+
+
+def monomial_structure(u):
+    """(swap, phases) when the 2 x 2 unitary u is a generalized permutation matrix, else None.
+
+    Each column's largest entry (the first on a tie) must have unit modulus
+    and the other one vanish, to 1e-12; swap is whether column 0's lies in
+    row 1, and phases are the two unit entries, column by column.
+    """
+    (a, b), (c, e) = np.asarray(u, dtype=complex)
+    swap = abs(c) > abs(a)
+    p0, p1, r0, r1 = (c, b, a, e) if swap else (a, e, c, b)
+    if max(abs(abs(p0) - 1.0), abs(abs(p1) - 1.0), abs(r0), abs(r1)) <= 1e-12:
+        return swap, (p0, p1)
+    return None
+
+
+def monomial_unitary(u):
+    """pi(U) of a monomial U, exact under any cutoff; any other U raises.
+
+    pi(U)|n_1, n_2> = phases[0]^n_1 phases[1]^n_2 |n_1, n_2>, the mode axes
+    then swapped if U swaps the modes.  The phase table is built for the d
+    of each state it is applied to.
+    """
+    monomial = monomial_structure(u)
+    if monomial is None:
+        raise ValueError("only a monomial mode transformation is lifted exactly")
+    swap, phases = monomial
+
+    def act(t):
+        n = np.arange(np.shape(t)[-1])
+        phase = np.multiply.outer(phases[0] ** n, phases[1] ** n)
+        return (phase * t).swapaxes(-2, -1) if swap else phase * t
+
+    return act
 
 
 def mode_hamiltonian(u):
@@ -72,14 +108,14 @@ def sector_unitary(h, d):
 
 
 def passive_unitary(u):
-    """pi(U) for any 2 x 2 unitary: the library's exact lift if U is monomial, else the sector lift.
+    """pi(U) for any 2 x 2 unitary: the exact ``monomial_unitary`` if U is monomial, else the sector lift.
 
     The sector lift is built for the d of the state it is applied to and
     kept for the next state of that d.
     """
     u = np.asarray(u, dtype=complex)
-    if _monomial_structure(u) is not None:
-        return passive_gaussian_unitary(u)
+    if monomial_structure(u) is not None:
+        return monomial_unitary(u)
     lift = lru_cache(maxsize=1)(partial(sector_unitary, mode_hamiltonian(u)))
     return lambda t: lift(np.shape(t)[-1])(t)
 

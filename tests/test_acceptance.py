@@ -69,11 +69,11 @@ def test_criterion_2_encoding_identities(acceptance_report, star_code, d8):
     )
     basis = np.array([s.amplitudes.ravel() for s in star_code.basis_states])
     gram_dev = float(np.linalg.norm(basis.conj() @ basis.T - np.eye(4)))
-    from fouriercat.fock import passive_gaussian_unitary
+    from sector_lift import monomial_unitary
 
     cov = 0.0
     for i in range(d8.order):
-        op = passive_gaussian_unitary(d8.matrices[i])
+        op = monomial_unitary(d8.matrices[i])
         images = np.array([op(s.amplitudes).ravel() for s in star_code.basis_states])
         overlaps = images.conj() @ basis.T
         cov = max(cov, float(np.linalg.norm(images - overlaps.conj() @ basis)))

@@ -17,11 +17,11 @@ from fouriercat.fock import (
     cat_state,
     coherent_product,
     infidelity,
-    passive_gaussian_unitary,
 )
 from fouriercat.groups import HADAMARD, PAULI_X
 
 from conftest import traced
+from sector_lift import monomial_unitary
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
 
@@ -63,7 +63,7 @@ def test_product_cat_form_special_alpha(star_code):
 def test_group_covariance(star_code, d8):
     basis = np.array([s.amplitudes.ravel() for s in star_code.basis_states])
     for i in range(d8.order):
-        op = passive_gaussian_unitary(d8.matrices[i])
+        op = monomial_unitary(d8.matrices[i])
         images = np.array([op(s.amplitudes).ravel() for s in star_code.basis_states])
         overlaps = images.conj() @ basis.T
         leak = np.linalg.norm(images - overlaps.conj() @ basis)

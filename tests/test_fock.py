@@ -17,11 +17,11 @@ from fouriercat.fock import (
     infidelity,
     normalize,
     number_diagonal_operator,
-    passive_gaussian_unitary,
 )
+from fouriercat.gates import deformation_residual, double_deformation_residual
 from fouriercat.groups import HADAMARD, PAULI_X, cyclic_group, generate_group
 
-from sector_lift import passive_unitary
+from sector_lift import monomial_unitary, passive_unitary
 
 ALPHA_STAR = np.sqrt(np.pi / 2)
 
@@ -122,8 +122,6 @@ def test_numpy_integer_sizes_stay_valid():
 def test_two_mode_contracts():
     # the old forms that passed a dimension fail loudly instead of reading it
     with pytest.raises(TypeError):
-        passive_gaussian_unitary(PAULI_X, 5)
-    with pytest.raises(TypeError):
         number_diagonal_operator(np.ones(6), 5)
     with pytest.raises(ValueError, match="power"):
         annihilation_operator(0, object())
@@ -174,7 +172,7 @@ def test_passive_unitary_moves_coherent_states():
 
 
 def test_monomial_unitary_is_exact_swap():
-    swap = passive_gaussian_unitary(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    swap = monomial_unitary(np.array([[0.0, 1.0], [1.0, 0.0]]))
     amps = np.zeros((6, 6), dtype=complex)
     amps[4, 1] = 1.0
     got = swap(amps)
@@ -182,12 +180,12 @@ def test_monomial_unitary_is_exact_swap():
 
 
 def test_monomial_unitary_phases():
-    op = passive_gaussian_unitary(np.diag([1.0, -1.0]))
+    op = monomial_unitary(np.diag([1.0, -1.0]))
     state = random_state(8, 1)
     want = dense_mode_op(np.diag((-1.0) ** np.arange(8)), 1) @ state.ravel()
     assert np.linalg.norm(op(state).ravel() - want) < 1e-15
     # a phased swap: |n1, n2> -> i^n1 |n2, n1>
-    phased_swap = passive_gaussian_unitary(np.array([[0.0, 1.0], [1j, 0.0]]))
+    phased_swap = monomial_unitary(np.array([[0.0, 1.0], [1j, 0.0]]))
     got = phased_swap(state)
     want = (1j ** np.arange(8))[None, :] * state.T
     assert np.linalg.norm(got - want) < 1e-15
@@ -270,35 +268,25 @@ def test_sector_unitary_maps_any_leading_batch(lead):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_non_monomial_unitary_needs_two_modes():
+def test_non_monomial_unitary_needs_two_modes(star_code):
     u = np.eye(3, dtype=complex)
     u[:2, :2] = HADAMARD
-    # a monomial 3 x 3 unitary is no longer lifted on a third mode either
+    # the gates apply pi(U) through two-mode coherent points, so a 3 x 3
+    # unitary, monomial or not, is refused on every call
     for unitary in (u, np.roll(np.eye(3), 1, axis=0)):
-        misses = fock._lift.cache_info().misses
-        for _ in range(2):
-            with pytest.raises(ValueError, match="2 x 2"):
-                passive_gaussian_unitary(unitary)
-        assert fock._lift.cache_info().misses == misses  # rejected before the memo
+        for check in (deformation_residual, double_deformation_residual):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="2 x 2"):
+                    check(star_code, unitary)
 
 
-def test_passive_unitary_rejects_nonunitary():
+def test_passive_unitary_rejects_nonunitary(star_code):
     # a NaN entry gives a NaN norm, which must fail the check, not pass it
     for u in ([[1.0, 0.0], [0.0, 2.0]], [[np.nan, 0.0], [0.0, 1.0]], [[0.0, np.nan], [1.0, 0.0]]):
-        for _ in range(2):  # a U that fails validation is never memoized
-            with pytest.raises(ValueError, match="unitary"):
-                passive_gaussian_unitary(np.array(u))
-
-
-def test_passive_lift_is_memoized():
-    rng = np.random.default_rng(8)
-    batch = rng.normal(size=(3, 7, 7)) + 1j * rng.normal(size=(3, 7, 7))
-    for u in (np.diag([1.0, np.exp(0.4j)]), np.array([[0.0, 1.0], [1j, 0.0]])):
-        fock._lift.cache_clear()
-        cold = passive_gaussian_unitary(u)(batch)
-        warm = passive_gaussian_unitary(u)(batch)
-        assert fock._lift.cache_info().hits == 1
-        assert np.array_equal(cold, warm)
+        for check in (deformation_residual, double_deformation_residual):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="mode transformation must be unitary"):
+                    check(star_code, np.array(u))
 
 
 @pytest.mark.parametrize(
@@ -306,38 +294,13 @@ def test_passive_lift_is_memoized():
     ids=["hadamard", "complex-u2", "loss-gamma0.01"],
 )
 def test_non_monomial_unitary_is_refused(u, monkeypatch):
-    # the lift of a non-monomial U would mix each sector across the cutoff;
-    # it is refused after the unitarity check, runs no LAPACK solver and is
-    # never memoized
+    # the exact lift of a non-monomial U would mix each sector across the
+    # cutoff, so the oracle's monomial lift refuses it, running no LAPACK
+    # solver; passive_unitary gives such a U to the sector lift instead
     for name in ("eig", "eigh", "qr"):
         monkeypatch.setattr(np.linalg, name, None)
-    size = fock._lift.cache_info().currsize
-    for _ in range(2):
-        with pytest.raises(ValueError, match="only a monomial mode transformation"):
-            passive_gaussian_unitary(u)
-    assert fock._lift.cache_info().currsize == size
-
-
-def test_passive_lift_memo_misses_on_any_key_change():
-    state = random_state(8, 9)
-    phase = np.diag([1.0, np.exp(0.3j)])
-    nudged = phase.copy()
-    nudged[1, 1] = complex(np.nextafter(phase[1, 1].real, 1.0), phase[1, 1].imag)  # one ulp
-    fock._lift.cache_clear()
-    passive_gaussian_unitary(phase)(state)
-    for u, d in ((nudged, 8), (phase, 7)):
-        misses = fock._lift.cache_info().misses
-        vec = state[:d, :d].ravel()
-        got = passive_gaussian_unitary(u)(vec.reshape(d, d)).ravel()
-        assert fock._lift.cache_info().misses == misses + 1
-        assert np.linalg.norm(got - dense_passive_unitary(u, d) @ vec) < 1e-12
-
-
-def test_passive_lift_memo_stays_bounded():
-    maxsize = fock._lift.cache_info().maxsize
-    for theta in np.linspace(0.1, 1.4, maxsize + 5):
-        passive_gaussian_unitary(np.diag([1.0, np.exp(1j * theta)]))(np.ones((4, 4)))
-    assert fock._lift.cache_info().currsize <= maxsize
+    with pytest.raises(ValueError, match="only a monomial mode transformation"):
+        monomial_unitary(u)
 
 
 def test_number_diagonal_operator_unimodular_check():
@@ -448,7 +411,7 @@ def test_operators_map_a_batch_as_each_member():
     n = np.arange(6)
     phased_swap = np.array([[0.0, 1j], [np.exp(0.3j), 0.0]])
     cases = [  # (operator, exact)
-        (passive_gaussian_unitary(phased_swap), True),
+        (monomial_unitary(phased_swap), True),
         (number_diagonal_operator(np.exp(0.7j * np.outer(n, n**2))), True),
         (passive_unitary(COMPLEX_U2), False),
         (annihilation_operator(0), True),
@@ -488,8 +451,8 @@ ANY_DIMENSION = {
     "a1^2": (annihilation_operator(0, 2), lambda d: dense_mode_op(destroy(d - 1) @ destroy(d - 1), 0)),
     "a2^3": (annihilation_operator(1, 3),
              lambda d: dense_mode_op(np.linalg.matrix_power(destroy(d - 1), 3), 1)),
-    "phased-swap": (passive_gaussian_unitary(PHASED_SWAP), lambda d: dense_monomial(PHASED_SWAP, d)),
-    "phase": (passive_gaussian_unitary(PHASE), lambda d: dense_monomial(PHASE, d)),
+    "phased-swap": (monomial_unitary(PHASED_SWAP), lambda d: dense_monomial(PHASED_SWAP, d)),
+    "phase": (monomial_unitary(PHASE), lambda d: dense_monomial(PHASE, d)),
 }
 
 
@@ -520,13 +483,11 @@ def test_number_diagonal_operator_takes_its_dimension_from_the_phases():
 
 
 def test_table_memos_stay_bounded_over_many_dimensions():
-    # twice as many dimensions as a memo keeps leave each within its bound
-    sizes = {fock._ladder_roots: fock.LADDER_MEMO_SIZE, fock._lift: fock.LIFT_MEMO_SIZE}
-    for d in range(2, 2 + 2 * max(sizes.values())):
+    # twice as many dimensions as the ladder memo keeps leave it within its bound
+    for d in range(2, 2 + 2 * fock.LADDER_MEMO_SIZE):
         for op, _ in ANY_DIMENSION.values():
             op(np.ones((d, d)))
-    for memo, size in sizes.items():
-        assert memo.cache_info().currsize == size
+    assert fock._ladder_roots.cache_info().currsize == fock.LADDER_MEMO_SIZE
 
 
 def roll_lower(t, mode):

@@ -17,17 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fouriercat as fc
 from fouriercat import channels, cli, encoding, fock, gates, groups
-from fouriercat.fock import annihilation_operator, passive_gaussian_unitary
+from fouriercat.fock import annihilation_operator
 
 D = 10  # the per-mode dimension the tables are built for
-PHASE = np.diag([1.0, np.exp(0.4j)])  # a monomial mode transformation that swaps no modes
-PHASED_SWAP = np.array([[0.0, 1j], [1.0, 0.0]])
-
-
-def u_key(u):
-    """The bytes a lift's table memo is keyed on."""
-    return np.asarray(u, dtype=complex).tobytes()
 
 
 def held_arrays(obj):
@@ -43,8 +37,6 @@ def held_arrays(obj):
 BUILDS = {
     "ladder": lambda: fock._ladder_roots(D, 2),
     "ladder-power-1": lambda: fock._ladder_roots(D, 1),
-    "phase-lift": lambda: fock._lift(u_key(PHASE), D),
-    "monomial-lift": lambda: fock._lift(u_key(PHASED_SWAP), D),
     "loss-tables": lambda: channels._loss_tables(D),
 }
 
@@ -91,41 +83,22 @@ def test_ladder_tables_key_on_argument_types():
     ids=["non-unitary", "nan"],
 )
 def test_failed_unitarity_is_never_memoized(u):
-    passive_gaussian_unitary(PHASE)(np.ones((D, D)))
-    size = fock._lift.cache_info().currsize
+    # deformation_residual checks U before it builds the deformed code, so a
+    # U that fails never reaches the constellation memo
+    group = groups.pauli_group()
+    fourier = groups.build_fourier_transform(group, groups.irrep_table(group))
+    code = fc.code_basis(fc.make_constellation(group, 1.25, np.pi / 2, 20), fourier)
+    info = encoding._constellation.cache_info()
     for _ in range(3):
         with pytest.raises(ValueError, match="unitary"):
-            passive_gaussian_unitary(u)
-    assert fock._lift.cache_info().currsize == size
-
-
-def test_lift_checks_u_on_each_build_and_never_on_application(monkeypatch):
-    # the check of a monomial U is plain Python (no numpy norm), and an
-    # applied lift finds its table in the memo without checking U again
-    checks, norms = [], []
-    structure, norm = fock._monomial_structure, np.linalg.norm
-    monkeypatch.setattr(fock, "_monomial_structure", lambda u: checks.append(1) or structure(u))
-    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(1) or norm(*a, **k))
-    state = np.ones((D, D))
-    for u in (PHASE, PHASED_SWAP):
-        passive_gaussian_unitary(u)(state)  # the table is in the memo now
-        checks.clear()
-        op = passive_gaussian_unitary(u)
-        assert len(checks) == 1  # every build checks U
-        op(state)
-        op(state)
-        assert len(checks) == 1 and not norms  # a table hit checks nothing
-    # the shape is checked on every build: (1, 4) has the bytes of a (2, 2)
-    with pytest.raises(ValueError, match="dimension"):
-        passive_gaussian_unitary(np.array([[0.0, 1.0, 1.0, 0.0]]))
+            gates.deformation_residual(code, u)
+    assert encoding._constellation.cache_info() == info  # not even looked up
 
 
 # (memo, its bound, the k-th of a run of calls that each add a key)
 MEMOS = {
     "ladder": (fock._ladder_roots, fock.LADDER_MEMO_SIZE,
                lambda k: annihilation_operator(k % 2, 1 + k % 3)(np.ones((2 + k, 2 + k)))),
-    "lift": (fock._lift, fock.LIFT_MEMO_SIZE,
-             lambda k: passive_gaussian_unitary(PHASED_SWAP)(np.ones((2 + k, 2 + k)))),
     "loss-tables": (channels._loss_tables, channels.LOSS_MEMO_SIZE,
                     lambda k: channels._loss_tables(2 + k)),
 }

@@ -1,6 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -159,3 +160,33 @@ def test_orphan_name_is_found():
     assert orphan_names([module], [module, reader]) == [
         "LIMIT", "Pair.right", "Point.n", "unseen", "walk"
     ]
+
+
+def memoized_builders(tree):
+    """Names of the top-level functions that ``tree`` decorates with ``@memoized(...)``."""
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(d, ast.Call) and getattr(d.func, "id", None) == "memoized"
+            for d in node.decorator_list
+        )
+    ]
+
+
+COUNTS = {"Eight": 8, "Nine": 9, "Ten": 10, "Eleven": 11, "Twelve": 12}
+
+
+def test_memoized_docstring_names_every_memoized_builder():
+    # the rule for keeping a memo, stated in groups.memoized, lists the
+    # builders that meet it; each must be decorated, and no other
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    decorated = [name for tree in trees for name in memoized_builders(tree)]
+    groups = ast.parse((SRC / "groups.py").read_text(encoding="utf-8"))
+    memo = next(n for n in groups.body if isinstance(n, ast.FunctionDef) and n.name == "memoized")
+    listing = " ".join(ast.get_docstring(memo).split("\n\n")[1].split())
+    count, names = re.search(r"(\w+) builders qualify .*?\): (.*)", listing).groups()
+    named = [ref.split(".")[-1] for ref in re.findall(r"``([\w.]+)``", names)]
+    assert sorted(named) == sorted(decorated)
+    assert COUNTS[count] == len(decorated)
