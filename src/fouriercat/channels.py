@@ -19,14 +19,16 @@ import numpy as np
 
 from . import encoding
 from .fock import (
+    GRAM_FLOOR,
     SingularGramError,
     _condition_number,
     _hermitian_eigh,
     _log_factorials,
     annihilation_operator,
     hermitian_inv_sqrt,
+    normalize,
 )
-from .groups import HADAMARD, memoized
+from .groups import AMPLITUDE_RULE, HADAMARD, _positive_amplitude, memoized
 
 # Loss tables kept by qec_matrix_fock, two (d, d) arrays per cutoff (11 kB at cutoff 25).
 LOSS_MEMO_SIZE = 8
@@ -54,10 +56,8 @@ def _loss_gram_matrices(lam, alpha, gamma):
     All three are entrywise exponentials of the 2-vector Gram matrix; at
     gamma = 0, Gamma_t reduces to Gamma and Gamma_r to the all-ones matrix.
     """
-    if not 0.0 < alpha < np.inf:
-        raise ValueError("alpha must be positive and finite")
-    if not np.isfinite(2.0 * float(alpha) * float(alpha)):
-        raise ValueError("alpha is too large: 2 alpha^2 overflows")
+    if not _positive_amplitude(alpha):
+        raise ValueError(AMPLITUDE_RULE)
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     base = lam - 1.0
@@ -74,7 +74,7 @@ def qec_matrix_analytic(group, fourier, alpha, gamma, phi=np.pi / 2):
                 [G_r^1/2]_{gp} [G_r^1/2]_{qh} [G_t]_{gh}.
     As G_r^1/2 is Hermitian, M = U G_t U^dag, U[kp, g] = [F G^-1/2]_{k0,g} [G_r^1/2]_{gp}.
     Both roots come from one eigendecomposition of the Hermitian pair (G, G_r).
-    G's eigenvalues w must exceed ``encoding.GRAM_FLOOR`` times the largest,
+    G's eigenvalues w must exceed ``fock.GRAM_FLOOR`` times the largest,
     the floor of code construction, else ``SingularGramError`` raises; either
     carries G's condition number max |w| / min |w|, as
     ``extras["condition_number"]`` or on the error.  A non-finite phi makes
@@ -85,7 +85,7 @@ def qec_matrix_analytic(group, fourier, alpha, gamma, phi=np.pi / 2):
     gram, gram_t, gram_r = _loss_gram_matrices(lam, alpha, gamma)
     w, v = _hermitian_eigh(np.stack([gram, gram_r]))  # w ascending
     cond = _condition_number(w[0])
-    if not w[0, 0] > encoding.GRAM_FLOOR * w[0, -1]:
+    if not w[0, 0] > GRAM_FLOOR * w[0, -1]:
         raise SingularGramError(cond)
     scale = np.stack([1.0 / np.sqrt(w[0]), np.sqrt(np.maximum(w[1], 0.0))])
     inv_sqrt, sr = (v * scale[:, None, :]) @ v.conj().swapaxes(-1, -2)
@@ -185,8 +185,7 @@ def qec_matrix_fock(code, gamma):
     b_shift, shift = _loss_amplitudes(d, gamma)
 
     # Per-mode reflected constellation states e[q, m] and their Gram matrix.
-    env = factors * np.sqrt(gamma) ** np.arange(d)
-    env /= np.linalg.norm(env, axis=-1, keepdims=True)
+    env = normalize(factors * np.sqrt(gamma) ** np.arange(d), axes=-1)
     env_gram = np.prod(np.einsum("qma,rma->mqr", env.conj(), env), axis=0)
     roots = hermitian_inv_sqrt(env_gram, floor=ENV_FLOOR, pseudo=True)
 

@@ -52,10 +52,12 @@ from .gates import (
     zeno_projected_hamiltonian,
 )
 from .groups import (
+    AMPLITUDE_RULE,
     HADAMARD,
     PAULI_X,
     PHASE_S,
     PHASE_T,
+    _positive_amplitude,
     build_fourier_transform,
     irrep_table,
     memoized,
@@ -122,7 +124,7 @@ def load_config(args):
     A config file holds one JSON object, which may set only the options
     the command declares (its parsed namespace holds one attribute per
     declared option); any other key, or a value of the wrong type, is a
-    configuration error.
+    configuration error.  The returned config holds the declared options only.
     """
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
@@ -155,25 +157,23 @@ def load_config(args):
             raise ConfigError(f"{key} must be a number, got {val!r}")
         try:
             val = float(val)
-        except OverflowError as exc:  # an integer beyond float range
-            raise ConfigError(f"{key} must be finite") from exc
+        except OverflowError:  # an integer beyond float range, refused below
+            val = math.inf
+        if key == "alpha" and not _positive_amplitude(val):
+            raise ConfigError(AMPLITUDE_RULE)
         if not math.isfinite(val):
             raise ConfigError(f"{key} must be finite")
         cfg[key] = val
     if not cfg["cutoff"].is_integer():
         raise ConfigError("cutoff must be an integer")
     cfg["cutoff"] = int(cfg["cutoff"])
-    if cfg["alpha"] <= 0:
-        raise ConfigError("alpha must be positive")
-    if not math.isfinite(2.0 * cfg["alpha"] * cfg["alpha"]):
-        raise ConfigError("alpha is too large: 2 alpha^2 overflows")
     if not 0.0 <= cfg["gamma"] < 1.0:
         raise ConfigError("gamma must lie in [0, 1)")
     if not 1 <= cfg["cutoff"] <= MAX_CUTOFF:
         raise ConfigError(f"cutoff must lie in [1, {MAX_CUTOFF}]")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
-    return cfg
+    return {key: val for key, val in cfg.items() if key in vars(args)}
 
 
 def parse_linear_grid(spec):
@@ -376,10 +376,8 @@ def cmd_sweep_alpha(cfg):
     group, fourier = _group_and_fourier(cfg)
     spec = cfg["grid"] if cfg["grid"] is not None else "0.9:1.6:0.01"
     grid = parse_linear_grid(spec)
-    if grid[0] <= 0:
-        raise ConfigError("alpha grid must start above 0")
-    if not math.isfinite(2.0 * float(grid[-1]) * float(grid[-1])):
-        raise ConfigError("alpha grid is too large: 2 alpha^2 overflows")
+    if not (_positive_amplitude(grid[0]) and _positive_amplitude(grid[-1])):  # grid[0] <= grid[-1]
+        raise ConfigError(AMPLITUDE_RULE)
     records = sweep_alpha(group, fourier, cfg["gamma"], grid, phi=cfg["phi"])
     try:
         best = argmin_record(records)

@@ -7,20 +7,21 @@ constellation states.  The single-mode cat qudit is the same construction
 for the cyclic group Z_N, written in its closed form.
 
 A code depends only on (group, alpha vector, cutoff), so it is built once
-per process.  ``constellation_from_vector`` (and through it
-``make_constellation`` and ``deform_constellation``) is memoized on the
-group object, the bytes of the complex alpha vector and the cutoff;
+per process.  ``make_constellation`` and ``deform_constellation`` pass the
+bytes of the complex alpha vector to ``_constellation``, which checks the
+vector and is memoized on the group object, those bytes and the cutoff;
 ``code_basis`` on its constellation and Fourier transform objects.  Each
-keeps its ``CODE_MEMO_SIZE`` latest results.  A constellation keeps only its
-normalized per-mode coherent factors (``factors``, |G| x 2 x d); its cutoff
-is d - 1 and its (|G|, d, d) ``amplitudes`` are formed from them on each
-read, so no object holds the cutoff apart from the arrays.  A code basis
-keeps its amplitudes and its expansion over the constellation states
-(``coefficients``, 4 x |G|), so amplitudes[i] = sum_g coefficients[i, g]
-factors[g, 0] (x) factors[g, 1]; the Fock loss oracle contracts these
-instead of the (d, d) states.  A D8 or Q8 constellation retains about 8 kB
-at cutoff 25 and 17 kB at cutoff 60, a code with its constellation 53 kB
-and 0.26 MB, so the two memos hold at most 0.48 MB at 25 and 2.2 MB at 60.
+keeps its ``CODE_MEMO_SIZE`` latest results, and neither keeps a call that
+raises.  A constellation keeps only its normalized per-mode coherent factors
+(``factors``, |G| x 2 x d); its cutoff is d - 1 and its (|G|, d, d)
+``amplitudes`` are formed from them on each read, so no object holds the
+cutoff apart from the arrays.  A code basis keeps its amplitudes and its
+expansion over the constellation states (``coefficients``, 4 x |G|), so
+amplitudes[i] = sum_g coefficients[i, g] factors[g, 0] (x) factors[g, 1];
+the Fock loss oracle contracts these instead of the (d, d) states.  A D8 or
+Q8 constellation retains about 8 kB at cutoff 25 and 17 kB at cutoff 60, a
+code with its constellation 53 kB and 0.26 MB, so the two memos hold at most
+0.48 MB at 25 and 2.2 MB at 60.
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ import numpy as np
 
 from .fock import (
     DEFAULT_CUTOFF,
-    GRAM_FLOOR,
     coherent_amplitudes,
+    coherent_state,
     hermitian_inv_sqrt,
     normalize,
     overlap_matrix,
-    unit_coherent_factors,
 )
-from .groups import _integer_at_least, memoized
+from .groups import AMPLITUDE_RULE, _integer_at_least, _positive_amplitude, memoized
 
 # Results kept by the constellation and code-basis memos.
 CODE_MEMO_SIZE = 8
@@ -100,45 +100,37 @@ def _min_distance(points):
     return float(np.min(np.linalg.norm(points[i] - points[j], axis=1), initial=np.inf))
 
 
-def constellation_from_vector(group, alpha_vec, cutoff=DEFAULT_CUTOFF):
-    """The orbit of |alpha_vec> under the group, memoized (see the module docstring)."""
-    alpha_vec = np.asarray(alpha_vec, dtype=complex)
-    if alpha_vec.shape != (2,):
-        raise ValueError("alpha vector must have two entries")
-    with np.errstate(over="ignore"):  # |alpha|^2 overflows past about 1.3e154
-        if not np.isfinite(np.sum(np.abs(alpha_vec) ** 2)):
-            raise ValueError("alpha vector must be finite, with a finite |alpha|^2")
-    return _constellation(group, alpha_vec.tobytes(), cutoff)
-
-
 @memoized(CODE_MEMO_SIZE)
 def _constellation(group, alpha_bytes, cutoff):
-    """The constellation of the alpha vector whose complex128 bytes are ``alpha_bytes``."""
+    """The orbit of the two-entry alpha vector whose complex128 bytes are ``alpha_bytes``."""
     alpha_vec = np.frombuffer(alpha_bytes, dtype=complex)  # read-only
+    if alpha_vec.shape != (2,):
+        raise ValueError("alpha vector must have two entries")
+    # so |alpha|^2 <= 2 max |alpha_i|^2 is finite; a NaN entry makes the max NaN
+    if not _positive_amplitude(np.max(np.abs(alpha_vec))):
+        raise ValueError(AMPLITUDE_RULE)
     points = group.matrices @ alpha_vec
     if _min_distance(points) <= 1e-9 * max(1.0, float(np.linalg.norm(alpha_vec))):
         raise DegenerateConstellationError("degenerate constellation")
-    factors = unit_coherent_factors(points, cutoff)  # (|G|, 2, d), one per mode
+    factors = coherent_state(points, cutoff)  # (|G|, 2, d), one per mode
     factors.flags.writeable = False
     return Constellation(group=group, alpha_vec=alpha_vec, factors=factors)
 
 
 def make_constellation(group, alpha, phi, cutoff=DEFAULT_CUTOFF):
     """Constellation of |alpha, alpha e^{i phi}> under the group orbit."""
-    if not (0.0 < alpha < np.inf and np.isfinite(phi)):
-        raise ValueError("alpha must be positive and finite, and phi finite")
-    return constellation_from_vector(
-        group, [alpha, alpha * np.exp(1j * phi)], cutoff
-    )
+    if not _positive_amplitude(alpha):
+        raise ValueError(AMPLITUDE_RULE)
+    if not np.isfinite(phi):
+        raise ValueError("phi must be finite")
+    alpha_vec = np.array([alpha, alpha * np.exp(1j * phi)], dtype=complex)
+    return _constellation(group, alpha_vec.tobytes(), cutoff)
 
 
 def deform_constellation(constellation, u):
     """The constellation obtained from the initial state |U alpha>."""
-    return constellation_from_vector(
-        constellation.group,
-        np.asarray(u, dtype=complex) @ constellation.alpha_vec,
-        constellation.cutoff,
-    )
+    alpha_vec = np.asarray(u, dtype=complex) @ constellation.alpha_vec
+    return _constellation(constellation.group, alpha_vec.tobytes(), constellation.cutoff)
 
 
 def gram_matrix(constellation):
@@ -219,8 +211,8 @@ def cat_qudit(n, d, alpha, cutoff=None):
         raise ValueError("N and d must be positive integers")
     if n % d != 0:
         raise ValueError("d must divide N")
-    if not (alpha > 0 and np.isfinite(float(alpha) * float(alpha))):
-        raise ValueError("alpha must be positive, with a finite alpha^2")
+    if not _positive_amplitude(alpha):
+        raise ValueError(AMPLITUDE_RULE)
     if cutoff is None:
         cutoff = max(DEFAULT_CUTOFF, int(np.ceil(abs(alpha) ** 2 + 10 * abs(alpha))))
     w = np.exp(2j * np.pi / n)

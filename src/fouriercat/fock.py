@@ -42,12 +42,13 @@ def normalize(t, axes=None):
     """t divided by its norm over ``axes`` (all axes when None, else an axis or two).
 
     The norms are kept as size-one axes, so a stack of states normalizes
-    state by state; a zero state raises.
+    state by state; a zero state raises, and so does a NaN or inf entry
+    (its norm is NaN or inf).
     """
     norm = np.linalg.norm(t, axis=axes, keepdims=True)
-    if norm.min() < 1e-300:
-        raise ValueError("cannot normalize a zero state")
-    return t * (1.0 / norm)
+    if not (norm.min() >= 1e-300 and norm.max() < np.inf):  # a NaN fails the first test
+        raise ValueError("cannot normalize a zero state or a non-finite one")
+    return t / norm
 
 
 def infidelity(a, b):
@@ -93,16 +94,9 @@ def coherent_amplitudes(alpha, cutoff):
     return amps
 
 
-def unit_coherent_factors(points, cutoff):
-    """Audited per-mode factors of the products |p_1, p_2>, each normalized after truncation."""
-    factors = coherent_amplitudes(points, cutoff)
-    factors /= np.linalg.norm(factors, axis=-1, keepdims=True)
-    return factors
-
-
 def coherent_state(alpha, cutoff=DEFAULT_CUTOFF):
-    """Single-mode coherent state |alpha>, renormalized after truncation."""
-    return normalize(coherent_amplitudes(alpha, cutoff))
+    """Coherent states |alpha>, shape alpha.shape + (d,), each audited and normalized on its own."""
+    return normalize(coherent_amplitudes(alpha, cutoff), axes=-1)
 
 
 def coherent_product(alphas, cutoff=DEFAULT_CUTOFF):

@@ -28,10 +28,11 @@ from . import encoding
 from .fock import (
     _log_factorials,
     annihilation_operator,
+    coherent_state,
     infidelity,
+    normalize,
     number_diagonal_operator,
     overlap_matrix,
-    unit_coherent_factors,
 )
 from .groups import HADAMARD, PAULI_Z
 
@@ -179,7 +180,7 @@ def _mode_unitary(u):
 def _encoded_residual(code, target, u):
     """Max infidelity of pi(U) E(|l>|m>) vs E_target(U|l> (x) U|m>), pi(U) moving the points."""
     constellation = code.constellation
-    factors = unit_coherent_factors(constellation.points @ u.T, constellation.cutoff)
+    factors = coherent_state(constellation.points @ u.T, constellation.cutoff)
     images = _coherent_images(code.coefficients, factors)
     # column (l, m) of U (x) U holds the coefficients u[l', l] u[m', m]
     amps = target.amplitudes
@@ -216,7 +217,7 @@ def _composite_hadamard_images(code):
     for _ in range(2):
         weights, points = _kerr_split(weights, points)
         points = points @ HADAMARD.T
-    factors = unit_coherent_factors(points, code.constellation.cutoff)
+    factors = coherent_state(points, code.constellation.cutoff)
     return self_kerr_s_gate()(_coherent_images(weights, factors))
 
 
@@ -255,8 +256,7 @@ def zy_eigenstates(code):
     """The four Z_L Y_M eigenstates as one normalized (4, d, d) stack, in ``ZY_LABELS`` order."""
     amps = code.amplitudes
     stack = amps[[0, 0, 2, 2]] + np.array([1j, -1j, 1j, -1j])[:, None, None] * amps[[1, 1, 3, 3]]
-    stack /= np.linalg.norm(stack, axis=(-2, -1))[:, None, None]
-    return stack
+    return normalize(stack, axes=(-2, -1))
 
 
 def _mod4_masses(prob):

@@ -22,6 +22,7 @@ tables retain 18 kB in all, and a full memo of order-64 cyclic groups 3.2 MB.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -83,6 +84,15 @@ def _integer_at_least(n, low):
     # a plain int skips the slower ABC test: operators are checked on every build
     integral = type(n) is int or (isinstance(n, numbers.Integral) and not isinstance(n, bool))
     return integral and n >= low
+
+
+# The message of every refusal by ``_positive_amplitude``.
+AMPLITUDE_RULE = "alpha must be positive, with a finite 2 alpha^2"
+
+
+def _positive_amplitude(alpha):
+    """The one amplitude rule: alpha > 0 (not NaN) with a finite 2 alpha^2, so alpha < 9.48e153."""
+    return alpha > 0 and math.isfinite(2.0 * float(alpha) * float(alpha))
 
 
 def _is_unitary(u):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from fouriercat.fock import (
     SingularGramError,
     hermitian_inv_sqrt,
 )
-from fouriercat.groups import HADAMARD
+from fouriercat.groups import AMPLITUDE_RULE, HADAMARD
 
 from sector_lift import passive_unitary
 
@@ -484,20 +486,20 @@ def test_singular_gram_error_carries_the_condition_number(d8, d8_fourier):
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_analytic_route_rejects_non_finite_alpha(d8, d8_fourier, alpha):
-    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+    with pytest.raises(ValueError, match=re.escape(AMPLITUDE_RULE)):
         fc.qec_matrix_analytic(d8, d8_fourier, alpha, 0.01)
-    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+    with pytest.raises(ValueError, match=re.escape(AMPLITUDE_RULE)):
         fc.sweep_alpha(d8, d8_fourier, 0.01, [alpha, 1.2])
-    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+    with pytest.raises(ValueError, match=re.escape(AMPLITUDE_RULE)):
         fc.sweep_gamma(d8, d8_fourier, alpha, [0.01])
 
 
 @pytest.mark.parametrize("alpha", [1e200, np.float64(1e155)], ids=["float", "float64"])
 def test_analytic_route_rejects_alpha_whose_square_overflows(d8, d8_fourier, alpha):
     # a Python float power would raise OverflowError, a numpy one warn
-    with pytest.raises(ValueError, match="2 alpha\\^2 overflows"):
+    with pytest.raises(ValueError, match=re.escape(AMPLITUDE_RULE)):
         fc.qec_matrix_analytic(d8, d8_fourier, alpha, 0.01)
-    with pytest.raises(ValueError, match="2 alpha\\^2 overflows"):
+    with pytest.raises(ValueError, match=re.escape(AMPLITUDE_RULE)):
         fc.sweep_gamma(d8, d8_fourier, alpha, [0.01])
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fouriercat as fc
 from fouriercat import cli, gates
+from fouriercat.groups import AMPLITUDE_RULE
 
 
 def run(args):
@@ -130,6 +133,8 @@ def test_sweep_gamma_json(tmp_path, capsys):
     assert set(payload) == {"config", "records", "summary"}
     assert len(payload["records"]) == 6
     assert set(payload["records"][0]) == {"gamma", "infidelity", "condition_number", "flags"}
+    # only the options sweep-gamma declares, less the output path
+    assert set(payload["config"]) == {"group", "phi", "alpha", "grid", "format"}
     assert payload["summary"]["monotone"] is True
     assert np.isfinite(payload["summary"]["loglog_slope"])
     assert "log-log slope" in capsys.readouterr().out
@@ -179,6 +184,49 @@ def test_extreme_inputs_exit_without_a_traceback(argv, fmt, code, tmp_path, caps
             assert payload["summary"] == {"loglog_slope": None, "monotone": None}
     if code == 0 and fmt == "csv":
         assert "nan" in out.read_text(encoding="utf-8")
+
+
+def refuses(route, alpha):
+    """Whether ``route`` refuses ``alpha`` by the amplitude rule.
+
+    Any other outcome, a result or another error (an accepted but huge alpha
+    may overflow or starve the cutoff later), passes the rule.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            route(alpha)
+    except ValueError as exc:
+        return str(exc) == AMPLITUDE_RULE
+    return False
+
+
+def load_alpha(alpha):
+    """``load_config`` of ``verify --alpha``, the parsed value replaced by ``alpha`` itself."""
+    args = cli.build_parser().parse_args(["verify", "--alpha", repr(float(alpha))])
+    args.alpha = alpha
+    return cli.load_config(args)
+
+
+AMPLITUDE_ROUTES = {
+    "make_constellation": lambda a: fc.make_constellation(fc.pauli_group(), a, math.pi / 2),
+    "qec_matrix_analytic": lambda a: fc.qec_matrix_analytic(
+        *cli._group_and_fourier({"group": "d8"}), a, 0.01
+    ),
+    "cat_qudit": lambda a: fc.cat_qudit(4, 2, a, cutoff=25),
+    "load_config": load_alpha,
+}
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+@pytest.mark.parametrize(
+    "alpha, refused",
+    [(0.0, True), (-0.0, True), (5e-324, False), (1.0, False), (9.4e153, False),
+     (9.6e153, True), (1e200, True), (math.inf, True), (math.nan, True)],
+)
+def test_every_route_applies_one_amplitude_rule(alpha, refused, kind):
+    # alpha > 0 with a finite 2 alpha^2: once four rules with four messages
+    got = {name: refuses(route, kind(alpha)) for name, route in AMPLITUDE_ROUTES.items()}
+    assert got == dict.fromkeys(AMPLITUDE_ROUTES, refused)
 
 
 def test_empty_grid_is_config_error():
@@ -233,6 +281,7 @@ def test_config_file_with_flag_override(tmp_path):
     ) == 0
     payload = json.loads(out_json.read_text(encoding="utf-8"))
     assert payload["config"]["gamma"] == 0.03
+    assert set(payload["config"]) == {"group", "phi", "gamma", "grid", "format"}
 
 
 def test_config_file_unknown_key(tmp_path):

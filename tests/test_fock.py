@@ -49,6 +49,16 @@ def test_coherent_state_normalized():
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
+def test_batched_coherent_states_are_each_normalized():
+    # one builder for scalars and stacks: each state is normalized on its own axis
+    alphas = np.array([[0.0, 0.7], [1.3 + 0.4j, -1.5j]])
+    batch = coherent_state(alphas, 30)
+    assert batch.shape == (2, 2, 31)
+    for index in np.ndindex(alphas.shape):
+        assert np.array_equal(batch[index], coherent_state(alphas[index], 30))
+    assert np.max(np.abs(np.linalg.norm(batch, axis=-1) - 1.0)) < 1e-15
+
+
 def test_coherent_overlap_formula():
     a, b = 0.9, 0.5 + 0.8j
     got = np.vdot(coherent_state(a, 40), coherent_state(b, 40))
@@ -548,8 +558,17 @@ def test_infidelity_does_not_cancel():
 
 
 def test_normalize_and_infidelity_reject_a_zero_state():
-    zero = np.zeros((3, 3), dtype=complex)
-    with pytest.raises(ValueError, match="cannot normalize a zero state"):
-        normalize(zero)
-    with pytest.raises(ValueError, match="cannot normalize a zero state"):
-        infidelity(np.eye(3), zero)
+    # a NaN norm once passed the zero test, and an inf one divided to NaN with a warning
+    message = "cannot normalize a zero state or a non-finite one"
+    for bad in (
+        np.zeros((3, 3), dtype=complex),
+        np.array([np.nan, 1.0]),
+        np.array([np.inf, 1.0]),
+        np.array([1.0, 1.0j, complex(0.0, np.nan)]),
+    ):
+        with pytest.raises(ValueError, match=message):
+            normalize(bad)
+        with pytest.raises(ValueError, match=message):  # the bad state second in a stack
+            normalize(np.stack([np.ones_like(bad), bad]), axes=-1 if bad.ndim == 1 else (-2, -1))
+        with pytest.raises(ValueError, match=message):
+            infidelity(np.ones(bad.shape), bad)

@@ -8,11 +8,11 @@ import fouriercat as fc
 from fouriercat.encoding import deform_constellation
 from fouriercat.fock import (
     annihilation_operator,
+    coherent_state,
     infidelity,
     normalize,
     number_diagonal_operator,
     overlap_matrix,
-    unit_coherent_factors,
 )
 from fouriercat.gates import (
     IDENTITY2,
@@ -342,7 +342,7 @@ def test_the_group_permutes_its_constellation(name, phi):
     for g, row in zip(group.matrices, group.cayley):
         moved = points @ g.T
         assert np.array_equal(points[row], moved)
-        want = unit_coherent_factors(moved, constellation.cutoff)
+        want = coherent_state(moved, constellation.cutoff)
         assert np.max(np.abs(constellation.factors[row] - want)) <= 1e-15
 
 

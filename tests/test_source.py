@@ -190,3 +190,37 @@ def test_memoized_docstring_names_every_memoized_builder():
     named = [ref.split(".")[-1] for ref in re.findall(r"``([\w.]+)``", names)]
     assert sorted(named) == sorted(decorated)
     assert COUNTS[count] == len(decorated)
+
+
+def unread_sibling_imports(tree):
+    """Names a module imports from a sibling module (``from .x import ...``) and never reads."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if (alias.asname or alias.name) not in read
+    ]
+
+
+def test_every_sibling_import_is_read():
+    # a name imported and never read is a leftover, or a relay for another module;
+    # the package's __init__ is exempt, as it imports only to export
+    unread = {
+        path.name: unread_sibling_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: found for name, found in unread.items() if found} == {}
+
+
+def test_unread_sibling_import_is_found():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from . import fock, gates\n"
+        "from .fock import LIMIT, normalize as norm, overlap\n"
+        "def f(t):\n"
+        "    return norm(fock.floor(t)) + np.pi\n"
+    )
+    assert unread_sibling_imports(tree) == ["gates", "LIMIT", "overlap"]
