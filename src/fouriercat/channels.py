@@ -27,6 +27,7 @@ from .fock import (
     annihilation_operator,
     hermitian_inv_sqrt,
     normalize,
+    product_gram,
 )
 from .groups import AMPLITUDE_RULE, HADAMARD, _positive_amplitude, memoized
 
@@ -61,9 +62,11 @@ def _loss_gram_matrices(lam, alpha, gamma):
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     base = lam - 1.0
-    gram = np.exp(2 * alpha**2 * base)
-    gram_t = np.exp(2 * (1.0 - gamma) * alpha**2 * base)
-    gram_r = np.exp(2 * gamma * alpha**2 * base)
+    # near the amplitude rule's edge 2 alpha^2 (lam - 1) passes -1.8e308: exp(-inf) = 0 is exact
+    with np.errstate(over="ignore"):
+        gram = np.exp(2 * alpha**2 * base)
+        gram_t = np.exp(2 * (1.0 - gamma) * alpha**2 * base)
+        gram_r = np.exp(2 * gamma * alpha**2 * base)
     return gram, gram_t, gram_r
 
 
@@ -186,8 +189,7 @@ def qec_matrix_fock(code, gamma):
 
     # Per-mode reflected constellation states e[q, m] and their Gram matrix.
     env = normalize(factors * np.sqrt(gamma) ** np.arange(d), axes=-1)
-    env_gram = np.prod(np.einsum("qma,rma->mqr", env.conj(), env), axis=0)
-    roots = hermitian_inv_sqrt(env_gram, floor=ENV_FLOOR, pseudo=True)
+    roots = hermitian_inv_sqrt(product_gram(env, env), floor=ENV_FLOOR, pseudo=True)
 
     # The transmitted factors t_m[q, P, g] = (Y_qm f_gm)[P], each Y_qm gathered into
     # buf ("clip" only spares take a temporary: every shift is in range).

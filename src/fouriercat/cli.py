@@ -70,8 +70,8 @@ ALPHA_STAR = math.sqrt(math.pi / 2)
 MAX_GRID_POINTS = 10**6
 # A larger cutoff is refused before anything is built.  Every array a command
 # allocates is O(d^2) at d = cutoff + 1, and at the cap a fresh `verify`
-# process takes 0.40 s and 70 MB ru_maxrss (median of 5, one BLAS thread;
-# 0.21 s and 42 MB at cutoff 127).
+# process takes 0.29-0.39 s and 57 MB ru_maxrss (3 medians of 5, one BLAS thread,
+# 2-vCPU machine; 0.18 s and 39 MB at cutoff 127).
 MAX_CUTOFF = 255
 
 # logical targets on the basis (l, m), acting on L only

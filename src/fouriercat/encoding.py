@@ -13,12 +13,11 @@ vector and is memoized on the group object, those bytes and the cutoff;
 ``code_basis`` on its constellation and Fourier transform objects.  Each
 keeps its ``CODE_MEMO_SIZE`` latest results, and neither keeps a call that
 raises.  A constellation keeps only its normalized per-mode coherent factors
-(``factors``, |G| x 2 x d); its cutoff is d - 1 and its (|G|, d, d)
-``amplitudes`` are formed from them on each read, so no object holds the
-cutoff apart from the arrays.  A code basis keeps its amplitudes and its
-expansion over the constellation states (``coefficients``, 4 x |G|), so
-amplitudes[i] = sum_g coefficients[i, g] factors[g, 0] (x) factors[g, 1];
-the Fock loss oracle contracts these instead of the (d, d) states.  A D8 or
+(``factors``, |G| x 2 x d; its cutoff is d - 1), and its Gram matrix and
+states are formed from them (``fock.product_gram``, ``fock.coherent_sum``),
+never as a (|G|, d, d) stack.  A code basis keeps its amplitudes and their
+expansion over the constellation (``coefficients``, 4 x |G|), which the Fock
+loss oracle and the gates contract instead of the (d, d) states.  A D8 or
 Q8 constellation retains about 8 kB at cutoff 25 and 17 kB at cutoff 60, a
 code with its constellation 53 kB and 0.26 MB, so the two memos hold at most
 0.48 MB at 25 and 2.2 MB at 60.
@@ -35,9 +34,10 @@ from .fock import (
     DEFAULT_CUTOFF,
     coherent_amplitudes,
     coherent_state,
+    coherent_sum,
     hermitian_inv_sqrt,
     normalize,
-    overlap_matrix,
+    product_gram,
 )
 from .groups import AMPLITUDE_RULE, _integer_at_least, _positive_amplitude, memoized
 
@@ -66,13 +66,6 @@ class Constellation:
         """The C^2 amplitude vectors g @ alpha_vec, in group order."""
         return self.group.matrices @ self.alpha_vec
 
-    @property
-    def amplitudes(self):
-        """The (|G|, d, d) states |g alpha>, formed from ``factors`` on each read (read-only)."""
-        amplitudes = self.factors[:, 0, :, None] * self.factors[:, 1, None, :]
-        amplitudes.flags.writeable = False
-        return amplitudes
-
 
 @dataclass(eq=False)
 class CodeBasis:
@@ -81,7 +74,7 @@ class CodeBasis:
     constellation: Constellation
     fourier: object
     amplitudes: np.ndarray  # (4, d, d), basis state (l, m) at index 2 l + m
-    # (4, |G|): amplitudes[i] = sum_g coefficients[i, g] constellation.amplitudes[g]
+    # (4, |G|): amplitudes = fock.coherent_sum(coefficients, constellation.factors)
     coefficients: np.ndarray
 
     @property
@@ -95,9 +88,9 @@ class CodeBasis:
 
 
 def _min_distance(points):
-    """Smallest pairwise distance between rows of ``points`` (inf if < 2)."""
+    """Least distance between two-entry rows of ``points`` (inf if < 2), by hypot: no overflow."""
     i, j = np.triu_indices(len(points), 1)
-    return float(np.min(np.linalg.norm(points[i] - points[j], axis=1), initial=np.inf))
+    return float(np.min(np.hypot(*np.abs(points[i] - points[j]).T), initial=np.inf))
 
 
 @memoized(CODE_MEMO_SIZE)
@@ -135,7 +128,7 @@ def deform_constellation(constellation, u):
 
 def gram_matrix(constellation):
     """Fock-space Gram matrix of the constellation states (Hermitized)."""
-    g = overlap_matrix(constellation.amplitudes, constellation.amplitudes)
+    g = product_gram(constellation.factors, constellation.factors)
     return (g + g.conj().T) / 2
 
 
@@ -156,13 +149,12 @@ def code_basis(constellation, fourier):
     have unit norm.  Memoized on the two argument objects; the amplitudes
     and coefficients are read-only.
     """
-    states = constellation.amplitudes  # formed once, for the Gram matrix and the expansion
-    inv_sqrt = hermitian_inv_sqrt(overlap_matrix(states, states)).inv_sqrt
-    coeff = (inv_sqrt @ fourier.matrix.conj().T)[:, fourier.logical_rows]
-    amps = np.tensordot(coeff.T, states, axes=1)
+    inv_sqrt = hermitian_inv_sqrt(gram_matrix(constellation)).inv_sqrt
+    coeff = (inv_sqrt @ fourier.matrix.conj().T)[:, fourier.logical_rows].T
+    amps = coherent_sum(coeff, constellation.factors)
     norms = np.linalg.norm(amps, axis=(1, 2))
     amps /= norms[:, None, None]
-    coeff = coeff.T / norms[:, None]
+    coeff = coeff / norms[:, None]
     amps.flags.writeable = coeff.flags.writeable = False
     return CodeBasis(
         constellation=constellation, fourier=fourier, amplitudes=amps, coefficients=coeff

@@ -7,13 +7,13 @@ shape, and any leading axes are a batch, so a stack of states is mapped in
 one call.  An operator takes no dimension: it reads d from the last axis of
 the tensor it acts on, so one operator serves every cutoff (a diagonal's
 phases must broadcast to the state).  No operator is
-stored as a matrix over the full space.  No passive unitary is lifted here:
-``gates`` applies pi(U) to a code state through its coherent points,
-pi(U)|alpha> = |U alpha>, in three cases.  A group element permutes the
-constellation's factors, any other U moves the points, and the swap pi(X)
-exchanges the two mode axes.  An operator's arguments are validated when it
-is built; the ladder coefficients it applies are memoized per d (see
-``annihilation_operator``).
+stored as a matrix over the full space, and no passive unitary is lifted
+(``gates`` moves a code state's coherent points instead).  An operator's
+arguments are validated when it is built; the ladder coefficients it applies
+are memoized per d (see ``annihilation_operator``).  A sum of coherent
+products sum_t w_t f_t0 (x) f_t1 is its weights and its (n, 2, d) per-mode
+factors: ``coherent_sum`` forms its (d, d) tensors, ``product_gram`` the
+overlaps of two such families mode by mode.
 Every constructor that builds a physical state from coherent amplitudes
 audits the truncated Poisson tail so that silent truncation errors cannot
 creep into downstream fidelity computations.
@@ -45,7 +45,9 @@ def normalize(t, axes=None):
     state by state; a zero state raises, and so does a NaN or inf entry
     (its norm is NaN or inf).
     """
-    norm = np.linalg.norm(t, axis=axes, keepdims=True)
+    # conj(inf) * inf is NaN on the axis path, and a norm past 1e154 squares to inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        norm = np.linalg.norm(t, axis=axes, keepdims=True)
     if not (norm.min() >= 1e-300 and norm.max() < np.inf):  # a NaN fails the first test
         raise ValueError("cannot normalize a zero state or a non-finite one")
     return t / norm
@@ -104,6 +106,20 @@ def coherent_product(alphas, cutoff=DEFAULT_CUTOFF):
     if np.shape(alphas) != (2,):
         raise ValueError("coherent_product takes exactly two amplitudes")
     return normalize(np.multiply.outer(*coherent_amplitudes(alphas, cutoff)))
+
+
+def coherent_sum(weights, factors):
+    """The (d, d) tensors sum_t weights[i, t] f_t0 (x) f_t1 of the (n, 2, d) ``factors``.
+
+    Row i of the weights gives F_0^T diag(weights[i]) F_1, one GEMM for all rows.
+    """
+    return (factors[:, 0].T * weights[:, None, :]) @ factors[:, 1]
+
+
+def product_gram(bras, kets):
+    """<bras[q]|kets[r]> of coherent products from their (n, 2, d) factors, prod_m F_m^H F_m."""
+    per_mode = np.conj(bras).swapaxes(0, 1) @ np.transpose(kets, (1, 2, 0))  # (mode, q, r)
+    return per_mode[0] * per_mode[1]
 
 
 def cat_state(alpha, parity, cutoff=DEFAULT_CUTOFF):

@@ -7,9 +7,10 @@ with the leakage out of the target code subspace.
 A code state is a sum of coherent products, sum_h C[i, h] |p_h>, and a
 passive gate maps it to another such sum, pi(U)|p> = |U p>, so no U is
 lifted.  There is one route, in three cases.  A group element g permutes the
-constellation, pi(g)|p_h> = |p_gh>, so its images reuse the constellation's
-factors in Cayley-table order.  Any other U moves the points, whose factors
-are then built (``_coherent_images``).  The swap pi(X) exchanges the two
+constellation, pi(g)|p_h> = |p_gh>, so its images are the code's own
+coefficients in Cayley-table order, and ``group_covariance`` never leaves
+coefficient space.  Any other U moves the points, whose factors are then
+built and summed (``fock.coherent_sum``).  The swap pi(X) exchanges the two
 mode axes.  The self-Kerr phase splits each point in two,
 i^{n^2} = ((1 + i) + (1 - i)(-1)^n) / 2 (Yurke and Stoler, PRL 57, 13
 (1986)).
@@ -29,6 +30,7 @@ from .fock import (
     _log_factorials,
     annihilation_operator,
     coherent_state,
+    coherent_sum,
     infidelity,
     normalize,
     number_diagonal_operator,
@@ -97,23 +99,20 @@ def _logical_reduction(images, code):
 def group_covariance(code):
     """Largest leakage of pi(g) E out of the code space, over the group elements g.
 
-    The residual of g is the Frobenius norm of pi(g) applied to all four
-    basis states minus its projection back onto the code.  pi(g) permutes
-    the constellation, pi(g)|p_h> = |p_gh>, so the images of g are the code's
-    expansion over its own factors taken in the order of row g of the Cayley
-    table.  One g is imaged, projected and reduced to its squared residual
-    at a time, so no more than one g's (4, d^2) images are held, and the
-    largest square is kept.
+    The residual of g is the Frobenius norm of pi(g) on all four basis states
+    minus its projection onto the code.  It lies in the constellation's span,
+    so it is taken in coefficient space with its Gram matrix Gamma, and no
+    (d, d) image is formed: pi(g^-1) has the images C_g = C[:, cayley[g]]
+    (g^-1 runs over the group as g does), overlaps A_g = C^* Gamma C_g^T and
+    residual rows v_gi of C_g - A_g^T C, with square sum_i v_gi^H Gamma v_gi.
     """
-    basis = code.amplitudes.reshape(4, -1)
-    constellation = code.constellation
-    worst = 0.0
-    for row in constellation.group.cayley:
-        image = _coherent_images(code.coefficients, constellation.factors[row]).reshape(basis.shape)
-        image -= (image @ basis.conj().T) @ basis  # minus sum_k <basis_k|pi(g) basis_i> basis_k
-        squares = image.reshape(-1).view(float)  # the squared norm, no temporary
-        worst = np.maximum(worst, np.einsum("k,k->", squares, squares))  # NaN propagates
-    return float(np.sqrt(worst))
+    coeff, gram = code.coefficients, encoding.gram_matrix(code.constellation)
+    moved = coeff[:, code.constellation.group.cayley].swapaxes(0, 1)  # (g, i, k): C_g
+    overlaps = coeff.conj() @ gram @ moved.swapaxes(-1, -2)  # (g, j, i): A_g
+    residual = moved - overlaps.swapaxes(-1, -2) @ coeff
+    squares = np.einsum("gik,kl,gil->g", residual.conj(), gram, residual).real
+    # a roundoff square may dip below 0; a NaN propagates through maximum
+    return float(np.sqrt(np.max(np.maximum(squares, 0.0))))
 
 
 def self_kerr_s_gate():
@@ -149,15 +148,6 @@ def cz_target():
     return np.diag((-1.0 + 0j) ** np.outer(logical, logical).ravel())
 
 
-def _coherent_images(weights, factors):
-    """The (d, d) images sum_t weights[i, t] |p_t>, one per row of weights.
-
-    Each |p_t> is factors[t, 0] (x) factors[t, 1], as the code's own
-    constellation states are, so image i is F_1^T diag(weights[i]) F_2.
-    """
-    return (factors[:, 0].T * weights[:, None, :]) @ factors[:, 1]
-
-
 def _kerr_split(weights, points):
     """The terms of i^{n2^2} sum_t w_t |p_t>: each point and its mode-2 negation.
 
@@ -179,12 +169,10 @@ def _mode_unitary(u):
 
 def _encoded_residual(code, target, u):
     """Max infidelity of pi(U) E(|l>|m>) vs E_target(U|l> (x) U|m>), pi(U) moving the points."""
-    constellation = code.constellation
-    factors = coherent_state(constellation.points @ u.T, constellation.cutoff)
-    images = _coherent_images(code.coefficients, factors)
+    moved = coherent_state(code.constellation.points @ u.T, code.constellation.cutoff)
+    images = coherent_sum(code.coefficients, moved)
     # column (l, m) of U (x) U holds the coefficients u[l', l] u[m', m]
-    amps = target.amplitudes
-    rhs = (np.kron(u, u).T @ amps.reshape(4, -1)).reshape(amps.shape)
+    rhs = np.tensordot(np.kron(u, u).T, target.amplitudes, axes=1)
     return float(np.max([infidelity(a, b) for a, b in zip(images, rhs)]))
 
 
@@ -218,7 +206,7 @@ def _composite_hadamard_images(code):
         weights, points = _kerr_split(weights, points)
         points = points @ HADAMARD.T
     factors = coherent_state(points, code.constellation.cutoff)
-    return self_kerr_s_gate()(_coherent_images(weights, factors))
+    return self_kerr_s_gate()(coherent_sum(weights, factors))
 
 
 def zeno_projected_hamiltonian(code, theta=0.0):

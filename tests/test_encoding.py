@@ -17,7 +17,10 @@ from fouriercat.fock import (
     StarvedTailError,
     cat_state,
     coherent_product,
+    coherent_sum,
     infidelity,
+    overlap_matrix,
+    product_gram,
 )
 from fouriercat.groups import AMPLITUDE_RULE, HADAMARD, PAULI_X
 
@@ -106,7 +109,7 @@ def bare_fourier_state(constellation, fourier, l, m):
     """sum_g conj(F[(lambda, l, m), g]) |g alpha>: the bare inverse-QFT superposition,
     neither Gram-orthonormalized nor normalized."""
     row = fourier.matrix[fourier.logical_rows[2 * l + m]]
-    return np.tensordot(row.conj(), constellation.amplitudes, axes=1)
+    return coherent_sum(row.conj()[None], constellation.factors)[0]
 
 
 def test_covariant_encode_matches_at_special_alpha(
@@ -143,11 +146,18 @@ def test_degenerate_constellation_raises(d8):
 
 @pytest.mark.parametrize("name", ["d8", "q8"])
 def test_constellation_amplitudes_match_coherent_products(name):
+    # the constellation states, formed from the per-mode factors, are the
+    # coherent products |g alpha>, and their overlaps are the per-mode product
     group = fc.pauli_group() if name == "d8" else fc.quaternion_group()
     constellation = fc.make_constellation(group, 1.3, 1.0, cutoff=30)
     want = np.array([coherent_product(p, 30) for p in constellation.points])
-    assert constellation.amplitudes.shape == want.shape == (8, 31, 31)
-    assert np.max(np.abs(constellation.amplitudes - want)) < 1e-15
+    states = coherent_sum(np.eye(8), constellation.factors)
+    assert states.shape == want.shape == (8, 31, 31)
+    assert np.max(np.abs(states - want)) < 1e-15
+    gram = product_gram(constellation.factors, constellation.factors)
+    assert np.max(np.abs(gram - overlap_matrix(want, want))) < 1e-15
+    shifted = product_gram(constellation.factors[:3], constellation.factors[2:])
+    assert np.max(np.abs(shifted - overlap_matrix(want[:3], want[2:]))) < 1e-15
 
 
 def test_deform_constellation_points(star_constellation):
@@ -287,8 +297,7 @@ def test_benchmark_records_mirror_the_arrays(star_code, d8):
 def code_arrays(code):
     """Every array a code basis and its constellation hold."""
     constellation = code.constellation
-    return [code.amplitudes, code.coefficients, constellation.amplitudes,
-            constellation.factors, constellation.alpha_vec]
+    return [code.amplitudes, code.coefficients, constellation.factors, constellation.alpha_vec]
 
 
 @pytest.mark.parametrize("cutoff", [10, 25])
@@ -372,7 +381,7 @@ def test_failing_constructions_raise_on_every_call(d8, args, message):
 
 def test_code_memo_retention_is_bounded(d8, d8_fourier):
     # per code at cutoff 60: a (4, 61, 61) basis and its constellation's (8, 2, 61)
-    # factors; the constellation's (8, 61, 61) states are formed on read, not kept
+    # factors; the constellation's (8, 61, 61) states are never formed
     per_code = 4 * 61**2 * 16 + 8 * 2 * 61 * 16
     encoding._constellation.cache_clear()
     fc.code_basis.cache_clear()

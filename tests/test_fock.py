@@ -565,6 +565,7 @@ def test_normalize_and_infidelity_reject_a_zero_state():
         np.array([np.nan, 1.0]),
         np.array([np.inf, 1.0]),
         np.array([1.0, 1.0j, complex(0.0, np.nan)]),
+        np.array([1.0, complex(np.inf, 0.0)]),  # the axis path's conj(x) * x made a NaN warning
     ):
         with pytest.raises(ValueError, match=message):
             normalize(bad)
