@@ -20,7 +20,6 @@ from .fock import (
     hermitian_inv_sqrt,
     infidelity,
     normalize,
-    number_diagonal_operator,
 )
 from .encoding import (
     CatQuditCode,

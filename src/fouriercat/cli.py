@@ -70,8 +70,8 @@ ALPHA_STAR = math.sqrt(math.pi / 2)
 MAX_GRID_POINTS = 10**6
 # A larger cutoff is refused before anything is built.  Every array a command
 # allocates is O(d^2) at d = cutoff + 1, and at the cap a fresh `verify`
-# process takes 0.29-0.39 s and 57 MB ru_maxrss (3 medians of 5, one BLAS thread,
-# 2-vCPU machine; 0.18 s and 39 MB at cutoff 127).
+# process takes 0.19-0.29 s and 57 MB ru_maxrss (6 medians of 5, one BLAS thread,
+# 2-vCPU machine; 0.14 s and 39 MB at cutoff 127).
 MAX_CUTOFF = 255
 
 # logical targets on the basis (l, m), acting on L only
@@ -425,7 +425,8 @@ def cmd_gates_demo(cfg):
     if isinstance(code, StarvedTailError):
         return checks.starved(code)
 
-    swap = logical_action(lambda t: t.swapaxes(-2, -1), code)  # pi(X) exchanges the modes
+    # pi(X) exchanges the two modes of every coherent point
+    swap = logical_action(code, code.coefficients, code.constellation.points @ PAULI_X.T)
     snap_s, snap_t = snap_gate_check(code)
     for name, action, target, tol in (
         ("beamsplitter swap (logical X)", swap, _X_TARGET, 1e-9),

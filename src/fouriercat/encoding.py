@@ -32,6 +32,7 @@ import numpy as np
 
 from .fock import (
     DEFAULT_CUTOFF,
+    StarvedTailError,
     coherent_amplitudes,
     coherent_state,
     coherent_sum,
@@ -43,6 +44,8 @@ from .groups import AMPLITUDE_RULE, _integer_at_least, _positive_amplitude, memo
 
 # Results kept by the constellation and code-basis memos.
 CODE_MEMO_SIZE = 8
+# Two points closer than this times max(1, |alpha|) are one point.
+DEGENERACY_TOL = 1e-9
 
 
 class DegenerateConstellationError(ValueError):
@@ -103,7 +106,7 @@ def _constellation(group, alpha_bytes, cutoff):
     if not _positive_amplitude(np.max(np.abs(alpha_vec))):
         raise ValueError(AMPLITUDE_RULE)
     points = group.matrices @ alpha_vec
-    if _min_distance(points) <= 1e-9 * max(1.0, float(np.linalg.norm(alpha_vec))):
+    if _min_distance(points) <= DEGENERACY_TOL * max(1.0, float(np.linalg.norm(alpha_vec))):
         raise DegenerateConstellationError("degenerate constellation")
     factors = coherent_state(points, cutoff)  # (|G|, 2, d), one per mode
     factors.flags.writeable = False
@@ -198,6 +201,9 @@ def cat_qudit(n, d, alpha, cutoff=None):
     DFT, but its Cayley table and character check cost O(N^3) time; this
     form costs O(d N cutoff), the (d, N) @ (N, cutoff + 1) product of the
     weights and the coherent amplitudes, and leaves the group memos alone.
+    The default cutoff is the Poisson mean plus ten deviations,
+    alpha^2 + 10 alpha, and at least ``DEFAULT_CUTOFF``; past 10**6 levels it
+    raises ``StarvedTailError`` instead of building, and a cutoff must be given.
     """
     if not (_integer_at_least(n, 1) and _integer_at_least(d, 1)):
         raise ValueError("N and d must be positive integers")
@@ -206,7 +212,10 @@ def cat_qudit(n, d, alpha, cutoff=None):
     if not _positive_amplitude(alpha):
         raise ValueError(AMPLITUDE_RULE)
     if cutoff is None:
-        cutoff = max(DEFAULT_CUTOFF, int(np.ceil(abs(alpha) ** 2 + 10 * abs(alpha))))
+        levels = abs(alpha) ** 2 + 10 * abs(alpha)
+        if levels > 10**6:
+            raise StarvedTailError(f"the default cutoff for |alpha| = {abs(alpha):.4g} passes 10**6 levels")
+        cutoff = max(DEFAULT_CUTOFF, int(np.ceil(levels)))
     w = np.exp(2j * np.pi / n)
     ls = np.arange(n)
     delta = n * np.fft.ifft(np.exp(alpha**2 * (w**ls - 1)))

@@ -5,15 +5,16 @@ per mode, d = cutoff + 1.  Operators are plain functions on such tensors:
 they map an array whose last two axes are the modes to an array of the same
 shape, and any leading axes are a batch, so a stack of states is mapped in
 one call.  An operator takes no dimension: it reads d from the last axis of
-the tensor it acts on, so one operator serves every cutoff (a diagonal's
-phases must broadcast to the state).  No operator is
-stored as a matrix over the full space, and no passive unitary is lifted
-(``gates`` moves a code state's coherent points instead).  An operator's
-arguments are validated when it is built; the ladder coefficients it applies
-are memoized per d (see ``annihilation_operator``).  A sum of coherent
-products sum_t w_t f_t0 (x) f_t1 is its weights and its (n, 2, d) per-mode
-factors: ``coherent_sum`` forms its (d, d) tensors, ``product_gram`` the
-overlaps of two such families mode by mode.
+the tensor it acts on, so one operator serves every cutoff.  The only
+operators are the ladder powers a_i^k, which the checks that are about
+photon numbers apply.  No operator is stored as a matrix over the full
+space, and no gate is applied to a state: ``gates`` reduces each gate on a
+code state's coherent points instead.  An operator's arguments are validated
+when it is built; the ladder coefficients it applies are memoized per d
+(see ``annihilation_operator``).  A sum of coherent products
+sum_t w_t f_t0 (x) f_t1 is its weights and its (n, 2, d) per-mode factors:
+``coherent_sum`` forms its (d, d) tensors, ``product_gram`` the overlaps of
+two such families mode by mode.
 Every constructor that builds a physical state from coherent amplitudes
 audits the truncated Poisson tail so that silent truncation errors cannot
 creep into downstream fidelity computations.
@@ -42,13 +43,14 @@ def normalize(t, axes=None):
     """t divided by its norm over ``axes`` (all axes when None, else an axis or two).
 
     The norms are kept as size-one axes, so a stack of states normalizes
-    state by state; a zero state raises, and so does a NaN or inf entry
-    (its norm is NaN or inf).
+    state by state, and an empty stack comes back unchanged; a zero state
+    raises (an empty one too), and so does a NaN or inf entry (its norm is
+    NaN or inf).
     """
     # conj(inf) * inf is NaN on the axis path, and a norm past 1e154 squares to inf
     with np.errstate(invalid="ignore", over="ignore"):
         norm = np.linalg.norm(t, axis=axes, keepdims=True)
-    if not (norm.min() >= 1e-300 and norm.max() < np.inf):  # a NaN fails the first test
+    if norm.size and not (norm.min() >= 1e-300 and norm.max() < np.inf):  # a NaN fails the first test
         raise ValueError("cannot normalize a zero state or a non-finite one")
     return t / norm
 
@@ -134,20 +136,6 @@ def cat_state(alpha, parity, cutoff=DEFAULT_CUTOFF):
         raise ValueError("odd cat state is undefined at alpha = 0")
     plus, minus = coherent_amplitudes([alpha, -alpha], cutoff)
     return normalize(plus + (-1.0) ** parity * minus)
-
-
-def number_diagonal_operator(phases):
-    """Diagonal unitary multiplying |n_1, n_2> by phases[n_1, n_2].
-
-    ``phases`` must broadcast to the state's (d, d), so a 1-d profile acts
-    on the second mode; every entry must be unimodular (a NaN entry is not).
-    The operator holds a read-only view of ``phases``.
-    """
-    values = np.asarray(phases).view()
-    if not np.max(np.abs(np.abs(values) - 1.0)) <= 1e-12:
-        raise ValueError("diagonal entries must be unimodular")
-    values.flags.writeable = False
-    return lambda t: values * t
 
 
 def annihilation_operator(mode, power=1):

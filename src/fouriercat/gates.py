@@ -4,19 +4,13 @@ Each physical operation is reduced to its 4x4 action on the encoded basis
 (ordered (0,0), (0,1), (1,0), (1,1), i.e. logical index first), together
 with the leakage out of the target code subspace.
 
-A code state is a sum of coherent products, sum_h C[i, h] |p_h>, and a
-passive gate maps it to another such sum, pi(U)|p> = |U p>, so no U is
-lifted.  There is one route, in three cases.  A group element g permutes the
-constellation, pi(g)|p_h> = |p_gh>, so its images are the code's own
-coefficients in Cayley-table order, and ``group_covariance`` never leaves
-coefficient space.  Any other U moves the points, whose factors are then
-built and summed (``fock.coherent_sum``).  The swap pi(X) exchanges the two
-mode axes.  The self-Kerr phase splits each point in two,
-i^{n^2} = ((1 + i) + (1 - i)(-1)^n) / 2 (Yurke and Stoler, PRL 57, 13
-(1986)).
-
-The gate tables (phase profiles, the closed-form Z_L Y_M eigenstates) are
-rebuilt on each call: each costs tens of microseconds.
+A code state is a sum of coherent products, sum_h C[i, h] |p_h>, and each
+gate here maps it to another such sum, which ``logical_action`` reduces in
+coefficient space, forming no (d, d) image.  A passive U moves the points,
+pi(U)|p> = |U p> (a group element permutes them), and a mode-2 phase that
+depends only on the parity of n2 splits each point in two.  The checks
+about photon numbers (mod-4 readout, Z_L Y_M expansion, Zeno a_1^2) stay on
+the Fock states; the closed-form Z_L Y_M eigenstates are rebuilt per call.
 """
 
 from __future__ import annotations
@@ -30,11 +24,10 @@ from .fock import (
     _log_factorials,
     annihilation_operator,
     coherent_state,
-    coherent_sum,
     infidelity,
     normalize,
-    number_diagonal_operator,
     overlap_matrix,
+    product_gram,
 )
 from .groups import HADAMARD, PAULI_Z
 
@@ -43,10 +36,15 @@ IDENTITY2 = np.eye(2, dtype=complex)
 
 @dataclass
 class LogicalAction:
-    """4x4 logical matrix of a physical operator, with leakage diagnostics."""
+    """matrix[..., j, i] = <j| op |i>; squares[..., i] = ||op|i> outside the code||^2."""
 
     matrix: np.ndarray
-    leakage: float
+    squares: np.ndarray
+
+    @property
+    def leakage(self):
+        """The largest norm of any image component outside the code space."""
+        return float(np.sqrt(np.max(self.squares)))
 
 
 @dataclass
@@ -78,83 +76,88 @@ def phase_aligned_distance(measured, target):
     return float(np.linalg.norm(measured - phase * target))
 
 
-def logical_action(physical_op, code):
-    """Reduce a physical operator to its matrix on the encoded basis.
+def logical_action(code, weights, points):
+    """``LogicalAction`` on ``code`` of the images sum_t weights[..., i, t] |points[t]> of its states.
 
-    matrix[(l',m'), (l,m)] = <l',m'| op |l,m>; the leakage is the largest
-    norm of any image component outside the code subspace.
+    An image point within the constellation's degeneracy tolerance of an
+    orbit point merges into its weight (one GEMM against the boolean hit
+    matrix); the others are appended with their audited factors.  With Gamma
+    their Gram matrix, matrix = C^* Gamma W^T and each square is R^H Gamma R
+    for the residual weights R = W - matrix^T C, so it does not cancel.
     """
-    return _logical_reduction(physical_op(code.amplitudes), code)
-
-
-def _logical_reduction(images, code):
-    """``logical_action`` of an operator, from its images of the four basis states."""
-    basis = code.amplitudes
-    mat = overlap_matrix(basis, images)
-    residual = images - (mat.T @ basis.reshape(4, -1)).reshape(images.shape)
-    leak = float(np.max(np.linalg.norm(residual, axis=(-2, -1))))
-    return LogicalAction(matrix=mat, leakage=leak)
+    constellation, coeff = code.constellation, code.coefficients
+    orbit = constellation.points
+    tol = encoding.DEGENERACY_TOL * max(1.0, float(np.linalg.norm(constellation.alpha_vec)))
+    gap = np.abs(points[:, None] - orbit)  # (t, k, mode)
+    hits = np.hypot(gap[..., 0], gap[..., 1]) <= tol
+    away = ~hits.any(axis=1)
+    factors = constellation.factors
+    if away.any():  # coherent_state of no points costs as much as the rest of the reduction
+        factors = np.concatenate([factors, coherent_state(points[away], constellation.cutoff)])
+    merged = np.concatenate([weights @ hits, weights[..., away]], axis=-1)
+    gram = product_gram(factors, factors)
+    matrix = coeff.conj() @ gram[: len(orbit)] @ merged.swapaxes(-1, -2)
+    merged[..., : len(orbit)] -= matrix.swapaxes(-1, -2) @ coeff  # now the residual weights
+    squares = np.einsum("...ik,kl,...il->...i", merged.conj(), gram, merged).real
+    # a roundoff square may dip below 0; a NaN propagates through maximum
+    return LogicalAction(matrix=matrix, squares=np.maximum(squares, 0.0))
 
 
 def group_covariance(code):
     """Largest leakage of pi(g) E out of the code space, over the group elements g.
 
-    The residual of g is the Frobenius norm of pi(g) on all four basis states
-    minus its projection onto the code.  It lies in the constellation's span,
-    so it is taken in coefficient space with its Gram matrix Gamma, and no
-    (d, d) image is formed: pi(g^-1) has the images C_g = C[:, cayley[g]]
-    (g^-1 runs over the group as g does), overlaps A_g = C^* Gamma C_g^T and
-    residual rows v_gi of C_g - A_g^T C, with square sum_i v_gi^H Gamma v_gi.
+    The leakage of g is the Frobenius norm over all four basis states of the
+    residual.  pi(g^-1) has the images C_g = C[:, cayley[g]] on the
+    constellation's own points (g^-1 runs over the group as g does).
     """
-    coeff, gram = code.coefficients, encoding.gram_matrix(code.constellation)
-    moved = coeff[:, code.constellation.group.cayley].swapaxes(0, 1)  # (g, i, k): C_g
-    overlaps = coeff.conj() @ gram @ moved.swapaxes(-1, -2)  # (g, j, i): A_g
-    residual = moved - overlaps.swapaxes(-1, -2) @ coeff
-    squares = np.einsum("gik,kl,gil->g", residual.conj(), gram, residual).real
-    # a roundoff square may dip below 0; a NaN propagates through maximum
-    return float(np.sqrt(np.max(np.maximum(squares, 0.0))))
+    moved = code.coefficients[:, code.constellation.group.cayley].swapaxes(0, 1)  # (g, i, k): C_g
+    squares = logical_action(code, moved, code.constellation.points).squares.sum(axis=-1)
+    return float(np.sqrt(np.max(squares)))
 
 
-def self_kerr_s_gate():
-    """The self-Kerr diagonal i^{n2^2} on the second mode, at the state's cutoff."""
-    return lambda t: number_diagonal_operator(1j ** (np.arange(np.shape(t)[-1]) ** 2 % 4))(t)
+def _parity_split(weights, points, odd):
+    """The terms of a mode-2 phase, 1 on even n2 and ``odd`` on odd n2, on sum_t w_t |p_t>.
+
+    The phase is ((1 + odd) + (1 - odd)(-1)^n2) / 2, and (-1)^n2 |b_1, b_2> =
+    |b_1, -b_2> (exact on truncated factors too); the self-Kerr i^{n^2} has
+    odd = i (Yurke and Stoler, PRL 57, 13 (1986)).
+    """
+    weights = np.concatenate([weights * ((1 + odd) / 2), weights * ((1 - odd) / 2)], axis=-1)
+    return weights, np.concatenate([points, points * np.array([1.0, -1.0])])
 
 
 def s_gate_check(code):
     """Logical action of the self-Kerr i^{n2^2}; should equal S (x) I."""
-    return logical_action(self_kerr_s_gate(), code)
+    return logical_action(code, *_parity_split(code.coefficients, code.constellation.points, 1j))
+
+
+def snap_gate_check(code):
+    """Logical actions of the mode-2 SNAP phases exp(i pi/2 (n^2 mod 4)) and exp(i pi/4 (n^4 mod 8)).
+
+    n^2 mod 4 and n^4 mod 8 are both n mod 2, so the first is the
+    self-Kerr's i^{n^2} and the second is e^{i pi/4} on odd n only.
+    """
+    t_terms = _parity_split(code.coefficients, code.constellation.points, np.exp(1j * np.pi / 4))
+    return s_gate_check(code), logical_action(code, *t_terms)
 
 
 def cz_gate_check(code):
     """16x16 logical matrix of the cross-Kerr (-1)^{n2 n4} on two code copies.
 
-    The operator is diagonal, so its matrix elements on products of two-mode
-    states factor through per-mode density profiles; no 4-mode operator is
-    ever materialized.
+    (-1)^{n2 n4} = (1 + P_2 + P_4 - P_2 P_4) / 2 for the two copies' mode-2
+    parities, so with P the logical matrix of (-1)^{n2} it is
+    (I (x) I + P (x) I + I (x) P - P (x) P) / 2 = I - 2 O (x) O, O = (I - P) / 2;
+    rows (l1, m1, l2, m2), row-major.
     """
-    d = code.amplitudes.shape[-1]
-    odd = np.arange(d) % 2
-    parity = 1.0 - 2.0 * np.outer(odd, odd)  # (-1)^(n2 n4), exactly +-1
-    # C[i', i, n2] = sum_n1 conj(b_i'[n1,n2]) b_i[n1,n2], rows (i', i)
-    c = np.einsum("iab,jab->ijb", code.amplitudes.conj(), code.amplitudes).reshape(16, d)
-    # (i1', i1, i2', i2) -> row (i1', i2'), column (i1, i2)
-    pairs = ((c @ parity) @ c.T).reshape(4, 4, 4, 4)
-    return pairs.transpose(0, 2, 1, 3).reshape(16, 16)
+    parity = logical_action(code, *_parity_split(code.coefficients, code.constellation.points, -1))
+    odd = (np.eye(4) - parity.matrix) / 2
+    return np.eye(16) - 2 * np.kron(odd, odd)
 
 
 def cz_target():
     """diag((-1)^{l1 l2}) over the basis (l1, m1, l2, m2), row-major."""
     logical = np.arange(4) // 2  # l of basis state 2 l + m
     return np.diag((-1.0 + 0j) ** np.outer(logical, logical).ravel())
-
-
-def _kerr_split(weights, points):
-    """The terms of i^{n2^2} sum_t w_t |p_t>: each point and its mode-2 negation.
-
-    Exact on truncated factors too: the factor of -b is (-1)^n that of b.
-    """
-    weights = np.concatenate([weights * (0.5 + 0.5j), weights * (0.5 - 0.5j)], axis=-1)
-    return weights, np.concatenate([points, points * np.array([1.0, -1.0])])
 
 
 def _mode_unitary(u):
@@ -168,12 +171,15 @@ def _mode_unitary(u):
 
 
 def _encoded_residual(code, target, u):
-    """Max infidelity of pi(U) E(|l>|m>) vs E_target(U|l> (x) U|m>), pi(U) moving the points."""
-    moved = coherent_state(code.constellation.points @ u.T, code.constellation.cutoff)
-    images = coherent_sum(code.coefficients, moved)
-    # column (l, m) of U (x) U holds the coefficients u[l', l] u[m', m]
-    rhs = np.tensordot(np.kron(u, u).T, target.amplitudes, axes=1)
-    return float(np.max([infidelity(a, b) for a, b in zip(images, rhs)]))
+    """Max infidelity of pi(U) E(|l>|m>) vs E_target(U|l> (x) U|m>), pi(U) moving the points.
+
+    Both are 5-vectors on the target code: an image's logical coordinates
+    and residual norm, and column (l, m) of U (x) U with no residual.
+    """
+    action = logical_action(target, code.coefficients, code.constellation.points @ u.T)
+    images = np.vstack([action.matrix, np.sqrt(action.squares)])
+    rhs = np.vstack([np.kron(u, u), np.zeros(4)])
+    return float(max(infidelity(a, b) for a, b in zip(images.T, rhs.T)))
 
 
 def deformation_residual(code, u):
@@ -192,21 +198,15 @@ def double_deformation_residual(code, u):
 
 def composite_hadamard_check(code):
     """Logical action of i^{n2^2} pi(H) i^{n2^2} pi(H) i^{n2^2}: Hadamard on L only."""
-    return _logical_reduction(_composite_hadamard_images(code), code)
+    return logical_action(code, *_composite_hadamard_terms(code))
 
 
-def _composite_hadamard_images(code):
-    """i^{n2^2} pi(H) i^{n2^2} pi(H) i^{n2^2} on the four code states.
-
-    The first two self-Kerr gates split the |G| points into 4 |G| terms; the
-    last one acts as the diagonal on their images.
-    """
-    weights, points = code.coefficients, code.constellation.points
+def _composite_hadamard_terms(code):
+    """(weights, points) of the 8 |G| terms of i^{n2^2} pi(H) i^{n2^2} pi(H) i^{n2^2} on the code."""
+    weights, points = _parity_split(code.coefficients, code.constellation.points, 1j)
     for _ in range(2):
-        weights, points = _kerr_split(weights, points)
-        points = points @ HADAMARD.T
-    factors = coherent_state(points, code.constellation.cutoff)
-    return self_kerr_s_gate()(coherent_sum(weights, factors))
+        weights, points = _parity_split(weights, points @ HADAMARD.T, 1j)
+    return weights, points
 
 
 def zeno_projected_hamiltonian(code, theta=0.0):
@@ -226,14 +226,6 @@ def zeno_projected_hamiltonian(code, theta=0.0):
     eigen = images - alpha**2 * signs[:, None, None] * code.amplitudes
     eig_res = float(np.max(np.linalg.norm(eigen, axis=(-2, -1))))
     return ZenoGate(theta=theta, projected_hamiltonian=mat), residual, eig_res
-
-
-def snap_gate_check(code):
-    """Logical actions of the mode-2 SNAP phases exp(i pi/2 (n^2 mod 4)) and exp(i pi/4 (n^4 mod 8))."""
-    n = np.arange(code.amplitudes.shape[-1])
-    s_op = number_diagonal_operator(np.exp(1j * np.pi / 2 * (n**2 % 4)))
-    t_op = number_diagonal_operator(np.exp(1j * np.pi / 4 * (n**4 % 8)))
-    return logical_action(s_op, code), logical_action(t_op, code)
 
 
 # The Z_L Y_M eigenstates (|l, 0> + y |l, 1>) / sqrt(2), in this order

@@ -11,6 +11,7 @@ import pytest
 
 import fouriercat as fc
 from fouriercat import cli, gates
+from fouriercat.fock import StarvedTailError
 from fouriercat.groups import AMPLITUDE_RULE
 
 
@@ -207,12 +208,28 @@ def load_alpha(alpha):
     return cli.load_config(args)
 
 
+def cat_qudit_at_its_default_cutoff(alpha):
+    """``cat_qudit`` at its own cutoff rule: an accepted alpha builds, starves or has a null codeword.
+
+    At 9.4e153 the rule asked numpy for about 8.8e307 levels, which ended
+    on numpy's array-size error instead of a library one.
+    """
+    try:
+        fc.cat_qudit(4, 2, alpha)
+    except StarvedTailError:
+        pass
+    except ValueError as exc:
+        assert str(exc) in (AMPLITUDE_RULE, "codeword numerically null"), exc
+        raise
+
+
 AMPLITUDE_ROUTES = {
     "make_constellation": lambda a: fc.make_constellation(fc.pauli_group(), a, math.pi / 2),
     "qec_matrix_analytic": lambda a: fc.qec_matrix_analytic(
         *cli._group_and_fourier({"group": "d8"}), a, 0.01
     ),
     "cat_qudit": lambda a: fc.cat_qudit(4, 2, a, cutoff=25),
+    "cat_qudit default cutoff": cat_qudit_at_its_default_cutoff,
     "load_config": load_alpha,
 }
 

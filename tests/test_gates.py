@@ -13,7 +13,6 @@ from fouriercat.fock import (
     hermitian_inv_sqrt,
     infidelity,
     normalize,
-    number_diagonal_operator,
     overlap_matrix,
 )
 from fouriercat.gates import (
@@ -37,16 +36,18 @@ ALPHA_STAR = np.sqrt(np.pi / 2)
 
 
 def test_swap_is_logical_x(star_code):
-    op = monomial_unitary(PAULI_X.real)
-    action = fc.logical_action(op, star_code)
+    # pi(X) exchanges the two modes of every coherent point
+    points = star_code.constellation.points @ PAULI_X.T
+    action = fc.logical_action(star_code, star_code.coefficients, points)
     dist = fc.phase_aligned_distance(action.matrix, np.kron(PAULI_X, IDENTITY2))
     assert dist < 1e-12
     assert action.leakage < 1e-12
 
 
 def test_mode2_parity_is_logical_z(star_code):
-    op = number_diagonal_operator((-1.0) ** np.arange(star_code.amplitudes.shape[-1]))
-    action = fc.logical_action(op, star_code)
+    # (-1)^{n2} negates the second amplitude of every coherent point
+    points = star_code.constellation.points * np.array([1.0, -1.0])
+    action = fc.logical_action(star_code, star_code.coefficients, points)
     dist = fc.phase_aligned_distance(action.matrix, np.kron(PAULI_Z, IDENTITY2))
     assert dist < 1e-12
     assert action.leakage < 1e-12
@@ -88,12 +89,15 @@ def test_cz_gate(star_code):
     assert np.linalg.norm(got - fc.cz_target()) < 1e-12
 
 
-def test_cz_contraction_matches_entrywise_sum(d8, d8_fourier):
-    # entry by entry: sum_{n2,n4} C[i1',i1,n2] (-1)^(n2 n4) C[i2',i2,n4]
-    code = fc.code_basis(fc.make_constellation(d8, 1.0, np.pi / 2), d8_fourier)
-    tensors = np.array([s.amplitudes for s in code.basis_states])
+def cz_loop_reference(code):
+    """The cross-Kerr on two copies' Fock states, entry by entry.
+
+    sum_{n2,n4} c[i1',i1,n2] (-1)^(n2 n4) c[i2',i2,n4], with c the per-n2
+    overlaps of the basis states summed over n1.
+    """
+    tensors = code.amplitudes
     c = np.einsum("iab,jab->ijb", tensors.conj(), tensors)
-    n = np.arange(code.amplitudes.shape[-1])
+    n = np.arange(tensors.shape[-1])
     parity = (-1.0) ** np.outer(n, n)
     want = np.zeros((16, 16), dtype=complex)
     for i1p in range(4):
@@ -101,21 +105,22 @@ def test_cz_contraction_matches_entrywise_sum(d8, d8_fourier):
             for i2p in range(4):
                 for i2 in range(4):
                     want[i1p * 4 + i2p, i1 * 4 + i2] = c[i1p, i1] @ parity @ c[i2p, i2]
-    assert np.max(np.abs(fc.cz_gate_check(code) - want)) < 1e-14
+    return want
+
+
+def test_cz_contraction_matches_entrywise_sum(d8, d8_fourier):
+    code = fc.code_basis(fc.make_constellation(d8, 1.0, np.pi / 2), d8_fourier)
+    assert np.max(np.abs(fc.cz_gate_check(code) - cz_loop_reference(code))) < 1e-14
 
 
 def test_parity_tables_are_exact_at_every_cutoff():
-    # the cross-Kerr table and the even-parity mask are built inline from
-    # n % 2; on random states both checks must return, bit for bit, what
-    # (-1)^(n2 n4) and the mask of even n1 + n2 give
+    # the even-parity mask is built inline from n % 2; on random states the
+    # check must return, bit for bit, what the mask of even n1 + n2 gives
     rng = np.random.default_rng(7)
     for d in range(2, 62):
         amps = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
         code = SimpleNamespace(alpha=1.0, amplitudes=amps)
         n = np.arange(d)
-        c = np.einsum("iab,jab->ijb", amps.conj(), amps).reshape(16, d)
-        pairs = ((c @ ((-1.0) ** np.outer(n, n))) @ c.T).reshape(4, 4, 4, 4)
-        assert np.array_equal(fc.cz_gate_check(code), pairs.transpose(0, 2, 1, 3).reshape(16, 16))
         _, parity = fc.lindblad_kernel_check(code)
         even = np.add.outer(n, n) % 2 == 0
         assert parity == float(np.max(np.linalg.norm(amps[:, even], axis=-1)))
@@ -309,7 +314,7 @@ def test_cutoff_60_checks_stay_small(d8, d8_fourier):
         fc.mod4_verification(code)
         composite_hadamard_check(code)
         deformation_residual(code, HADAMARD)
-        swap = fc.logical_action(monomial_unitary(PAULI_X.real), code)
+        swap = fc.logical_action(code, code.coefficients, code.constellation.points @ PAULI_X.T)
         kept.extend([code, swap, fc.qec_matrix_fock(code, 0.01)])
 
     peak, _ = traced(checks)
@@ -437,18 +442,36 @@ def test_group_covariance_matches_the_fock_references_where_the_code_leaks(name,
 
 def test_cli_cap_code_basis_and_covariance_stay_near_the_basis(d8, d8_fourier):
     # at cutoff 255 the (4, d, d) basis is 4.2 MB: a code_basis miss forms no
-    # (|G|, d, d) stack of constellation states, and group_covariance no image
+    # (|G|, d, d) stack of constellation states, and group_covariance and the
+    # gate checks no image
     constellation = fc.make_constellation(d8, ALPHA_STAR, np.pi / 2, 255)
     code = fc.code_basis.__wrapped__(constellation, d8_fourier)
     basis_bytes = code.amplitudes.nbytes
     build_peak, _ = traced(lambda: fc.code_basis.__wrapped__(constellation, d8_fourier))
     assert build_peak <= 2.5 * basis_bytes, f"code_basis {build_peak / basis_bytes:.2f}x"
-    covariance_peak, _ = traced(lambda: group_covariance(code))
-    assert covariance_peak <= 0.1 * basis_bytes, f"group_covariance {covariance_peak / basis_bytes:.3f}x"
+    # the deformed code is built ahead, so the traced residual finds it in the memo
+    fc.code_basis(deform_constellation(constellation, HADAMARD), d8_fourier)
+    checks = {
+        "group_covariance": group_covariance,
+        "s_gate_check": fc.s_gate_check,
+        "snap_gate_check": snap_gate_check,
+        "composite_hadamard_check": composite_hadamard_check,
+        "cz_gate_check": fc.cz_gate_check,
+        "deformation_residual": lambda c: deformation_residual(c, HADAMARD),
+        "double_deformation_residual": lambda c: double_deformation_residual(c, HADAMARD),
+    }
+    for name, check in checks.items():
+        peak, _ = traced(lambda: check(code))
+        assert peak <= 0.1 * basis_bytes, f"{name} {peak / basis_bytes:.3f}x"
+
+
+def diagonal_phase(phases):
+    """The Fock-space diagonal multiplying |n_1, n_2> by ``phases`` (a 1-d profile acts on mode 2)."""
+    return lambda t: phases * t
 
 
 def leakage_loop_reference(op, code):
-    """The per-state residual norms that ``logical_action`` replaced."""
+    """The largest per-state residual norm of the Fock images ``op`` makes of the code states."""
     images = op(code.amplitudes)
     residual = images - np.tensordot(overlap_matrix(code.amplitudes, images).T, code.amplitudes, axes=1)
     return max(float(np.linalg.norm(r)) for r in residual)
@@ -488,6 +511,12 @@ def agree(got, want):
     return abs(got - want) <= 1e-15 * max(1.0, abs(want))
 
 
+def hadamard_images(code):
+    """The Fock images of the composite Hadamard's terms on the four code states."""
+    weights, points = fc.gates._composite_hadamard_terms(code)
+    return coherent_sum(weights, coherent_state(points, code.constellation.cutoff))
+
+
 @pytest.mark.parametrize("cutoff", [20, 25])
 @pytest.mark.parametrize("phi", [np.pi / 2, 1.0])
 @pytest.mark.parametrize("alpha", [ALPHA_STAR, 1.3])
@@ -497,16 +526,26 @@ def test_stacked_residuals_match_loop_references(name, alpha, phi, cutoff):
     fourier = fc.build_fourier_transform(group, fc.irrep_table(group))
     code = fc.code_basis(fc.make_constellation(group, alpha, phi, cutoff), fourier)
     assert max(group_covariance(code), group_covariance_loop_reference(code)) < 1e-14
-    s_op = fc.gates.self_kerr_s_gate()
-    assert agree(fc.s_gate_check(code).leakage, leakage_loop_reference(s_op, code))
+    # each coefficient-space action against the Fock images of its operator:
+    # the matrix to 2e-15, the leakage to 1e-15 (the q8 phi = 1.0 images
+    # leave the code by 0.29 to 0.78)
+    n = np.arange(code.amplitudes.shape[-1])
+    images = hadamard_images(code)
     # the composite Hadamard's images match the exact lift (see
-    # test_composite_hadamard_images_match_the_exact_lift), and the leakage
-    # is their residual reduced state by state
-    images = fc.gates._composite_hadamard_images(code)
+    # test_composite_hadamard_images_match_the_exact_lift)
     exact = exact_box_image(composite_hadamard_operator, code.amplitudes)
     assert np.max(np.abs(images - exact)) < 1e-14
-    h_leak = leakage_loop_reference(lambda t: images, code)
-    assert agree(composite_hadamard_check(code).leakage, h_leak)
+    swap_points = code.constellation.points @ PAULI_X.T
+    for action, op in (
+        (fc.s_gate_check(code), diagonal_phase(1j ** (n**2 % 4))),
+        (snap_gate_check(code)[1], diagonal_phase(np.exp(1j * np.pi / 4 * (n**4 % 8)))),
+        (fc.logical_action(code, code.coefficients, swap_points), lambda t: t.swapaxes(-2, -1)),
+        (composite_hadamard_check(code), lambda t: images),
+    ):
+        want = overlap_matrix(code.amplitudes, op(code.amplitudes))
+        assert np.max(np.abs(action.matrix - want)) <= 2e-15
+        assert agree(action.leakage, leakage_loop_reference(op, code))
+    assert np.max(np.abs(fc.cz_gate_check(code) - cz_loop_reference(code))) <= 4e-15
     assert agree(fc.zeno_projected_hamiltonian(code)[2], zeno_eigen_loop_reference(code))
     deformed = fc.code_basis(deform_constellation(code.constellation, HADAMARD), fourier)
     want = encoded_residual_loop_reference(exact_pi_h, code, deformed, HADAMARD)
@@ -514,6 +553,12 @@ def test_stacked_residuals_match_loop_references(name, alpha, phi, cutoff):
     twice = exact_box_image(pi_h_twice(passive_unitary(HADAMARD)), code.amplitudes)
     want = encoded_residual_loop_reference(lambda t: twice, code, code, HADAMARD @ HADAMARD)
     assert agree(double_deformation_residual(code, HADAMARD), want)
+    # a rotation outside the group's normalizer moves the points off the
+    # orbit, where the residual is O(1) and the moved states are its reference
+    u = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    moved = coherent_sum(code.coefficients, coherent_state(code.constellation.points @ (u @ u).T, cutoff))
+    want = encoded_residual_loop_reference(lambda t: moved, code, code, u @ u)
+    assert want > 0.1 and agree(double_deformation_residual(code, u), want)
     states, want = fc.zy_eigenstates(code), zy_eigenstates_loop_reference(code)
     assert fc.ZY_LABELS == tuple(want)
     assert all(np.max(np.abs(state - want[k])) <= 1e-15 for k, state in zip(fc.ZY_LABELS, states))
@@ -537,7 +582,7 @@ def test_composite_hadamard_images_match_the_exact_lift(name, phi, alpha, cutoff
     code = fc.code_basis(fc.make_constellation(group, alpha, phi, cutoff), fourier)
     d = code.amplitudes.shape[-1]
     exact = exact_image(composite_hadamard_operator, code.amplitudes)
-    images = fc.gates._composite_hadamard_images(code)
+    images = hadamard_images(code)
     assert np.max(np.abs(images - exact[..., :d, :d])) < 1e-14
     assert np.linalg.norm(exact[..., d:, :]) + np.linalg.norm(exact[..., :d, d:]) < 1e-14
     truncated = composite_hadamard_operator(code.amplitudes)
